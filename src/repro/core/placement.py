@@ -67,8 +67,8 @@ class PlacementStats:
 
     ``invalidations`` counts allocation-epoch rotations observed
     between lookups — proposals that could not reuse the previous
-    lookup's pool state (entries themselves are keyed on pool identity
-    and survive rotations until the LRU evicts them).
+    lookup's pool state (entries themselves are keyed on the allocation
+    digest and survive rotations until the LRU evicts them).
     """
 
     hits: int = 0
@@ -100,15 +100,16 @@ class PlacementEngine:
     """Computes topology-aware placements over a live allocation state.
 
     ``memo_size`` bounds the propose memo: solved proposals (including
-    no-fit ``None`` results) are reused for equivalent jobs.  Every
-    input :meth:`propose` reads is part of the memo key — the job's
-    placement-equivalence fields, the *identity-precise* free pool
-    (:meth:`AllocationState.free_pool_key`: exact free GPU ids plus
-    machine health) and the co-runner allocations in iteration order —
-    so entries survive allocation epochs and are replayed only when
-    the cluster has returned to a state in which the seed engine would
-    recompute the identical answer.  Stale-pool entries age out of the
-    LRU naturally.  ``0`` disables memoisation entirely.
+    no-fit ``None`` results) are reused for equivalent jobs.  The key
+    (see :meth:`_memo_key`) is the job's placement-equivalence fields
+    plus :attr:`AllocationState.digest` — a hash of exactly which job
+    owns which GPU and which machines are down — and the size of the
+    co-runner view.  It costs O(1) to build whatever the cluster size,
+    and entries survive allocation epochs: a cluster that returns to
+    an earlier state (an emptied fleet, a probe that frees a victim's
+    GPUs and puts them back) replays the answer the engine would
+    recompute.  Stale entries age out of the LRU.  ``0`` disables
+    memoisation entirely.
 
     Two further fast paths, both bit-identical by construction (see
     DESIGN.md §9) and independently switchable for A/B verification:
@@ -178,15 +179,20 @@ class PlacementEngine:
     ) -> tuple:
         """Equivalence class of a proposal.
 
-        Two proposals with equal keys are guaranteed the same answer:
-        every job field :meth:`propose` reads is included (``job_id``,
+        Two proposals with equal keys get the same answer: every job
+        field :meth:`propose` reads is included (``job_id``,
         ``iterations``, ``min_utility``, ``arrival_time`` and ``tags``
-        are provably unread there), the identity-precise pool key pins
-        exactly which GPUs are on offer, and the co-runner component
-        pins the interference neighbourhood — (id, gpus) pairs *in
-        iteration order*, because interference sums are floating-point
-        accumulations whose bit pattern depends on visit order, and a
-        job id names one immutable Job for the lifetime of a run.
+        are provably unread there), and the allocation digest pins
+        which GPUs are on offer and which job holds each busy one.
+        That also pins the interference neighbourhood: proposals read
+        co-runners only through point lookups of the jobs
+        :meth:`AllocationState.jobs_on_machine` names, visited in
+        sorted id order, and a job id names one immutable Job for the
+        lifetime of a run — so neither the view's iteration order nor
+        its entries for jobs without GPUs can reach a result.  The
+        view's length keeps an empty view (a caller that omits
+        ``co_runners``) from sharing entries with the full view of the
+        same allocation.
         """
         return (
             job.model,
@@ -196,8 +202,8 @@ class PlacementEngine:
             job.anti_collocation,
             job.single_node,
             job.p2p,
-            self.alloc.free_pool_key(),
-            tuple((job_id, gpus) for job_id, (_, gpus) in co_runners.items()),
+            self.alloc.digest,
+            len(co_runners),
         )
 
     def propose(
@@ -208,7 +214,7 @@ class PlacementEngine:
     ) -> PlacementSolution | None:
         """Best placement currently available, or ``None`` if none fits.
 
-        Memoised per allocation epoch (see class docstring); a hit
+        Memoised on the allocation state (see class docstring); a hit
         returns the cached solution re-labelled with this job's id.
 
         ``provenance`` (optional) is a decision-provenance out-param:
@@ -228,7 +234,7 @@ class PlacementEngine:
         version = self.alloc.version
         if version != self._memo_version:
             # the pool moved since the last lookup: count an epoch
-            # rotation (existing entries keep their identity keys and
+            # rotation (existing entries keep their digest keys and
             # stay replayable should the pool return to that state)
             if self._memo:
                 self.stats.invalidations += 1

@@ -87,6 +87,10 @@ class ClusterState:
             prefilter=prefilter,
         )
         self.running: dict[str, RunningJob] = {}
+        #: live ``job_id -> (job, gpus)`` view of :attr:`running`, kept
+        #: in the same insertion order by every lifecycle mutator so
+        #: readers never rebuild it per round (see :meth:`co_runners`)
+        self._co_runners: dict[str, tuple[Job, frozenset[str]]] = {}
         self.now = 0.0
         self._ideal_cache: dict[tuple, float] = {}
         self._next_version = 0
@@ -99,10 +103,15 @@ class ClusterState:
     # views
     # ------------------------------------------------------------------
     def co_runners(self) -> dict[str, tuple[Job, frozenset[str]]]:
-        """The running-job view schedulers and models consume."""
-        return {
-            job_id: (run.job, run.gpus) for job_id, run in self.running.items()
-        }
+        """The running-job view schedulers and models consume.
+
+        This is the live view, maintained in step with :attr:`running`
+        (same items, same order) by :meth:`start`, :meth:`finish`,
+        :meth:`cancel`, :meth:`preempt` and :meth:`fail_machine` — not
+        a copy.  Callers must not mutate it; a scheduler that tracks
+        its own tentative placements copies it first.
+        """
+        return self._co_runners
 
     def machines_of(self, gpus: Iterable[str]) -> set[str]:
         return {self.topo.machine_of(g) for g in gpus}
@@ -176,11 +185,13 @@ class ClusterState:
             job=job, gpus=gpus, remaining=remaining, rate=1.0,
             solo=solo, version=0,
         )
+        self._co_runners[job.job_id] = (job, gpus)
         return solo, self.machines_of(gpus)
 
     def finish(self, job_id: str) -> tuple[RunningJob, set[str]]:
         """Complete a job: free its GPUs, return it + touched machines."""
         run = self.running.pop(job_id)
+        del self._co_runners[job_id]
         if run.remaining > REMAINING_EPS:
             raise RuntimeError(
                 f"{job_id} finished with {run.remaining:.3f}s work left"
@@ -199,6 +210,7 @@ class ClusterState:
         machines whose co-runner rates need refreshing.
         """
         run = self.running.pop(job_id)
+        del self._co_runners[job_id]
         self.alloc.release(job_id)
         self._checkpoints.pop(job_id, None)  # cancellation is terminal
         return run, self.machines_of(run.gpus)
@@ -212,6 +224,7 @@ class ClusterState:
         Returns the evicted run and the touched machines.
         """
         run = self.running.pop(job_id)
+        del self._co_runners[job_id]
         self.alloc.release(job_id)
         if run.solo > 0:
             progress = 1.0 - run.remaining / run.solo
@@ -244,6 +257,7 @@ class ClusterState:
             run = self.running.pop(job_id, None)
             if run is None:
                 continue
+            del self._co_runners[job_id]
             touched |= self.machines_of(run.gpus)
             self.alloc.release(job_id)
             # fail-stop loses in-memory training state: any checkpoint
@@ -268,7 +282,7 @@ class ClusterState:
         """
         if not touched_machines:
             return []
-        co = self.co_runners()
+        co = self._co_runners
         affected: set[str] = set()
         for m in touched_machines:
             affected |= self.alloc.jobs_on_machine(m)

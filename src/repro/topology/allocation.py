@@ -40,10 +40,19 @@ class AllocationState:
     """Mutable view of which job owns which GPUs on a topology.
 
     Every state mutation (allocate / release / machine down / machine
-    up) bumps :attr:`version`, so derived caches — the placement memo
-    in :class:`repro.core.placement.PlacementEngine`, the free-pool
-    signature here — can be invalidated by a single integer compare
-    instead of tracking individual deltas.
+    up) bumps :attr:`version`, so derived caches — the free-pool
+    signature here, the incremental DRB tree — can be invalidated by a
+    single integer compare instead of tracking individual deltas.
+
+    :attr:`digest` names the state itself rather than the epoch: the
+    XOR of ``hash((job_id, gpu))`` over every owned GPU and of
+    ``hash(("down", machine))`` over every failed machine, updated in
+    O(GPUs touched) by each mutator.  Two histories that reach the
+    same ownership and health give the same digest, which is what lets
+    the placement memo in :class:`repro.core.placement.PlacementEngine`
+    replay answers across epochs.  String hashes are salted per
+    process, so the digest is meaningful only inside the process that
+    computed it and is never persisted.
     """
 
     def __init__(self, topo: TopologyGraph) -> None:
@@ -66,16 +75,13 @@ class AllocationState:
         self._down_machines: set[str] = set()
         self._signature: tuple | None = None
         self._signature_version = -1
-        self._pool_key: tuple | None = None
-        self._pool_key_version = -1
+        self.digest = 0
         # maintained aggregates for O(1) capacity queries at fleet scale:
-        # the set of unowned GPU ids (health-agnostic, mirrors the pool
-        # key), the healthy-machine free total, and a capacity-bucket
+        # the healthy-machine free total and a capacity-bucket
         # index free-count -> sorted machine names (healthy machines
         # only) that lets the candidate prefilter walk hosts in exactly
         # the (free count asc, name asc) order the exhaustive scan sorts
         # them into — without visiting machines that cannot qualify.
-        self._free_set: set[str] = set(self._all_gpus)
         self._total_free: int = len(self._all_gpus)
         self._buckets: dict[int, list[str]] = {}
         for m, c in self._free_count.items():
@@ -129,10 +135,12 @@ class AllocationState:
             owner = self._gpu_owner.get(g)
             if owner is not None:
                 raise AllocationError(f"GPU {g!r} already held by job {owner!r}")
+        digest = self.digest
         for g in gpu_set:
             self._gpu_owner[g] = job_id
+            digest ^= hash((job_id, g))
+        self.digest = digest
         self._job_gpus[job_id] = gpu_set
-        self._free_set.difference_update(gpu_set)
         taken: dict[str, int] = {}
         for g in gpu_set:
             m = self.topo.machine_of(g)
@@ -150,11 +158,13 @@ class AllocationState:
         except KeyError:
             raise AllocationError(f"job {job_id!r} has no allocation") from None
         freed: dict[str, int] = {}
+        digest = self.digest
         for g in gpus:
             del self._gpu_owner[g]
+            digest ^= hash((job_id, g))
             m = self.topo.machine_of(g)
             freed[m] = freed.get(m, 0) + 1
-        self._free_set.update(gpus)
+        self.digest = digest
         for m in freed:
             self._jobs_by_machine[m].discard(job_id)
         for m, n in freed.items():
@@ -264,10 +274,8 @@ class AllocationState:
 
         Cached per :attr:`version` so repeated reads within one
         allocation epoch cost two attribute loads.  The signature
-        deliberately tracks free *counts*, not free GPU identities:
-        consumers (the placement memo) also key on the epoch, so a
-        coarse signature only ever widens the invalidation, never
-        misses one.
+        deliberately tracks free *counts*, not free GPU identities;
+        :attr:`digest` is the identity-precise name of the state.
         """
         if self._signature_version != self.version:
             self._signature = (
@@ -276,26 +284,6 @@ class AllocationState:
             )
             self._signature_version = self.version
         return self._signature
-
-    def free_pool_key(self) -> tuple:
-        """Identity-precise snapshot of the effective free pool.
-
-        Unlike :meth:`free_pool_signature` (free *counts* per machine)
-        this pins the exact set of free GPU ids plus machine health, so
-        two states with an equal key offer byte-for-byte the same
-        placement candidates.  It is what lets the placement memo keep
-        entries *across* allocation epochs: an entry keyed on the pool
-        identity can only ever be replayed against the identical pool.
-        Cached per :attr:`version`; the frozensets hash once and reuse
-        the stored hash on every memo lookup.
-        """
-        if self._pool_key_version != self.version:
-            self._pool_key = (
-                frozenset(self._free_set),
-                frozenset(self._down_machines),
-            )
-            self._pool_key_version = self.version
-        return self._pool_key
 
     # ------------------------------------------------------------------
     # incremental-consumer epoch plumbing
@@ -350,6 +338,7 @@ class AllocationState:
             self._bucket_discard(machine, count)
             self._total_free -= count
             self._down_machines.add(machine)
+            self.digest ^= hash(("down", machine))
             self._machine_version[machine] += 1
             self.version += 1
             self._delta_log.append(frozenset((machine,)))
@@ -367,6 +356,7 @@ class AllocationState:
             raise AllocationError(f"unknown machine {machine!r}")
         if machine in self._down_machines:
             self._down_machines.discard(machine)
+            self.digest ^= hash(("down", machine))
             count = self._free_count[machine]
             self._bucket_add(machine, count)
             self._total_free += count

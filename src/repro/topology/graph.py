@@ -117,6 +117,9 @@ class _Caches:
     #: proximity rankings (diagnostics / provenance enrichment).
     machine_dist: dict[tuple[str, str], float] = field(default_factory=dict)
     proximity: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: :meth:`TopologyGraph.p2p_island_sizes` results per machine scope
+    #: (``None`` = the whole fleet), filled on first use.
+    p2p_islands: dict[str | None, tuple[int, ...]] = field(default_factory=dict)
 
     def clear(self) -> None:
         self.dist.clear()
@@ -132,6 +135,7 @@ class _Caches:
         self.dist_unscoped_lru.clear()
         self.machine_dist.clear()
         self.proximity.clear()
+        self.p2p_islands.clear()
 
 
 class TopologyGraph:
@@ -756,7 +760,16 @@ class TopologyGraph:
         waiting for an allocation the machine cannot provide).
         Computed greedily over P2P adjacency cliques per socket/switch
         group; exact for the hierarchical machines modelled here.
+        Pure in the graph, so the result is cached per ``machine``
+        scope until the next mutation; callers get a fresh list.
         """
+        cached = self._caches.p2p_islands.get(machine)
+        if cached is None:
+            cached = tuple(self._scan_p2p_islands(machine))
+            self._caches.p2p_islands[machine] = cached
+        return list(cached)
+
+    def _scan_p2p_islands(self, machine: str | None) -> list[int]:
         sizes: list[int] = []
         for sock in self.sockets(machine=machine):
             gpus = self.gpus(socket=sock)

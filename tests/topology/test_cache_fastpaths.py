@@ -1,9 +1,10 @@
 """Cache fast paths must be invisible: warm and cold graphs agree.
 
 Covers the all-pairs GPU distance matrix (and its fallback sentinel),
-the tuple-keyed widest-path cache, validate-before-cache lookups, and
-the AllocationState epoch counter / pool signature / bounded links
-cache that drive placement-memo invalidation.
+the tuple-keyed widest-path cache, validate-before-cache lookups, the
+P2P island cache, and the AllocationState epoch counter / state digest
+/ pool signature / bounded links cache behind the placement memo and
+the incremental DRB tree.
 """
 
 from __future__ import annotations
@@ -16,8 +17,17 @@ from hypothesis import given, settings, strategies as st
 import repro.topology.allocation as allocation_mod
 import repro.topology.graph as graph_mod
 from repro.topology.allocation import AllocationState
-from repro.topology.builders import cluster, power8_minsky
+from repro.topology.builders import (
+    cluster,
+    dgx1,
+    dgx2,
+    machine,
+    power8_minsky,
+    power8_pcie_k80,
+    power9_ac922,
+)
 from repro.topology.graph import TopologyError
+from repro.topology.links import LinkSpec
 
 
 @st.composite
@@ -110,6 +120,40 @@ class TestDistanceMatrix:
 
 
 # ----------------------------------------------------------------------
+# P2P island cache
+# ----------------------------------------------------------------------
+BUILDERS = [power8_minsky, dgx1, power8_pcie_k80, power9_ac922, dgx2, machine]
+
+
+class TestP2PIslandCache:
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    def test_cached_equals_scan(self, builder):
+        topo = cluster(3, builder)
+        for scope in [None, *topo.machines()]:
+            first = topo.p2p_island_sizes(scope)
+            assert first == topo._scan_p2p_islands(scope)
+            assert topo.p2p_island_sizes(scope) == first  # warm
+
+    def test_returned_list_is_a_copy(self):
+        topo = cluster(2)
+        sizes = topo.p2p_island_sizes()
+        expected = list(sizes)
+        sizes.clear()
+        sizes.append(99)
+        assert topo.p2p_island_sizes() == expected
+
+    def test_graph_mutation_clears_cache(self):
+        topo = machine("m0", peer_link=None)
+        assert topo.p2p_island_sizes() == [1, 1, 1, 1]
+        topo.add_edge("m0/gpu0", "m0/gpu1", 1.0, LinkSpec.nvlink(1))
+        assert topo.p2p_island_sizes() == [2, 1, 1]
+        topo.add_node("m0/gpu9", graph_mod.NodeKind.GPU, machine="m0",
+                      socket="m0/s1", gpu_index=9)
+        topo.add_edge("m0/gpu9", "m0/s1", 1.0, LinkSpec.nvlink(2))
+        assert topo.p2p_island_sizes() == [2, 1, 1, 1]
+
+
+# ----------------------------------------------------------------------
 # widest-path and shortest-path caches
 # ----------------------------------------------------------------------
 class TestPathCaches:
@@ -186,22 +230,59 @@ class TestAllocationEpochs:
         alloc.set_machine_up(up)
         assert alloc.version == v1 + 1
 
-    def test_pool_key_pins_identity_and_health(self):
+    def test_digest_names_the_state_not_the_history(self):
+        topo = cluster(2)
+        gpus = topo.gpus()
+        a, b = AllocationState(topo), AllocationState(topo)
+        a.allocate("x", gpus[:2])
+        a.allocate("y", gpus[4:5])
+        # same end state via a different history
+        b.allocate("y", gpus[4:5])
+        b.allocate("z", gpus[6:8])
+        b.allocate("x", gpus[:2])
+        b.release("z")
+        assert a.digest == b.digest
+        assert a.version != b.version
+
+    def test_digest_pins_gpu_identity(self):
+        # equal free counts on different GPUs are different states
+        topo = cluster(2)
+        gpus = topo.gpus(machine=topo.machines()[0])
+        a, b = AllocationState(topo), AllocationState(topo)
+        a.allocate("x", gpus[:1])
+        b.allocate("x", gpus[1:2])
+        assert a.free_count(topo.machines()[0]) == b.free_count(
+            topo.machines()[0]
+        )
+        assert a.digest != b.digest
+
+    def test_digest_pins_owner(self):
+        topo = cluster(2)
+        a, b = AllocationState(topo), AllocationState(topo)
+        a.allocate("x", topo.gpus()[:1])
+        b.allocate("y", topo.gpus()[:1])
+        assert a.digest != b.digest
+
+    def test_machine_down_up_restores_digest(self):
         topo = cluster(2)
         alloc = AllocationState(topo)
-        key0 = alloc.free_pool_key()
-        assert alloc.free_pool_key() is key0  # cached per version
-        held = topo.gpus()[:1]
-        alloc.allocate("j", held)
-        key1 = alloc.free_pool_key()
-        assert key1 != key0
-        assert held[0] not in key1[0]
-        alloc.release("j")
-        # identical pool again: key compares equal across epochs
-        assert alloc.free_pool_key() == key0
-        down = topo.machines()[1]
+        alloc.allocate("x", topo.gpus()[:1])
+        d0 = alloc.digest
+        m = topo.machines()[1]
+        alloc.set_machine_down(m)
+        assert alloc.digest != d0
+        alloc.set_machine_up(m)
+        assert alloc.digest == d0
+
+    def test_health_heartbeat_leaves_digest(self):
+        topo = cluster(2)
+        alloc = AllocationState(topo)
+        up, down = topo.machines()
         alloc.set_machine_down(down)
-        assert down in alloc.free_pool_key()[1]
+        d0 = alloc.digest
+        alloc.set_machine_up(up)  # already up
+        alloc.set_machine_down(down)  # already down
+        assert alloc.digest == d0
 
     def test_reads_do_not_bump_version(self):
         topo = cluster(2)
