@@ -35,7 +35,7 @@ postponement budget is exhausted.
 from __future__ import annotations
 
 from repro.core.placement import PlacementSolution
-from repro.core.utility import SLO_EPS, migration_penalty
+from repro.core.utility import SLO_EPS, migration_penalty, normalized_utility
 from repro.obs import trace as _trace
 from repro.schedulers.base import Scheduler, SchedulingContext
 from repro.workload.job import Job
@@ -217,6 +217,44 @@ class TopoAwareScheduler(Scheduler):
             return run.remaining
         return run.remaining / run.rate
 
+    # Eviction probes release a victim's GPUs and run a full proposal,
+    # yet almost none of them commit.  The two predicates below rule a
+    # probe out beforehand only when it provably ends in ``continue``
+    # (DESIGN.md §11), so skipping it changes no decision.
+
+    def _could_fit(
+        self, ctx: SchedulingContext, job: Job, freed: frozenset[str]
+    ) -> bool:
+        """Whether ``job`` could fit once the GPUs ``freed`` are released.
+
+        An upper bound on the capacity ``filter_hosts`` would see after
+        the release, read without releasing: when it is short of the
+        job, every host-filter path returns no pool and the probe's
+        ``propose`` would return ``None``.
+        """
+        alloc = ctx.alloc
+        need = job.num_gpus
+        if not job.single_node:
+            return alloc.total_free_count() + len(freed) >= need
+        if alloc.max_free_count() >= need:
+            return True
+        per_machine: dict[str, int] = {}
+        for g in freed:
+            m = alloc.topo.machine_of(g)
+            per_machine[m] = per_machine.get(m, 0) + 1
+        return any(
+            alloc.free_count(m) + n >= need for m, n in per_machine.items()
+        )
+
+    def _gain_reachable(
+        self, u_max: float, u_now: float, penalty: float, min_gain: float
+    ) -> bool:
+        """Whether a probe returning the utility ceiling ``u_max`` would
+        clear ``min_gain``.  Same expression shape as the committed
+        ``gain``, and no solution scores above ``u_max``, so a False
+        here means the probe's gain cannot clear it either."""
+        return u_max - u_now - penalty > min_gain
+
     def _preempt_pass(
         self,
         ctx: SchedulingContext,
@@ -232,11 +270,14 @@ class TopoAwareScheduler(Scheduler):
         the eviction only when the challenger's utility beats the
         victim's current utility plus the migration penalty by at least
         ``preempt_min_gain`` — eviction must raise aggregate utility
-        net of its cost, never just shuffle it.  Returns the number of
-        evictions committed.
+        net of its cost, never just shuffle it.  A victim is not probed
+        when the job could not fit even with its GPUs freed, or when a
+        perfect placement would still fall short of the threshold.
+        Returns the number of evictions committed.
         """
         cluster = ctx.cluster
         rec = ctx.recorder
+        u_max = normalized_utility(0.0, 0.0, 0.0, ctx.engine.params)
         evictions = 0
         for entry in list(self._queue):
             if evictions >= budget:
@@ -256,12 +297,21 @@ class TopoAwareScheduler(Scheduler):
             )
             for run in candidates:
                 victim_id = run.job.job_id
-                # victim's utility under its current placement (its own
-                # GPUs excluded from the co-runner view)
-                co_minus = {k: v for k, v in co.items() if k != victim_id}
+                if not self._could_fit(ctx, job, run.gpus):
+                    continue
+                # victim's utility under its current placement (the
+                # interference model skips the victim's own co-runner
+                # entry, so the full view scores it as-is)
                 u_victim = ctx.engine.score_allocation(
-                    run.job, tuple(sorted(run.gpus)), co_minus
+                    run.job, tuple(sorted(run.gpus)), co
                 ).utility
+                penalty = migration_penalty(
+                    self._remaining_wall_s(run), cluster.params
+                )
+                if not self._gain_reachable(
+                    u_max, u_victim, penalty, self.preempt_min_gain
+                ):
+                    continue
                 # probe: what would the queued job get with the victim gone?
                 ctx.alloc.release(victim_id)
                 saved_co = co.pop(victim_id, None)
@@ -275,9 +325,6 @@ class TopoAwareScheduler(Scheduler):
                     co[victim_id] = saved_co
                 if solution is None or not self._slo_ok(ctx, job, solution):
                     continue
-                penalty = migration_penalty(
-                    self._remaining_wall_s(run), cluster.params
-                )
                 gain = solution.utility - u_victim - penalty
                 if gain <= self.preempt_min_gain:
                     continue
@@ -326,16 +373,17 @@ class TopoAwareScheduler(Scheduler):
         re-score every running job's placement and move the worst-off
         ones when the best placement now available beats the current
         one by more than the migration penalty plus ``defrag_min_gain``.
-        Returns the number of migrations committed.
+        A job is not probed when even a perfect placement would fall
+        short of that.  Returns the number of migrations committed.
         """
         cluster = ctx.cluster
         rec = ctx.recorder
+        u_max = normalized_utility(0.0, 0.0, 0.0, ctx.engine.params)
         scored = []
         for victim_id in sorted(cluster.running):
             run = cluster.running[victim_id]
-            co_minus = {k: v for k, v in co.items() if k != victim_id}
             current = ctx.engine.score_allocation(
-                run.job, tuple(sorted(run.gpus)), co_minus
+                run.job, tuple(sorted(run.gpus)), co
             )
             scored.append((current.utility, victim_id, run))
         scored.sort(key=lambda x: (x[0], x[1]))  # worst placements first
@@ -343,6 +391,13 @@ class TopoAwareScheduler(Scheduler):
         for u_current, victim_id, run in scored:
             if moves >= budget:
                 break
+            penalty = migration_penalty(
+                self._remaining_wall_s(run), cluster.params
+            )
+            if not self._gain_reachable(
+                u_max, u_current, penalty, self.defrag_min_gain
+            ):
+                continue
             # probe: best placement with the job's own GPUs freed
             ctx.alloc.release(victim_id)
             saved_co = co.pop(victim_id, None)
@@ -353,9 +408,6 @@ class TopoAwareScheduler(Scheduler):
                 co[victim_id] = saved_co
             if solution is None or frozenset(solution.gpus) == run.gpus:
                 continue
-            penalty = migration_penalty(
-                self._remaining_wall_s(run), cluster.params
-            )
             gain = solution.utility - u_current - penalty
             if gain <= self.defrag_min_gain:
                 continue
