@@ -92,8 +92,21 @@ class PlacementStats:
         }
 
 
+@dataclass
+class PoolSolveStats:
+    """Pool-solve cache hits on a pool already solved in the same
+    proposal or in an earlier one."""
+
+    hits_in_proposal: int = 0
+    hits_across: int = 0
+
+
 #: distinguishes "memoised None (no fit)" from "not memoised"
 _MISS = object()
+
+#: co-runner entry of the job being placed in a pool-solve key: the
+#: interference model skips the scored job's own id
+_SELF = "self"
 
 
 class PlacementEngine:
@@ -122,6 +135,13 @@ class PlacementEngine:
       capacity-bucket index and stops probing once :attr:`max_pools`
       machines survived every constraint, instead of scanning the whole
       fleet per proposal.
+
+    Inside a proposal, every single-machine pool is solved through a
+    bounded LRU pool-solve cache keyed on a machine-canonical
+    signature (:meth:`_pool_key`): a pool equal up to relabelling to
+    one solved before — on a same-shaped machine in this proposal, or
+    on a machine back in an earlier state — replays that solve on its
+    own GPUs.  It is always on and exact, not a switch.
     """
 
     def __init__(
@@ -147,6 +167,13 @@ class PlacementEngine:
         self._memo: OrderedDict[tuple, PlacementSolution | None] = OrderedDict()
         self._memo_version = -1
         self.drb_cache = BipartitionCache(topo) if incremental_drb else None
+        self.pool_stats = PoolSolveStats()
+        self._pool_solves: OrderedDict[tuple, tuple] = OrderedDict()
+        self._proposals = 0
+        #: machine -> (shape id, GPU name -> local index, local index
+        #: -> GPU name), filled on first use
+        self._machine_tables: dict[str, tuple[int, dict[str, int], tuple[str, ...]]] = {}
+        self._shape_ids: dict[tuple, int] = {}
         self.prefilter = (
             CandidatePrefilter(self.max_pools, PrefilterStats())
             if prefilter
@@ -174,6 +201,24 @@ class PlacementEngine:
     #: while keeping large-cluster scheduling tractable.
     max_pools: int = 8
 
+    #: bound on the pool-solve cache (LRU); eviction only forces a
+    #: re-solve
+    POOL_SOLVES_MAX = 4096
+
+    @staticmethod
+    def _job_fields(job: Job) -> tuple:
+        """Every job field a proposal reads besides ``job_id`` (see
+        :meth:`_memo_key`); shared by both cache keys."""
+        return (
+            job.model,
+            job.batch_size,
+            job.num_gpus,
+            job.comm_pattern,
+            job.anti_collocation,
+            job.single_node,
+            job.p2p,
+        )
+
     def _memo_key(
         self, job: Job, co_runners: Mapping[str, tuple[Job, frozenset[str]]]
     ) -> tuple:
@@ -194,17 +239,7 @@ class PlacementEngine:
         ``co_runners``) from sharing entries with the full view of the
         same allocation.
         """
-        return (
-            job.model,
-            job.batch_size,
-            job.num_gpus,
-            job.comm_pattern,
-            job.anti_collocation,
-            job.single_node,
-            job.p2p,
-            self.alloc.digest,
-            len(co_runners),
-        )
+        return self._job_fields(job) + (self.alloc.digest, len(co_runners))
 
     def propose(
         self,
@@ -278,6 +313,7 @@ class PlacementEngine:
     ) -> PlacementSolution | None:
         if self.drb_cache is not None:
             self.drb_cache.sync(self.alloc)
+        self._proposals += 1
         if self.prefilter is not None:
             # k tracks the engine's pool budget: probing may stop only
             # once the budget the loop below consumes is full
@@ -298,7 +334,7 @@ class PlacementEngine:
         best: PlacementSolution | None = None
         candidates = [] if provenance is not None else None
         for pool in pools[: self.max_pools]:
-            solution = self._solve_pool(job, jobgraph, pool, co_runners)
+            solution = self._solve(job, jobgraph, pool, co_runners)
             if candidates is not None:
                 candidates.append({
                     "machines": list(pool.machines),
@@ -317,6 +353,125 @@ class PlacementEngine:
             if best is None:
                 provenance["reason"] = "no-mapping"
         return best
+
+    def _machine_table(
+        self, machine: str
+    ) -> tuple[int, dict[str, int], tuple[str, ...]]:
+        """Shape id and local GPU index tables of ``machine``."""
+        table = self._machine_tables.get(machine)
+        if table is None:
+            shape = self.topo.machine_shape(machine)
+            shape_id = self._shape_ids.setdefault(shape, len(self._shape_ids))
+            names = tuple(self.topo.gpus(machine=machine))
+            table = (shape_id, {g: i for i, g in enumerate(names)}, names)
+            self._machine_tables[machine] = table
+        return table
+
+    def _pool_key(
+        self,
+        job: Job,
+        pool: CandidatePool,
+        co_runners: Mapping[str, tuple[Job, frozenset[str]]],
+    ) -> tuple | None:
+        """Machine-canonical name of everything :meth:`_solve_pool`
+        reads for a single-machine pool, or ``None`` when the pool is
+        solved directly.
+
+        The job's placement fields, the machine's shape id (equal
+        shapes are identical up to the name prefix, see
+        :meth:`TopologyGraph.machine_shape`), its health, the local
+        indices of the pool's GPUs, and — in sorted job-id order, the
+        order the Eq. 4 terms are summed in — each co-runner's local
+        GPU indices, model, batch size and GPU count, with the job
+        itself as a ``self`` marker.  Spanning pools, pools short of
+        the machine's whole free set and machines hosting a co-runner
+        that also holds GPUs elsewhere (its bus footprint leaves the
+        machine) get no key.  DESIGN.md §9 argues exactness.
+        """
+        if len(pool.machines) != 1:
+            return None
+        machine = pool.machines[0]
+        alloc = self.alloc
+        if len(pool.gpus) != alloc.free_count(machine):
+            return None
+        shape_id, index, _ = self._machine_table(machine)
+        residents = []
+        for job_id in sorted(alloc.jobs_on_machine(machine)):
+            entry = co_runners.get(job_id)
+            if entry is None:
+                continue
+            if job_id == job.job_id:
+                residents.append(_SELF)
+                continue
+            other, gpus = entry
+            try:
+                local = tuple(sorted([index[g] for g in gpus]))
+            except KeyError:
+                return None
+            residents.append(
+                (local, other.model, other.batch_size, other.num_gpus)
+            )
+        return (
+            self._job_fields(job),
+            shape_id,
+            alloc.is_machine_up(machine),
+            tuple([index[g] for g in pool.gpus]),
+            tuple(residents),
+        )
+
+    def _solve(
+        self,
+        job: Job,
+        jobgraph: JobGraph,
+        pool: CandidatePool,
+        co_runners: Mapping[str, tuple[Job, frozenset[str]]],
+    ) -> PlacementSolution | None:
+        """:meth:`_solve_pool` through the pool-solve cache.
+
+        Entries hold the mapping as ``(task, local index)`` pairs plus
+        the metrics and P2P flag; a hit rebuilds the solution on this
+        pool's machine.  Keys name the whole input (see
+        :meth:`_pool_key`), so entries never go stale.
+        """
+        key = self._pool_key(job, pool, co_runners)
+        if key is None:
+            return self._solve_pool(job, jobgraph, pool, co_runners)
+        cache = self._pool_solves
+        entry = cache.get(key)
+        if entry is None:
+            solution = self._solve_pool(job, jobgraph, pool, co_runners)
+            value = None
+            if solution is not None:
+                index = self._machine_table(pool.machines[0])[1]
+                value = (
+                    tuple([(t, index[g]) for t, g in solution.task_mapping.items()]),
+                    tuple([index[g] for g in solution.gpus]),
+                    solution.metrics,
+                    solution.p2p,
+                )
+            cache[key] = (self._proposals, value)
+            if len(cache) > self.POOL_SOLVES_MAX:
+                cache.popitem(last=False)
+            return solution
+        stamp, value = entry
+        if stamp == self._proposals:
+            self.pool_stats.hits_in_proposal += 1
+        else:
+            self.pool_stats.hits_across += 1
+            cache[key] = (self._proposals, value)
+        cache.move_to_end(key)
+        if value is None:
+            return None
+        pairs, gpus, metrics, p2p = value
+        names = self._machine_table(pool.machines[0])[2]
+        return PlacementSolution(
+            job_id=job.job_id,
+            gpus=tuple([names[i] for i in gpus]),
+            task_mapping={t: names[i] for t, i in pairs},
+            metrics=metrics,
+            pool=pool,
+            p2p=p2p,
+        )
 
     def _solve_pool(
         self,
@@ -436,6 +591,7 @@ class PlacementEngine:
         co_runners = co_runners or {}
         if self.drb_cache is not None:
             self.drb_cache.sync(self.alloc)
+        self._proposals += 1
         pools = filter_hosts(
             self.topo, self.alloc, job, co_runners, self.profiles,
             # operator-facing inspection is a tap: same pruning, but it
@@ -447,7 +603,7 @@ class PlacementEngine:
         jobgraph = self.job_graph(job)
         candidates = []
         for pool in pools[: self.max_pools]:
-            solution = self._solve_pool(job, jobgraph, pool, co_runners)
+            solution = self._solve(job, jobgraph, pool, co_runners)
             if solution is not None:
                 candidates.append(solution)
         candidates.sort(key=lambda s: -s.utility)

@@ -335,6 +335,54 @@ class TopologyGraph:
         self._caches.socket_map[name] = result
         return result
 
+    def machine_shape(self, machine: str) -> tuple:
+        """Hashable description of ``machine``'s local subgraph with
+        machine-relative names.
+
+        Covers every node reachable from the machine node, its sockets
+        or its GPUs through nodes of the same machine: name, kind,
+        socket, GPU index and each neighbour in adjacency order with
+        the edge's weight and :class:`LinkSpec`.  Names under
+        ``"<machine>/"`` lose that prefix and the machine node becomes
+        ``""``; any other name (a neighbour outside the machine, or a
+        local node named without the prefix) is kept whole.  Two
+        machines with equal shapes are therefore identical up to the
+        prefix, down to the adjacency order that breaks shortest-path
+        ties, and every scoped distance, path and sort of their names
+        corresponds.  Not cached: callers keep what they need.
+        """
+        prefix = machine + "/"
+
+        def rel(name: str | None):
+            if name == machine:
+                return ""
+            if name is not None and name.startswith(prefix):
+                return name[len(prefix):]
+            return ("=", name)
+
+        seen = {machine}
+        frontier = [machine, *self.sockets(machine), *self.gpus(machine)]
+        seen.update(frontier)
+        for u in frontier:  # grows while iterating: a breadth-first walk
+            for v in self._adj[u]:
+                if v not in seen and self._nodes[v].machine == machine:
+                    seen.add(v)
+                    frontier.append(v)
+        entries = []
+        for name in sorted(seen):
+            node = self._nodes[name]
+            entries.append((
+                rel(name),
+                node.kind,
+                rel(node.socket),
+                node.gpu_index,
+                tuple(
+                    (rel(v), self._nodes[v].kind, edge.weight, edge.spec)
+                    for v, edge in self._adj[name].items()
+                ),
+            ))
+        return tuple(entries)
+
     def gpu_index_of(self, name: str) -> int:
         node = self.node(name)
         if node.kind is not NodeKind.GPU or node.gpu_index is None:

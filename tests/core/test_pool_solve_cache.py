@@ -1,0 +1,293 @@
+"""The pool-solve cache replays solves exactly.
+
+``PlacementEngine`` solves each single-machine pool through a cache
+keyed on a machine-canonical signature: the job's placement fields,
+the machine's shape id and health, the pool's local GPU indices and
+the co-runners' local indices and attributes in sorted job-id order.
+These tests pin the cache as invisible.  A test-only oracle engine
+that solves every pool directly must produce the same records and the
+same decision journal (``candidates`` included) on fig11-, pm-,
+heterogeneous- and DGX-2-style traces; coarser keys must not; and
+equal keys on different machines must mean relabel-equal solves.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.bench import RECORD_FIELDS
+from repro.analysis.scenarios import scenario2_jobs
+from repro.core.constraints import CandidatePool
+from repro.core.placement import PlacementEngine
+from repro.obs.provenance import DecisionRecorder
+from repro.schedulers import make_scheduler
+from repro.sim.cluster import ClusterState
+from repro.sim.engine import Simulator
+from repro.topology.allocation import AllocationState
+from repro.topology.builders import (
+    cluster,
+    dgx1,
+    dgx2,
+    power8_minsky,
+    power8_pcie_k80,
+)
+from repro.workload.generator import GeneratorConfig, WorkloadGenerator
+from repro.workload.job import Job, ModelType
+
+from tests.schedulers.test_probe_pruning import _contended_trace
+
+
+class _Uncached(PlacementEngine):
+    """The oracle: every pool goes straight to ``_solve_pool``."""
+
+    def _solve(self, job, jobgraph, pool, co_runners):
+        return self._solve_pool(job, jobgraph, pool, co_runners)
+
+
+class _NoShape(PlacementEngine):
+    """A too-coarse key: machines of different builders collide."""
+
+    def _pool_key(self, job, pool, co_runners):
+        key = super()._pool_key(job, pool, co_runners)
+        return None if key is None else key[:1] + key[2:]
+
+
+class _NoModel(PlacementEngine):
+    """A too-coarse key: co-runners of different models collide."""
+
+    def _pool_key(self, job, pool, co_runners):
+        key = super()._pool_key(job, pool, co_runners)
+        if key is None:
+            return None
+        residents = tuple(
+            r if r == "self" else (r[0],) + r[2:] for r in key[4]
+        )
+        return key[:4] + (residents,)
+
+
+def _mixed(machine_id: str):
+    """Minsky, DGX-1 and PCIe/K80 machines in turn."""
+    builders = (power8_minsky, dgx1, power8_pcie_k80)
+    return builders[int(machine_id[1:]) % 3](machine_id)
+
+
+def _generated(seed, n_jobs, rate, gpu_counts, probs, batch_p=0.5):
+    cfg = GeneratorConfig(
+        arrival_rate_per_min=rate,
+        gpu_counts=gpu_counts,
+        gpu_count_probs=probs,
+        batch_binomial_p=batch_p,
+    )
+    return WorkloadGenerator(cfg, seed=seed).generate(n_jobs)
+
+
+#: name -> (topology factory, policy, trace factory).  The mixed trace
+#: keeps every job in the tiny batch class, so co-runners differ only
+#: by model, size and place, and a key that drops the machine shape or
+#: the co-runner model replays wrong solves thousands of times.
+TRACES = {
+    "fig11": (lambda: cluster(50), "TOPO-AWARE-P",
+              lambda: scenario2_jobs(150, 50, seed=3)),
+    "pm": (lambda: cluster(10), "TOPO-AWARE-PM",
+           lambda: _contended_trace(7, 60, 0.3)),
+    "mixed": (lambda: cluster(9, _mixed), "TOPO-AWARE-P",
+              lambda: _generated(5, 120, 30.0, (1, 2, 4, 8),
+                                 (0.35, 0.35, 0.2, 0.1), batch_p=0.0)),
+    "dgx2": (lambda: cluster(4, dgx2), "TOPO-AWARE",
+             lambda: _generated(11, 120, 20.0, (1, 2, 4, 8, 16),
+                                (0.3, 0.3, 0.2, 0.15, 0.05))),
+}
+
+
+def _run(name: str, engine_cls=PlacementEngine):
+    make_topo, policy, make_jobs = TRACES[name]
+    topo = make_topo()
+    state = ClusterState(topo)
+    state.engine = engine_cls(
+        topo, state.alloc, state.params, None, state.interference
+    )
+    recorder = DecisionRecorder(journal=True)
+    sim = Simulator(topo, make_scheduler(policy), make_jobs(),
+                    cluster=state, observers=[recorder])
+    return sim.run(), [json.loads(line) for line in recorder.journal], state.engine
+
+
+def _same(a, a_journal, b, b_journal) -> bool:
+    if len(a.records) != len(b.records):
+        return False
+    for x, y in zip(a.records, b.records):
+        if x.job.job_id != y.job.job_id:
+            return False
+        for field in RECORD_FIELDS + ("preemptions", "migrations"):
+            if getattr(x, field) != getattr(y, field):
+                return False
+    return (
+        a.makespan == b.makespan
+        and a.decision_rounds == b.decision_rounds
+        and a_journal == b_journal
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle_runs():
+    return {name: _run(name, _Uncached) for name in TRACES}
+
+
+@pytest.mark.parametrize("name", sorted(TRACES))
+def test_cached_engine_matches_the_solve_everything_oracle(name, oracle_runs):
+    fast, fast_journal, engine = _run(name)
+    slow, slow_journal, _ = oracle_runs[name]
+    assert len(fast.records) == len(slow.records)
+    for a, b in zip(fast.records, slow.records):
+        assert a.job.job_id == b.job.job_id
+        for field in RECORD_FIELDS + ("preemptions", "migrations"):
+            assert getattr(a, field) == getattr(b, field), (a.job.job_id, field)
+    assert fast.makespan == slow.makespan
+    assert fast.decision_rounds == slow.decision_rounds
+    assert fast_journal == slow_journal
+    # not vacuous: decisions carry per-pool candidates, and the cache
+    # served repeats both inside a proposal and across proposals
+    assert any(record.get("candidates") for record in fast_journal)
+    stats = engine.pool_stats
+    assert stats.hits_in_proposal > 0 and stats.hits_across > 0, stats
+
+
+@pytest.mark.parametrize("coarse", [_NoShape, _NoModel])
+def test_a_coarser_key_diverges_on_the_mixed_cluster(coarse, oracle_runs):
+    slow, slow_journal, _ = oracle_runs["mixed"]
+    try:
+        fast, fast_journal, _ = _run("mixed", coarse)
+    except (IndexError, ValueError):
+        return  # replayed onto a machine without the cached GPUs
+    assert not _same(fast, fast_journal, slow, slow_journal)
+
+
+# ---------------------------------------------------------------------------
+# the signature
+# ---------------------------------------------------------------------------
+
+def _whole_machine_pool(alloc: AllocationState, machine: str) -> CandidatePool:
+    return CandidatePool(
+        machines=(machine,), gpus=tuple(alloc.free_gpus(machine=machine))
+    )
+
+
+def _place(alloc, co, job_id, gpus, model=ModelType.ALEXNET, batch=16):
+    job = Job(job_id, model, batch, len(gpus), single_node=False)
+    alloc.allocate(job_id, gpus)
+    co[job_id] = (job, frozenset(gpus))
+    return job
+
+
+def test_machines_of_different_builders_get_different_keys():
+    topo = cluster(2, lambda m: (power8_minsky if m == "m0" else power8_pcie_k80)(m))
+    alloc = AllocationState(topo)
+    engine = PlacementEngine(topo, alloc)
+    job = Job("q", ModelType.ALEXNET, 16, 2)
+    k0 = engine._pool_key(job, _whole_machine_pool(alloc, "m0"), {})
+    k1 = engine._pool_key(job, _whole_machine_pool(alloc, "m1"), {})
+    assert k0[3] == k1[3]  # the same free local indices
+    assert k0 != k1
+    # same-builder machines share a shape
+    same = cluster(2)
+    same_alloc = AllocationState(same)
+    same_engine = PlacementEngine(same, same_alloc)
+    assert same_engine._pool_key(
+        job, _whole_machine_pool(same_alloc, "m0"), {}
+    ) == same_engine._pool_key(job, _whole_machine_pool(same_alloc, "m1"), {})
+
+
+def test_self_marker_differs_from_a_same_shaped_co_runner():
+    topo = cluster(2)
+    alloc = AllocationState(topo)
+    engine = PlacementEngine(topo, alloc)
+    co = {}
+    job = _place(alloc, co, "a", ["m0/gpu0"])
+    _place(alloc, co, "b", ["m1/gpu0"])  # same local GPU, model, batch
+    k0 = engine._pool_key(job, _whole_machine_pool(alloc, "m0"), co)
+    k1 = engine._pool_key(job, _whole_machine_pool(alloc, "m1"), co)
+    assert k0[4] == ("self",)
+    assert k1[4] == (((0,), ModelType.ALEXNET, 16, 1),)
+    assert k0 != k1
+
+
+def test_machine_with_a_spanning_co_runner_gets_no_key():
+    topo = cluster(3)
+    alloc = AllocationState(topo)
+    engine = PlacementEngine(topo, alloc)
+    co = {}
+    _place(alloc, co, "wide", ["m0/gpu0", "m1/gpu0"])
+    job = Job("q", ModelType.GOOGLENET, 16, 1)
+    for machine in ("m0", "m1"):
+        assert engine._pool_key(job, _whole_machine_pool(alloc, machine), co) is None
+    assert engine._pool_key(job, _whole_machine_pool(alloc, "m2"), co) is not None
+    spanning = CandidatePool(
+        machines=("m1", "m2"),
+        gpus=tuple(alloc.free_gpus(machine="m1") + alloc.free_gpus(machine="m2")),
+    )
+    assert engine._pool_key(job, spanning, co) is None
+
+
+_layout = st.lists(
+    st.tuples(
+        st.integers(1, 4),                      # GPUs held
+        st.sampled_from(list(ModelType)),
+        st.sampled_from((1, 16, 64, 128)),
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_equal_keys_give_relabel_equal_solves(data):
+    """Machines that share a key solve to the same local mapping with
+    bit-identical metrics, whatever the job ids that got them there."""
+    builder = data.draw(st.sampled_from((power8_minsky, dgx1)))
+    topo = cluster(4, builder)
+    alloc = AllocationState(topo)
+    engine = PlacementEngine(topo, alloc)
+    n_local = len(topo.gpus(machine="m0"))
+    templates = []
+    for _ in range(2):
+        layout = data.draw(_layout)
+        order = data.draw(st.permutations(range(n_local)))
+        ranks = data.draw(st.permutations(range(len(layout))))
+        templates.append((layout, order, ranks))
+    # m0 and m1 share a template, so equal keys exist
+    chosen = [0, 0] + [data.draw(st.integers(0, 1)) for _ in range(2)]
+    co = {}
+    for m, template in enumerate(chosen):
+        layout, order, ranks = templates[template]
+        used = 0
+        for (held, model, batch), rank in zip(layout, ranks):
+            if used + held >= n_local:
+                break  # keep a GPU free on every machine
+            gpus = [f"m{m}/gpu{i}" for i in sorted(order[used: used + held])]
+            used += held
+            # ids sort by rank within a machine, not by layout order
+            _place(alloc, co, f"r{m}-{rank}", gpus, model, batch)
+    job = Job("q", data.draw(st.sampled_from(list(ModelType))),
+              data.draw(st.sampled_from((1, 16, 128))),
+              data.draw(st.integers(1, alloc.free_count("m0"))))
+    jobgraph = engine.job_graph(job)
+    solved = {}
+    for m in topo.machines():
+        pool = _whole_machine_pool(alloc, m)
+        key = engine._pool_key(job, pool, co)
+        if key is None or len(pool.gpus) < job.num_gpus:
+            continue
+        solution = engine._solve_pool(job, jobgraph, pool, co)
+        index = {g: i for i, g in enumerate(topo.gpus(machine=m))}
+        solved.setdefault(key, []).append(None if solution is None else (
+            tuple((t, index[g]) for t, g in solution.task_mapping.items()),
+            tuple(index[g] for g in solution.gpus),
+            solution.metrics,
+            solution.p2p,
+        ))
+    assert any(len(answers) > 1 for answers in solved.values())
+    for answers in solved.values():
+        assert all(answer == answers[0] for answer in answers[1:])
