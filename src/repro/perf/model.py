@@ -241,10 +241,23 @@ class PerformanceModel:
 
         Slowdown metrics (Figures 8e/9e/10/11) compare against this.
         """
-        gpus = pack_gpus(self.topo, job.num_gpus)
+        gpus = self.placement_gpus(job, Placement.PACK)
         return self.solo_exec_time(job, gpus)
 
     def placement_gpus(self, job: Job, placement: Placement) -> list[str]:
-        """Canonical pack/spread allocation for characterization runs."""
-        picker = pack_gpus if placement is Placement.PACK else spread_gpus
-        return picker(self.topo, job.num_gpus)
+        """Canonical pack/spread allocation for characterization runs.
+
+        The whole-topology pack depends only on the graph and the GPU
+        count, so it is memoized per count in the graph's caches (which
+        every graph mutation clears); callers get a fresh list.  A count
+        larger than the topology is not memoized and raises
+        ``ValueError`` on every call.
+        """
+        if placement is Placement.SPREAD:
+            return spread_gpus(self.topo, job.num_gpus)
+        memo = self.topo.pack_memo
+        cached = memo.get(job.num_gpus)
+        if cached is None:
+            cached = tuple(pack_gpus(self.topo, job.num_gpus))
+            memo[job.num_gpus] = cached
+        return list(cached)

@@ -213,9 +213,10 @@ class TopoAwareScheduler(Scheduler):
 
     def _remaining_wall_s(self, run) -> float:
         """A running job's projected wall-clock seconds to completion."""
-        if run.rate <= 0:
+        rate = run.rate
+        if rate <= 0:
             return run.remaining
-        return run.remaining / run.rate
+        return run.remaining / rate
 
     # Eviction probes release a victim's GPUs and run a full proposal,
     # yet almost none of them commit.  The two predicates below rule a

@@ -12,13 +12,16 @@ of each keeping ad-hoc running-job dicts next to an
 Progress accounting uses the standard progress-conservation technique:
 each running job carries its *remaining solo work* in seconds and a
 progress ``rate`` (the inverse of its interference slowdown), so
-finish times are re-derived whenever allocations change.
+finish times are re-derived whenever allocations change.  Both live in
+the columns of a :class:`RunningTable`, so advancing the clock costs
+one vector operation, not one Python step per running job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from repro.core.placement import PlacementEngine, PlacementSolution
 from repro.core.utility import UtilityParams
@@ -39,23 +42,171 @@ REMAINING_EPS = 1e-6
 RATE_EPS = 1e-12
 
 
-@dataclass
 class RunningJob:
-    """One job currently executing on the cluster."""
+    """One job currently executing on the cluster.
 
-    job: Job
-    gpus: frozenset[str]
-    remaining: float  # solo-work seconds left
-    rate: float  # progress per simulated second (1/slowdown)
-    #: total solo work under this placement (``remaining`` at start,
-    #: before any resume surcharge); lets eviction turn the residual
-    #: into a placement-independent progress fraction.
-    solo: float = 0.0
-    #: stamps Finish events; 0 means "no finish scheduled yet".  Values
-    #: are drawn from a cluster-wide monotonic counter so an event from
-    #: a job's earlier incarnation (killed by a failure, later
-    #: re-placed under the same id) can never collide with the new one.
-    version: int = 0
+    ``remaining`` (solo-work seconds left) and ``rate`` (progress per
+    simulated second, 1/slowdown) live in a :class:`RunningTable`'s
+    columns while the job sits in :attr:`ClusterState.running`, so one
+    vector operation burns down every job at once; outside a table they
+    are plain attributes.  Either way they read as Python ``float``.
+    """
+
+    __slots__ = ("job", "gpus", "solo", "version", "_remaining", "_rate",
+                 "_table", "_slot")
+
+    def __init__(
+        self,
+        job: Job,
+        gpus: frozenset[str],
+        remaining: float,
+        rate: float,
+        solo: float = 0.0,
+        version: int = 0,
+    ) -> None:
+        self.job = job
+        self.gpus = gpus
+        #: total solo work under this placement (``remaining`` at start,
+        #: before any resume surcharge); lets eviction turn the residual
+        #: into a placement-independent progress fraction.
+        self.solo = solo
+        #: stamps Finish events; 0 means "no finish scheduled yet".
+        #: Values are drawn from a cluster-wide monotonic counter so an
+        #: event from a job's earlier incarnation (killed by a failure,
+        #: later re-placed under the same id) can never collide with
+        #: the new one.
+        self.version = version
+        self._remaining = remaining
+        self._rate = rate
+        self._table: RunningTable | None = None
+        self._slot = -1
+
+    @property
+    def remaining(self) -> float:
+        table = self._table
+        if table is None:
+            return self._remaining
+        return table._remaining_view[self._slot]
+
+    @remaining.setter
+    def remaining(self, value: float) -> None:
+        table = self._table
+        if table is None:
+            self._remaining = value
+        else:
+            table._remaining_view[self._slot] = value
+
+    @property
+    def rate(self) -> float:
+        table = self._table
+        if table is None:
+            return self._rate
+        return table._rate_view[self._slot]
+
+    @rate.setter
+    def rate(self, value: float) -> None:
+        table = self._table
+        if table is None:
+            self._rate = value
+        else:
+            table._rate_view[self._slot] = value
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"RunningJob(job={self.job.job_id!r}, gpus={sorted(self.gpus)}, "
+            f"remaining={self.remaining!r}, rate={self.rate!r}, "
+            f"solo={self.solo!r}, version={self.version})"
+        )
+
+
+class RunningTable(dict):
+    """``job_id -> RunningJob`` map that stores progress in columns.
+
+    Every run in the table owns one slot of two float64 arrays,
+    ``remaining`` and ``rate``; :meth:`burn` advances them all with one
+    ``remaining -= dt * rate``.  That is the same IEEE-754 multiply and
+    subtract per element as a per-job loop (numpy never contracts the
+    two ufuncs into an FMA), so every value rounds identically.
+
+    Assigning a run attaches it to a slot; ``pop`` and ``del`` detach
+    it, copying its final values back onto the object and moving the
+    last slot into the freed one.  The same mutations keep
+    :attr:`co_runners` in step.  Reads are plain ``dict`` reads.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._columns(np.empty(64), np.empty(64))
+        self._runs: list[RunningJob] = []  # slot -> run
+        #: live ``job_id -> (job, gpus)`` view, in the table's order
+        self.co_runners: dict[str, tuple[Job, frozenset[str]]] = {}
+
+    def burn(self, dt: float) -> None:
+        """Burn ``dt`` simulated seconds of progress off every run."""
+        n = len(self._runs)
+        if n:
+            remaining = self._remaining[:n]
+            remaining -= dt * self._rate[:n]
+
+    def _columns(self, remaining: np.ndarray, rate: np.ndarray) -> None:
+        self._remaining, self._rate = remaining, rate
+        # single elements go through memoryviews of the same buffers:
+        # indexing one yields a Python float, cheaper than ndarray.item
+        self._remaining_view = memoryview(remaining)
+        self._rate_view = memoryview(rate)
+
+    def _attach(self, job_id: str, run: RunningJob) -> None:
+        slot = len(self._runs)
+        if slot == len(self._remaining):
+            self._columns(
+                np.concatenate([self._remaining, np.empty(slot)]),
+                np.concatenate([self._rate, np.empty(slot)]),
+            )
+        self._remaining_view[slot] = run._remaining
+        self._rate_view[slot] = run._rate
+        self._runs.append(run)
+        run._table, run._slot = self, slot
+        self.co_runners[job_id] = (run.job, run.gpus)
+
+    def _detach(self, job_id: str, run: RunningJob) -> None:
+        slot = run._slot
+        remaining, rate = self._remaining_view, self._rate_view
+        run._remaining, run._rate = remaining[slot], rate[slot]
+        run._table, run._slot = None, -1
+        del self.co_runners[job_id]
+        last = self._runs.pop()
+        if last is not run:
+            self._runs[slot] = last
+            remaining[slot], rate[slot] = remaining[last._slot], rate[last._slot]
+            last._slot = slot
+
+    def __setitem__(self, job_id: str, run: RunningJob) -> None:
+        if run._table is not None and self.get(job_id) is not run:
+            raise ValueError(f"{job_id}: run is already in a running table")
+        if job_id in self:
+            del self[job_id]  # a reassigned id moves to the end of both views
+        self._attach(job_id, run)
+        super().__setitem__(job_id, run)
+
+    def __delitem__(self, job_id: str) -> None:
+        self._detach(job_id, self[job_id])
+        super().__delitem__(job_id)
+
+    _MISSING = object()
+
+    def pop(self, job_id: str, default=_MISSING):
+        run = super().pop(job_id, None)
+        if run is None:
+            if default is RunningTable._MISSING:
+                raise KeyError(job_id)
+            return default
+        self._detach(job_id, run)
+        return run
+
+    def _unsupported(self, *args, **kwargs):
+        raise TypeError("RunningTable changes only by item assignment, del and pop")
+
+    popitem = setdefault = update = clear = __ior__ = _unsupported
 
 
 class ClusterState:
@@ -86,11 +237,7 @@ class ClusterState:
             incremental_drb=incremental_drb,
             prefilter=prefilter,
         )
-        self.running: dict[str, RunningJob] = {}
-        #: live ``job_id -> (job, gpus)`` view of :attr:`running`, kept
-        #: in the same insertion order by every lifecycle mutator so
-        #: readers never rebuild it per round (see :meth:`co_runners`)
-        self._co_runners: dict[str, tuple[Job, frozenset[str]]] = {}
+        self.running = RunningTable()
         self.now = 0.0
         self._ideal_cache: dict[tuple, float] = {}
         self._next_version = 0
@@ -105,13 +252,13 @@ class ClusterState:
     def co_runners(self) -> dict[str, tuple[Job, frozenset[str]]]:
         """The running-job view schedulers and models consume.
 
-        This is the live view, maintained in step with :attr:`running`
-        (same items, same order) by :meth:`start`, :meth:`finish`,
-        :meth:`cancel`, :meth:`preempt` and :meth:`fail_machine` — not
-        a copy.  Callers must not mutate it; a scheduler that tracks
-        its own tentative placements copies it first.
+        This is the live view the :class:`RunningTable` keeps in step
+        with :attr:`running` (same items, same order) on every
+        assignment and removal — not a copy.  Callers must not mutate
+        it; a scheduler that tracks its own tentative placements copies
+        it first.
         """
-        return self._co_runners
+        return self.running.co_runners
 
     def machines_of(self, gpus: Iterable[str]) -> set[str]:
         return {self.topo.machine_of(g) for g in gpus}
@@ -149,8 +296,7 @@ class ClusterState:
         if dt < 0:
             raise RuntimeError(f"time went backwards: {self.now} -> {t}")
         if dt > 0:
-            for run in self.running.values():
-                run.remaining -= dt * run.rate
+            self.running.burn(dt)
         self.now = t
 
     # ------------------------------------------------------------------
@@ -185,13 +331,11 @@ class ClusterState:
             job=job, gpus=gpus, remaining=remaining, rate=1.0,
             solo=solo, version=0,
         )
-        self._co_runners[job.job_id] = (job, gpus)
         return solo, self.machines_of(gpus)
 
     def finish(self, job_id: str) -> tuple[RunningJob, set[str]]:
         """Complete a job: free its GPUs, return it + touched machines."""
         run = self.running.pop(job_id)
-        del self._co_runners[job_id]
         if run.remaining > REMAINING_EPS:
             raise RuntimeError(
                 f"{job_id} finished with {run.remaining:.3f}s work left"
@@ -210,7 +354,6 @@ class ClusterState:
         machines whose co-runner rates need refreshing.
         """
         run = self.running.pop(job_id)
-        del self._co_runners[job_id]
         self.alloc.release(job_id)
         self._checkpoints.pop(job_id, None)  # cancellation is terminal
         return run, self.machines_of(run.gpus)
@@ -224,7 +367,6 @@ class ClusterState:
         Returns the evicted run and the touched machines.
         """
         run = self.running.pop(job_id)
-        del self._co_runners[job_id]
         self.alloc.release(job_id)
         if run.solo > 0:
             progress = 1.0 - run.remaining / run.solo
@@ -257,7 +399,6 @@ class ClusterState:
             run = self.running.pop(job_id, None)
             if run is None:
                 continue
-            del self._co_runners[job_id]
             touched |= self.machines_of(run.gpus)
             self.alloc.release(job_id)
             # fail-stop loses in-memory training state: any checkpoint
@@ -282,7 +423,7 @@ class ClusterState:
         """
         if not touched_machines:
             return []
-        co = self._co_runners
+        co = self.running.co_runners
         affected: set[str] = set()
         for m in touched_machines:
             affected |= self.alloc.jobs_on_machine(m)

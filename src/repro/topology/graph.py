@@ -120,6 +120,9 @@ class _Caches:
     #: :meth:`TopologyGraph.p2p_island_sizes` results per machine scope
     #: (``None`` = the whole fleet), filled on first use.
     p2p_islands: dict[str | None, tuple[int, ...]] = field(default_factory=dict)
+    #: whole-topology pack placements per GPU count, filled on first
+    #: use by :meth:`repro.perf.model.PerformanceModel.placement_gpus`.
+    pack: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
     def clear(self) -> None:
         self.dist.clear()
@@ -136,6 +139,7 @@ class _Caches:
         self.machine_dist.clear()
         self.proximity.clear()
         self.p2p_islands.clear()
+        self.pack.clear()
 
 
 class TopologyGraph:
@@ -816,6 +820,16 @@ class TopologyGraph:
             cached = tuple(self._scan_p2p_islands(machine))
             self._caches.p2p_islands[machine] = cached
         return list(cached)
+
+    @property
+    def pack_memo(self) -> dict[int, tuple[str, ...]]:
+        """Whole-topology pack placements keyed by GPU count.
+
+        Owned by the graph so every mutation clears it with the other
+        caches; filled by
+        :meth:`repro.perf.model.PerformanceModel.placement_gpus`.
+        """
+        return self._caches.pack
 
     def _scan_p2p_islands(self, machine: str | None) -> list[int]:
         sizes: list[int] = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.schedulers import make_scheduler
+from repro.sim.cluster import ClusterState, RunningJob
 from repro.sim.engine import MachineFailure, Simulator
 from repro.topology.allocation import AllocationError, AllocationState
 from repro.topology.builders import cluster, power8_minsky
@@ -48,6 +49,18 @@ class TestMachineHealthState:
         state = AllocationState(minsky)
         state.allocate("a", ["m0/gpu0"])
         assert state.set_machine_down("m0") == ["a"]
+
+    def test_spanning_victim_touches_its_healthy_machines(self):
+        # the survivor's neighbours on m1 speed up once the job dies
+        state = ClusterState(cluster(2))
+        gpus = frozenset({"m0/gpu0", "m1/gpu0"})
+        state.alloc.allocate("span", gpus)
+        state.running["span"] = RunningJob(
+            job=make_job("span"), gpus=gpus, remaining=5.0, rate=1.0
+        )
+        victims, touched = state.fail_machine("m0")
+        assert [v.job.job_id for v in victims] == ["span"]
+        assert touched == {"m0", "m1"}
 
 
 class TestFailureValidation:
