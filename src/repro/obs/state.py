@@ -22,7 +22,9 @@ the live cluster, and it republishes at every decision-round boundary
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from repro.sim.hooks import BaseObserver
 
@@ -56,23 +58,40 @@ class RunSnapshot:
     events_seen: int = 0
     finished: bool = False
     makespan: float = 0.0
-    #: service-mode job table: (job_id, lifecycle state) pairs from the
-    #: daemon's state machine; empty for plain one-shot simulations
-    job_states: tuple[tuple[str, str], ...] = ()
+    #: service-mode job table: a read-only job_id -> lifecycle state
+    #: view of the daemon's state machine, in insertion order (sorted
+    #: by id only when rendered); empty for plain one-shot simulations
+    job_states: Mapping[str, str] = field(
+        default_factory=lambda: MappingProxyType({}), hash=False
+    )
     #: provenance-recorder counters ((name, value) pairs: recorded and
     #: dropped decision records); empty without a recorder attached
     decision_stats: tuple[tuple[str, int], ...] = ()
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["schema"] = STATE_SCHEMA_VERSION
-        doc["running_jobs"] = list(self.running_jobs)
-        doc["queued_jobs"] = list(self.queued_jobs)
-        doc["free_gpus_by_machine"] = dict(self.free_gpus_by_machine)
-        doc["placement_cache"] = dict(self.placement_cache)
-        doc["job_states"] = dict(self.job_states)
-        doc["decision_stats"] = dict(self.decision_stats)
-        return doc
+        # built field by field, not with ``dataclasses.asdict``, which
+        # deep-copies every container; the key order (field order,
+        # then ``schema``) is part of the /state document
+        return {
+            "scheduler": self.scheduler,
+            "sim_time": self.sim_time,
+            "wall_time": self.wall_time,
+            "decision_rounds": self.decision_rounds,
+            "queue_depth": self.queue_depth,
+            "running_jobs": list(self.running_jobs),
+            "queued_jobs": list(self.queued_jobs),
+            "gpus_busy": self.gpus_busy,
+            "total_gpus": self.total_gpus,
+            "free_gpus_by_machine": dict(self.free_gpus_by_machine),
+            "allocation_epoch": self.allocation_epoch,
+            "placement_cache": dict(self.placement_cache),
+            "events_seen": self.events_seen,
+            "finished": self.finished,
+            "makespan": self.makespan,
+            "job_states": dict(sorted(self.job_states.items())),
+            "decision_stats": dict(self.decision_stats),
+            "schema": STATE_SCHEMA_VERSION,
+        }
 
 
 class SnapshotPublisher:
@@ -128,9 +147,10 @@ class SnapshotObserver(BaseObserver):
         self.total_gpus = total_gpus
         self.clock = clock
         self.min_publish_interval_s = min_publish_interval_s
-        #: optional callable returning ((job_id, state), ...) — the
-        #: service daemon points this at its state-machine table so
-        #: ``/state`` carries the full lifecycle view
+        #: optional callable returning a fresh job_id -> state dict the
+        #: snapshot may keep — the service daemon points this at its
+        #: state machine's copy, so ``/state`` carries the full
+        #: lifecycle view
         self.job_states_source = job_states_source
         self._last_publish = float("-inf")
         self._events_seen = 0
@@ -166,10 +186,10 @@ class SnapshotObserver(BaseObserver):
 
     # ------------------------------------------------------------------
     def _build(self, *, finished: bool = False, makespan: float = 0.0) -> RunSnapshot:
-        job_states = (
-            tuple(self.job_states_source())
+        job_states = MappingProxyType(
+            self.job_states_source()
             if self.job_states_source is not None
-            else ()
+            else {}
         )
         cluster = self._cluster
         if cluster is None:

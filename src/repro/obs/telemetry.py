@@ -356,6 +356,7 @@ class ServiceTelemetry:
     ==========================================  =========  ======================
     repro_service_submissions_total             counter    POST /submit requests
     repro_service_admissions_total{decision}    counter    admitted / rejected-*
+                                                           / journal-error
     repro_service_cancellations_total{phase}    counter    cancels by job phase
     repro_service_evictions_total               counter    POST /evict preemptions
                                                            applied to the engine

@@ -32,6 +32,7 @@ queue it died with.
 from __future__ import annotations
 
 import dataclasses
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ from repro.workload.manifest import ManifestError, job_from_dict
 #: without letting a flood starve the event loop.
 _APPLY_BATCH = 1024
 
-#: wall-clock throttle for the O(jobs) per-state gauge rebuild
+#: wall-clock throttle for the per-state and depth gauge refresh
 _GAUGE_INTERVAL_S = 0.05
 
 
@@ -71,6 +72,19 @@ class SubmitResult:
     job_id: str
     decision: AdmissionDecision
     state: str | None  # lifecycle state right after admission
+
+
+#: telemetry reason for an admitted submission the journal refused
+JOURNAL_ERROR = "journal-error"
+
+
+class JournalError(RuntimeError):
+    """An admitted submission could not be journaled; it was withdrawn
+    (no lifecycle entry, no inbox entry, id and depth budget freed)."""
+
+    def __init__(self, job_id: str, cause: BaseException) -> None:
+        super().__init__(f"job {job_id!r} was not journaled: {cause}")
+        self.job_id = job_id
 
 
 class _LifecycleBridge(BaseObserver):
@@ -145,7 +159,7 @@ class SchedulerService:
         self._snapshots = SnapshotObserver(
             self.publisher,
             scheduler=scheduler.name,
-            job_states_source=self.lifecycle.table,
+            job_states_source=self.lifecycle.states,
         )
         sim_telemetry = TelemetryObserver(
             self.registry,
@@ -298,7 +312,11 @@ class SchedulerService:
     # API surface (called from HTTP handler threads and the CLI)
     # ------------------------------------------------------------------
     def submit(self, doc: dict) -> SubmitResult:
-        """Validate, admit, journal and enqueue one submission."""
+        """Validate, admit, journal and enqueue one submission.
+
+        Raises :class:`ManifestError` for a malformed document and
+        :class:`JournalError` when the journal write fails.
+        """
         t0 = time.perf_counter()
         body = dict(doc)
         try:
@@ -316,7 +334,18 @@ class SchedulerService:
         decision = self.queue.admit_and_reserve(job)
         state: str | None = None
         if decision.admitted:
-            self.store.journal_submission(job, priority, JobState.SUBMITTED)
+            try:
+                self.store.journal_submission(
+                    job, priority, JobState.SUBMITTED
+                )
+            except sqlite3.Error as exc:
+                # not durable, so not accepted: free the reservation so
+                # the client can resubmit the same id
+                self.queue.release(job.job_id)
+                self.telemetry.submission(
+                    JOURNAL_ERROR, time.perf_counter() - t0
+                )
+                raise JournalError(job.job_id, exc) from exc
             self.lifecycle.create(job.job_id, JobState.SUBMITTED)
             state = JobState.SUBMITTED.value
             self.telemetry.set_queue_depth(self.queue.depth)
@@ -583,7 +612,8 @@ class ServiceServer(IntrospectionServer):
     SSE stream; adds:
 
     * ``POST /submit`` — manifest-format job object (+ optional
-      ``priority``); 202 admitted, 4xx with a reason otherwise;
+      ``priority``); 202 admitted, 4xx with a reason otherwise, 503
+      when the journal write failed (nothing kept: resubmit);
     * ``POST /cancel`` — ``{"id": ...}``; 202 accepted (poll the job);
     * ``POST /evict`` — ``{"id": ...}``; 202 accepted: the running job
       is checkpointed back to the queue for re-placement;
@@ -653,6 +683,12 @@ class ServiceServer(IntrospectionServer):
             result = self.service.submit(body)
         except ManifestError as exc:
             return json_response(400, {"error": str(exc)})
+        except JournalError as exc:
+            return json_response(
+                503,
+                {"id": exc.job_id, "rejected": JOURNAL_ERROR,
+                 "error": str(exc)},
+            )
         if not result.decision.admitted:
             code = _REJECTION_STATUS.get(result.decision.reason, 400)
             return json_response(

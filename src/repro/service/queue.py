@@ -140,6 +140,17 @@ class QueueManager:
         with self._lock:
             self._accepted.add(job_id)
 
+    def release(self, job_id: str) -> None:
+        """Undo :meth:`admit_and_reserve` for a job never enqueued.
+
+        The daemon calls this when the submission could not be
+        journaled: the id is free again and the depth budget returned,
+        as if the submission had never been admitted.
+        """
+        with self._lock:
+            self._accepted.remove(job_id)
+            self._live -= 1
+
     def pop_batch(self, limit: int | None = None) -> list[QueueEntry]:
         """Drain up to ``limit`` entries, highest priority first."""
         out: list[QueueEntry] = []

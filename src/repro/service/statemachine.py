@@ -98,6 +98,9 @@ class LifecycleTable:
         journal: Callable[[str, JobState | None, JobState], None] | None = None,
     ) -> None:
         self._states: dict[str, JobState] = {}
+        #: jobs per state, kept in step with ``_states`` by every
+        #: mutation so :meth:`counts` never walks the job history
+        self._counts: dict[JobState, int] = dict.fromkeys(JobState, 0)
         self._lock = threading.Lock()
         self._journal = journal
 
@@ -108,6 +111,7 @@ class LifecycleTable:
             if job_id in self._states:
                 raise ValueError(f"job {job_id!r} already tracked")
             self._states[job_id] = state
+            self._counts[state] += 1
             if self._journal is not None:
                 self._journal(job_id, None, state)
 
@@ -119,7 +123,7 @@ class LifecycleTable:
                 raise KeyError(job_id)
             if to not in TRANSITIONS[frm]:
                 raise TransitionError(job_id, frm, to)
-            self._states[job_id] = to
+            self._move(job_id, frm, to)
             if self._journal is not None:
                 self._journal(job_id, frm, to)
             return frm
@@ -135,10 +139,16 @@ class LifecycleTable:
             frm = self._states.get(job_id)
             if frm is None or to not in TRANSITIONS[frm]:
                 return False
-            self._states[job_id] = to
+            self._move(job_id, frm, to)
             if self._journal is not None:
                 self._journal(job_id, frm, to)
             return True
+
+    def _move(self, job_id: str, frm: JobState, to: JobState) -> None:
+        # caller holds the lock and has validated the hop
+        self._states[job_id] = to
+        self._counts[frm] -= 1
+        self._counts[to] += 1
 
     # ------------------------------------------------------------------
     # reads
@@ -159,16 +169,27 @@ class LifecycleTable:
             )
 
     def counts(self) -> dict[str, int]:
-        """Jobs per state (every state present, zeros included)."""
-        out = {s.value: 0 for s in JobState}
+        """Jobs per state (every state present, zeros included).
+
+        O(states): read off the counts every mutation keeps current.
+        """
         with self._lock:
-            for s in self._states.values():
-                out[s.value] += 1
-        return out
+            return {s.value: n for s, n in self._counts.items()}
+
+    def states(self) -> dict[str, JobState]:
+        """A private copy of the id -> state map, insertion order.
+
+        One C-level ``dict`` copy under the lock, so a caller holding
+        the scheduler loop pays O(jobs) at memcpy speed, never a sort;
+        ``JobState`` is a ``str``, so the values serialise as the
+        state names.
+        """
+        with self._lock:
+            return dict(self._states)
 
     def table(self) -> tuple[tuple[str, str], ...]:
-        """Immutable (job_id, state) rows for snapshots, sorted by id."""
-        with self._lock:
-            return tuple(
-                (j, s.value) for j, s in sorted(self._states.items())
-            )
+        """Immutable (job_id, state) rows, sorted by id.
+
+        Copies under the lock and sorts outside it.
+        """
+        return tuple((j, s.value) for j, s in sorted(self.states().items()))

@@ -91,7 +91,9 @@ class ServiceStore:
             self._db.commit()
 
     # ------------------------------------------------------------------
-    # writes
+    # writes: each is one transaction (``with self._db`` commits, or
+    # rolls back on any exception, so a failed write leaves no
+    # statement behind for the next commit to pick up)
     # ------------------------------------------------------------------
     def journal_submission(
         self, job: Job, priority: int, state: JobState
@@ -100,7 +102,7 @@ class ServiceStore:
         now = self.clock()
         doc = json.dumps(job_to_dict(job), sort_keys=True)
         t0 = time.perf_counter()
-        with self._lock:
+        with self._lock, self._db:
             self._db.execute(
                 "INSERT INTO jobs (job_id, manifest, priority, state, "
                 "submitted_wall, updated_wall) VALUES (?, ?, ?, ?, ?, ?)",
@@ -111,7 +113,6 @@ class ServiceStore:
                 "VALUES (?, NULL, ?, ?)",
                 (job.job_id, state.value, now),
             )
-            self._db.commit()
         if self.observe_write is not None:
             self.observe_write(time.perf_counter() - t0)
 
@@ -121,7 +122,7 @@ class ServiceStore:
         """Append one lifecycle hop and refresh the job's current state."""
         now = self.clock()
         t0 = time.perf_counter()
-        with self._lock:
+        with self._lock, self._db:
             self._db.execute(
                 "UPDATE jobs SET state = ?, updated_wall = ? WHERE job_id = ?",
                 (to.value, now, job_id),
@@ -131,7 +132,6 @@ class ServiceStore:
                 "VALUES (?, ?, ?, ?)",
                 (job_id, None if frm is None else frm.value, to.value, now),
             )
-            self._db.commit()
         if self.observe_write is not None:
             self.observe_write(time.perf_counter() - t0)
 

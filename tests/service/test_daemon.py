@@ -7,6 +7,7 @@ import urllib.request
 import pytest
 
 from repro.service import SchedulerService, ServiceServer
+from repro.service.daemon import JOURNAL_ERROR, JournalError
 from repro.service.statemachine import JobState
 from repro.topology.builders import cluster
 from repro.workload.job import Job, ModelType
@@ -75,6 +76,37 @@ class TestSubmitAndRun:
             ("QUEUED", "PLACED"),
             ("PLACED", "RUNNING"),
             ("RUNNING", "FINISHED"),
+        ]
+
+
+class TestJournalFailure:
+    """A submission the journal refuses is withdrawn, not half-kept."""
+
+    def test_failed_journal_write_releases_the_reservation(
+        self, service, fail_nth_execute
+    ):
+        service.pause()
+        depth = service.queue.depth
+        fail_nth_execute(service.store, 2)
+        with pytest.raises(JournalError) as exc:
+            service.submit(submit_doc("a"))
+        assert exc.value.job_id == "a"
+        assert service.queue.depth == depth
+        assert len(service.queue) == 0
+        assert "a" not in service.lifecycle
+        assert service.store.load_job("a") is None
+        admissions = service.registry.get("repro_service_admissions_total")
+        assert admissions.value(decision=JOURNAL_ERROR) == 1
+        assert admissions.value(decision="admitted") == 0
+        # the same id is admitted on resubmission and runs normally
+        assert service.submit(submit_doc("a")).decision.admitted
+        assert service.queue.depth == depth + 1
+        service.resume()
+        assert service.drain()
+        assert service.lifecycle.state("a") is JobState.FINISHED
+        assert [row[1:3] for row in service.store.transitions("a")][:2] == [
+            (None, "SUBMITTED"),
+            ("SUBMITTED", "QUEUED"),
         ]
 
 
@@ -245,7 +277,8 @@ class TestHTTPVerbs:
 
     def test_metrics_and_state_carry_service_families(self, served):
         service, url = served
-        http("POST", f"{url}/submit", submit_doc("a"))
+        for job_id in ("b", "a", "c"):  # out of id order on purpose
+            http("POST", f"{url}/submit", submit_doc(job_id))
         assert service.drain()
         with urllib.request.urlopen(f"{url}/metrics", timeout=10) as resp:
             text = resp.read().decode()
@@ -253,4 +286,28 @@ class TestHTTPVerbs:
         assert "repro_service_submission_latency_seconds" in text
         code, doc = http("GET", f"{url}/state")
         assert code == 200
-        assert dict(doc["job_states"]) == {"a": "FINISHED"}
+        assert doc["job_states"] == {
+            "a": "FINISHED", "b": "FINISHED", "c": "FINISHED"
+        }
+        assert list(doc["job_states"]) == ["a", "b", "c"]
+        code, jobs = http("GET", f"{url}/jobs")
+        assert code == 200
+        assert doc["job_states"] == jobs["jobs"]
+        assert list(jobs["jobs"]) == ["a", "b", "c"]
+
+    def test_failed_journal_write_is_503_and_resubmittable(
+        self, served, fail_nth_execute
+    ):
+        service, url = served
+        service.pause()
+        depth = service.queue.depth
+        fail_nth_execute(service.store, 2)
+        code, doc = http("POST", f"{url}/submit", submit_doc("a"))
+        assert code == 503
+        assert doc["id"] == "a" and doc["rejected"] == JOURNAL_ERROR
+        assert "not journaled" in doc["error"]
+        assert service.queue.depth == depth
+        assert http("GET", f"{url}/jobs")[1]["jobs"] == {}
+        code, doc = http("POST", f"{url}/submit", submit_doc("a"))
+        assert (code, doc) == (202, {"id": "a", "state": "SUBMITTED"})
+        assert service.queue.depth == depth + 1

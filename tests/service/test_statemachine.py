@@ -1,8 +1,10 @@
 """Job state machine: the full legal/illegal transition matrix."""
 
 import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.statemachine import (
     JobState,
@@ -119,3 +121,72 @@ class TestLifecycleTable:
         assert table.table() == (("a", "QUEUED"), ("b", "SUBMITTED"))
         assert "a" in table and "ghost" not in table
         assert table.jobs_in({JobState.QUEUED}) == ["a"]
+
+
+# "ghost" is never created, so every hop on it exercises the unknown-id
+# branches; the other ids are created at most once each
+_op = st.tuples(
+    st.sampled_from(["create", "advance", "advance_if"]),
+    st.sampled_from(["a", "b", "c", "ghost"]),
+    st.sampled_from(ALL_STATES),
+)
+
+
+def _recount(table: LifecycleTable) -> dict[str, int]:
+    found = Counter(state for _, state in table.table())
+    return {s.value: found[s.value] for s in JobState}
+
+
+class TestBookkeeping:
+    """``counts()`` is kept incrementally and reads return copies."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(_op, max_size=40))
+    def test_counts_match_a_recount_after_every_operation(self, ops):
+        table = LifecycleTable()
+        model: dict[str, JobState] = {}
+        for kind, job_id, to in ops:
+            if kind == "create":
+                if job_id == "ghost":
+                    continue
+                if job_id in model:
+                    with pytest.raises(ValueError):
+                        table.create(job_id, state=to)
+                else:
+                    table.create(job_id, state=to)
+                    model[job_id] = to
+            elif kind == "advance":
+                frm = model.get(job_id)
+                if frm is None:
+                    with pytest.raises(KeyError):
+                        table.advance(job_id, to)
+                elif to not in TRANSITIONS[frm]:
+                    with pytest.raises(TransitionError):
+                        table.advance(job_id, to)
+                else:
+                    assert table.advance(job_id, to) is frm
+                    model[job_id] = to
+            else:
+                frm = model.get(job_id)
+                legal = frm is not None and to in TRANSITIONS[frm]
+                assert table.advance_if(job_id, to) is legal
+                if legal:
+                    model[job_id] = to
+
+            counts = table.counts()
+            assert counts == _recount(table)
+            assert list(counts) == [s.value for s in JobState]
+            states = table.states()
+            assert states == model
+            assert list(states) == list(model)  # insertion order
+            rows = table.table()
+            assert rows == tuple(
+                (j, s.value) for j, s in sorted(model.items())
+            )
+            # every read is a private copy
+            counts[JobState.SUBMITTED.value] += 1
+            states["ghost"] = JobState.QUEUED
+            states.clear()
+            assert table.counts() == _recount(table)
+            assert table.states() == model
+            assert table.table() == rows

@@ -1,5 +1,9 @@
 """Durable sqlite journal: round-trips and crash recovery."""
 
+import sqlite3
+
+import pytest
+
 from repro.service.statemachine import JobState
 from repro.service.store import ServiceStore
 from repro.workload.job import CommPattern, Job, ModelType
@@ -97,3 +101,45 @@ class TestCrashRecovery:
         with ServiceStore(path) as store:
             assert store.load_job("j1").state is JobState.FAILED
             assert store.recover() == []
+
+
+class TestAllOrNothingWrites:
+    """A write that fails midway leaves nothing for a later commit."""
+
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_failed_submission_leaves_no_row(
+        self, tmp_path, fail_nth_execute, fail_at
+    ):
+        path = tmp_path / "svc.db"
+        with ServiceStore(path) as store:
+            fail_nth_execute(store, fail_at)
+            with pytest.raises(sqlite3.OperationalError):
+                store.journal_submission(
+                    fancy_job("lost"), 0, JobState.SUBMITTED
+                )
+            store.journal_submission(fancy_job("kept"), 0, JobState.SUBMITTED)
+        with ServiceStore(path) as store:
+            assert [s.job.job_id for s in store.all_jobs()] == ["kept"]
+            assert [s.job.job_id for s in store.recover()] == ["kept"]
+            assert [row[0] for row in store.transitions()] == ["kept"]
+            assert store.transitions("lost") == []
+
+    @pytest.mark.parametrize("fail_at", [1, 2])
+    def test_failed_transition_leaves_the_state_alone(
+        self, tmp_path, fail_nth_execute, fail_at
+    ):
+        path = tmp_path / "svc.db"
+        with ServiceStore(path) as store:
+            store.journal_submission(fancy_job("j1"), 0, JobState.SUBMITTED)
+            fail_nth_execute(store, fail_at)
+            with pytest.raises(sqlite3.OperationalError):
+                store.journal_transition(
+                    "j1", JobState.SUBMITTED, JobState.QUEUED
+                )
+            store.journal_submission(fancy_job("j2"), 0, JobState.SUBMITTED)
+        with ServiceStore(path) as store:
+            assert store.load_job("j1").state is JobState.SUBMITTED
+            assert [row[1:3] for row in store.transitions("j1")] == [
+                (None, "SUBMITTED")
+            ]
+            assert [s.job.job_id for s in store.all_jobs()] == ["j1", "j2"]
