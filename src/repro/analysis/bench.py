@@ -10,19 +10,18 @@ file can be regression-checked by CI against a committed baseline.
 The quantity tracked is ``mean_decision_time_s``, the wall clock spent
 inside ``scheduler.schedule`` per decision round (the paper's §5.5.3
 overhead metric: TOPO-AWARE ≈3 s vs FCFS ≈0.45 s per round at 10k-job
-scale).  Placement-memo, incremental-DRB and candidate-prefilter
-counters ride along so a speedup can be attributed (cache hits vs raw
-fast-path gains), and every bench run re-verifies bit-identical
-placements across the whole fast-path matrix — memo-disabled, both
-scaling fast paths off, each one alone — before reporting numbers.
+scale).  Placement-memo and candidate-prefilter counters ride along so
+a speedup can be attributed (cache hits vs raw prefilter gains), and
+every bench run re-verifies bit-identical placements — memo disabled,
+exhaustive host scan, recorder attached — before reporting numbers.
 
-The ``fastpath`` section times TOPO-AWARE with the incremental-DRB
-split cache and the top-k candidate prefilter on vs off (interleaved
-repeats, so machine-load drift hits both sides equally) and reports
-the speedup; ``--seed-baseline`` lets the artifact additionally record
-an externally measured pre-fast-path engine time (e.g. from a checkout
-of the commit before the fast paths landed) for the full
-seed-vs-current trajectory.
+The ``fastpath`` section times TOPO-AWARE with the top-k candidate
+prefilter against :class:`ExhaustiveHostEngine`, the same engine
+scanning every host (interleaved repeats, so machine-load drift hits
+both sides equally), and reports the speedup; ``--seed-baseline`` lets
+the artifact additionally record an externally measured pre-fast-path
+engine time (e.g. from a checkout of the commit before the fast paths
+landed) for the full seed-vs-current trajectory.
 """
 
 from __future__ import annotations
@@ -32,8 +31,14 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from repro.core.constraints import (
+    CandidatePool,
+    CandidatePrefilter,
+    filter_hosts,
+)
+from repro.core.placement import PlacementEngine
 from repro.schedulers import make_scheduler
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import Simulator
@@ -59,10 +64,10 @@ RECORD_FIELDS = (
 )
 
 #: benchmark scales: name -> (n_jobs, n_machines).  ``fig11`` runs the
-#: paper's full 1000-machine scenario-2 cluster (the scaling fast
-#: paths keep a 300-job run in CI-friendly seconds; the paper's full
-#: 10k-job trace is still a multi-minute affair — pass explicit
-#: ``--jobs`` for it).
+#: paper's full 1000-machine scenario-2 cluster (the prefilter and
+#: the pool-solve cache keep a 300-job run in CI-friendly seconds; the
+#: paper's full 10k-job trace is still a multi-minute affair — pass
+#: explicit ``--jobs`` for it).
 SCALES = {
     "fig10": (100, 5),
     "fig11": (300, 1000),
@@ -111,6 +116,36 @@ def _jobs_for(scale: str, n_jobs: int, n_machines: int) -> list[Job]:
     return scenario2_jobs(n_jobs, n_machines, seed=7)
 
 
+class ExhaustiveHostEngine(PlacementEngine):
+    """:class:`PlacementEngine` scanning every host, without the top-k
+    prefilter: the reference the prefilter is checked and timed
+    against.  Everything else — memo, pool-solve cache, DRB — is the
+    production engine's."""
+
+    def _candidate_pools(
+        self,
+        job: Job,
+        co_runners: Mapping[str, tuple[Job, frozenset[str]]],
+        report: dict | None,
+        prefilter: CandidatePrefilter,
+    ) -> list[CandidatePool]:
+        return filter_hosts(
+            self.topo, self.alloc, job, co_runners, self.profiles,
+            report=report,
+        )
+
+
+def exhaustive_cluster(topo) -> ClusterState:
+    """A :class:`ClusterState` whose engine is an
+    :class:`ExhaustiveHostEngine`."""
+    state = ClusterState(topo)
+    state.engine = ExhaustiveHostEngine(
+        topo, state.alloc, state.params, state.engine.profiles,
+        state.interference,
+    )
+    return state
+
+
 def _run_once(
     jobs: Sequence[Job],
     n_machines: int,
@@ -118,14 +153,12 @@ def _run_once(
     *,
     memo_size: int | None = None,
     recorder=None,
-    incremental_drb: bool = True,
-    prefilter: bool = True,
+    exhaustive: bool = False,
 ) -> tuple[SimulationResult, float]:
-    """One simulation on a fresh topology; returns (result, wall s)."""
+    """One simulation on a fresh topology; returns (result, wall s).
+    ``exhaustive`` runs the :class:`ExhaustiveHostEngine` reference."""
     topo = cluster(n_machines)
-    state = ClusterState(
-        topo, incremental_drb=incremental_drb, prefilter=prefilter
-    )
+    state = exhaustive_cluster(topo) if exhaustive else ClusterState(topo)
     if memo_size is not None:
         state.engine.memo_size = memo_size
     sim = Simulator(
@@ -156,7 +189,7 @@ def _records_identical(a: SimulationResult, b: SimulationResult) -> bool:
 def check_equivalence(
     jobs: Sequence[Job], n_machines: int, scheduler_name: str = "TOPO-AWARE"
 ) -> dict:
-    """Every engine fast path vs the plain engine: placements must match.
+    """Every engine fast path vs a reference: placements must match.
 
     Complements the golden tests (which pin the fast path against
     committed seed-engine outputs at fixed scales) by re-proving, at
@@ -164,10 +197,8 @@ def check_equivalence(
     decision:
 
     * ``identical`` — placement memo on vs memo disabled;
-    * ``fastpath_off_identical`` — incremental DRB + candidate
-      prefilter both disabled;
-    * ``drb_only_identical`` / ``prefilter_only_identical`` — each
-      scaling fast path alone (mixed configurations);
+    * ``fastpath_off_identical`` — the candidate prefilter vs the
+      :class:`ExhaustiveHostEngine` reference;
     * ``recorder_identical`` — the decision-provenance recorder
       attached (pure-tap proof), with its recorded/dropped counters.
     """
@@ -175,18 +206,7 @@ def check_equivalence(
 
     memo, _ = _run_once(jobs, n_machines, scheduler_name)
     cold, _ = _run_once(jobs, n_machines, scheduler_name, memo_size=0)
-    off, _ = _run_once(
-        jobs, n_machines, scheduler_name,
-        incremental_drb=False, prefilter=False,
-    )
-    drb_only, _ = _run_once(
-        jobs, n_machines, scheduler_name,
-        incremental_drb=True, prefilter=False,
-    )
-    pf_only, _ = _run_once(
-        jobs, n_machines, scheduler_name,
-        incremental_drb=False, prefilter=True,
-    )
+    off, _ = _run_once(jobs, n_machines, scheduler_name, exhaustive=True)
     recorder = DecisionRecorder(journal=True)
     recorded, _ = _run_once(
         jobs, n_machines, scheduler_name, recorder=recorder
@@ -195,8 +215,6 @@ def check_equivalence(
         "scheduler": scheduler_name,
         "identical": _records_identical(memo, cold),
         "fastpath_off_identical": _records_identical(memo, off),
-        "drb_only_identical": _records_identical(memo, drb_only),
-        "prefilter_only_identical": _records_identical(memo, pf_only),
         "recorder_identical": _records_identical(memo, recorded),
         "memo_stats": memo.placement_stats,
         "decision_stats": recorder.counts(),
@@ -211,7 +229,8 @@ def measure_fastpath(
     repeats: int = 3,
     seed_baseline_s: float | None = None,
 ) -> dict:
-    """Time the scaling fast paths on vs off for one scheduler.
+    """Time the candidate prefilter against the exhaustive host scan
+    (:class:`ExhaustiveHostEngine`) for one scheduler.
 
     The on/off runs are *interleaved* across repeats so machine-load
     drift hits both sides equally, and the best (minimum) decision
@@ -226,16 +245,12 @@ def measure_fastpath(
     best_off = float("inf")
     for _ in range(max(1, repeats)):
         fast, _ = _run_once(jobs, n_machines, scheduler_name)
-        off, _ = _run_once(
-            jobs, n_machines, scheduler_name,
-            incremental_drb=False, prefilter=False,
-        )
+        off, _ = _run_once(jobs, n_machines, scheduler_name, exhaustive=True)
         if best_fast is None or (
             fast.mean_decision_time_s < best_fast["mean_decision_time_s"]
         ):
             best_fast = {
                 "mean_decision_time_s": fast.mean_decision_time_s,
-                "drb_stats": fast.drb_stats,
                 "prefilter_stats": fast.prefilter_stats,
             }
         best_off = min(best_off, off.mean_decision_time_s)
@@ -248,7 +263,6 @@ def measure_fastpath(
             if best_fast["mean_decision_time_s"] > 0
             else 0.0
         ),
-        "drb_stats": best_fast["drb_stats"],
         "prefilter_stats": best_fast["prefilter_stats"],
     }
     if seed_baseline_s is not None:
@@ -277,9 +291,9 @@ def run_bench(
     Each scheduler runs ``repeats`` times on fresh topologies; the
     reported decision time is the *minimum* across repeats (the usual
     benchmarking convention: least-noise estimate of the true cost).
-    With ``fastpath=True`` (default) a TOPO-AWARE on/off comparison of
-    the scaling fast paths (incremental DRB + candidate prefilter) is
-    measured and attached as the ``fastpath`` section.
+    With ``fastpath=True`` (default) a TOPO-AWARE comparison of the
+    candidate prefilter against the exhaustive host scan is measured
+    and attached as the ``fastpath`` section.
     """
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
@@ -304,11 +318,8 @@ def run_bench(
                 "mean_decision_time_s": result.mean_decision_time_s,
                 "makespan_s": result.makespan,
                 "placement_stats": result.placement_stats,
+                "prefilter_stats": result.prefilter_stats,
             }
-            if result.drb_stats:
-                row["drb_stats"] = result.drb_stats
-            if result.prefilter_stats:
-                row["prefilter_stats"] = result.prefilter_stats
             if best is None or row["decision_time_s"] < best["decision_time_s"]:
                 best = row
         bench.schedulers[name] = best
@@ -346,8 +357,8 @@ def compare_to_baseline(
     CI machines differ from the one that wrote the baseline.
 
     ``min_speedup`` (optional) additionally gates the measured
-    fast-path speedup: the run fails when the on/off ratio in the
-    ``fastpath`` section falls below it.  The ratio is computed from
+    prefilter speedup: the run fails when the exhaustive/prefilter
+    ratio in the ``fastpath`` section falls below it.  The ratio is computed from
     interleaved same-machine runs, so unlike absolute times it is
     largely load-independent — CI can hold it to a floor.
 
@@ -392,18 +403,13 @@ def compare_to_baseline(
             "fast-path equivalence check failed: memoised and cold engines "
             "produced different placements"
         )
-    for key, what in (
-        ("fastpath_off_identical", "disabling incremental DRB + prefilter"),
-        ("drb_only_identical", "running incremental DRB alone"),
-        ("prefilter_only_identical", "running the candidate prefilter alone"),
+    if bench.equivalence is not None and not bench.equivalence.get(
+        "fastpath_off_identical", True
     ):
-        if bench.equivalence is not None and not bench.equivalence.get(
-            key, True
-        ):
-            failures.append(
-                f"fast-path equivalence check failed: {what} "
-                "changed placements"
-            )
+        failures.append(
+            "fast-path equivalence check failed: the exhaustive host scan "
+            "and the candidate prefilter produced different placements"
+        )
     if bench.equivalence is not None and not bench.equivalence.get(
         "recorder_identical", True
     ):
@@ -416,7 +422,7 @@ def compare_to_baseline(
         if measured < min_speedup:
             failures.append(
                 f"fast-path speedup {measured:.2f}x below the required "
-                f"{min_speedup:.2f}x (on/off, interleaved)"
+                f"{min_speedup:.2f}x (exhaustive/prefilter, interleaved)"
             )
     return failures
 
@@ -442,8 +448,8 @@ def format_bench(bench: BenchResult) -> str:
         fp = bench.fastpath
         line = (
             f"fastpath ({fp['scheduler']}): "
-            f"{fp['fast_mean_decision_time_s'] * 1e3:.3f}ms on vs "
-            f"{fp['off_mean_decision_time_s'] * 1e3:.3f}ms off "
+            f"{fp['fast_mean_decision_time_s'] * 1e3:.3f}ms prefilter vs "
+            f"{fp['off_mean_decision_time_s'] * 1e3:.3f}ms exhaustive "
             f"-> {fp['speedup_vs_off']:.2f}x"
         )
         if "speedup_vs_seed" in fp:
@@ -452,17 +458,10 @@ def format_bench(bench: BenchResult) -> str:
                 f"{fp['seed_mean_decision_time_s'] * 1e3:.3f}ms)"
             )
         lines.append(line)
-        drb = fp.get("drb_stats") or {}
         pf = fp.get("prefilter_stats") or {}
-        if drb or pf:
+        if pf:
             lines.append(
-                "  drb: "
-                f"{drb.get('splits_reused', 0)} splits reused / "
-                f"{drb.get('splits_computed', 0)} computed "
-                f"(reuse {drb.get('split_reuse_rate', 0.0) * 100.0:.1f}%, "
-                f"{drb.get('rounds_incremental', 0)} rounds patched, "
-                f"{drb.get('rounds_rebuilt', 0)} rebuilt); "
-                "prefilter: "
+                "  prefilter: "
                 f"{pf.get('considered', 0)} hosts probed / "
                 f"{pf.get('pruned', 0)} skipped "
                 f"(prune {pf.get('prune_rate', 0.0) * 100.0:.1f}%)"
@@ -473,19 +472,14 @@ def format_bench(bench: BenchResult) -> str:
             f"equivalence ({bench.equivalence['scheduler']}, memo vs cold): "
             f"{verdict}"
         )
-        fp_keys = (
-            ("fastpath_off_identical", "both off"),
-            ("drb_only_identical", "drb only"),
-            ("prefilter_only_identical", "prefilter only"),
-        )
-        fp_bits = [
-            f"{label}: {'OK' if bench.equivalence[key] else 'MISMATCH'}"
-            for key, label in fp_keys
-            if key in bench.equivalence
-        ]
-        if fp_bits:
+        if "fastpath_off_identical" in bench.equivalence:
+            off_verdict = (
+                "OK" if bench.equivalence["fastpath_off_identical"]
+                else "MISMATCH"
+            )
             lines.append(
-                "equivalence (fast-path matrix): " + "; ".join(fp_bits)
+                f"equivalence ({bench.equivalence['scheduler']}, prefilter "
+                f"vs exhaustive hosts): {off_verdict}"
             )
         if "recorder_identical" in bench.equivalence:
             rec_verdict = (

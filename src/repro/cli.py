@@ -121,12 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "simulate":
             p.add_argument("--scheduler", choices=SCHEDULER_CHOICES,
                            type=lambda s: s.upper(), default="TOPO-AWARE-P")
-            p.add_argument("--no-incremental-drb", action="store_true",
-                           help="disable the incremental DRB split cache "
-                           "(placements are bit-identical either way)")
-            p.add_argument("--no-prefilter", action="store_true",
-                           help="disable the top-k candidate prefilter "
-                           "(placements are bit-identical either way)")
 
     topo = sub.add_parser("topo", help="print a machine topology")
     topo.add_argument("--machine", choices=MACHINE_CHOICES, default="power8-minsky")
@@ -170,12 +164,13 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--threshold", type=float, default=3.0,
                        help="allowed slowdown vs the baseline (default 3.0x)")
     bench.add_argument("--no-fastpath", action="store_true",
-                       help="skip the incremental-DRB/prefilter on-vs-off "
+                       help="skip the prefilter vs exhaustive-host "
                        "timing section")
     bench.add_argument("--min-speedup", type=float, default=None,
                        metavar="X",
                        help="with --check-against: fail when the measured "
-                       "fast-path on/off speedup falls below X "
+                       "prefilter speedup over the exhaustive-host "
+                       "reference falls below X "
                        "(load-independent interleaved ratio)")
     bench.add_argument("--seed-baseline", type=float, default=None,
                        metavar="SECONDS",
@@ -618,15 +613,8 @@ def _cmd_simulate(args) -> int:
     from repro.sim.metrics import UtilizationObserver, summarize
     from repro.sim.runner import run_with_observers
 
-    from repro.sim.cluster import ClusterState
-
     topo = _topology_factory(args)()
     jobs = _generate(args)
-    state = ClusterState(
-        topo,
-        incremental_drb=not args.no_incremental_drb,
-        prefilter=not args.no_prefilter,
-    )
     gantt = GanttObserver(args.scheduler)
     utilization = UtilizationObserver(total_gpus=len(topo.gpus()))
     try:
@@ -641,7 +629,6 @@ def _cmd_simulate(args) -> int:
             make_scheduler(args.scheduler),
             jobs,
             observers=(gantt, utilization, *telemetry),
-            cluster=state,
         )
         for key, value in summarize(result).items():
             print(f"{key:>22}: {value}")

@@ -80,16 +80,14 @@ class CandidatePrefilter:
         return CandidatePrefilter(self.top_k, None)
 
 
-_CAPACITY_CACHE: dict[int, dict[str, float]] = {}
-
-
 def machine_bus_capacity(topo: TopologyGraph, machine: str) -> float:
     """Aggregate GPU-uplink bandwidth of a machine (the ``p_bw`` bound).
 
-    Cached per topology instance -- it is consulted for every machine on
-    every scheduling round.
+    Memoised on the graph (:attr:`TopologyGraph.bus_capacity_memo`),
+    which drops it on every mutation -- it is consulted for every
+    machine on every scheduling round.
     """
-    per_topo = _CAPACITY_CACHE.setdefault(id(topo), {})
+    per_topo = topo.bus_capacity_memo
     cached = per_topo.get(machine)
     if cached is not None:
         return cached

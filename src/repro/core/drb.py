@@ -13,311 +13,17 @@ with complexity Theta(|E_A| * log2(|V_P|)) as analysed in the paper.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.bipartition import physical_bipartition
-from repro.core.job_bipartition import (
-    ExternalRegion,
-    _mean_distance,
-    job_graph_bipartition,
-)
-from repro.core.utility import (
-    UtilityParams,
-    communication_cost,
-    fragmentation_after,
-    normalized_comm_cost,
-)
+from repro.core.job_bipartition import ExternalRegion, job_graph_bipartition
+from repro.core.utility import UtilityParams
 from repro.obs import trace as _trace
 from repro.topology.allocation import AllocationState
 from repro.topology.graph import TopologyGraph
 from repro.workload.job import Job
 from repro.workload.jobgraph import JobGraph
 
-
-@dataclass
-class DRBCacheStats:
-    """Why the incremental DRB is fast — emitted into bench artifacts."""
-
-    splits_reused: int = 0
-    splits_computed: int = 0
-    rounds_incremental: int = 0
-    rounds_rebuilt: int = 0
-    patched_machines: int = 0
-    validation_failures: int = 0
-    metric_hits: int = 0
-    metric_misses: int = 0
-
-    def as_dict(self) -> dict:
-        total = self.splits_reused + self.splits_computed
-        return {
-            "splits_reused": self.splits_reused,
-            "splits_computed": self.splits_computed,
-            "split_reuse_rate": (self.splits_reused / total) if total else 0.0,
-            "rounds_incremental": self.rounds_incremental,
-            "rounds_rebuilt": self.rounds_rebuilt,
-            "patched_machines": self.patched_machines,
-            "validation_failures": self.validation_failures,
-            "metric_hits": self.metric_hits,
-            "metric_misses": self.metric_misses,
-        }
-
-
-class BipartitionCache:
-    """Incremental physical-bipartition tree + side-metric memos.
-
-    ``physical_bipartition(topo, pool)`` is a pure function of the GPU
-    *set* (the topology is immutable during a run and the function
-    sorts its input), so every split in the DRB recursion tree can be
-    cached keyed on the canonical pool and replayed bit-identically.
-    Between decision rounds the free pool usually changes on one or two
-    machines (one placement / one job finish); :meth:`sync` then evicts
-    only the cached splits whose pools touch those machines — patching
-    the affected subtrees — instead of dropping the whole tree.  When
-    the allocator's delta log cannot name the changed machines, or the
-    delta spans more than :attr:`max_patch_machines`, or a cached entry
-    fails validation, the cache falls back to a full rebuild.  Either
-    way every value handed out is exactly what the direct computation
-    would produce: the cache can only ever trade recomputation for
-    memory, never change a result.
-
-    Two metric memos ride along, both serving the exact values the
-    uncached path computes:
-
-    * *pure* memos — mean region distance and Eq. 3 communication cost,
-      functions of the topology and a GPU tuple only; never invalidated;
-    * *epoch-scoped* memos — Eq. 5 fragmentation for a candidate side,
-      additionally keyed on the per-machine pool versions of every
-      machine the side touches.  Those versions pin the machines' free
-      GPUs and resident jobs (with their full GPU sets — any allocation
-      change of a resident job bumps all its machines), which is the
-      entire mutable input of the metric.  (Eq. 4 interference is *not*
-      memoised here: with the allocator's bus-sharing memo warm the
-      direct evaluation is cheaper than building the memo key.)
-
-    All three stores are LRU-bounded; eviction only forces a recompute.
-    """
-
-    SPLITS_MAX = 16384
-    PURE_MAX = 65536
-    SCOPED_MAX = 16384
-    #: deltas touching more machines than this trigger a full rebuild —
-    #: eviction work would approach the cost of starting over.
-    MAX_PATCH_MACHINES = 8
-
-    def __init__(
-        self,
-        topo: TopologyGraph,
-        *,
-        max_patch_machines: int = MAX_PATCH_MACHINES,
-    ) -> None:
-        self.topo = topo
-        self.max_patch_machines = max_patch_machines
-        self.stats = DRBCacheStats()
-        self._splits: OrderedDict[
-            tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]
-        ] = OrderedDict()
-        self._split_machines: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self._by_machine: dict[str, set[tuple[str, ...]]] = {}
-        #: monotonically increasing patch-round counter; split entries
-        #: carry the counter value they were last validated at, so the
-        #: O(pool) integrity check runs once per entry per patch round
-        #: instead of on every hit (entries a patch forgets are gone;
-        #: survivors provably did not touch a changed machine).
-        self._patches = 0
-        self._validated: dict[tuple[str, ...], int] = {}
-        self._pure: OrderedDict[tuple, float] = OrderedDict()
-        self._scoped: OrderedDict[tuple, float] = OrderedDict()
-        self._machines: dict[tuple[str, ...], tuple[str, ...]] = {}
-        #: per-epoch signature memo: gpus tuple -> machine-version
-        #: signature.  Valid only between two :meth:`sync` calls at the
-        #: same allocation version (sync clears it on epoch change), so
-        #: entries can never go stale.
-        self._sigs: dict[tuple[str, ...], tuple[int, ...]] = {}
-        self._epoch: int | None = None
-
-    # ------------------------------------------------------------------
-    # epoch synchronisation
-    # ------------------------------------------------------------------
-    def sync(self, alloc: AllocationState) -> None:
-        """Bring the split tree up to date with ``alloc``'s epoch.
-
-        Called once per proposal; a no-op when nothing changed since
-        the last call.
-        """
-        version = alloc.version
-        if self._epoch == version:
-            return
-        changed = (
-            None
-            if self._epoch is None
-            else alloc.machines_changed_since(self._epoch)
-        )
-        self._epoch = version
-        self._sigs.clear()
-        if changed is None or len(changed) > self.max_patch_machines:
-            self._drop_splits()
-            self.stats.rounds_rebuilt += 1
-            return
-        self.stats.rounds_incremental += 1
-        self.stats.patched_machines += len(changed)
-        self._patches += 1
-        for machine in changed:
-            for key in list(self._by_machine.get(machine, ())):
-                self._forget_split(key)
-
-    def _drop_splits(self) -> None:
-        self._splits.clear()
-        self._split_machines.clear()
-        self._by_machine.clear()
-        self._validated.clear()
-
-    def _forget_split(self, key: tuple[str, ...]) -> None:
-        self._splits.pop(key, None)
-        self._validated.pop(key, None)
-        for machine in self._split_machines.pop(key, ()):
-            keys = self._by_machine.get(machine)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._by_machine[machine]
-
-    # ------------------------------------------------------------------
-    # splits
-    # ------------------------------------------------------------------
-    def split(
-        self, pool: Sequence[str]
-    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Cached ``physical_bipartition`` over the canonical pool."""
-        key = tuple(sorted(pool))
-        cached = self._splits.get(key)
-        if cached is not None:
-            # entries forgotten by a patch are gone, so a surviving
-            # entry only needs the O(pool) integrity check again after
-            # a patch round has run since it was last validated.
-            if self._validated.get(key) == self._patches:
-                self._splits.move_to_end(key)
-                self.stats.splits_reused += 1
-                return cached
-            p0, p1 = cached
-            if (
-                len(p0) + len(p1) == len(key)
-                and set(p0).isdisjoint(p1)
-                and set(p0).union(p1) == set(key)
-            ):
-                self._validated[key] = self._patches
-                self._splits.move_to_end(key)
-                self.stats.splits_reused += 1
-                return cached
-            # a corrupted entry means the patching invariants broke;
-            # distrust the whole tree and start over.
-            self.stats.validation_failures += 1
-            self._drop_splits()
-        result = physical_bipartition(self.topo, key)
-        self.stats.splits_computed += 1
-        machines = tuple({self.topo.machine_of(g) for g in key})
-        self._splits[key] = result
-        self._split_machines[key] = machines
-        self._validated[key] = self._patches
-        for machine in machines:
-            self._by_machine.setdefault(machine, set()).add(key)
-        while len(self._splits) > self.SPLITS_MAX:
-            oldest = next(iter(self._splits))
-            self._forget_split(oldest)
-        return result
-
-    # ------------------------------------------------------------------
-    # pure metric memos (topology-only inputs)
-    # ------------------------------------------------------------------
-    def _pure_get(self, key: tuple):
-        value = self._pure.get(key)
-        if value is not None:
-            self._pure.move_to_end(key)
-            self.stats.metric_hits += 1
-        return value
-
-    def _pure_put(self, key: tuple, value: float) -> float:
-        self.stats.metric_misses += 1
-        self._pure[key] = value
-        if len(self._pure) > self.PURE_MAX:
-            self._pure.popitem(last=False)
-        return value
-
-    def mean_distance(
-        self, a: tuple[str, ...], b: tuple[str, ...]
-    ) -> float:
-        key = ("md", a, b)
-        value = self._pure_get(key)
-        if value is None:
-            value = self._pure_put(key, _mean_distance(self.topo, a, b))
-        return value
-
-    def comm_cost(self, gpus: tuple[str, ...]) -> float:
-        key = ("cc", gpus)
-        value = self._pure_get(key)
-        if value is None:
-            value = self._pure_put(key, communication_cost(self.topo, gpus))
-        return value
-
-    def comm_norm(self, gpus: tuple[str, ...]) -> float:
-        key = ("cn", gpus)
-        value = self._pure_get(key)
-        if value is None:
-            value = self._pure_put(
-                key, normalized_comm_cost(self.topo, gpus)
-            )
-        return value
-
-    # ------------------------------------------------------------------
-    # epoch-scoped metric memos (pinned by per-machine pool versions)
-    # ------------------------------------------------------------------
-    def _machine_sig(
-        self, alloc: AllocationState, gpus: tuple[str, ...]
-    ) -> tuple[int, ...]:
-        # consecutive metric lookups (eq4 then fragmentation on the
-        # same side) rebuild the same signature; within one epoch it
-        # cannot change, so serve it from the per-sync memo.
-        sig = self._sigs.get(gpus)
-        if sig is not None:
-            return sig
-        # the machine set of a GPU tuple is a pure function of the
-        # (immutable) topology, so it is memoised separately from the
-        # per-version signature built on top of it.
-        machines = self._machines.get(gpus)
-        if machines is None:
-            if len(self._machines) > self.PURE_MAX:
-                self._machines.clear()
-            machines = tuple(sorted({self.topo.machine_of(g) for g in gpus}))
-            self._machines[gpus] = machines
-        sig = tuple([alloc.machine_pool_version(m) for m in machines])
-        self._sigs[gpus] = sig
-        return sig
-
-    def _scoped_get(self, key: tuple):
-        value = self._scoped.get(key)
-        if value is not None:
-            self._scoped.move_to_end(key)
-            self.stats.metric_hits += 1
-        return value
-
-    def _scoped_put(self, key: tuple, value: float) -> float:
-        self.stats.metric_misses += 1
-        self._scoped[key] = value
-        if len(self._scoped) > self.SCOPED_MAX:
-            self._scoped.popitem(last=False)
-        return value
-
-    def fragmentation(
-        self, alloc: AllocationState, gpus: tuple[str, ...]
-    ) -> float:
-        key = ("fr", gpus, self._machine_sig(alloc, gpus))
-        value = self._scoped_get(key)
-        if value is None:
-            value = self._scoped_put(
-                key, fragmentation_after(self.topo, alloc, gpus)
-            )
-        return value
 
 def drb_map(
     topo: TopologyGraph,
@@ -328,15 +34,10 @@ def drb_map(
     co_runners: Mapping[str, tuple[Job, frozenset[str]]],
     params: UtilityParams = UtilityParams(),
     interference_model=None,
-    *,
-    cache: BipartitionCache | None = None,
 ) -> dict[int, str]:
     """Map every task of ``jobgraph`` onto a distinct GPU from ``pool``.
 
-    ``cache`` (a :class:`BipartitionCache` already synced to ``alloc``'s
-    epoch) reuses physical splits and side metrics across calls without
-    changing any mapping.  Raises ``ValueError`` when the pool is
-    smaller than the task count.
+    Raises ``ValueError`` when the pool is smaller than the task count.
     """
     from repro.perf.interference import InterferenceModel
 
@@ -363,7 +64,6 @@ def drb_map(
             model,
             (),
             mapping,
-            cache=cache,
         )
     return mapping
 
@@ -381,8 +81,6 @@ def _recurse(
     external: tuple[ExternalRegion, ...],
     mapping: dict[int, str],
     depth: int = 0,
-    *,
-    cache: BipartitionCache | None = None,
 ) -> None:
     if not tasks:
         return
@@ -396,10 +94,7 @@ def _recurse(
     with _trace.span(
         "drb.recurse", depth=depth, tasks=len(tasks), pool=len(pool)
     ) as sp:
-        if cache is not None:
-            p0, p1 = cache.split(pool)
-        else:
-            p0, p1 = physical_bipartition(topo, pool)
+        p0, p1 = physical_bipartition(topo, pool)
         a0, a1 = job_graph_bipartition(
             topo,
             alloc,
@@ -412,7 +107,6 @@ def _recurse(
             params,
             model,
             external,
-            cache=cache,
         )
         sp.set(split_tasks=[len(a0), len(a1)], split_pool=[len(p0), len(p1)])
         _recurse(
@@ -420,12 +114,10 @@ def _recurse(
             external + ((ExternalRegion(tasks=a1, gpus=p1),) if a1 else ()),
             mapping,
             depth + 1,
-            cache=cache,
         )
         _recurse(
             topo, alloc, job, jobgraph, a1, p1, co_runners, params, model,
             external + ((ExternalRegion(tasks=a0, gpus=p0),) if a0 else ()),
             mapping,
             depth + 1,
-            cache=cache,
         )

@@ -79,16 +79,10 @@ def job_graph_bipartition(
     params: UtilityParams = UtilityParams(),
     interference_model=None,
     external: Sequence[ExternalRegion] = (),
-    *,
-    cache=None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split ``tasks`` into (A0 -> P0, A1 -> P1) by per-task utility.
 
-    ``cache`` (a :class:`repro.core.drb.BipartitionCache`, optional)
-    memoises the task-independent side metrics; the memos serve exactly
-    what the direct computation below produces, so the split is
-    identical either way.  Raises ``ValueError`` when the tasks cannot
-    fit the two sides.
+    Raises ``ValueError`` when the tasks cannot fit the two sides.
     """
     from repro.perf.interference import InterferenceModel
 
@@ -103,46 +97,21 @@ def job_graph_bipartition(
     model = interference_model or InterferenceModel(topo)
 
     # Side-level metrics are task-independent: compute once.
-    if cache is not None:
-        p0_t, p1_t = tuple(p0), tuple(p1)
-        # Eq. 4 is evaluated directly: with the allocator's bus-sharing
-        # memo warm it is cheaper than an epoch-scoped memo key.
-        interference = (
-            model.eq4_interference(job, p0_t, co_runners, alloc),
-            model.eq4_interference(job, p1_t, co_runners, alloc),
-        )
-        frag = (
-            cache.fragmentation(alloc, p0_t),
-            cache.fragmentation(alloc, p1_t),
-        )
-        d_intra = (
-            cache.mean_distance(p0_t, p0_t),
-            cache.mean_distance(p1_t, p1_t),
-        )
-        d_cross = cache.mean_distance(p0_t, p1_t)
-        d_external = [
-            (
-                cache.mean_distance(p0_t, tuple(region.gpus)),
-                cache.mean_distance(p1_t, tuple(region.gpus)),
-            )
-            for region in external
-        ]
-    else:
-        interference = (
-            model.eq4_interference(job, p0, co_runners, alloc),
-            model.eq4_interference(job, p1, co_runners, alloc),
-        )
-        frag = (
-            fragmentation_after(topo, alloc, p0),
-            fragmentation_after(topo, alloc, p1),
-        )
-        # representative distances from each side to each region
-        d_intra = (_mean_distance(topo, p0, p0), _mean_distance(topo, p1, p1))
-        d_cross = _mean_distance(topo, p0, p1)
-        d_external = [
-            (_mean_distance(topo, p0, region.gpus), _mean_distance(topo, p1, region.gpus))
-            for region in external
-        ]
+    interference = (
+        model.eq4_interference(job, p0, co_runners, alloc),
+        model.eq4_interference(job, p1, co_runners, alloc),
+    )
+    frag = (
+        fragmentation_after(topo, alloc, p0),
+        fragmentation_after(topo, alloc, p1),
+    )
+    # representative distances from each side to each region
+    d_intra = (_mean_distance(topo, p0, p0), _mean_distance(topo, p1, p1))
+    d_cross = _mean_distance(topo, p0, p1)
+    d_external = [
+        (_mean_distance(topo, p0, region.gpus), _mean_distance(topo, p1, region.gpus))
+        for region in external
+    ]
     sides = (p0, p1)
 
     assigned: list[list[int]] = [[], []]

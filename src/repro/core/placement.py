@@ -20,7 +20,7 @@ from repro.core.constraints import (
     PrefilterStats,
     filter_hosts,
 )
-from repro.core.drb import BipartitionCache, drb_map
+from repro.core.drb import drb_map
 from repro.core.utility import (
     SLO_EPS,
     SolutionMetrics,
@@ -124,17 +124,13 @@ class PlacementEngine:
     recompute.  Stale entries age out of the LRU.  ``0`` disables
     memoisation entirely.
 
-    Two further fast paths, both bit-identical by construction (see
-    DESIGN.md §9) and independently switchable for A/B verification:
-
-    * ``incremental_drb`` keeps a :class:`BipartitionCache` synced to
-      the allocation epoch, reusing physical splits and side metrics
-      across proposals and patching only the subtrees whose machines
-      changed between rounds;
-    * ``prefilter`` draws host candidates from the allocator's
-      capacity-bucket index and stops probing once :attr:`max_pools`
-      machines survived every constraint, instead of scanning the whole
-      fleet per proposal.
+    Host filtering runs through the top-k candidate prefilter: it
+    draws host candidates from the allocator's capacity-bucket index
+    and stops probing once :attr:`max_pools` machines survived every
+    constraint, instead of scanning the whole fleet per proposal.  It
+    returns exactly the pools the exhaustive scan would hand the pool
+    loop (see DESIGN.md §9; ``repro.analysis.bench`` keeps the
+    exhaustive reference engine that proves it).
 
     Inside a proposal, every single-machine pool is solved through a
     bounded LRU pool-solve cache keyed on a machine-canonical
@@ -152,9 +148,6 @@ class PlacementEngine:
         profiles: ProfileDatabase | None = None,
         interference_model: InterferenceModel | None = None,
         memo_size: int = 512,
-        *,
-        incremental_drb: bool = True,
-        prefilter: bool = True,
     ) -> None:
         self.topo = topo
         self.alloc = alloc
@@ -166,7 +159,6 @@ class PlacementEngine:
         self.stats = PlacementStats()
         self._memo: OrderedDict[tuple, PlacementSolution | None] = OrderedDict()
         self._memo_version = -1
-        self.drb_cache = BipartitionCache(topo) if incremental_drb else None
         self.pool_stats = PoolSolveStats()
         self._pool_solves: OrderedDict[tuple, tuple] = OrderedDict()
         self._proposals = 0
@@ -174,11 +166,7 @@ class PlacementEngine:
         #: -> GPU name), filled on first use
         self._machine_tables: dict[str, tuple[int, dict[str, int], tuple[str, ...]]] = {}
         self._shape_ids: dict[tuple, int] = {}
-        self.prefilter = (
-            CandidatePrefilter(self.max_pools, PrefilterStats())
-            if prefilter
-            else None
-        )
+        self.prefilter = CandidatePrefilter(self.max_pools, PrefilterStats())
 
     def _max_pair_bandwidth(self) -> float:
         """Best GPU-pair bandwidth on the first machine (normalisation base)."""
@@ -282,15 +270,10 @@ class PlacementEngine:
             if provenance is not None:
                 provenance["memo"] = {"enabled": True, "hit": True}
                 report: dict = {}
-                filter_hosts(
-                    self.topo, self.alloc, job, co_runners, self.profiles,
-                    report=report,
-                    # stats-less clone: the re-report is a pure tap and
-                    # must not perturb the engine's prefilter counters
-                    prefilter=(
-                        None if self.prefilter is None
-                        else self.prefilter.readonly()
-                    ),
+                # stats-less clone: the re-report is a pure tap and
+                # must not perturb the engine's prefilter counters
+                self._candidate_pools(
+                    job, co_runners, report, self.prefilter.readonly()
                 )
                 provenance["pools"] = report
             if cached is None:
@@ -311,19 +294,12 @@ class PlacementEngine:
         co_runners: Mapping[str, tuple[Job, frozenset[str]]],
         provenance: dict | None = None,
     ) -> PlacementSolution | None:
-        if self.drb_cache is not None:
-            self.drb_cache.sync(self.alloc)
         self._proposals += 1
-        if self.prefilter is not None:
-            # k tracks the engine's pool budget: probing may stop only
-            # once the budget the loop below consumes is full
-            self.prefilter.top_k = self.max_pools
+        # k tracks the engine's pool budget: probing may stop only once
+        # the budget the loop below consumes is full
+        self.prefilter.top_k = self.max_pools
         report = {} if provenance is not None else None
-        pools = filter_hosts(
-            self.topo, self.alloc, job, co_runners, self.profiles,
-            report=report,
-            prefilter=self.prefilter,
-        )
+        pools = self._candidate_pools(job, co_runners, report, self.prefilter)
         if provenance is not None:
             provenance["pools"] = report
         if not pools:
@@ -353,6 +329,20 @@ class PlacementEngine:
             if best is None:
                 provenance["reason"] = "no-mapping"
         return best
+
+    def _candidate_pools(
+        self,
+        job: Job,
+        co_runners: Mapping[str, tuple[Job, frozenset[str]]],
+        report: dict | None,
+        prefilter: CandidatePrefilter,
+    ) -> list[CandidatePool]:
+        """Host filtering for one proposal, through ``prefilter``."""
+        return filter_hosts(
+            self.topo, self.alloc, job, co_runners, self.profiles,
+            report=report,
+            prefilter=prefilter,
+        )
 
     def _machine_table(
         self, machine: str
@@ -495,7 +485,6 @@ class PlacementEngine:
                     co_runners,
                     self.params,
                     self.interference,
-                    cache=self.drb_cache,
                 )
             except ValueError:
                 return None
@@ -513,7 +502,6 @@ class PlacementEngine:
             co_runners,
             self.params,
             self.interference,
-            cache=self.drb_cache,
         )
         return PlacementSolution(
             job_id=job.job_id,
@@ -576,47 +564,8 @@ class PlacementEngine:
             p2p=p2p,
         )
 
-    def explain(
-        self,
-        job: Job,
-        co_runners: Mapping[str, tuple[Job, frozenset[str]]] | None = None,
-    ) -> list[PlacementSolution]:
-        """All candidate solutions the engine considered, best first.
-
-        Operator-facing: shows *why* a placement won -- every evaluated
-        pool's mapping with its utility, communication cost,
-        interference and P2P capability.  The first element (if any) is
-        exactly what :meth:`propose` would return.
-        """
-        co_runners = co_runners or {}
-        if self.drb_cache is not None:
-            self.drb_cache.sync(self.alloc)
-        self._proposals += 1
-        pools = filter_hosts(
-            self.topo, self.alloc, job, co_runners, self.profiles,
-            # operator-facing inspection is a tap: same pruning, but it
-            # must not count into the engine's prefilter statistics
-            prefilter=(
-                None if self.prefilter is None else self.prefilter.readonly()
-            ),
-        )
-        jobgraph = self.job_graph(job)
-        candidates = []
-        for pool in pools[: self.max_pools]:
-            solution = self._solve(job, jobgraph, pool, co_runners)
-            if solution is not None:
-                candidates.append(solution)
-        candidates.sort(key=lambda s: -s.utility)
-        return candidates
-
-    def drb_stats(self) -> dict:
-        """Incremental-DRB reuse counters ({} when the path is off)."""
-        return {} if self.drb_cache is None else self.drb_cache.stats.as_dict()
-
     def prefilter_stats(self) -> dict:
-        """Prefilter hit counters ({} when the path is off)."""
-        if self.prefilter is None or self.prefilter.stats is None:
-            return {}
+        """Prefilter hit counters."""
         return self.prefilter.stats.as_dict()
 
     def p2p_attainable(self, job: Job) -> bool:

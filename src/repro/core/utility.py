@@ -354,32 +354,17 @@ def evaluate_solution(
     co_runners: Mapping[str, tuple[Job, frozenset[str]]],
     params: UtilityParams = UtilityParams(),
     interference_model=None,
-    *,
-    cache=None,
 ) -> SolutionMetrics:
-    """Score a concrete allocation: Eqs. 3-5 plus normalised utility.
-
-    ``cache`` (a :class:`repro.core.drb.BipartitionCache`, optional)
-    memoises the component metrics; every memo serves exactly what the
-    direct computation produces, so the metrics are identical either
-    way.
-    """
+    """Score a concrete allocation: Eqs. 3-5 plus normalised utility."""
     from repro.perf.interference import InterferenceModel
 
     gpus = list(gpus)
     model = interference_model or InterferenceModel(topo)
     with _trace.span("utility.evaluate", job_id=job.job_id, gpus=len(gpus)) as sp:
-        if cache is not None:
-            gpus_t = tuple(gpus)
-            t = cache.comm_cost(gpus_t)
-            t_norm = cache.comm_norm(gpus_t)
-            interference = model.eq4_interference(job, gpus_t, co_runners, alloc)
-            frag = cache.fragmentation(alloc, gpus_t)
-        else:
-            t = communication_cost(topo, gpus)
-            t_norm = normalized_comm_cost(topo, gpus)
-            interference = model.eq4_interference(job, gpus, co_runners, alloc)
-            frag = fragmentation_after(topo, alloc, gpus)
+        t = communication_cost(topo, gpus)
+        t_norm = normalized_comm_cost(topo, gpus)
+        interference = model.eq4_interference(job, gpus, co_runners, alloc)
+        frag = fragmentation_after(topo, alloc, gpus)
         i_norm = normalize_interference(interference, params)
         utility = normalized_utility(t_norm, i_norm, frag, params)
         sp.set(

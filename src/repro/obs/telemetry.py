@@ -38,12 +38,6 @@ repro_placement_prefilter_considered_total  counter  hosts probed by the top-k
                                                      candidate prefilter
 repro_placement_prefilter_pruned_total  counter    capacity-eligible hosts the
                                                    prefilter never probed
-repro_drb_splits_reused_total           counter    physical bipartitions served
-                                                   from the incremental cache
-repro_drb_splits_computed_total         counter    physical bipartitions solved
-                                                   from scratch
-repro_drb_rounds_rebuilt_total          counter    cache syncs that fell back to
-                                                   a full split-tree rebuild
 ======================================  =========  =============================
 """
 
@@ -148,7 +142,8 @@ class TelemetryObserver(BaseObserver):
             "Placement-memo misses (proposals solved from scratch).", labels)
         self._memo_invalidations = reg.counter(
             "repro_placement_cache_invalidations_total",
-            "Placement-memo flushes caused by allocation-state deltas.",
+            "Allocation-epoch rotations seen between placement-memo "
+            "lookups (entries survive them).",
             labels)
         self._memo_hit_rate = reg.gauge(
             "repro_placement_cache_hit_rate",
@@ -159,17 +154,6 @@ class TelemetryObserver(BaseObserver):
         self._prefilter_pruned = reg.counter(
             "repro_placement_prefilter_pruned_total",
             "Capacity-eligible hosts the prefilter never had to probe.",
-            labels)
-        self._drb_reused = reg.counter(
-            "repro_drb_splits_reused_total",
-            "Physical bipartitions served from the incremental DRB cache.",
-            labels)
-        self._drb_computed = reg.counter(
-            "repro_drb_splits_computed_total",
-            "Physical bipartitions solved from scratch.", labels)
-        self._drb_rebuilt = reg.counter(
-            "repro_drb_rounds_rebuilt_total",
-            "DRB cache syncs that fell back to a full split-tree rebuild.",
             labels)
 
     # ------------------------------------------------------------------
@@ -219,18 +203,6 @@ class TelemetryObserver(BaseObserver):
             self._prefilter_pruned.inc(
                 pf_stats.get("pruned", 0), scheduler=sched
             )
-        drb_stats = getattr(result, "drb_stats", None) or {}
-        if drb_stats:
-            sched = self.scheduler
-            self._drb_reused.inc(
-                drb_stats.get("splits_reused", 0), scheduler=sched
-            )
-            self._drb_computed.inc(
-                drb_stats.get("splits_computed", 0), scheduler=sched
-            )
-            self._drb_rebuilt.inc(
-                drb_stats.get("rounds_rebuilt", 0), scheduler=sched
-            )
         self._emit(
             "run_end",
             result.makespan,
@@ -239,7 +211,6 @@ class TelemetryObserver(BaseObserver):
             unplaceable=unplaceable,
             **({"placement_cache": stats} if stats else {}),
             **({"prefilter": pf_stats} if pf_stats else {}),
-            **({"drb_cache": drb_stats} if drb_stats else {}),
         )
 
     def finalize_result(self, result) -> None:

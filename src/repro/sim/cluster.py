@@ -219,8 +219,6 @@ class ClusterState:
         calibration: Calibration = DEFAULT_CALIBRATION,
         params: UtilityParams = UtilityParams(),
         profiles: ProfileDatabase | None = None,
-        incremental_drb: bool = True,
-        prefilter: bool = True,
     ) -> None:
         self.topo = topo
         self.calibration = calibration
@@ -234,8 +232,6 @@ class ClusterState:
             params,
             profiles,
             self.interference,
-            incremental_drb=incremental_drb,
-            prefilter=prefilter,
         )
         self.running = RunningTable()
         self.now = 0.0

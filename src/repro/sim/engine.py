@@ -384,7 +384,6 @@ class Simulator:
             decision_time_s=self._accounting.decision_time_s,
             decision_rounds=self._accounting.rounds,
             placement_stats=self.cluster.engine.stats.as_dict(),
-            drb_stats=self.cluster.engine.drb_stats(),
             prefilter_stats=self.cluster.engine.prefilter_stats(),
         )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Iterable, Iterator, Mapping
 
 from repro.topology.graph import NodeKind, TopologyGraph
@@ -27,22 +27,15 @@ class AllocationError(RuntimeError):
 #: LRU order so 10k-job churn cannot grow the cache without limit.
 LINKS_CACHE_MAX = 4096
 
-#: how many recent mutations the per-machine delta log remembers.
-#: Consumers (the incremental DRB tree) ask "which machines changed
-#: since epoch v?"; when v has already scrolled out of the log the
-#: answer is "unknown" and they fall back to a full rebuild, so the
-#: bound trades memory for incremental-reuse opportunity only — never
-#: correctness.
-DELTA_LOG_MAX = 512
-
 
 class AllocationState:
     """Mutable view of which job owns which GPUs on a topology.
 
     Every state mutation (allocate / release / machine down / machine
     up) bumps :attr:`version`, so derived caches — the free-pool
-    signature here, the incremental DRB tree — can be invalidated by a
-    single integer compare instead of tracking individual deltas.
+    signature here, the placement memo's epoch count — can be
+    invalidated by a single integer compare instead of tracking
+    individual deltas.
 
     :attr:`digest` names the state itself rather than the epoch: the
     XOR of ``hash((job_id, gpu))`` over every owned GPU and of
@@ -88,11 +81,6 @@ class AllocationState:
             self._buckets.setdefault(c, []).append(m)
         for lst in self._buckets.values():
             lst.sort()
-        # per-machine pool epochs + a bounded log of which machines each
-        # global epoch touched, so incremental consumers (the DRB split
-        # cache) can patch instead of rebuilding.
-        self._machine_version: dict[str, int] = {m: 0 for m in topo.machines()}
-        self._delta_log: deque[frozenset[str]] = deque(maxlen=DELTA_LOG_MAX)
 
     # ------------------------------------------------------------------
     # capacity-bucket maintenance
@@ -114,7 +102,6 @@ class AllocationState:
         old = self._free_count[machine]
         new = old + delta
         self._free_count[machine] = new
-        self._machine_version[machine] += 1
         if machine not in self._down_machines:
             self._total_free += delta
             self._bucket_discard(machine, old)
@@ -150,7 +137,6 @@ class AllocationState:
         for m, n in taken.items():
             self._apply_free_delta(m, -n)
         self.version += 1
-        self._delta_log.append(frozenset(taken))
 
     def release(self, job_id: str) -> frozenset[str]:
         try:
@@ -170,7 +156,6 @@ class AllocationState:
         for m, n in freed.items():
             self._apply_free_delta(m, n)
         self.version += 1
-        self._delta_log.append(frozenset(freed))
         return gpus
 
     # ------------------------------------------------------------------
@@ -286,41 +271,6 @@ class AllocationState:
         return self._signature
 
     # ------------------------------------------------------------------
-    # incremental-consumer epoch plumbing
-    # ------------------------------------------------------------------
-    def machine_pool_version(self, machine: str) -> int:
-        """Per-machine pool epoch: bumped whenever the machine's free
-        pool or health changes.  Pins everything derivable from the
-        machine's occupancy — which GPUs are free, which jobs hold GPUs
-        there and with what GPU sets — so version-keyed memo entries
-        (socket fragmentation, Eq. 4 interference per candidate side)
-        stay valid exactly as long as every pinned machine is untouched.
-        """
-        try:
-            return self._machine_version[machine]
-        except KeyError:
-            raise AllocationError(f"unknown machine {machine!r}") from None
-
-    def machines_changed_since(self, version: int) -> frozenset[str] | None:
-        """Machines touched by any mutation after global epoch
-        ``version``, or ``None`` when that epoch has scrolled out of
-        the bounded delta log (consumers must then rebuild from
-        scratch).  Each epoch bump appends exactly one log entry, so
-        the last ``self.version - version`` entries cover the gap.
-        """
-        missing = self.version - version
-        if missing <= 0:
-            return frozenset()
-        if missing > len(self._delta_log):
-            return None
-        changed: set[str] = set()
-        for i, machines in enumerate(reversed(self._delta_log)):
-            if i >= missing:
-                break
-            changed |= machines
-        return frozenset(changed)
-
-    # ------------------------------------------------------------------
     # machine health (failure injection)
     # ------------------------------------------------------------------
     def set_machine_down(self, machine: str) -> list[str]:
@@ -339,9 +289,7 @@ class AllocationState:
             self._total_free -= count
             self._down_machines.add(machine)
             self.digest ^= hash(("down", machine))
-            self._machine_version[machine] += 1
             self.version += 1
-            self._delta_log.append(frozenset((machine,)))
         return sorted(self._jobs_by_machine[machine])
 
     def set_machine_up(self, machine: str) -> None:
@@ -360,9 +308,7 @@ class AllocationState:
             count = self._free_count[machine]
             self._bucket_add(machine, count)
             self._total_free += count
-            self._machine_version[machine] += 1
             self.version += 1
-            self._delta_log.append(frozenset((machine,)))
 
     def is_machine_up(self, machine: str) -> bool:
         return machine not in self._down_machines

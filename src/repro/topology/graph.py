@@ -123,6 +123,9 @@ class _Caches:
     #: whole-topology pack placements per GPU count, filled on first
     #: use by :meth:`repro.perf.model.PerformanceModel.placement_gpus`.
     pack: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    #: per-machine GPU-uplink bandwidth totals, filled on first use by
+    #: :func:`repro.core.constraints.machine_bus_capacity`.
+    bus_capacity: dict[str, float] = field(default_factory=dict)
 
     def clear(self) -> None:
         self.dist.clear()
@@ -140,6 +143,7 @@ class _Caches:
         self.proximity.clear()
         self.p2p_islands.clear()
         self.pack.clear()
+        self.bus_capacity.clear()
 
 
 class TopologyGraph:
@@ -830,6 +834,16 @@ class TopologyGraph:
         :meth:`repro.perf.model.PerformanceModel.placement_gpus`.
         """
         return self._caches.pack
+
+    @property
+    def bus_capacity_memo(self) -> dict[str, float]:
+        """Per-machine bus capacities keyed by machine name.
+
+        Owned by the graph so every mutation clears it with the other
+        caches; filled by
+        :func:`repro.core.constraints.machine_bus_capacity`.
+        """
+        return self._caches.bus_capacity
 
     def _scan_p2p_islands(self, machine: str | None) -> list[int]:
         sizes: list[int] = []

@@ -46,8 +46,6 @@ class TestRunBench:
         assert tiny_bench.equivalence is not None
         assert tiny_bench.equivalence["identical"] is True
         assert tiny_bench.equivalence["fastpath_off_identical"] is True
-        assert tiny_bench.equivalence["drb_only_identical"] is True
-        assert tiny_bench.equivalence["prefilter_only_identical"] is True
 
     def test_fastpath_section_reports_speedup_and_stats(self, tiny_bench):
         fp = tiny_bench.fastpath
@@ -57,7 +55,6 @@ class TestRunBench:
         assert fp["speedup_vs_off"] == pytest.approx(
             fp["off_mean_decision_time_s"] / fp["fast_mean_decision_time_s"]
         )
-        assert fp["drb_stats"]["splits_computed"] > 0
         assert fp["prefilter_stats"]["calls"] > 0
         # no external seed measurement was injected
         assert "speedup_vs_seed" not in fp
@@ -143,14 +140,12 @@ class TestArtifactAndBaseline:
         bench.equivalence = {
             "scheduler": "TOPO-AWARE",
             "identical": True,
-            "fastpath_off_identical": True,
-            "drb_only_identical": False,
-            "prefilter_only_identical": True,
+            "fastpath_off_identical": False,
         }
         baseline = tmp_path / "base.json"
         baseline.write_text(json.dumps({"schedulers": {}}))
         failures = compare_to_baseline(bench, baseline)
-        assert any("incremental DRB" in f for f in failures)
+        assert any("exhaustive host scan" in f for f in failures)
 
     def test_min_speedup_floor(self, tiny_bench, tmp_path):
         baseline = write_bench(tiny_bench, tmp_path / "base.json")

@@ -11,7 +11,7 @@ from repro.core.constraints import (
     machine_bus_capacity,
 )
 from repro.topology.allocation import AllocationState
-from repro.topology.builders import cluster, power8_minsky
+from repro.topology.builders import cluster, dgx1, power8_minsky, power8_pcie_k80
 
 from tests.conftest import make_job
 
@@ -61,6 +61,22 @@ class TestBandwidthConstraint:
     def test_bus_capacity_value(self, minsky):
         # 4 GPUs x dual NVLink uplink (40 GB/s)
         assert machine_bus_capacity(minsky, "m0") == pytest.approx(160.0)
+
+    def test_capacity_memo_dies_with_its_graph(self):
+        """A new graph at a freed graph's address gets its own
+        capacities, not the dead graph's."""
+        for _ in range(50):
+            dgx = dgx1()
+            assert machine_bus_capacity(dgx, "m0") == pytest.approx(128.0)
+            del dgx
+            k80 = power8_pcie_k80()
+            assert machine_bus_capacity(k80, "m0") == pytest.approx(64.0)
+
+    def test_capacity_memo_cleared_by_merge(self):
+        topo = cluster(1)
+        assert machine_bus_capacity(topo, "m1") == 0.0  # no such machine yet
+        topo.merge(dgx1("m1"))
+        assert machine_bus_capacity(topo, "m1") == pytest.approx(128.0)
 
 
 class TestAntiCollocation:
@@ -143,6 +159,7 @@ class TestPrefilter:
         """Adaptive k (= the engine's ``max_pools``): the host the
         exhaustive scan would hand the engine is always in the
         prefiltered set, so the proposal is bit-identical."""
+        from repro.analysis.bench import ExhaustiveHostEngine
         from repro.core.placement import PlacementEngine
 
         topo = cluster(12)
@@ -153,10 +170,8 @@ class TestPrefilter:
             gpus = topo.gpus(machine=f"m{i}")[: (i % 4) + 1]
             alloc_a.allocate(f"f{i}", gpus)
             alloc_b.allocate(f"f{i}", gpus)
-        fast = PlacementEngine(topo, alloc_a, prefilter=True,
-                               incremental_drb=False)
-        slow = PlacementEngine(topo, alloc_b, prefilter=False,
-                               incremental_drb=False)
+        fast = PlacementEngine(topo, alloc_a)
+        slow = ExhaustiveHostEngine(topo, alloc_b)
         assert fast.prefilter.top_k == fast.max_pools
         for need in (1, 2, 3, 4):
             job = make_job(f"probe{need}", num_gpus=need)

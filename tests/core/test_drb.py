@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bipartition import physical_bipartition
-from repro.core.drb import BipartitionCache, drb_map
+from repro.core.drb import drb_map
 from repro.topology.allocation import AllocationState
 from repro.topology.builders import cluster, dgx1, power8_minsky
 from repro.workload.jobgraph import data_parallel_graph, model_parallel_chain
@@ -114,125 +113,3 @@ class TestProperties:
         mapping = run_drb(topo, job, pool=pool)
         assert set(mapping.values()) <= set(pool)
 
-
-class TestBipartitionCache:
-    """Incremental split tree == direct computation, always."""
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.randoms(use_true_random=False))
-    def test_incremental_matches_full_computation(self, rng):
-        """Randomised allocate/release churn — including multi-machine
-        deltas wide enough to force the full-rebuild fallback — must
-        never make a cached split differ from ``physical_bipartition``
-        run directly on the same pool."""
-        topo = cluster(6)
-        alloc = AllocationState(topo)
-        cache = BipartitionCache(topo, max_patch_machines=2)
-        live: list[str] = []
-        for step in range(10):
-            action = rng.random()
-            if action < 0.5 or not live:
-                # single-machine delta: the patchable common case
-                machine = rng.choice(topo.machines())
-                free = alloc.free_gpus(machine=machine)
-                if free:
-                    job_id = f"j{step}"
-                    alloc.allocate(
-                        job_id, rng.sample(free, k=rng.randint(1, len(free)))
-                    )
-                    live.append(job_id)
-            elif action < 0.8:
-                alloc.release(live.pop(rng.randrange(len(live))))
-            else:
-                # one GPU on each of 3+ machines: delta wider than
-                # max_patch_machines, must fall back to a rebuild
-                gpus = [
-                    free[0]
-                    for m in topo.machines()
-                    if (free := alloc.free_gpus(machine=m))
-                ]
-                if len(gpus) >= 3:
-                    job_id = f"wide{step}"
-                    alloc.allocate(job_id, gpus[:4])
-                    live.append(job_id)
-            cache.sync(alloc)
-            for _ in range(3):
-                machines = rng.sample(topo.machines(), k=rng.randint(1, 3))
-                pool = [
-                    g
-                    for m in machines
-                    for g in alloc.free_gpus(machine=m)
-                ]
-                if len(pool) < 2:
-                    continue
-                key = tuple(sorted(pool))
-                assert cache.split(pool) == physical_bipartition(topo, key)
-        assert cache.stats.validation_failures == 0
-        assert cache.stats.rounds_incremental + cache.stats.rounds_rebuilt > 0
-
-    def test_survivor_reused_across_patch_round(self):
-        topo = cluster(3)
-        alloc = AllocationState(topo)
-        cache = BipartitionCache(topo)
-        cache.sync(alloc)
-        pool = topo.gpus(machine="m1")
-        first = cache.split(pool)
-        # a delta on m0 patches the tree; the m1 entry survives and is
-        # served from cache (after one integrity re-check)
-        alloc.allocate("x", ["m0/gpu0"])
-        cache.sync(alloc)
-        assert cache.stats.rounds_incremental == 1
-        assert cache.split(pool) == first
-        assert cache.stats.splits_reused == 1
-        # same epoch, second hit rides the validation stamp
-        assert cache.split(pool) == first
-        assert cache.stats.splits_reused == 2
-
-    def test_touched_machine_entry_recomputed(self):
-        topo = cluster(3)
-        alloc = AllocationState(topo)
-        cache = BipartitionCache(topo)
-        cache.sync(alloc)
-        pool = topo.gpus(machine="m1")
-        cache.split(pool)
-        alloc.allocate("x", ["m1/gpu0"])
-        cache.sync(alloc)
-        fresh = [g for g in pool if g != "m1/gpu0"]
-        assert cache.split(fresh) == physical_bipartition(
-            topo, tuple(sorted(fresh))
-        )
-        assert cache.stats.splits_reused == 0
-        assert cache.stats.splits_computed == 2
-
-    def test_wide_delta_forces_rebuild(self):
-        topo = cluster(5)
-        alloc = AllocationState(topo)
-        cache = BipartitionCache(topo, max_patch_machines=2)
-        cache.sync(alloc)  # first sync is always a rebuild
-        alloc.allocate(
-            "wide", [f"m{i}/gpu0" for i in range(4)]
-        )  # 4 machines > max_patch_machines
-        cache.sync(alloc)
-        assert cache.stats.rounds_rebuilt == 2
-        assert cache.stats.rounds_incremental == 0
-
-    def test_corrupted_entry_detected_and_recomputed(self):
-        """Belt-and-braces: if patching ever broke an invariant, the
-        per-patch-round integrity check catches the corrupt entry,
-        distrusts the tree and recomputes from scratch."""
-        topo = cluster(3)
-        alloc = AllocationState(topo)
-        cache = BipartitionCache(topo)
-        cache.sync(alloc)
-        pool = topo.gpus(machine="m1")
-        expected = cache.split(pool)
-        key = tuple(sorted(pool))
-        p0, _p1 = cache._splits[key]
-        cache._splits[key] = (p0, p0)  # overlapping halves: invalid
-        # advance the patch counter so the stale validation stamp no
-        # longer vouches for the entry
-        alloc.allocate("x", ["m0/gpu0"])
-        cache.sync(alloc)
-        assert cache.split(pool) == expected
-        assert cache.stats.validation_failures == 1
-        assert not cache._splits or key in cache._splits  # tree was rebuilt

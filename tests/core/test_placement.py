@@ -66,37 +66,6 @@ class TestPropose:
         assert sol.p2p
 
 
-class TestExplain:
-    def test_first_candidate_matches_propose(self):
-        topo = cluster(3)
-        alloc = AllocationState(topo)
-        engine = PlacementEngine(topo, alloc)
-        alloc.allocate("x", ["m0/gpu1"])  # make pools non-trivial
-        job = make_job(num_gpus=2, batch_size=1)
-        candidates = engine.explain(job)
-        proposed = engine.propose(job)
-        assert candidates
-        assert candidates[0].gpus == proposed.gpus
-        assert candidates[0].utility == pytest.approx(proposed.utility)
-
-    def test_candidates_sorted_by_utility(self):
-        topo = cluster(3)
-        alloc = AllocationState(topo)
-        engine = PlacementEngine(topo, alloc)
-        alloc.allocate("a", ["m0/gpu1"])
-        alloc.allocate("b", ["m1/gpu1", "m1/gpu3"])
-        utilities = [
-            s.utility for s in engine.explain(make_job(num_gpus=2, batch_size=1))
-        ]
-        assert utilities == sorted(utilities, reverse=True)
-        assert len(utilities) >= 2  # multiple pools were considered
-
-    def test_empty_when_nothing_fits(self, minsky, alloc):
-        engine = PlacementEngine(minsky, alloc)
-        alloc.allocate("x", minsky.gpus())
-        assert engine.explain(make_job(num_gpus=1)) == []
-
-
 class TestAntiCollocation:
     def test_tasks_on_distinct_sockets(self, minsky, alloc):
         engine = PlacementEngine(minsky, alloc)

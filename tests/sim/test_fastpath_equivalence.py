@@ -1,38 +1,38 @@
-"""Fast-path equivalence: memoised engine vs memo-disabled engine.
+"""Fast-path equivalence: memoised engine vs memo-disabled engine, and
+the top-k candidate prefilter vs the exhaustive host scan.
 
 Extends the golden-equivalence pins (which compare the current engine
 against committed seed outputs) with a direct A/B proof that the
-placement memo, the GPU distance matrix and the capacity pruning
-change no scheduling decision: a full scenario run with the memo on
-must be record-for-record identical (``==``, no tolerance) to one with
-``memo_size=0``.
+placement memo, the GPU distance matrix, the capacity pruning and the
+prefilter change no scheduling decision: a full scenario run must be
+record-for-record identical (``==``, no tolerance) to one with
+``memo_size=0`` or one on the :class:`ExhaustiveHostEngine` reference.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.bench import RECORD_FIELDS, check_equivalence
+from repro.analysis.bench import (
+    RECORD_FIELDS,
+    check_equivalence,
+    exhaustive_cluster,
+)
 from repro.analysis.scenarios import scenario1_jobs, scenario2_jobs, table1_jobs
 from repro.schedulers import make_scheduler
 from repro.sim.cluster import ClusterState
 from repro.sim.engine import Simulator
-from repro.topology.builders import cluster, power8_minsky
+from repro.topology.builders import (
+    cluster,
+    dgx1,
+    power8_minsky,
+    power8_pcie_k80,
+)
 
 
-def _run(
-    topo_factory,
-    jobs,
-    scheduler_name,
-    memo_size=None,
-    *,
-    incremental_drb=True,
-    prefilter=True,
-):
+def _run(topo_factory, jobs, scheduler_name, memo_size=None, *, exhaustive=False):
     topo = topo_factory()
-    state = ClusterState(
-        topo, incremental_drb=incremental_drb, prefilter=prefilter
-    )
+    state = exhaustive_cluster(topo) if exhaustive else ClusterState(topo)
     if memo_size is not None:
         state.engine.memo_size = memo_size
     sim = Simulator(topo, make_scheduler(scheduler_name), list(jobs), cluster=state)
@@ -68,41 +68,37 @@ def test_table1_memo_on_off_identical(scheduler_name):
     _assert_identical(memo, cold)
 
 
-@pytest.mark.parametrize("scheduler_name", ["TOPO-AWARE", "TOPO-AWARE-P"])
+def _mixed_cluster():
+    """Twelve machines alternating DGX-1 and PCIe K80 boxes."""
+    return cluster(
+        12,
+        lambda mid: dgx1(mid) if int(mid[1:]) % 2 else power8_pcie_k80(mid),
+    )
+
+
 @pytest.mark.parametrize(
-    "incremental_drb,prefilter",
-    [(True, True), (True, False), (False, True)],
+    "topo_factory,scheduler_name",
+    [
+        pytest.param(lambda: cluster(12), "TOPO-AWARE", id="minsky-TOPO-AWARE"),
+        pytest.param(
+            lambda: cluster(12), "TOPO-AWARE-P", id="minsky-TOPO-AWARE-P"
+        ),
+        pytest.param(_mixed_cluster, "TOPO-AWARE", id="mixed-TOPO-AWARE"),
+    ],
 )
-def test_fig11_fastpath_matrix_identical(
-    scheduler_name, incremental_drb, prefilter
-):
-    """Incremental DRB and the top-k prefilter — alone or together —
-    must reproduce the both-off run record-for-record at a scale where
-    both actually engage (multi-machine fleet, contended rounds)."""
+def test_fig11_fastpath_matrix_identical(topo_factory, scheduler_name):
+    """The top-k prefilter must reproduce the exhaustive host scan
+    record-for-record at a scale where it actually engages
+    (multi-machine fleet, contended rounds)."""
     jobs = scenario2_jobs(60, 12, seed=11)
-    baseline = _run(
-        lambda: cluster(12),
-        jobs,
-        scheduler_name,
-        incremental_drb=False,
-        prefilter=False,
-    )
-    fast = _run(
-        lambda: cluster(12),
-        jobs,
-        scheduler_name,
-        incremental_drb=incremental_drb,
-        prefilter=prefilter,
-    )
+    baseline = _run(topo_factory, jobs, scheduler_name, exhaustive=True)
+    fast = _run(topo_factory, jobs, scheduler_name)
     _assert_identical(baseline, fast)
     assert baseline.makespan == fast.makespan
     assert baseline.decision_rounds == fast.decision_rounds
-    # and the fast paths actually did something when enabled
-    if incremental_drb:
-        stats = fast.drb_stats
-        assert stats["splits_reused"] + stats["splits_computed"] > 0
-    if prefilter:
-        assert fast.prefilter_stats["calls"] > 0
+    # and the prefilter actually pruned hosts
+    assert fast.prefilter_stats["pruned"] > 0
+    assert baseline.prefilter_stats["calls"] == 0
 
 
 @pytest.mark.parametrize("scheduler_name", ["TOPO-AWARE", "TOPO-AWARE-P"])
@@ -221,8 +217,6 @@ def test_check_equivalence_reports_identical():
     verdict = check_equivalence(jobs, 5)
     assert verdict["identical"] is True
     assert verdict["fastpath_off_identical"] is True
-    assert verdict["drb_only_identical"] is True
-    assert verdict["prefilter_only_identical"] is True
     assert verdict["recorder_identical"] is True
     assert verdict["scheduler"] == "TOPO-AWARE"
     assert set(verdict["memo_stats"]) == {
