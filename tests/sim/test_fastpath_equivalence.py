@@ -76,27 +76,49 @@ def _mixed_cluster():
     )
 
 
+@pytest.mark.parametrize("scheduler_name", ["TOPO-AWARE", "TOPO-AWARE-P"])
 @pytest.mark.parametrize(
-    "topo_factory,scheduler_name",
-    [
-        pytest.param(lambda: cluster(12), "TOPO-AWARE", id="minsky-TOPO-AWARE"),
-        pytest.param(
-            lambda: cluster(12), "TOPO-AWARE-P", id="minsky-TOPO-AWARE-P"
-        ),
-        pytest.param(_mixed_cluster, "TOPO-AWARE", id="mixed-TOPO-AWARE"),
-    ],
+    "memo,prefilter",
+    [(True, True), (True, False), (False, True)],
 )
-def test_fig11_fastpath_matrix_identical(topo_factory, scheduler_name):
-    """The top-k prefilter must reproduce the exhaustive host scan
-    record-for-record at a scale where it actually engages
+def test_fig11_fastpath_matrix_identical(scheduler_name, memo, prefilter):
+    """The placement memo and the top-k prefilter — alone or together —
+    must reproduce the both-off run (exhaustive host scan, memo
+    disabled) record-for-record at a scale where both actually engage
     (multi-machine fleet, contended rounds)."""
     jobs = scenario2_jobs(60, 12, seed=11)
-    baseline = _run(topo_factory, jobs, scheduler_name, exhaustive=True)
-    fast = _run(topo_factory, jobs, scheduler_name)
+    baseline = _run(
+        lambda: cluster(12), jobs, scheduler_name, memo_size=0, exhaustive=True
+    )
+    fast = _run(
+        lambda: cluster(12),
+        jobs,
+        scheduler_name,
+        memo_size=None if memo else 0,
+        exhaustive=not prefilter,
+    )
     _assert_identical(baseline, fast)
     assert baseline.makespan == fast.makespan
     assert baseline.decision_rounds == fast.decision_rounds
-    # and the prefilter actually pruned hosts
+    assert baseline.prefilter_stats["calls"] == 0
+    # and each fast path ran exactly when enabled
+    if prefilter:
+        assert fast.prefilter_stats["pruned"] > 0
+    else:
+        assert fast.prefilter_stats["calls"] == 0
+    lookups = fast.placement_stats["hits"] + fast.placement_stats["misses"]
+    assert (lookups > 0) == memo
+
+
+def test_mixed_fleet_prefilter_identical():
+    """On a heterogeneous DGX-1/K80 fleet the prefilter must still
+    reproduce the exhaustive host scan record-for-record."""
+    jobs = scenario2_jobs(60, 12, seed=11)
+    baseline = _run(_mixed_cluster, jobs, "TOPO-AWARE", exhaustive=True)
+    fast = _run(_mixed_cluster, jobs, "TOPO-AWARE")
+    _assert_identical(baseline, fast)
+    assert baseline.makespan == fast.makespan
+    assert baseline.decision_rounds == fast.decision_rounds
     assert fast.prefilter_stats["pruned"] > 0
     assert baseline.prefilter_stats["calls"] == 0
 
