@@ -108,7 +108,7 @@ def test_server_and_watchdog_overhead_under_3pct(benchmark, write_result):
     server itself only reads atomically-swapped objects off-thread.
     Pin: rounds x per-round observer cost < 3 % of the bare wall time.
     """
-    from repro.obs import EventLog, MetricsRegistry
+    from repro.obs import MetricsRegistry
     from repro.obs.alerts import DEFAULT_RULES, Watchdog
     from repro.obs.server import IntrospectionServer
     from repro.obs.state import SnapshotObserver, SnapshotPublisher
@@ -129,8 +129,7 @@ def test_server_and_watchdog_overhead_under_3pct(benchmark, write_result):
     # microbenchmarks and the reported (not asserted) wall-clock delta
     registry = MetricsRegistry()
     publisher = SnapshotPublisher()
-    watchdog = Watchdog(registry, EventLog(), DEFAULT_RULES,
-                        scheduler="TOPO-AWARE-P")
+    watchdog = Watchdog(registry, DEFAULT_RULES, scheduler="TOPO-AWARE-P")
     telemetry = TelemetryObserver(registry, scheduler="TOPO-AWARE-P")
     snapshots = SnapshotObserver(publisher)
     with IntrospectionServer(publisher, registry, watchdog):
@@ -204,7 +203,7 @@ def test_sampler_and_windowed_watchdog_overhead_under_3pct(
     are two orders of magnitude cheaper than production's.
     """
     from repro.analysis.scenarios import scenario2_jobs
-    from repro.obs import EventLog, MetricsRegistry
+    from repro.obs import MetricsRegistry
     from repro.obs.alerts import DEFAULT_RULES, Rule, Watchdog
     from repro.obs.telemetry import TelemetryObserver
     from repro.obs.timeseries import TimeSeriesSampler, TimeSeriesStore
@@ -229,8 +228,7 @@ def test_sampler_and_windowed_watchdog_overhead_under_3pct(
         Rule("util-min", "utilization", "<", -1.0, window=16, agg="min"),
     )
     registry = MetricsRegistry()
-    watchdog = Watchdog(registry, EventLog(), windowed,
-                        scheduler="TOPO-AWARE-P")
+    watchdog = Watchdog(registry, windowed, scheduler="TOPO-AWARE-P")
     telemetry = TelemetryObserver(registry, scheduler="TOPO-AWARE-P")
     store = TimeSeriesStore()
     sampler = TimeSeriesSampler(store)  # production 50 ms throttle

@@ -1,25 +1,25 @@
 #!/usr/bin/env python
-"""Telemetry tour: metrics, structured events, and decision tracing.
+"""Telemetry tour: metrics and the one record stream.
 
-Runs the paper's Table 1 workload under TOPO-AWARE-P with the full
+Runs the paper's Table 1 workload under TOPO-AWARE-P with the
 observability stack attached — a :class:`TelemetryObserver` feeding a
-metrics registry and a JSONL event log, plus a span recorder capturing
-the scheduler's internal decision path (DRB recursion, FM passes,
-Eq. 1-5 utility evaluation) — then shows each artifact the way the CLI
-flags (``--metrics-out``, ``--events-out``, ``--trace-out``) would
-write it.
+metrics registry, plus a :class:`DecisionRecorder` installed as the
+span sink, so one journal holds the run envelope, every job's
+lifecycle, every scheduling decision and the timing spans of the
+scheduler's decision path (DRB recursion, FM passes, Eq. 1-5 utility
+evaluation) — then shows each view the way the CLI flags
+(``--metrics-out``, ``--decisions-out``) and readers (``repro
+explain``, ``repro trace summarize``) would.
 
 Run:  python examples/telemetry_tour.py
 """
 
+import json
+
+from repro.analysis.explain import format_job_explanation
 from repro.analysis.scenarios import table1_jobs
-from repro.obs import (
-    EventLog,
-    MetricsRegistry,
-    recording,
-    render_prometheus,
-    summarize,
-)
+from repro.obs import MetricsRegistry, recording, render_prometheus, summarize
+from repro.obs.provenance import DecisionRecorder, records_of
 from repro.obs.telemetry import TelemetryObserver
 from repro.schedulers import make_scheduler
 from repro.sim.runner import run_with_observers
@@ -30,28 +30,23 @@ def main() -> None:
     topo = power8_minsky()
     jobs = table1_jobs()
 
-    # 1. Wire the tap: one observer feeds both metrics and events.
+    # 1. Wire the taps: metrics in a registry, records in the recorder.
     registry = MetricsRegistry()
-    event_log = EventLog()
     observer = TelemetryObserver(
-        registry,
-        event_log,
-        scheduler="TOPO-AWARE-P",
-        total_gpus=len(topo.gpus()),
+        registry, scheduler="TOPO-AWARE-P", total_gpus=len(topo.gpus())
     )
-    observer.run_start(len(jobs))
+    recorder = DecisionRecorder(journal=True, registry=registry)
 
-    # 2. Run with span recording active — every scheduler decision
-    #    leaves a tree of sched.propose/drb.map/fm.bipartition/
-    #    utility.evaluate spans.
-    with recording() as recorder:
-        result = run_with_observers(
+    # 2. Run with the recorder as the span sink — every scheduler
+    #    decision leaves a tree of sched.propose/drb.map/fm.bipartition/
+    #    utility.evaluate span records next to its decision record.
+    with recording(recorder):
+        run_with_observers(
             topo,
             make_scheduler("TOPO-AWARE-P"),
             jobs,
-            observers=(observer,),
+            observers=(observer, recorder),
         )
-    observer.run_end(result)
 
     # 3. Metrics, in Prometheus exposition format.
     print("=== Prometheus metrics (excerpt) ===")
@@ -66,22 +61,21 @@ def main() -> None:
         if line.startswith(interesting):
             print(line)
 
-    # 4. The structured event log (what --events-out writes as JSONL).
-    print("\n=== Event log ===")
-    print(f"{len(event_log)} events; lifecycle of job0:")
-    for event in event_log.events:
-        if event.get("job_id") == "job0":
-            extra = {
-                k: v
-                for k, v in event.items()
-                if k not in ("schema", "seq", "type", "t", "scheduler", "job_id")
-            }
-            print(f"  t={event['t']:>7.1f}  {event['type']:<9} {extra}")
+    # 4. The record journal (what --decisions-out writes as JSONL).
+    records = [json.loads(line) for line in recorder.journal]
+    kinds: dict[str, int] = {}
+    for record in records:
+        kinds[record["kind"]] = kinds.get(record["kind"], 0) + 1
+    print("\n=== Record journal ===")
+    print(f"{len(records)} records: {kinds}")
 
-    # 5. The decision trace, summarised per job.
-    print("\n=== Decision trace for job0 ===")
-    spans = [span.to_dict() for span in recorder.spans]
-    print(summarize(spans, job_id="job0"))
+    # 5. One job's story: lifecycle, decisions, decision time.
+    print("\n=== repro explain job job0 ===")
+    print(format_job_explanation("job0", records))
+
+    # 6. The decision path's spans, summarised per job.
+    print("\n=== repro trace summarize --job job0 ===")
+    print(summarize(records_of("span", records), job_id="job0"))
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 #!/usr/bin/env python
 """CI smoke check: one telemetry-enabled simulation, artifacts validated.
 
-Runs ``repro simulate`` with all three telemetry sinks on a small
-workload, then re-reads every artifact through the strict parsers:
+Runs ``repro simulate`` with ``--metrics-out`` and ``--decisions-out``
+on a 30-job workload, then re-reads both artifacts through the strict
+parsers:
 
 * the Prometheus exposition must parse, expose >= 12 metric families,
   and include the decision-latency histogram and queue-depth gauge;
-* the JSONL event log must validate against the schema and cover every
-  job's arrival, placement, and finish;
-* the trace must summarize into per-job decision timelines.
+* every line of the record journal must pass the one reader
+  (``read_records``), every job must have arrival, placement and
+  finish records, and every placed job a ``sched.propose`` span;
+* ``repro trace summarize`` and ``repro explain job`` must render
+  non-empty output from that same file.
 
 Exits non-zero (with a message) on any violation.  Budget: well under
 30 s.
@@ -18,12 +21,16 @@ Run:  PYTHONPATH=src python scripts/telemetry_smoke.py
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 import tempfile
 from pathlib import Path
 
 from repro.cli import main as repro_main
-from repro.obs import parse_prometheus, read_events, read_trace, summarize
+from repro.obs import parse_prometheus, read_records
+
+JOBS = 30
 
 
 def fail(message: str) -> None:
@@ -31,20 +38,26 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
+def run_cli(argv: list[str]) -> str:
+    """Run one ``repro`` command; return its stdout (exit 0 required)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = repro_main(argv)
+    if code != 0:
+        fail(f"repro {' '.join(argv)} exited with {code}")
+    return out.getvalue()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         metrics = Path(tmp) / "metrics.prom"
-        events = Path(tmp) / "events.jsonl"
-        trace = Path(tmp) / "trace.jsonl"
-        code = repro_main(
+        journal = Path(tmp) / "records.jsonl"
+        run_cli(
             ["simulate", "--scheduler", "topo-aware-p",
-             "--jobs", "30", "--machines", "2", "--seed", "42",
+             "--jobs", str(JOBS), "--machines", "2", "--seed", "42",
              "--metrics-out", str(metrics),
-             "--events-out", str(events),
-             "--trace-out", str(trace)]
+             "--decisions-out", str(journal)]
         )
-        if code != 0:
-            fail(f"simulate exited with {code}")
 
         # -- metrics ---------------------------------------------------
         families = parse_prometheus(metrics.read_text())
@@ -57,30 +70,41 @@ def main() -> None:
         if gauge is None or gauge["type"] != "gauge":
             fail("repro_queue_depth gauge missing")
 
-        # -- events ----------------------------------------------------
-        log = read_events(events)  # schema-validates every line
-        arrived = {e["job_id"] for e in log if e["type"] == "arrival"}
-        placed = {e["job_id"] for e in log if e["type"] == "place"}
-        finished = {e["job_id"] for e in log if e["type"] == "finish"}
-        if len(arrived) != 30:
-            fail(f"{len(arrived)} arrival events for 30 jobs")
+        # -- the record journal ----------------------------------------
+        records = read_records(journal)  # schema-validates every line
+        jobs = [r for r in records if r["kind"] == "job"]
+        arrived = {r["job_id"] for r in jobs
+                   if r["state"] == "QUEUED" and not r.get("restart")}
+        placed = {r["job_id"] for r in jobs if r["state"] == "RUNNING"}
+        finished = {r["job_id"] for r in jobs if r["state"] == "FINISHED"}
+        if len(arrived) != JOBS:
+            fail(f"{len(arrived)} arrival records for {JOBS} jobs")
         if not (arrived == placed == finished):
             fail(
                 "lifecycle coverage gap: "
                 f"arrived-placed={sorted(arrived - placed)} "
                 f"placed-finished={sorted(placed - finished)}"
             )
+        spans = [r for r in records if r["kind"] == "span"]
+        proposed = {s["attrs"].get("job_id") for s in spans
+                    if s["name"] == "sched.propose"}
+        if placed - proposed:
+            fail(f"placed jobs without a sched.propose span: "
+                 f"{sorted(placed - proposed)}")
 
-        # -- trace -----------------------------------------------------
-        spans = read_trace(trace)
-        timeline = summarize(spans)
+        # -- the readers, on the same file -----------------------------
+        timeline = run_cli(["trace", "summarize", str(journal)])
         if "sched.propose" not in timeline:
             fail("trace summary has no sched.propose spans")
+        job_id = min(placed)
+        story = run_cli(["explain", "job", job_id, str(journal)])
+        if "decision time: sched.propose" not in story:
+            fail(f"explain job {job_id} shows no decision time")
 
     print(
         f"telemetry smoke OK: {len(families)} metric families, "
-        f"{len(log)} events covering {len(arrived)} jobs, "
-        f"{len(spans)} trace spans"
+        f"{len(records)} records covering {len(arrived)} jobs, "
+        f"{len(spans)} spans"
     )
 
 

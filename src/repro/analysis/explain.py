@@ -1,15 +1,23 @@
-"""Render decision-provenance journals for ``repro explain``.
+"""Render record journals for ``repro explain``.
 
 The recorder (:mod:`repro.obs.provenance`) captures *what* the
-scheduler knew; this module turns those records into the terminal
-story a human asks for: "why did job X wait three rounds?", "what did
+scheduler knew and when; this module turns those records into the
+terminal story a human asks for: "why was job X placed there, and
+where did its time go?", "why did it wait three rounds?", "what did
 round 7 decide?".  Everything here is pure formatting over already-
 validated record dicts — no simulation state, no engine imports.
+
+A ``repro compare`` journal holds one run per policy, each numbering
+its ``seq`` and ``round`` from the start; every view here renders each
+run on its own, under a ``### <scheduler>`` heading when there are
+several.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+from repro.obs.provenance import render_runs
 
 
 def _fmt_float(value, digits: int = 4) -> str:
@@ -167,33 +175,83 @@ def format_decision(record: dict) -> str:
     return "\n".join(lines)
 
 
+def format_job_record(record: dict) -> str:
+    """One line for a job's lifecycle (``job`` kind) record."""
+    line = (
+        f"[t={_fmt_float(record.get('t'), 1)}] job {record.get('job_id')} "
+        f"-> {record.get('state')}"
+    )
+    if record.get("gpus") is not None:
+        line += (
+            f" on gpus={record['gpus']} p2p={record.get('p2p')} utility="
+            f"{_fmt_float(record.get('utility'))} after "
+            f"{record.get('postponements', 0)} postponement(s)"
+        )
+    if record.get("slo_violation"):
+        line += (
+            f" (SLO missed: min_utility "
+            f"{_fmt_float(record.get('min_utility'))})"
+        )
+    if record.get("restart"):
+        line += " (requeued after a machine failure)"
+    if record.get("evict_reason"):
+        line += f" (evicted: {record['evict_reason']})"
+    return line
+
+
 def format_job_explanation(job_id: str, records: Iterable[dict]) -> str:
-    """The decision chain for one job, oldest decision first."""
-    chain = [
-        r
+    """One job's story in journal order: its lifecycle records, its
+    decisions, and for each decision the time its ``sched.propose``
+    span took (when the journal holds spans)."""
+    text = render_runs(records, lambda run: _job_story(job_id, run))
+    return text if text is not None else f"no decision records for job {job_id!r}"
+
+
+def _job_story(job_id: str, records: list[dict]) -> str | None:
+    # the span that timed a decision: same job and round
+    propose_ms = {
+        (r["attrs"].get("job_id"), r["round"]): r["dur_s"] * 1e3
         for r in records
-        if r.get("kind") == "decision" and r.get("job_id") == job_id
+        if r.get("kind") == "span" and r.get("name") == "sched.propose"
+    }
+    story = [
+        r for r in records
+        if r.get("kind") in ("job", "decision") and r.get("job_id") == job_id
     ]
-    if not chain:
-        return f"no decision records for job {job_id!r}"
-    chain.sort(key=lambda r: r.get("seq", 0))
-    parts = [
-        f"job {job_id}: {len(chain)} decision(s), "
-        f"final verdict {chain[-1]['verdict']}"
-    ]
-    parts.extend(format_decision(r) for r in chain)
+    if not story:
+        return None
+    story.sort(key=lambda r: r["seq"])
+    decisions = [r for r in story if r["kind"] == "decision"]
+    header = f"job {job_id}: {len(decisions)} decision(s)"
+    if decisions:
+        header += f", final verdict {decisions[-1]['verdict']}"
+    parts = [header]
+    for record in story:
+        if record["kind"] == "job":
+            parts.append(format_job_record(record))
+            continue
+        text = format_decision(record)
+        ms = propose_ms.get((job_id, record.get("round")))
+        if ms is not None and record["verdict"] != "evict":
+            text += f"\n  decision time: sched.propose {ms:.3f} ms"
+        parts.append(text)
     return "\n\n".join(parts)
 
 
 def format_round_explanation(round_no: int, records: Iterable[dict]) -> str:
     """Every decision one round made, in decision order."""
+    text = render_runs(records, lambda run: _round_story(round_no, run))
+    return text if text is not None else f"no decision records for round {round_no}"
+
+
+def _round_story(round_no: int, records: list[dict]) -> str | None:
     decisions = [
         r
         for r in records
         if r.get("kind") == "decision" and r.get("round") == round_no
     ]
     if not decisions:
-        return f"no decision records for round {round_no}"
+        return None
     decisions.sort(key=lambda r: r.get("seq", 0))
     placed = sum(1 for r in decisions if r["verdict"] == "placed")
     parts = [
@@ -203,14 +261,23 @@ def format_round_explanation(round_no: int, records: Iterable[dict]) -> str:
     return "\n\n".join(parts)
 
 
+_TABLE_HEADER = (
+    f"{'seq':>5} {'round':>5} {'t':>8} {'job':<12} "
+    f"{'gpus':>4} {'verdict':<9} {'reason':<16} {'utility':>8}"
+)
+
+
 def decision_summary_table(records: Sequence[dict]) -> str:
     """Compact one-row-per-decision table (the `repro explain` index)."""
+    text = render_runs(records, _decision_table)
+    return text if text is not None else _TABLE_HEADER
+
+
+def _decision_table(records: list[dict]) -> str | None:
     decisions = [r for r in records if r.get("kind") == "decision"]
-    header = (
-        f"{'seq':>5} {'round':>5} {'t':>8} {'job':<12} "
-        f"{'gpus':>4} {'verdict':<9} {'reason':<16} {'utility':>8}"
-    )
-    lines = [header]
+    if not decisions:
+        return None
+    lines = [_TABLE_HEADER]
     for r in sorted(decisions, key=lambda r: r.get("seq", 0)):
         utility = (r.get("utility") or {}).get("value")
         lines.append(

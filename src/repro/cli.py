@@ -14,19 +14,20 @@ Subcommands::
     repro cancel JOB_ID --url URL                  # cancel a submitted job
     repro status --url URL [--job ID]              # job table / one job
     repro replay [MANIFEST] --url URL              # drive a trace via the API
-    repro trace summarize TRACE.jsonl [--job ID]   # decision timelines
-    repro trace export TRACE.jsonl [--out F]       # Perfetto/Chrome JSON
-    repro trace profile TRACE.jsonl [--top N]      # per-phase profiler
-    repro explain job ID DECISIONS.jsonl           # one job's decision chain
-    repro explain round N DECISIONS.jsonl          # one round's decisions
-    repro explain list DECISIONS.jsonl             # journal index table
+    repro trace summarize RECORDS.jsonl [--job ID] # decision timelines
+    repro trace export RECORDS.jsonl [--out F]     # Perfetto/Chrome JSON
+    repro trace profile RECORDS.jsonl [--top N]    # per-phase profiler
+    repro explain job ID RECORDS.jsonl             # one job's whole story
+    repro explain round N RECORDS.jsonl            # one round's decisions
+    repro explain list RECORDS.jsonl               # journal index table
 
-``simulate`` and ``compare`` accept telemetry sinks —
-``--metrics-out`` (Prometheus text, or JSON with a ``.json`` suffix),
-``--events-out`` (schema-versioned JSONL lifecycle events),
-``--trace-out`` (JSONL decision spans, fed to ``repro trace
-summarize``) and ``--decisions-out`` (per-decision provenance records,
-fed to ``repro explain``) — plus the live operational layer:
+``simulate`` and ``compare`` accept two telemetry sinks —
+``--metrics-out`` (Prometheus text, or JSON with a ``.json`` suffix)
+and ``--decisions-out`` (the one record journal: decisions, job
+lifecycle, rounds, failures, alerts, the run envelope and the
+decision path's timing spans, fed to ``repro explain`` and ``repro
+trace``, which render each policy's run of a ``compare`` journal
+apart) — plus the live operational layer:
 ``--serve PORT`` starts the introspection endpoint (``/metrics``,
 ``/healthz``, ``/state``, ``/alerts``, and with ``--decisions-out``
 also ``/decisions``, ``/explain/<id>`` and the ``/events`` SSE stream)
@@ -96,14 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        + (" per policy" if name == "compare" else ""))
         p.add_argument("--metrics-out", type=Path, default=None, metavar="FILE",
                        help="write metrics (Prometheus text; .json for JSON)")
-        p.add_argument("--events-out", type=Path, default=None, metavar="FILE",
-                       help="write the structured JSONL event log")
-        p.add_argument("--trace-out", type=Path, default=None, metavar="FILE",
-                       help="record decision-path spans to a JSONL trace")
         p.add_argument("--decisions-out", type=Path, default=None,
                        metavar="FILE",
-                       help="journal per-decision provenance records "
-                       "(JSONL, for `repro explain`; .gz compresses)")
+                       help="journal every record (decisions, lifecycle, "
+                       "rounds, alerts, timing spans) as JSONL, for "
+                       "`repro explain` and `repro trace`; .gz compresses")
         p.add_argument("--serve", type=int, default=None, metavar="PORT",
                        help="serve live introspection endpoints "
                        "(/metrics /healthz /state /alerts) on this port "
@@ -195,8 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission backpressure threshold")
     serve.add_argument("--decisions-out", type=Path, default=None,
                        metavar="FILE",
-                       help="write the decision-provenance journal at "
-                       "shutdown (JSONL; .gz compresses)")
+                       help="write the record journal at shutdown "
+                       "(JSONL; .gz compresses)")
     serve.add_argument("--watchdog", action="store_true",
                        help="attach the SLO watchdog (default rules) — "
                        "/alerts carries live state, soak verdicts work")
@@ -293,13 +291,15 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", type=Path, default=None,
                         help="write to a file instead of stdout")
 
-    trace = sub.add_parser("trace", help="inspect recorded decision traces")
+    trace = sub.add_parser(
+        "trace", help="inspect the timing spans of a record journal"
+    )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_summarize = trace_sub.add_parser(
         "summarize", help="per-job decision timeline from a trace file"
     )
     trace_summarize.add_argument("trace_file", type=Path,
-                                 help="JSONL trace written by --trace-out")
+                                 help="JSONL journal written by --decisions-out")
     trace_summarize.add_argument("--job", default=None,
                                  help="only this job id")
     trace_export = trace_sub.add_parser(
@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="convert a trace for Perfetto / chrome://tracing",
     )
     trace_export.add_argument("trace_file", type=Path,
-                              help="JSONL trace written by --trace-out")
+                              help="JSONL journal written by --decisions-out")
     trace_export.add_argument("--format", choices=("chrome",),
                               default="chrome",
                               help="output format (Chrome Trace Event JSON)")
@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-phase self/total times, critical paths, slowest rounds",
     )
     trace_profile.add_argument("trace_file", type=Path,
-                               help="JSONL trace written by --trace-out")
+                               help="JSONL journal written by --decisions-out")
     trace_profile.add_argument("--top", type=int, default=10,
                                help="rows in the slowest-rounds/heaviest-jobs "
                                "tables")
@@ -332,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     explain_sub = explain.add_subparsers(dest="explain_command", required=True)
     explain_job = explain_sub.add_parser(
-        "job", help="the full decision chain for one job"
+        "job", help="one job's lifecycle, decisions and decision time"
     )
     explain_job.add_argument("job_id")
     explain_job.add_argument("decisions_file", type=Path,
@@ -402,9 +402,10 @@ def _cmd_run(args) -> int:
 class _TelemetrySinks:
     """CLI-side lifecycle for the telemetry and operational flags.
 
-    Builds one shared registry/event log, hands out per-policy
-    :class:`TelemetryObserver` / :class:`Watchdog` / snapshot taps,
-    activates span recording only when a trace sink was requested,
+    Builds one shared registry, hands out per-policy
+    :class:`TelemetryObserver` / :class:`Watchdog` / decision recorder
+    / snapshot taps, installs each policy's decision recorder as the
+    span sink (so spans are captured only with ``--decisions-out``),
     starts the ``--serve`` introspection server for the duration of
     the run, and flushes every requested file once the runs finish.
     With no flags set it stays completely inert (no observers
@@ -416,12 +417,9 @@ class _TelemetrySinks:
     """
 
     def __init__(self, args) -> None:
-        from repro.obs import EventLog, MetricsRegistry
-        from repro.obs import trace as trace_mod
+        from repro.obs import MetricsRegistry
 
         self.metrics_out = args.metrics_out
-        self.events_out = args.events_out
-        self.trace_out = args.trace_out
         self.decisions_out = args.decisions_out
         self.serve_port = args.serve
         self.serve_linger = args.serve_linger
@@ -429,17 +427,12 @@ class _TelemetrySinks:
             args.watchdog or args.slo_rules is not None or args.serve is not None
         )
         self.enabled = (
-            any((self.metrics_out, self.events_out, self.trace_out,
-                 self.decisions_out))
+            self.metrics_out is not None
+            or self.decisions_out is not None
             or self.watchdog_enabled
             or self.serve_port is not None
         )
         self.registry = MetricsRegistry()
-        self.event_log = EventLog()
-        self.recorder = (
-            trace_mod.SpanRecorder() if self.trace_out is not None else None
-        )
-        self._trace_mod = trace_mod
         self.rules = None
         if self.watchdog_enabled:
             from repro.obs.alerts import DEFAULT_RULES, load_rules
@@ -464,42 +457,37 @@ class _TelemetrySinks:
         self.watchdogs: dict[str, object] = {}
         self.decision_recorders: dict[str, object] = {}
 
-    def observers(self, scheduler: str, total_gpus: int, n_jobs: int) -> tuple:
+    def observers(self, scheduler: str, total_gpus: int) -> tuple:
         if not self.enabled:
             return ()
         from repro.obs.telemetry import TelemetryObserver
 
         observer = TelemetryObserver(
-            self.registry,
-            self.event_log,
-            scheduler=scheduler,
-            total_gpus=total_gpus,
+            self.registry, scheduler=scheduler, total_gpus=total_gpus
         )
-        observer.run_start(n_jobs)
         taps: list = [observer]
         if self.watchdog_enabled:
             from repro.obs.alerts import Watchdog
 
             # after the telemetry observer, so registry-derived signals
             # are fresh when rules evaluate at each round boundary
-            watchdog = Watchdog(
-                self.registry,
-                self.event_log,
-                self.rules,
-                scheduler=scheduler,
-            )
+            watchdog = Watchdog(self.registry, self.rules, scheduler=scheduler)
             self.watchdogs[scheduler] = watchdog
             if self.server is not None:
                 # /alerts follows the policy currently running
                 self.server.watchdog = watchdog
             taps.append(watchdog)
         if self.decisions_out is not None:
+            from repro.obs import trace
             from repro.obs.provenance import DecisionRecorder
 
             decision_rec = DecisionRecorder(
                 journal=True, registry=self.registry, scheduler=scheduler
             )
             self.decision_recorders[scheduler] = decision_rec
+            # this policy's spans land in its journal (uninstalled when
+            # the sinks' context exits)
+            trace.install(decision_rec)
             if self.server is not None:
                 # /decisions, /explain/<id> and /events follow the
                 # policy currently running, like /alerts
@@ -518,8 +506,6 @@ class _TelemetrySinks:
         return tuple(taps)
 
     def __enter__(self):
-        if self.recorder is not None:
-            self._trace_mod.install(self.recorder)
         if self.server is not None:
             self.server.start()
             extra = (
@@ -534,8 +520,10 @@ class _TelemetrySinks:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.recorder is not None:
-            self._trace_mod.install(None)
+        if self.decisions_out is not None:
+            from repro.obs import trace
+
+            trace.install(None)
         if self.server is not None:
             if exc_type is None and self.serve_linger > 0:
                 import time
@@ -554,14 +542,6 @@ class _TelemetrySinks:
         if self.metrics_out is not None:
             write_metrics(self.registry, self.metrics_out)
             print(f"metrics written to {self.metrics_out}")
-        if self.events_out is not None:
-            self.event_log.write(self.events_out)
-            print(f"{len(self.event_log)} events written to {self.events_out}")
-        if self.trace_out is not None:
-            self.recorder.write(self.trace_out)
-            print(
-                f"{len(self.recorder.spans)} spans written to {self.trace_out}"
-            )
         if self.decisions_out is not None:
             from repro.obs.io import open_text
 
@@ -571,9 +551,7 @@ class _TelemetrySinks:
                     for line in decision_rec.journal:
                         fp.write(line + "\n")
                         total += 1
-            print(
-                f"{total} decision records written to {self.decisions_out}"
-            )
+            print(f"{total} records written to {self.decisions_out}")
 
     # ------------------------------------------------------------------
     # end-of-run operational summaries
@@ -622,7 +600,7 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    telemetry = sinks.observers(args.scheduler, len(topo.gpus()), len(jobs))
+    telemetry = sinks.observers(args.scheduler, len(topo.gpus()))
     with sinks:
         result = run_with_observers(
             topo,
@@ -662,7 +640,7 @@ def _cmd_compare(args) -> int:
     gantts: dict[str, GanttObserver] = {}
 
     def observer_factory(name: str):
-        observers = list(sinks.observers(name, total_gpus, len(jobs)))
+        observers = list(sinks.observers(name, total_gpus))
         if args.gantt:
             gantts[name] = GanttObserver(name)
             observers.append(gantts[name])
@@ -688,19 +666,29 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.obs import read_trace
+    from repro.obs.provenance import read_records, records_of, render_runs
 
     try:
-        spans = read_trace(args.trace_file)
+        records = read_records(args.trace_file)
     except (OSError, ValueError) as exc:
         # missing file or schema violation: one line, exit 2, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    spans = records_of("span", records)
+
+    def per_run(render) -> str:
+        # one span forest per run: span ids restart in each policy's run
+        def run_view(run: list) -> str | None:
+            run_spans = records_of("span", run)
+            return render(run_spans) if run_spans else None
+
+        text = render_runs(records, run_view)
+        return text if text is not None else render([])
 
     if args.trace_command == "summarize":
         from repro.obs import summarize as summarize_trace
 
-        print(summarize_trace(spans, job_id=args.job))
+        print(per_run(lambda run: summarize_trace(run, job_id=args.job)))
     elif args.trace_command == "export":
         from repro.obs.profile import write_chrome_trace
 
@@ -719,8 +707,9 @@ def _cmd_trace(args) -> int:
     else:  # profile
         from repro.obs.profile import format_profile, profile_spans
 
-        profile = profile_spans(spans, job_id=args.job)
-        print(format_profile(profile, top=args.top))
+        print(per_run(lambda run: format_profile(
+            profile_spans(run, job_id=args.job), top=args.top
+        )))
     return 0
 
 
@@ -730,10 +719,10 @@ def _cmd_explain(args) -> int:
         format_job_explanation,
         format_round_explanation,
     )
-    from repro.obs.provenance import read_decisions
+    from repro.obs.provenance import read_records
 
     try:
-        records = read_decisions(args.decisions_file)
+        records = read_records(args.decisions_file)
     except (OSError, ValueError) as exc:
         # missing file or schema violation: one line, exit 2, no traceback
         print(f"error: {exc}", file=sys.stderr)
@@ -903,7 +892,7 @@ def _cmd_serve(args) -> int:
     if args.decisions_out is not None and service.decision_recorder is not None:
         path = service.decision_recorder.write_journal(args.decisions_out)
         count = len(service.decision_recorder.journal or ())
-        print(f"{count} decision records written to {path}")
+        print(f"{count} records written to {path}")
     print("scheduler service stopped")
     return 0
 

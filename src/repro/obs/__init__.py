@@ -1,35 +1,36 @@
-"""Observability layer: metrics, structured events, decision tracing.
+"""Observability layer: metrics, one record stream, live endpoints.
 
 The production-facing telemetry the ROADMAP's north star requires and
 the evaluation used to recover post-hoc from ``JobRecord`` lists:
 
+* :mod:`repro.obs.provenance` — the decision flight recorder, the
+  program's one record stream: a schema-versioned "why" record per
+  scheduling decision (candidate pools, per-term utility breakdown,
+  SLO verdicts) plus job, round, failure, alert, run and span records,
+  one reader (:func:`read_records`), and the ``--decisions-out``
+  journal behind ``repro explain``, ``repro trace``, ``/decisions``,
+  ``/explain/<id>`` and the ``/events`` SSE stream;
+* :mod:`repro.obs.trace` — span tracer with no-op-by-default trace
+  points inside the DRB/FM/utility hot path; the installed sink
+  (a decision recorder, or an in-memory :class:`SpanRecorder`) keeps
+  the closed spans;
 * :mod:`repro.obs.metrics` — labelled Counter/Gauge/Histogram
   instruments in a :class:`MetricsRegistry`;
 * :mod:`repro.obs.export` — Prometheus text-format and JSON
   exposition (plus a strict parser used for validation);
-* :mod:`repro.obs.events` — versioned JSONL event log covering every
-  :class:`~repro.sim.hooks.SimObserver` lifecycle event and scheduler
-  internals;
-* :mod:`repro.obs.trace` — span tracer with no-op-by-default trace
-  points inside the DRB/FM/utility hot path;
 * :mod:`repro.obs.telemetry` — :class:`TelemetryObserver`, the bridge
-  from simulation hooks into the registry and event log;
+  from simulation hooks into the registry;
 * :mod:`repro.obs.state` — atomically-published immutable
   :class:`RunSnapshot` of the live run;
 * :mod:`repro.obs.server` — the ``--serve`` introspection endpoint
   (``/metrics``, ``/healthz``, ``/state``, ``/alerts``);
 * :mod:`repro.obs.profile` — Chrome Trace Event (Perfetto) export and
-  the per-phase/critical-path profiler;
+  the per-phase/critical-path profiler over span records;
 * :mod:`repro.obs.alerts` — the declarative SLO watchdog (point-in-
   time and windowed rules with explicit NaN policies);
 * :mod:`repro.obs.timeseries` — the in-process tiered ring-buffer
   time-series store and its sampling observer (cluster- and per-
   machine series behind ``/timeseries`` and ``/cluster``);
-* :mod:`repro.obs.provenance` — the decision flight recorder: one
-  schema-versioned "why" record per scheduling decision (candidate
-  pools, per-term utility breakdown, SLO verdicts), backing
-  ``repro explain``, ``/decisions``, ``/explain/<id>`` and the
-  ``/events`` SSE stream;
 * :mod:`repro.obs.io` — tiny shared IO helpers (gzip-transparent
   ``open_text``).
 
@@ -39,15 +40,6 @@ disabled trace points stay within 3 % of the uninstrumented runtime
 (enforced by ``benchmarks/test_obs_overhead.py``).
 """
 
-from repro.obs.events import (
-    EVENT_TYPES,
-    SCHEMA_VERSION,
-    EventLog,
-    iter_events,
-    read_events,
-    validate_event,
-    validate_events,
-)
 from repro.obs.export import (
     parse_prometheus,
     render_json,
@@ -74,10 +66,8 @@ from repro.obs.profile import (
 )
 from repro.obs.trace import (
     NULL_SPAN,
-    TRACE_SCHEMA_VERSION,
     SpanRecorder,
     install,
-    read_trace,
     recording,
     span,
     summarize,
@@ -88,8 +78,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_RULES",
     "DecisionRecorder",
-    "EVENT_TYPES",
-    "EventLog",
     "Gauge",
     "Histogram",
     "IntrospectionServer",
@@ -100,12 +88,10 @@ __all__ = [
     "RoundProfile",
     "Rule",
     "RunSnapshot",
-    "SCHEMA_VERSION",
     "SnapshotObserver",
     "SnapshotPublisher",
     "SpanRecorder",
     "TIMESERIES_SCHEMA_VERSION",
-    "TRACE_SCHEMA_VERSION",
     "TelemetryObserver",
     "TieredSeries",
     "TimeSeriesSampler",
@@ -115,14 +101,11 @@ __all__ = [
     "format_profile",
     "install",
     "is_gzip_path",
-    "iter_events",
     "load_rules",
     "open_text",
     "parse_prometheus",
     "profile_spans",
-    "read_decisions",
-    "read_events",
-    "read_trace",
+    "read_records",
     "recording",
     "render_json",
     "render_prometheus",
@@ -130,8 +113,7 @@ __all__ = [
     "span",
     "summarize",
     "to_chrome_trace",
-    "validate_event",
-    "validate_events",
+    "validate_record",
     "write_chrome_trace",
     "write_metrics",
 ]
@@ -153,7 +135,8 @@ _LAZY = {
     "load_rules": "repro.obs.alerts",
     "DecisionRecorder": "repro.obs.provenance",
     "PROVENANCE_SCHEMA_VERSION": "repro.obs.provenance",
-    "read_decisions": "repro.obs.provenance",
+    "read_records": "repro.obs.provenance",
+    "validate_record": "repro.obs.provenance",
     "TimeSeriesStore": "repro.obs.timeseries",
     "TimeSeriesSampler": "repro.obs.timeseries",
     "TieredSeries": "repro.obs.timeseries",

@@ -26,9 +26,10 @@ running_jobs            jobs currently executing
 
 A rule fires once its condition has held for ``for_rounds``
 consecutive rounds (edge-triggered: it must clear before it can fire
-again) and emits a schema-versioned ``alert`` event into the event
-log, increments ``repro_alerts_fired_total{scheduler,rule}``, and is
-collected into the end-of-run summary the runner attaches to
+again), records a schema-versioned ``alert`` record in the run's
+decision flight recorder (when one is attached), increments
+``repro_alerts_fired_total{scheduler,rule}``, and is collected into
+the end-of-run summary the runner attaches to
 :attr:`SimulationResult.alerts`.
 
 **Windowed rules** evaluate a trailing window instead of the instant:
@@ -64,7 +65,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.obs.events import EventLog
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.hooks import BaseObserver
 
@@ -315,20 +315,21 @@ class Watchdog(BaseObserver):
     Shares the :class:`MetricsRegistry` with the
     :class:`~repro.obs.telemetry.TelemetryObserver` (attach the
     telemetry observer *first* so gauges are fresh when rules run —
-    the CLI wiring guarantees this) and optionally emits ``alert``
-    events into the shared :class:`EventLog`.
+    the CLI wiring guarantees this).  Every firing and resolution is
+    also recorded as an ``alert`` record by the decision recorder of the
+    simulation it is bound to, if that simulation has one.  Rounds are
+    numbered from 0, like the recorder's ``round`` records, so an alert
+    carries the number of the round it fired in.
     """
 
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
-        event_log: EventLog | None = None,
         rules: Sequence[Rule] = DEFAULT_RULES,
         *,
         scheduler: str = "",
     ) -> None:
         self.registry = registry
-        self.events = event_log
         self.rules = tuple(rules)
         names = [r.name for r in self.rules]
         if len(set(names)) != len(names):
@@ -343,9 +344,12 @@ class Watchdog(BaseObserver):
         )
         self._rounds = 0
         self._starved_rounds = 0
+        # job id -> postponements already counted; dropped at the job's
+        # terminal hook so the map holds live jobs only
         self._postponements: dict[str, int] = {}
         self._postponements_total = 0
         self._requeues = 0
+        self._sim = None
         self._cluster = None
         self._total_gpus = 0
         # p95 is only recomputed after a placement lands in the waiting
@@ -368,6 +372,7 @@ class Watchdog(BaseObserver):
     # ------------------------------------------------------------------
     def bind_simulation(self, sim) -> None:
         """Runner wiring: read cluster-derived signals directly."""
+        self._sim = sim
         self._cluster = sim.cluster
         self._total_gpus = len(sim.topo.gpus())
         if not self.scheduler:
@@ -437,11 +442,17 @@ class Watchdog(BaseObserver):
             self._postponements_total += postponements - seen
             self._postponements[job.job_id] = postponements
 
+    def on_finish(self, t, job, gpus):
+        self._postponements.pop(job.job_id, None)
+
+    def on_evict(self, t, job, gpus, reason):
+        if reason == "cancel":
+            self._postponements.pop(job.job_id, None)
+
     def on_requeue(self, t, job):
         self._requeues += 1
 
     def on_decision_round(self, t, placed, queued, elapsed_s):
-        self._rounds += 1
         if queued > 0 and not placed:
             self._starved_rounds += 1
         else:
@@ -465,6 +476,7 @@ class Watchdog(BaseObserver):
                 state.active = False
                 if was_active:
                     self._resolve(rule, value, t)
+        self._rounds += 1
 
     # ------------------------------------------------------------------
     # alert lifecycle
@@ -490,18 +502,17 @@ class Watchdog(BaseObserver):
         self.fired.append(doc)
         if self._fired_counter is not None:
             self._fired_counter.inc(scheduler=self.scheduler, rule=rule.name)
-        self._emit(doc)
+        self._record(doc)
         self._published = self._publish()
 
     def _resolve(self, rule: Rule, value: float, t: float) -> None:
-        self._emit(self._alert_doc(rule, value, t, "resolved"))
+        self._record(self._alert_doc(rule, value, t, "resolved"))
         self._published = self._publish()
 
-    def _emit(self, doc: dict) -> None:
-        if self.events is not None:
-            fields = {k: v for k, v in doc.items() if k != "t"}
-            self.events.emit("alert", doc["t"], scheduler=self.scheduler,
-                             **fields)
+    def _record(self, doc: dict) -> None:
+        recorder = getattr(self._sim, "decision_recorder", None)
+        if recorder is not None:
+            recorder.alert(doc)
 
     # ------------------------------------------------------------------
     # read-side surfaces

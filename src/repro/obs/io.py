@@ -1,9 +1,8 @@
 """Shared text-file IO for the observability readers and writers.
 
-Every JSONL artifact in :mod:`repro.obs` (event logs, decision traces,
-provenance journals) may be gzip-compressed — long soak runs would
-otherwise force multi-GB uncompressed logs.  :func:`open_text` is the
-one seam: a ``.gz`` suffix transparently selects :mod:`gzip` for both
+The JSONL record journal (``--decisions-out``) may be gzip-compressed
+— long soak runs would otherwise force multi-GB uncompressed logs.
+:func:`open_text` is the one seam: a ``.gz`` suffix transparently selects :mod:`gzip` for both
 reading and writing, so ``repro trace export|profile`` and ``repro
 explain`` accept ``foo.jsonl`` and ``foo.jsonl.gz`` alike.
 """

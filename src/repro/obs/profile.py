@@ -1,7 +1,7 @@
 """Trace analytics: Perfetto export and a critical-path profiler.
 
-Span JSONL written by ``--trace-out`` is exact but unreadable at
-fig11 scale (10k jobs -> hundreds of thousands of spans).  Two views
+Span records journaled by ``--decisions-out`` are exact but unreadable
+at fig11 scale (10k jobs -> hundreds of thousands of spans).  Two views
 fix that:
 
 * :func:`to_chrome_trace` converts spans to the Chrome Trace Event
@@ -41,20 +41,34 @@ def to_chrome_trace(spans: Sequence[dict], *, pid: int = 1) -> dict:
     microsecond ``ts``/``dur``, its attributes under ``args`` and its
     dotted-name prefix as the category.  The recorder's stack
     discipline guarantees proper nesting, so a single synthetic thread
-    per trace renders the full tree; a thread-name metadata event
-    labels it.  Events are sorted by ``ts`` (monotonic — Perfetto and
+    per policy renders the full tree; a thread-name metadata event
+    labels it.  The span records of a ``compare`` journal carry their
+    policy's ``scheduler``, and each policy gets its own process id
+    (``pid``, ``pid + 1``, ...): its recorder had its own clock origin,
+    so its spans must not nest into another policy's.  Events are
+    sorted by ``ts`` within each process (monotonic — Perfetto and
     ``chrome://tracing`` both require it).
     """
+    pids: dict[str | None, int] = {}
+    for span in spans:
+        pids.setdefault(span.get("scheduler"), pid + len(pids))
     events: list[dict] = [
         {
             "name": "thread_name",
             "ph": "M",
-            "pid": pid,
+            "pid": run_pid,
             "tid": 1,
-            "args": {"name": "scheduler decision path"},
+            "args": {
+                "name": f"{scheduler} decision path" if scheduler
+                else "scheduler decision path"
+            },
         }
+        for scheduler, run_pid in (pids or {None: pid}).items()
     ]
-    for span in sorted(spans, key=lambda s: (s["start_s"], s["span_id"])):
+    for span in sorted(
+        spans,
+        key=lambda s: (pids[s.get("scheduler")], s["start_s"], s["span_id"]),
+    ):
         name = span["name"]
         events.append(
             {
@@ -63,7 +77,7 @@ def to_chrome_trace(spans: Sequence[dict], *, pid: int = 1) -> dict:
                 "ph": "X",
                 "ts": span["start_s"] * _US,
                 "dur": max(0.0, span["dur_s"]) * _US,
-                "pid": pid,
+                "pid": pids[span.get("scheduler")],
                 "tid": 1,
                 "args": dict(span.get("attrs", {})),
             }

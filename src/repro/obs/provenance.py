@@ -1,10 +1,9 @@
-"""Decision provenance: the scheduler's bounded flight recorder.
+"""Decision provenance: the program's one record stream.
 
 The scheduler pipeline (Algorithm 1) is a chain of judgments — filter
-hosts, DRB-map, score with the utility function, enforce or postpone —
-and the rest of the obs stack records *when* each phase ran but not
-*why* it chose what it chose.  :class:`DecisionRecorder` captures one
-schema-versioned record per scheduling decision:
+hosts, DRB-map, score with the utility function, enforce or postpone.
+:class:`DecisionRecorder` captures one schema-versioned record per
+scheduling decision:
 
 * candidate pool sizes and prune reasons from ``filter_hosts`` and the
   scheduler's O(1) capacity pruning (see :data:`PRUNE_REASONS`;
@@ -17,10 +16,17 @@ schema-versioned record per scheduling decision:
   ``TopoAwareScheduler._acceptable`` (which predicate failed, and any
   anti-starvation override).
 
-It is also a :class:`~repro.sim.hooks.SimObserver`: job-state-change
-events (arrival, placement, finish, failure requeue) and round
-boundaries are recorded alongside decisions so a Server-Sent-Events
-client gets a live feed without polling ``/jobs``.
+Around the decisions it keeps every other fact a run produces, each as
+a record kind (:data:`RECORD_KINDS`): job state changes (``job``),
+round boundaries (``round``), machine failures (``failure``), watchdog
+alert transitions (``alert``), the run envelope (``run_start`` /
+``run_end``) and, when the recorder is installed as the
+:mod:`repro.obs.trace` sink, the timing spans of the decision path
+(``span``, stamped with the round they ran in).  Every record names
+its policy (``scheduler``), and :func:`split_runs` cuts a ``compare``
+journal back into its per-policy runs.  A Server-Sent-Events client
+gets the live feed without polling ``/jobs``; ``repro explain`` and
+``repro trace`` read the same file back through :func:`read_records`.
 
 Tap-only by construction: the recorder only ever *receives* data the
 hot path already computed (the provenance dicts it is handed are built
@@ -38,12 +44,13 @@ string object* as the journaled ``--decisions-out`` record with the
 same ``seq`` — byte-match by construction.  Deferral is safe because
 every reference captured is frozen at decision time: the provenance
 and SLO dicts are built fresh per decision and never touched again by
-the scheduler, ``PlacementSolution`` is a frozen dataclass, and the
-engine's topology/parameters (all ``utility_breakdown`` reads) are
-static for the run.  Overflow evicts the oldest entry and counts
-evicted decisions in ``dropped_total`` (surfaced as the
-``repro_decisions_dropped_total`` metric family) so provenance loss is
-visible rather than silent.
+the scheduler, ``PlacementSolution`` is a frozen dataclass, closed
+spans are never reopened, and the engine's topology/parameters (all
+``utility_breakdown`` reads) are static for the run.  Overflow evicts
+the oldest entry and counts evicted decisions in ``dropped_total``
+(surfaced as the ``repro_decisions_dropped_total`` metric family) so
+provenance loss is visible rather than silent.  Span records go to the
+journal only, never to the ring, so tracing cannot evict a decision.
 """
 
 from __future__ import annotations
@@ -52,10 +59,12 @@ import json
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
-from repro.core.utility import utility_breakdown
+from repro.core.utility import SLO_EPS, utility_breakdown
+from repro.obs import trace as _trace
 from repro.obs.io import open_text
+from repro.obs.trace import SpanRecorder
 from repro.sim.hooks import BaseObserver
 
 #: version stamped on every record ("schema" field)
@@ -81,16 +90,36 @@ PRUNE_REASONS = (
     "prefilter",
 )
 
-#: fields every decision-kind record must carry (reader validation)
-_DECISION_REQUIRED = ("seq", "round", "t", "scheduler", "job_id", "verdict")
+#: fields every record carries: the envelope.  ``scheduler`` names the
+#: policy whose run wrote the record, so the several runs a ``compare``
+#: journal holds stay apart (see :func:`split_runs`).
+ENVELOPE = ("schema", "seq", "kind", "scheduler")
+
+#: record kind -> fields a record of that kind must carry beyond the
+#: envelope (checked by the reader; extra fields are allowed)
+RECORD_KINDS: dict[str, tuple[str, ...]] = {
+    "decision": ("round", "t", "job_id", "verdict"),
+    "job": ("t", "job_id", "state"),
+    "round": ("round", "t", "placed", "queued"),
+    "failure": ("t", "machine", "victims"),
+    "alert": ("round", "t", "rule", "signal", "op", "value", "threshold",
+              "severity", "state"),
+    "run_start": ("t", "jobs", "total_gpus"),
+    "run_end": ("t", "makespan", "finished", "unplaceable"),
+    "span": ("round", "span_id", "parent_id", "name", "start_s", "dur_s",
+             "attrs"),
+}
 
 
 class DecisionRecorder(BaseObserver):
-    """Bounded flight recorder for scheduler decisions + job events.
+    """Bounded flight recorder for scheduler decisions + run records.
 
     ``ring_size`` bounds the replay buffer (oldest entries evicted);
-    ``journal=True`` additionally keeps every *decision* line unbounded
-    for ``--decisions-out`` export; ``registry`` (optional) registers
+    ``journal=True`` additionally keeps every record unbounded for
+    ``--decisions-out`` export (span records are kept there only);
+    ``scheduler`` is the policy every record names (filled in by
+    :meth:`bind_simulation` or the first decision when left empty);
+    ``registry`` (optional) registers
     the ``repro_decisions_recorded_total`` /
     ``repro_decisions_dropped_total`` counter families.
 
@@ -129,6 +158,7 @@ class DecisionRecorder(BaseObserver):
         self.recorded_total = 0
         self.dropped_total = 0
         self._journal: list[list] | None = [] if journal else None
+        self._spans = _SpanJournal(self)
         self._recorded_ctr = None
         self._dropped_ctr = None
         if registry is not None:
@@ -153,8 +183,9 @@ class DecisionRecorder(BaseObserver):
         # parked in wait_beyond (a missed-registration race costs that
         # reader one wait timeout, nothing more).
         self._seq += 1
+        entry = [self._seq, kind, payload, None]
         ring = self._ring
-        ring.append([self._seq, kind, payload, None])
+        ring.append(entry)
         if len(ring) > self.ring_size:
             old = ring.popleft()
             if old[1] == "decision":
@@ -165,14 +196,8 @@ class DecisionRecorder(BaseObserver):
             self.recorded_total += 1
             if self._recorded_ctr is not None:
                 self._recorded_ctr.inc(scheduler=self.scheduler)
-            if self._journal is not None:
-                self._journal.append(ring[-1])
-        elif (kind == "job" and self._journal is not None
-                and len(payload) > 6 and payload[6] is not None):
-            # evictions are decisions too: the job-kind record carrying
-            # an evict_reason (operator /evict, policy preempt/migrate)
-            # belongs in the durable journal, not just the SSE ring
-            self._journal.append(ring[-1])
+        if self._journal is not None:
+            self._journal.append(entry)
         if self._waiters:
             with self._cond:
                 self._cond.notify_all()
@@ -245,7 +270,9 @@ class DecisionRecorder(BaseObserver):
 
     def on_place(self, t, job, solution, solo_exec_time, postponements):
         self._append(
-            "job", (t, job.job_id, "RUNNING", solution, postponements, False)
+            "job",
+            (t, job.job_id, "RUNNING", solution, postponements, False, None,
+             job.min_utility),
         )
 
     def on_finish(self, t, job, gpus):
@@ -259,9 +286,60 @@ class DecisionRecorder(BaseObserver):
         state = "CANCELLED" if reason == "cancel" else "QUEUED"
         self._append("job", (t, job.job_id, state, None, None, False, reason))
 
+    def on_failure(self, t, machine, victims):
+        self._append("failure", {
+            "t": t, "machine": machine, "victims": [j.job_id for j in victims],
+        })
+
     def on_decision_round(self, t, placed, queued, elapsed_s):
-        self._append("round", (self._round, t, len(placed), queued))
+        # the round's wall time is journaled only while spans are
+        # captured: a journal without spans stays deterministic
+        elapsed = elapsed_s if _trace.ACTIVE is self else None
+        self._append("round", (self._round, t, len(placed), queued, elapsed))
         self._round += 1
+
+    # ------------------------------------------------------------------
+    # the run envelope, alerts and spans
+    # ------------------------------------------------------------------
+    def bind_simulation(self, sim) -> None:
+        """Runner wiring: open the run with a ``run_start`` record."""
+        if not self.scheduler:
+            self.scheduler = sim.scheduler.name
+        self._append("run_start", {
+            "t": 0.0,
+            "scheduler": sim.scheduler.name,
+            "jobs": len(sim.jobs),
+            "total_gpus": len(sim.topo.gpus()),
+        })
+
+    def finalize_result(self, result) -> None:
+        """Runner wiring: close the run with a ``run_end`` record."""
+        fields = {
+            "t": result.makespan,
+            "scheduler": result.scheduler_name,
+            "makespan": result.makespan,
+            "finished": sum(
+                1 for r in result.records if r.finished_at is not None
+            ),
+            "unplaceable": sum(1 for r in result.records if r.unplaceable),
+        }
+        if result.placement_stats:
+            fields["placement_cache"] = result.placement_stats
+        if result.prefilter_stats:
+            fields["prefilter"] = result.prefilter_stats
+        self._append("run_end", fields)
+
+    def alert(self, doc: dict) -> None:
+        """Record one watchdog alert transition (firing or resolved);
+        ``doc`` must not be mutated afterwards (it is read lazily)."""
+        self._append("alert", doc)
+
+    def span(self, name: str, **attrs):
+        """Open a timing span: the recorder is a duck-typed
+        :data:`repro.obs.trace.ACTIVE` sink.  Once closed, the span is
+        journaled as a ``span`` record stamped with the current round;
+        without a journal it is dropped."""
+        return self._spans.span(name, **attrs)
 
     # ------------------------------------------------------------------
     # lazy materialisation (read threads; cached back into the entry)
@@ -277,47 +355,38 @@ class DecisionRecorder(BaseObserver):
 
     def _build(self, entry: list) -> dict:
         seq, kind, payload = entry[0], entry[1], entry[2]
+        record = {
+            "schema": PROVENANCE_SCHEMA_VERSION,
+            "seq": seq,
+            "kind": kind,
+            "scheduler": self.scheduler,
+        }
         if kind == "decision":
             (
-                round_no,
-                t,
-                scheduler,
-                job_id,
-                num_gpus,
-                queued,
-                verdict,
-                reason,
-                propose,
-                slo,
-                postponements,
-                capacity,
-                solution,
-                engine,
-                evict,
+                round_no, t, scheduler, job_id, num_gpus, queued, verdict,
+                reason, propose, slo, postponements, capacity, solution,
+                engine, evict,
             ) = payload
             propose = propose or {}
-            record = {
-                "schema": PROVENANCE_SCHEMA_VERSION,
-                "seq": seq,
-                "kind": "decision",
-                "round": round_no,
-                "t": t,
-                "scheduler": scheduler,
-                "job_id": job_id,
-                "num_gpus": num_gpus,
-                "queued": queued,
-                "verdict": verdict,
-                "reason": reason,
-                "memo": propose.get("memo"),
-                "pools": propose.get("pools"),
-                "candidates": propose.get("candidates"),
-                "capacity": capacity,
-                "utility": None,
-                "slo": slo,
-                "gpus": None,
-                "p2p": None,
-                "postponements": postponements,
-            }
+            record.update(
+                scheduler=scheduler,
+                round=round_no,
+                t=t,
+                job_id=job_id,
+                num_gpus=num_gpus,
+                queued=queued,
+                verdict=verdict,
+                reason=reason,
+                memo=propose.get("memo"),
+                pools=propose.get("pools"),
+                candidates=propose.get("candidates"),
+                capacity=capacity,
+                utility=None,
+                slo=slo,
+                gpus=None,
+                p2p=None,
+                postponements=postponements,
+            )
             if evict is not None:
                 record["evict"] = evict
             if solution is not None:
@@ -330,51 +399,50 @@ class DecisionRecorder(BaseObserver):
                         solution.metrics,
                         engine.params,
                     )
-            return record
-        if kind == "job":
-            t, job_id, state, solution, postponements, restart = payload[:6]
-            evict_reason = payload[6] if len(payload) > 6 else None
-            record = {
-                "schema": PROVENANCE_SCHEMA_VERSION,
-                "seq": seq,
-                "kind": "job",
-                "t": t,
-                "job_id": job_id,
-                "state": state,
-            }
+        elif kind == "job":
+            t, job_id, state, solution, postponements, restart, *rest = payload
+            record.update(t=t, job_id=job_id, state=state)
             if solution is not None:
                 record["gpus"] = sorted(solution.gpus)
                 record["utility"] = solution.utility
+                record["p2p"] = solution.p2p
                 record["postponements"] = postponements
+                min_utility = rest[1]
+                if solution.utility < min_utility - SLO_EPS:
+                    record["slo_violation"] = True
+                    record["min_utility"] = min_utility
             if restart:
                 record["restart"] = True
-            if evict_reason is not None:
-                record["evict_reason"] = evict_reason
-            return record
-        round_no, t, n_placed, queued = payload
-        return {
-            "schema": PROVENANCE_SCHEMA_VERSION,
-            "seq": seq,
-            "kind": "round",
-            "round": round_no,
-            "t": t,
-            "placed": n_placed,
-            "queued": queued,
-        }
+            if rest and rest[0] is not None:
+                record["evict_reason"] = rest[0]
+        elif kind == "round":
+            round_no, t, n_placed, queued, elapsed_s = payload
+            record.update(round=round_no, t=t, placed=n_placed, queued=queued)
+            if elapsed_s is not None:
+                record["elapsed_s"] = elapsed_s
+        elif kind == "span":
+            round_no, span = payload
+            record["round"] = round_no
+            record.update(span.to_dict())
+        else:
+            record.update(payload)
+        return record
 
     # ------------------------------------------------------------------
     # the read side (HTTP/SSE threads, CLI, tests)
     # ------------------------------------------------------------------
     @property
     def last_seq(self) -> int:
-        return self._seq
+        """Sequence number of the newest ring entry (0 when empty)."""
+        ring = self._ring
+        return ring[-1][0] if ring else 0
 
     def counts(self) -> dict:
         return {"recorded": self.recorded_total, "dropped": self.dropped_total}
 
     @property
     def journal(self) -> list[str] | None:
-        """The kept decision lines (``None`` unless ``journal=True``)."""
+        """Every kept record line (``None`` unless ``journal=True``)."""
         if self._journal is None:
             return None
         return [self._line(e) for e in list(self._journal)]
@@ -390,13 +458,14 @@ class DecisionRecorder(BaseObserver):
         ]
 
     def wait_beyond(self, cursor: int, timeout: float) -> bool:
-        """Block until an entry beyond ``cursor`` exists (or timeout)."""
-        if self._seq > cursor:
+        """Block until a ring entry beyond ``cursor`` exists (or
+        timeout)."""
+        if self.last_seq > cursor:
             return True
         with self._cond:
             self._waiters += 1
             try:
-                if self._seq > cursor:
+                if self.last_seq > cursor:
                     return True
                 return self._cond.wait(timeout)
             finally:
@@ -412,16 +481,21 @@ class DecisionRecorder(BaseObserver):
         ]
 
     def for_job(self, job_id: str) -> list[dict]:
-        """The decision chain for one job (journal if kept, else ring)."""
-        if self._journal is not None:
-            entries = list(self._journal)
-        else:
-            entries = [e for e in list(self._ring) if e[1] == "decision"]
-        records = (json.loads(self._line(e)) for e in entries)
-        return [r for r in records if r.get("job_id") == job_id]
+        """One job's decisions and evictions (the ``job`` records with
+        an ``evict_reason``), journal if kept, else ring."""
+        entries = self._ring if self._journal is None else self._journal
+        return [
+            json.loads(self._line(e))
+            for e in list(entries)
+            if (e[1] == "decision" and e[2][3] == job_id)
+            or (
+                e[1] == "job" and e[2][1] == job_id
+                and len(e[2]) > 6 and e[2][6] is not None  # evict_reason
+            )
+        ]
 
     def write_journal(self, path: Path | str) -> Path:
-        """Write the kept decision journal as JSONL (gzip for ``.gz``)."""
+        """Write the kept journal as JSONL (gzip for ``.gz``)."""
         if self._journal is None:
             raise ValueError("recorder was built without journal=True")
         path = Path(path)
@@ -432,46 +506,103 @@ class DecisionRecorder(BaseObserver):
         return path
 
 
+class _SpanJournal(SpanRecorder):
+    """A recorder's span stack: a closed span becomes a ``span`` record
+    in the recorder's journal instead of staying in ``spans``."""
+
+    def __init__(self, recorder: DecisionRecorder) -> None:
+        super().__init__()
+        self._recorder = recorder
+
+    def _keep(self, span) -> None:
+        pass
+
+    def _close(self, span) -> None:
+        super()._close(span)
+        rec = self._recorder
+        if rec._journal is not None:
+            rec._seq += 1
+            rec._journal.append([rec._seq, "span", (rec._round, span), None])
+
+
 # ---------------------------------------------------------------------------
-# reading journals back (the `repro explain` loader)
+# reading journals back (`repro explain` and `repro trace`)
 # ---------------------------------------------------------------------------
 
-def validate_decision(record: dict) -> dict:
-    """Schema-check one provenance record; returns it unchanged."""
+def validate_record(record: dict) -> dict:
+    """Schema-check one record of any kind; returns it unchanged."""
+    if not isinstance(record, dict):
+        raise ValueError(
+            f"record must be an object, got {type(record).__name__}"
+        )
     if record.get("schema") != PROVENANCE_SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported provenance schema {record.get('schema')!r}"
+            f"unsupported record schema {record.get('schema')!r} "
+            f"(this reader understands {PROVENANCE_SCHEMA_VERSION})"
         )
     kind = record.get("kind")
-    if kind == "decision":
-        for field in _DECISION_REQUIRED:
-            if field not in record:
-                raise ValueError(f"decision record missing {field!r}")
-        if record["verdict"] not in DECISION_VERDICTS:
-            raise ValueError(f"unknown verdict {record['verdict']!r}")
-    elif kind not in ("job", "round"):
+    if kind not in RECORD_KINDS:
         raise ValueError(f"unknown record kind {kind!r}")
+    missing = [f for f in (*ENVELOPE, *RECORD_KINDS[kind]) if f not in record]
+    if missing:
+        raise ValueError(f"{kind} record missing fields {missing}")
+    if "t" in record and not isinstance(record["t"], (int, float)):
+        raise ValueError(f"{kind} record field 't' must be numeric")
+    if kind == "decision" and record["verdict"] not in DECISION_VERDICTS:
+        raise ValueError(f"unknown verdict {record['verdict']!r}")
     return record
 
 
-def read_decisions(path: Path | str) -> list[dict]:
-    """Load a ``--decisions-out`` journal (``.jsonl`` or ``.jsonl.gz``)."""
+def read_records(path: Path | str) -> list[dict]:
+    """Load a ``--decisions-out`` journal (``.jsonl`` or ``.jsonl.gz``),
+    validating every line; errors name ``file:line``."""
     records: list[dict] = []
     with open_text(path) as fp:
         for lineno, line in enumerate(fp, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                records.append(validate_record(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from None
-            try:
-                records.append(validate_decision(record))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return records
 
 
-def decision_records(records: Iterable[dict]) -> list[dict]:
-    """Filter a record stream down to decision-kind records."""
-    return [r for r in records if r.get("kind") == "decision"]
+def records_of(kind: str, records: Iterable[dict]) -> list[dict]:
+    """Filter a record stream down to one kind."""
+    return [r for r in records if r.get("kind") == kind]
+
+
+def split_runs(records: Iterable[dict]) -> list[tuple[str, list[dict]]]:
+    """Cut a record stream into its runs, ``(scheduler, records)`` in
+    file order.  A run starts at each ``run_start`` record and wherever
+    the ``scheduler`` changes: ``repro compare`` journals one run per
+    policy into one file, and each run numbers its ``seq``, ``round``
+    and ``span_id`` from the start, so readers must not mix them."""
+    runs: list[tuple[str, list[dict]]] = []
+    for record in records:
+        scheduler = record.get("scheduler", "")
+        if (
+            not runs
+            or record.get("kind") == "run_start"
+            or scheduler != runs[-1][0]
+        ):
+            runs.append((scheduler, []))
+        runs[-1][1].append(record)
+    return runs
+
+
+def render_runs(
+    records: Iterable[dict], render: Callable[[list[dict]], str | None]
+) -> str | None:
+    """``render`` each run of a stream (:func:`split_runs`), under a
+    ``### <scheduler>`` heading when there are several; runs it returns
+    ``None`` for are left out (``None`` if that is all of them)."""
+    runs = split_runs(records)
+    sections = [(scheduler, render(run)) for scheduler, run in runs]
+    sections = [(name, text) for name, text in sections if text is not None]
+    if len(runs) == 1 or not sections:
+        return sections[0][1] if sections else None
+    return "\n\n".join(f"### {name}\n{text}" for name, text in sections)

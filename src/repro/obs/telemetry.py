@@ -1,10 +1,10 @@
-"""Bridge from simulation hooks to metrics and the event log.
+"""Bridge from simulation hooks to metrics.
 
 :class:`TelemetryObserver` is a :class:`~repro.sim.hooks.SimObserver`
 that drives a :class:`~repro.obs.metrics.MetricsRegistry` (live
-cluster gauges, lifecycle counters, a decision-latency histogram) and
-an :class:`~repro.obs.events.EventLog` (one structured event per
-lifecycle notification) from the simulation event stream.  It is a
+cluster gauges, lifecycle counters, a decision-latency histogram) from
+the simulation event stream; the per-event records live in the
+decision flight recorder (:mod:`repro.obs.provenance`).  It is a
 pure tap: it never mutates cluster or scheduler state, so attaching it
 cannot change simulation results (pinned by the golden-equivalence
 tests).
@@ -44,7 +44,6 @@ repro_placement_prefilter_pruned_total  counter    capacity-eligible hosts the
 from __future__ import annotations
 
 from repro.core.utility import SLO_EPS
-from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.hooks import BaseObserver
 
@@ -60,25 +59,24 @@ _SUBMIT_BUCKETS = (
 
 
 class TelemetryObserver(BaseObserver):
-    """Feed sim lifecycle events into a registry and/or an event log."""
+    """Feed sim lifecycle events into a metrics registry."""
 
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
-        event_log: EventLog | None = None,
         *,
         scheduler: str = "",
         total_gpus: int | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.events = event_log
         self.scheduler = scheduler
         self.total_gpus = total_gpus
         self._busy = 0
         self._running = 0
         self._held: dict[str, int] = {}  # job id -> GPUs it occupies
+        # job id -> postponements already counted; dropped at the job's
+        # terminal hook so the map holds live jobs only
         self._postponements_seen: dict[str, int] = {}
-        self._ended = False
 
         reg = self.registry
         labels = ("scheduler",)
@@ -165,26 +163,13 @@ class TelemetryObserver(BaseObserver):
                 self._busy / self.total_gpus, scheduler=self.scheduler
             )
 
-    def _emit(self, type: str, t: float, **fields) -> None:
-        if self.events is not None:
-            self.events.emit(type, t, scheduler=self.scheduler, **fields)
-
     # ------------------------------------------------------------------
-    # run envelope (called by the CLI wiring, not by the engine)
+    # run envelope
     # ------------------------------------------------------------------
-    def run_start(self, jobs: int) -> None:
-        self._emit("run_start", 0.0, jobs=jobs, total_gpus=self.total_gpus or 0)
-
-    def run_end(self, result) -> None:
-        # idempotent: the runner finalizes observers automatically, but
-        # pre-existing callers (examples, tests) still call run_end by
-        # hand — the second call must not double-count memo stats or
-        # emit a second run_end event.
-        if self._ended:
-            return
-        self._ended = True
-        finished = sum(1 for r in result.records if r.finished_at is not None)
-        unplaceable = sum(1 for r in result.records if r.unplaceable)
+    def finalize_result(self, result) -> None:
+        """Runner wiring (:func:`repro.sim.runner.run_with_observers`):
+        fold the run's memo and prefilter counters in once the result
+        exists."""
         stats = getattr(result, "placement_stats", None) or {}
         if stats:
             sched = self.scheduler
@@ -203,27 +188,12 @@ class TelemetryObserver(BaseObserver):
             self._prefilter_pruned.inc(
                 pf_stats.get("pruned", 0), scheduler=sched
             )
-        self._emit(
-            "run_end",
-            result.makespan,
-            makespan=result.makespan,
-            finished=finished,
-            unplaceable=unplaceable,
-            **({"placement_cache": stats} if stats else {}),
-            **({"prefilter": pf_stats} if pf_stats else {}),
-        )
-
-    def finalize_result(self, result) -> None:
-        """Runner wiring (:func:`repro.sim.runner.run_with_observers`):
-        emit the run_end envelope once the result exists."""
-        self.run_end(result)
 
     # ------------------------------------------------------------------
     # SimObserver hooks
     # ------------------------------------------------------------------
     def on_arrival(self, t, job):
         self._arrived.inc(scheduler=self.scheduler)
-        self._emit("arrival", t, job_id=job.job_id, num_gpus=job.num_gpus)
 
     def on_place(self, t, job, solution, solo_exec_time, postponements):
         sched = self.scheduler
@@ -236,38 +206,19 @@ class TelemetryObserver(BaseObserver):
         if new_postponements > 0:
             self._postponed.inc(new_postponements, scheduler=sched)
             self._postponements_seen[job.job_id] = postponements
-            self._emit(
-                "postponed", t, job_id=job.job_id, postponements=postponements
-            )
         if solution.utility < job.min_utility - SLO_EPS:
             self._slo_violations.inc(scheduler=sched)
-            self._emit(
-                "slo_violation",
-                t,
-                job_id=job.job_id,
-                utility=solution.utility,
-                min_utility=job.min_utility,
-            )
         self._held[job.job_id] = len(solution.gpus)
         self._busy += len(solution.gpus)
         self._running += 1
         self._gpu_gauges()
-        self._emit(
-            "place",
-            t,
-            job_id=job.job_id,
-            gpus=sorted(solution.gpus),
-            utility=solution.utility,
-            p2p=solution.p2p,
-            postponements=postponements,
-        )
 
     def on_finish(self, t, job, gpus):
         self._finished.inc(scheduler=self.scheduler)
         self._busy -= self._held.pop(job.job_id, 0)
+        self._postponements_seen.pop(job.job_id, None)
         self._running -= 1
         self._gpu_gauges()
-        self._emit("finish", t, job_id=job.job_id, gpus=sorted(gpus))
 
     def on_failure(self, t, machine, victims):
         self._failures.inc(scheduler=self.scheduler)
@@ -275,19 +226,17 @@ class TelemetryObserver(BaseObserver):
             self._busy -= self._held.pop(job.job_id, 0)
             self._running -= 1
         self._gpu_gauges()
-        self._emit(
-            "failure", t, machine=machine, victims=[j.job_id for j in victims]
-        )
 
     def on_requeue(self, t, job):
         self._requeued.inc(scheduler=self.scheduler)
-        self._emit("requeue", t, job_id=job.job_id)
 
     def on_evict(self, t, job, gpus, reason):
         sched = self.scheduler
         self._evictions.inc(scheduler=sched, reason=reason)
         if reason == "migrate":
             self._migrations.inc(scheduler=sched)
+        elif reason == "cancel":
+            self._postponements_seen.pop(job.job_id, None)
         # guarded pop: a cancel may catch a job that never ran (queued
         # or pending phase) — the gauges then have nothing to release
         freed = self._held.pop(job.job_id, None)
@@ -295,22 +244,12 @@ class TelemetryObserver(BaseObserver):
             self._busy -= freed
             self._running -= 1
             self._gpu_gauges()
-        self._emit(
-            "evict", t, job_id=job.job_id, gpus=sorted(gpus), reason=reason
-        )
 
     def on_decision_round(self, t, placed, queued, elapsed_s):
         sched = self.scheduler
         self._rounds.inc(scheduler=sched)
         self._decision_latency.observe(elapsed_s, scheduler=sched)
         self._queue_depth.set(queued, scheduler=sched)
-        self._emit(
-            "decision_round",
-            t,
-            placed=[s.job_id for s in placed],
-            queued=queued,
-            elapsed_s=elapsed_s,
-        )
 
 
 class ServiceTelemetry:

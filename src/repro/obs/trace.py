@@ -17,22 +17,21 @@ benchmark (``benchmarks/test_obs_overhead.py``) pins this below 3 % of
 a Scenario 1 run.  Tracing therefore never perturbs simulation
 results; the golden-equivalence tests run with and without a recorder.
 
-Spans nest via an explicit stack in the recorder (parent ids), carry a
-wall-clock start offset and duration from an injectable ``clock``
-callable, and serialise to JSONL (one span object per line, schema
-versioned like :mod:`repro.obs.events`).  ``summarize`` renders the
-per-job decision timeline the ``repro trace summarize`` subcommand
-prints.
+Spans nest via an explicit stack in the recorder (parent ids) and
+carry a wall-clock start offset and duration from an injectable
+``clock`` callable.  Any object with a ``span(name, **attrs)`` method
+can be installed as the sink: a :class:`SpanRecorder` keeps its spans
+in memory, and the decision flight recorder
+(:class:`repro.obs.provenance.DecisionRecorder`) journals each closed
+span as a ``span`` record next to the decisions it timed.
+``summarize`` renders the per-job decision timeline the ``repro trace
+summarize`` subcommand prints from those records.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
-
-TRACE_SCHEMA_VERSION = 1
 
 
 class Span:
@@ -73,8 +72,6 @@ class Span:
 
     def to_dict(self) -> dict:
         return {
-            "schema": TRACE_SCHEMA_VERSION,
-            "kind": "span",
             "span_id": self.span_id,
             "parent_id": self.parent_id,
             "name": self.name,
@@ -108,7 +105,9 @@ class SpanRecorder:
     ``clock`` is any monotonic float-returning callable
     (``time.perf_counter`` by default; tests inject deterministic
     counters).  Start offsets are relative to recorder creation so
-    serialised traces are small and comparable.
+    recorded traces are small and comparable.  Spans are kept in
+    ``spans`` in opening order; a subclass may keep them elsewhere by
+    overriding :meth:`_keep` and :meth:`_close`.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter) -> None:
@@ -129,8 +128,11 @@ class SpanRecorder:
         )
         self._next_id += 1
         self._stack.append(span.span_id)
-        self.spans.append(span)
+        self._keep(span)
         return span
+
+    def _keep(self, span: Span) -> None:
+        self.spans.append(span)
 
     def _close(self, span: Span) -> None:
         span.dur_s = self.clock() - self._t0 - span.start_s
@@ -140,25 +142,14 @@ class SpanRecorder:
             if top == span.span_id:
                 break
 
-    # ------------------------------------------------------------------
-    def dump(self, fp) -> int:
-        for span in self.spans:
-            fp.write(json.dumps(span.to_dict(), sort_keys=False) + "\n")
-        return len(self.spans)
-
-    def write(self, path: Path | str) -> Path:
-        path = Path(path)
-        with path.open("w") as fp:
-            self.dump(fp)
-        return path
-
 
 # ---------------------------------------------------------------------------
 # module-level activation (the hot-path seam)
 # ---------------------------------------------------------------------------
 
-#: the currently installed recorder, or None (tracing disabled)
-ACTIVE: SpanRecorder | None = None
+#: the installed span sink (anything with ``span(name, **attrs)``:
+#: a SpanRecorder or a DecisionRecorder), or None (tracing disabled)
+ACTIVE = None
 
 
 def span(name: str, **attrs) -> Span | _NullSpan:
@@ -169,8 +160,8 @@ def span(name: str, **attrs) -> Span | _NullSpan:
     return recorder.span(name, **attrs)
 
 
-def install(recorder: SpanRecorder | None) -> None:
-    """Install (or, with ``None``, remove) the process-wide recorder."""
+def install(recorder) -> None:
+    """Install (or, with ``None``, remove) the process-wide span sink."""
     global ACTIVE
     ACTIVE = recorder
 
@@ -182,15 +173,18 @@ class recording:
 
         with recording() as rec:
             sim.run()
-        rec.write("trace.jsonl")
+        rec.spans  # every span, in opening order
+
+    ``recording(decision_recorder)`` sends the spans to a decision
+    flight recorder's journal instead.
     """
 
-    def __init__(self, recorder: SpanRecorder | None = None,
+    def __init__(self, recorder=None,
                  clock: Callable[[], float] = time.perf_counter) -> None:
         self.recorder = recorder or SpanRecorder(clock=clock)
-        self._previous: SpanRecorder | None = None
+        self._previous = None
 
-    def __enter__(self) -> SpanRecorder:
+    def __enter__(self):
         self._previous = ACTIVE
         install(self.recorder)
         return self.recorder
@@ -201,36 +195,8 @@ class recording:
 
 
 # ---------------------------------------------------------------------------
-# reading + summarising
+# summarising
 # ---------------------------------------------------------------------------
-
-def read_trace(path: Path | str) -> list[dict]:
-    """Load span dicts from a JSONL trace file, validating the schema.
-
-    ``.jsonl.gz`` files are decompressed transparently.
-    """
-    from repro.obs.io import open_text
-
-    spans: list[dict] = []
-    with open_text(Path(path)) as fp:
-        for lineno, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from None
-            if obj.get("schema") != TRACE_SCHEMA_VERSION:
-                raise ValueError(
-                    f"{path}:{lineno}: unsupported trace schema "
-                    f"{obj.get('schema')!r}"
-                )
-            for field in ("span_id", "name", "start_s", "dur_s", "attrs"):
-                if field not in obj:
-                    raise ValueError(f"{path}:{lineno}: span missing {field!r}")
-            spans.append(obj)
-    return spans
-
 
 def _children_index(spans: Sequence[dict]) -> dict[int | None, list[dict]]:
     children: dict[int | None, list[dict]] = {}

@@ -38,7 +38,6 @@ import time
 from dataclasses import dataclass
 
 from repro.obs.alerts import Watchdog
-from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import DecisionRecorder
 from repro.obs.server import IntrospectionServer, Response, json_response
@@ -136,7 +135,6 @@ class SchedulerService:
         store_path: str = ":memory:",
         max_queue_depth: int = 100_000,
         registry: MetricsRegistry | None = None,
-        event_log: EventLog | None = None,
         extra_observers: tuple = (),
         decision_ring: int = 4096,
         decision_journal: bool = False,
@@ -163,7 +161,6 @@ class SchedulerService:
         )
         sim_telemetry = TelemetryObserver(
             self.registry,
-            event_log,
             scheduler=scheduler.name,
             total_gpus=len(topo.gpus()),
         )
@@ -189,7 +186,6 @@ class SchedulerService:
         self.watchdog = (
             Watchdog(
                 self.registry,
-                event_log,
                 watchdog_rules,
                 scheduler=scheduler.name,
             )

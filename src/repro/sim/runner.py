@@ -46,7 +46,8 @@ def _finalize_observers(
 ) -> None:
     """Post-run hook: observers that expose ``finalize_result`` get
     the finished result (the watchdog attaches its alert digest, the
-    telemetry observer emits ``run_end``, the snapshot publisher marks
+    telemetry observer folds in the memo counters, the decision
+    recorder writes ``run_end``, the snapshot publisher marks
     the run finished)."""
     for obs in observers:
         finalize = getattr(obs, "finalize_result", None)

@@ -6,8 +6,9 @@ import math
 import pytest
 
 from repro.analysis.scenarios import scenario1_jobs
-from repro.obs import EventLog, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.obs.alerts import DEFAULT_RULES, Rule, Watchdog, load_rules
+from repro.obs.provenance import DecisionRecorder, records_of
 from repro.obs.telemetry import TelemetryObserver
 from repro.schedulers import make_scheduler
 from repro.sim.runner import run_with_observers
@@ -26,17 +27,21 @@ def saturating_jobs(n: int = 12) -> list[Job]:
 
 
 def run_watchdog(jobs, topo_factory, rules, scheduler="FCFS"):
+    """Run with telemetry, the watchdog and a journaling recorder;
+    returns the registry, the parsed journal, the watchdog and the
+    result."""
     registry = MetricsRegistry()
-    log = EventLog()
-    telemetry = TelemetryObserver(registry, log, scheduler=scheduler)
-    watchdog = Watchdog(registry, log, rules, scheduler=scheduler)
+    telemetry = TelemetryObserver(registry, scheduler=scheduler)
+    watchdog = Watchdog(registry, rules, scheduler=scheduler)
+    recorder = DecisionRecorder(journal=True)
     result = run_with_observers(
         topo_factory(),
         make_scheduler(scheduler),
         jobs,
-        observers=(telemetry, watchdog),
+        observers=(telemetry, watchdog, recorder),
     )
-    return registry, log, watchdog, result
+    records = [json.loads(line) for line in recorder.journal]
+    return registry, records, watchdog, result
 
 
 class TestRule:
@@ -196,7 +201,7 @@ class TestWindowedRules:
         # between violating rounds must not reset the maturing streak
         depth_rule = Rule("qd", "queue_depth", ">", 0.0, for_rounds=3)
         util_rule = Rule("u", "utilization", "<", 2.0, for_rounds=1)
-        watchdog = Watchdog(None, None, (depth_rule, util_rule))
+        watchdog = Watchdog(None, (depth_rule, util_rule))
         self.drive(watchdog, [5, 5, 0, 5, 5])
         # qd: streak 2, reset by the healthy round, streak 2 -> no fire
         # u: every round NaN -> skipped, never fires, never resolves
@@ -207,19 +212,20 @@ class TestWindowedRules:
     def test_windowed_mean_rides_through_one_healthy_round(self):
         rule = Rule("qd", "queue_depth", ">", 2.0, window=3, agg="mean",
                     for_rounds=3)
-        watchdog = Watchdog(None, None, (rule,))
+        watchdog = Watchdog(None, (rule,))
         # means over the trailing 3: 9, 9, 6, 6, 6 -> all > 2, fires at
-        # round 3 even though round 3's instantaneous depth was healthy
+        # round 2 (rounds count from 0) even though round 2's
+        # instantaneous depth was healthy
         self.drive(watchdog, [9, 9, 0, 9, 9])
         assert len(watchdog.fired) == 1
-        assert watchdog.fired[0]["round"] == 3
+        assert watchdog.fired[0]["round"] == 2
         assert watchdog.fired[0]["window"] == 3
         assert watchdog.fired[0]["agg"] == "mean"
 
     def test_rate_rule_fires_on_sustained_growth(self):
         rule = Rule("growth", "queue_depth", ">", 0.5, window=4, agg="rate",
                     for_rounds=2)
-        watchdog = Watchdog(None, None, (rule,))
+        watchdog = Watchdog(None, (rule,))
         self.drive(watchdog, [0, 2, 4, 6, 8, 8, 8, 8, 8])
         assert len(watchdog.fired) == 1
         assert watchdog.fired[0]["value"] == 2.0  # +2 jobs per round
@@ -229,7 +235,7 @@ class TestWindowedRules:
     def test_nan_violate_fires_without_data(self):
         rule = Rule("dead-signal", "cache_hit_rate", "<", 0.01,
                     nan="violate", for_rounds=2)
-        watchdog = Watchdog(None, None, (rule,))
+        watchdog = Watchdog(None, (rule,))
         self.drive(watchdog, [1, 1])
         assert len(watchdog.fired) == 1
         assert watchdog.fired[0]["value"] is None  # NaN serialised as null
@@ -252,7 +258,7 @@ class TestWatchdogFiring:
                     severity="critical")
         first = run_watchdog(saturating_jobs(), power8_minsky, (rule,))
         second = run_watchdog(saturating_jobs(), power8_minsky, (rule,))
-        for registry, log, watchdog, result in (first, second):
+        for registry, records, watchdog, result in (first, second):
             assert len(result.alerts) == 1, "edge-triggered: fires once"
             alert = result.alerts[0]
             assert alert["rule"] == "qw-p95"
@@ -260,9 +266,9 @@ class TestWatchdogFiring:
             assert alert["value"] > 120.0
             counter = registry.get("repro_alerts_fired_total")
             assert counter.value(scheduler="FCFS", rule="qw-p95") == 1
-            (event,) = log.of_type("alert")
-            assert event["rule"] == "qw-p95"
-            assert event["severity"] == "critical"
+            (record,) = records_of("alert", records)
+            assert record["rule"] == "qw-p95"
+            assert record["severity"] == "critical"
         # sim-time signals: identical runs fire at the identical instant
         assert first[3].alerts[0]["t"] == second[3].alerts[0]["t"]
         assert first[3].alerts[0]["round"] == second[3].alerts[0]["round"]
@@ -276,15 +282,34 @@ class TestWatchdogFiring:
 
     def test_queue_depth_rule_fires_and_resolves(self):
         rule = Rule("qd", "queue_depth", ">=", 8.0, for_rounds=1)
-        _, log, watchdog, result = run_watchdog(
+        _, records, watchdog, result = run_watchdog(
             saturating_jobs(12), power8_minsky, (rule,)
         )
         assert len(result.alerts) == 1
-        states = [e["state"] for e in log.of_type("alert")]
+        states = [r["state"] for r in records_of("alert", records)]
         # fired while 8+ jobs waited, resolved as the queue drained
         assert states == ["firing", "resolved"]
         assert watchdog.published_state()["active"] == []
         assert watchdog.published_state()["fired_total"] == 1
+
+    def test_alert_round_matches_its_round_record(self):
+        """An alert record carries the number of the round record it
+        fired in (the next round record in the stream), and the
+        watchdog's own digest shows the same number."""
+        rule = Rule("qd", "queue_depth", ">=", 8.0, for_rounds=1)
+        _, records, _, result = run_watchdog(
+            saturating_jobs(12), power8_minsky, (rule,)
+        )
+        alerts = records_of("alert", records)
+        assert [a["state"] for a in alerts] == ["firing", "resolved"]
+        for alert in alerts:
+            fired_in = next(
+                r for r in records
+                if r["kind"] == "round" and r["seq"] > alert["seq"]
+            )
+            assert alert["round"] == fired_in["round"]
+            assert alert["t"] == fired_in["t"]
+        assert result.alerts[0]["round"] == alerts[0]["round"]
 
     def test_default_rules_silent_on_scenario1(self):
         *_, result = run_watchdog(
@@ -298,7 +323,7 @@ class TestWatchdogFiring:
     def test_duplicate_rule_names_rejected(self):
         rule = Rule("same", "queue_depth", ">", 1.0)
         with pytest.raises(ValueError, match="duplicate"):
-            Watchdog(MetricsRegistry(), None, (rule, rule))
+            Watchdog(MetricsRegistry(), (rule, rule))
 
     def test_watchdog_does_not_change_results(self):
         jobs = scenario1_jobs(30, seed=42)

@@ -11,7 +11,8 @@ from repro.obs.profile import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.trace import SpanRecorder, read_trace, recording
+from repro.obs.provenance import DecisionRecorder, read_records, records_of
+from repro.obs.trace import SpanRecorder, recording
 from repro.schedulers import make_scheduler
 from repro.sim.runner import run_with_observers
 from repro.topology.builders import dgx2, power8_minsky
@@ -86,6 +87,25 @@ class TestChromeExport:
         assert doc["otherData"]["spans"] == 8
         assert len(doc["traceEvents"]) == 9  # metadata + 8 spans
 
+    def test_each_policy_gets_its_own_process(self):
+        """A compare journal's policies restart span ids and clocks, so
+        their spans must not share a timeline."""
+        runs = {
+            name: [dict(s, scheduler=name) for s in synthetic_spans()]
+            for name in ("BF", "TOPO-AWARE")
+        }
+        doc = to_chrome_trace(runs["BF"] + runs["TOPO-AWARE"])
+        meta = [ev for ev in doc["traceEvents"] if ev["ph"] == "M"]
+        assert [(ev["pid"], ev["args"]["name"]) for ev in meta] == [
+            (1, "BF decision path"), (2, "TOPO-AWARE decision path")
+        ]
+        for pid in (1, 2):
+            stamps = [
+                ev["ts"] for ev in doc["traceEvents"]
+                if ev["ph"] == "X" and ev["pid"] == pid
+            ]
+            assert len(stamps) == 8 and stamps == sorted(stamps)
+
     def test_empty_trace_exports_metadata_only(self):
         doc = to_chrome_trace([])
         assert len(doc["traceEvents"]) == 1
@@ -158,12 +178,12 @@ class TestProfiler:
         assert fm and fm[0].count > 0
 
     def test_round_trip_through_jsonl(self, tmp_path):
-        rec = make_recorder()
+        rec = DecisionRecorder(journal=True)
         with rec.span("sched.propose", job_id="job0", outcome="place"):
             with rec.span("drb.map", job_id="job0"):
                 pass
-        path = rec.write(tmp_path / "trace.jsonl")
-        profile = profile_spans(read_trace(path))
+        path = rec.write_journal(tmp_path / "records.jsonl")
+        profile = profile_spans(records_of("span", read_records(path)))
         assert profile.span_count == 2
         assert profile.rounds[0].critical_path[-1][0] == "drb.map"
 

@@ -15,9 +15,9 @@ from repro.obs.provenance import (
     DecisionRecorder,
     PROVENANCE_SCHEMA_VERSION,
     PRUNE_REASONS,
-    decision_records,
-    read_decisions,
-    validate_decision,
+    records_of,
+    read_records,
+    validate_record,
 )
 from repro.schedulers import make_scheduler
 from repro.sim.runner import run_with_observers
@@ -67,8 +67,8 @@ class TestRecorder:
 
     def test_decision_schema_and_pools(self):
         recorder, _ = run_recorded()
-        for record in decision_records(map(json.loads, recorder.journal)):
-            validate_decision(record)
+        for record in records_of("decision", map(json.loads, recorder.journal)):
+            validate_record(record)
             assert record["schema"] == PROVENANCE_SCHEMA_VERSION
             # acceptance criterion: candidate-pool sizes for EVERY
             # decision that reached the engine (memo hit or miss)
@@ -88,7 +88,7 @@ class TestRecorder:
         recorder, _ = run_recorded()
         hits = [
             r
-            for r in decision_records(map(json.loads, recorder.journal))
+            for r in records_of("decision", map(json.loads, recorder.journal))
             if (r.get("memo") or {}).get("hit")
         ]
         if not hits:  # scenario-dependent; do not vacuous-pass silently
@@ -101,7 +101,7 @@ class TestRecorder:
         recorder, _ = run_recorded()
         rounds = [
             r["round"]
-            for r in decision_records(map(json.loads, recorder.journal))
+            for r in records_of("decision", map(json.loads, recorder.journal))
         ]
         assert rounds == sorted(rounds)
 
@@ -109,7 +109,8 @@ class TestRecorder:
         registry = MetricsRegistry()
         recorder, _ = run_recorded(registry=registry, scheduler="TOPO-AWARE")
         counts = recorder.counts()
-        assert counts["recorded"] == len(recorder.journal)
+        journal = list(map(json.loads, recorder.journal))
+        assert counts["recorded"] == len(records_of("decision", journal))
         assert counts["dropped"] == 0
         assert registry.get("repro_decisions_recorded_total").value(
             scheduler="TOPO-AWARE"
@@ -123,7 +124,8 @@ class TestRecorder:
         counts = recorder.counts()
         assert counts["dropped"] > 0
         # the journal keeps everything even when the ring evicted it
-        assert len(recorder.journal) == counts["recorded"]
+        journal = list(map(json.loads, recorder.journal))
+        assert len(records_of("decision", journal)) == counts["recorded"]
         assert len(recorder.decisions()) <= 8
 
     def test_job_and_round_events_recorded(self):
@@ -142,7 +144,7 @@ class TestJournalIO:
     def test_round_trip(self, tmp_path, name):
         recorder, _ = run_recorded()
         path = recorder.write_journal(tmp_path / name)
-        records = read_decisions(path)
+        records = read_records(path)
         assert [json.dumps(r, sort_keys=False) for r in records] == list(
             recorder.journal
         )
@@ -151,17 +153,17 @@ class TestJournalIO:
         path = tmp_path / "d.jsonl"
         path.write_text('{"schema": 999, "kind": "decision"}\n')
         with pytest.raises(ValueError, match="schema"):
-            read_decisions(path)
+            read_records(path)
 
     def test_read_rejects_non_json(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("not json\n")
         with pytest.raises(ValueError, match="not JSON"):
-            read_decisions(path)
+            read_records(path)
 
     def test_validate_requires_decision_fields(self):
         with pytest.raises(ValueError, match="missing"):
-            validate_decision(
+            validate_record(
                 {"schema": PROVENANCE_SCHEMA_VERSION, "kind": "decision"}
             )
 
@@ -175,6 +177,8 @@ class TestExplainRendering:
         records = [json.loads(line) for line in recorder.journal]
         text = format_job_explanation(placed, records)
         assert "PLACED" in text
+        assert f"job {placed} -> QUEUED" in text
+        assert f"job {placed} -> RUNNING" in text
         assert "candidate pools:" in text
         assert "bounds=[" in text
         assert "comm_cost" in text
@@ -183,7 +187,9 @@ class TestExplainRendering:
     def test_postponed_explanation_names_failing_predicate(self):
         recorder, _ = run_recorded()
         records = [json.loads(line) for line in recorder.journal]
-        postponed = [r for r in records if r["verdict"] == "postponed"]
+        postponed = [
+            r for r in records_of("decision", records) if r["verdict"] == "postponed"
+        ]
         if not postponed:
             pytest.skip("no postponements in this scenario")
         text = format_job_explanation(postponed[0]["job_id"], records)
@@ -193,7 +199,7 @@ class TestExplainRendering:
     def test_round_explanation(self):
         recorder, _ = run_recorded()
         records = [json.loads(line) for line in recorder.journal]
-        round_no = records[0]["round"]
+        round_no = records_of("decision", records)[0]["round"]
         text = format_round_explanation(round_no, records)
         assert f"round {round_no}:" in text
         assert "decision(s)" in text
@@ -206,7 +212,8 @@ class TestExplainRendering:
         recorder, _ = run_recorded()
         records = [json.loads(line) for line in recorder.journal]
         table = decision_summary_table(records)
-        assert len(table.splitlines()) == len(records) + 1  # + header
+        decisions = records_of("decision", records)
+        assert len(table.splitlines()) == len(decisions) + 1  # + header
 
 
 class TestPrefilterProvenance:
@@ -219,7 +226,7 @@ class TestPrefilterProvenance:
         re-reported through the read-only prefilter clone."""
         recorder, _ = run_recorded()
         seen = 0
-        for record in decision_records(map(json.loads, recorder.journal)):
+        for record in records_of("decision", map(json.loads, recorder.journal)):
             if record["reason"] == "capacity" or record["pools"] is None:
                 continue
             pools = record["pools"]
@@ -256,7 +263,7 @@ class TestCapacityProvenance:
             [oversized],
             observers=(recorder,),
         )
-        records = decision_records(map(json.loads, recorder.journal))
+        records = records_of("decision", map(json.loads, recorder.journal))
         capacity = [r for r in records if r["reason"] == "capacity"]
         assert capacity
         assert capacity[0]["verdict"] == "no-fit"

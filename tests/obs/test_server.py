@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.analysis.scenarios import table1_jobs
-from repro.obs import EventLog, MetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.obs.alerts import Rule, Watchdog
 from repro.obs.server import IntrospectionServer
 from repro.obs.state import (
@@ -32,11 +32,10 @@ def fetch(url):
 def full_stack():
     """Run table 1 with every observability piece attached and serving."""
     registry = MetricsRegistry()
-    log = EventLog()
     publisher = SnapshotPublisher()
-    telemetry = TelemetryObserver(registry, log, scheduler="TOPO-AWARE")
+    telemetry = TelemetryObserver(registry, scheduler="TOPO-AWARE")
     watchdog = Watchdog(
-        registry, log, (Rule("qd", "queue_depth", ">=", 0.0),),
+        registry, (Rule("qd", "queue_depth", ">=", 0.0),),
         scheduler="TOPO-AWARE",
     )
     snapshots = SnapshotObserver(publisher, clock=lambda: 1000.0)

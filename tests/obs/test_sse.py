@@ -214,8 +214,8 @@ class TestKeepalive:
 class TestDaemonDeterminism:
     def test_streamed_decisions_match_journal(self):
         """A client streaming from a paused daemon sees, after resume,
-        byte-for-byte the decision records the journal keeps — the SSE
-        path adds no serialisation drift."""
+        byte-for-byte the records the journal keeps, of every kind —
+        the SSE path adds no serialisation drift."""
         from repro.service import SchedulerService, ServiceServer
         from repro.topology.builders import cluster
 
@@ -239,14 +239,14 @@ class TestDaemonDeterminism:
             service.resume()
             assert service.drain(30.0)
             journal = list(service.decision_recorder.journal)
-            assert journal  # at least one decision happened
-            streamed: list[str] = []
-            while len(streamed) < len(journal):
-                frame = client.read_frames(1)[0]
-                if frame["event"] == "decision":
-                    streamed.append(frame["data"])
+            # at least one decision happened
+            assert any('"kind": "decision"' in line for line in journal)
+            frames = client.read_frames(len(journal))
             client.close()
-            assert streamed == journal
+            assert [f["data"] for f in frames] == journal
+            assert [int(f["id"]) for f in frames] == [
+                json.loads(line)["seq"] for line in journal
+            ]
         finally:
             server.stop()
             service.stop()

@@ -1,12 +1,14 @@
 """Span recorder semantics, activation seam, and trace summaries."""
 
+import json
+
 import pytest
 
 from repro.obs import trace as trace_mod
+from repro.obs.provenance import DecisionRecorder, read_records, records_of
 from repro.obs.trace import (
     NULL_SPAN,
     SpanRecorder,
-    read_trace,
     recording,
     span,
     summarize,
@@ -103,22 +105,57 @@ class TestActivation:
 
 
 class TestSerialization:
+    """Spans reach a file through the decision recorder's journal."""
+
     def test_jsonl_round_trip(self, tmp_path):
-        rec = SpanRecorder(clock=FakeClock())
-        with rec.span("outer", job_id="job0"):
-            with rec.span("inner", n=4):
-                pass
-        path = rec.write(tmp_path / "trace.jsonl")
-        spans = read_trace(path)
-        assert [s["name"] for s in spans] == ["outer", "inner"]
-        assert spans[1]["parent_id"] == spans[0]["span_id"]
-        assert spans[1]["attrs"] == {"n": 4}
+        rec = DecisionRecorder(journal=True)
+        rec.on_decision_round(0.0, [], 0, 0.0)  # spans below run in round 1
+        with recording(rec):
+            with span("outer", job_id="job0"):
+                with span("inner", n=4):
+                    pass
+        path = rec.write_journal(tmp_path / "records.jsonl")
+        spans = records_of("span", read_records(path))
+        # journaled as they close: the child first
+        assert [s["name"] for s in spans] == ["inner", "outer"]
+        inner, outer = spans
+        assert inner["parent_id"] == outer["span_id"]
+        assert inner["attrs"] == {"n": 4}
+        assert {s["round"] for s in spans} == {1}
+        assert inner["seq"] < outer["seq"]
 
     def test_read_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text('{"schema": 42, "span_id": 1}\n')
-        with pytest.raises(ValueError, match="unsupported trace schema"):
-            read_trace(path)
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"schema": 42, "seq": 1, "kind": "span"}\n')
+        with pytest.raises(ValueError, match="unsupported record schema"):
+            read_records(path)
+
+    def test_spans_never_enter_the_ring(self):
+        rec = DecisionRecorder(ring_size=2, journal=True)
+        with recording(rec):
+            for _ in range(5):
+                with span("sched.propose"):
+                    pass
+        assert rec.entries_after(0) == [] and rec.last_seq == 0
+        assert len(rec.journal) == 5
+
+    def test_round_wall_time_only_while_capturing_spans(self):
+        """A journal with spans carries each round's ``elapsed_s``; one
+        without stays deterministic, so it carries none."""
+        rec = DecisionRecorder(journal=True)
+        rec.on_decision_round(1.0, [], 0, 0.25)
+        with recording(rec):
+            rec.on_decision_round(2.0, [], 0, 0.5)
+        first, second = records_of("round", map(json.loads, rec.journal))
+        assert "elapsed_s" not in first
+        assert second["elapsed_s"] == 0.5
+
+    def test_no_journal_drops_spans(self):
+        rec = DecisionRecorder()
+        with recording(rec):
+            with span("sched.propose"):
+                pass
+        assert rec.entries_after(0) == []
 
 
 class TestSummarize:

@@ -136,3 +136,26 @@ class TestEvictHTTP:
         service.drain()
         # SUBMITTED, not running: conflict
         assert http("POST", f"{url}/evict", {"id": "a"})[0] == 409
+
+    @pytest.mark.parametrize("journal", [False, True])
+    def test_explain_lists_the_eviction(self, tmp_path, journal):
+        """``/explain/<id>`` keeps a job's evictions next to its
+        decisions, also under FCFS, which writes no decision records."""
+        svc = SchedulerService(
+            cluster(2), "FCFS", store_path=str(tmp_path / "svc.db"),
+            decision_journal=journal,
+        )
+        with svc, ServiceServer(svc) as server:
+            svc.pause()
+            svc.submit(submit_doc("a", iterations=4000))
+            run_until_running(svc, "a")
+            svc.evict("a")
+            svc.resume()
+            assert svc.drain()
+            code, doc = http("GET", f"{server.url}/explain/a")
+            assert http("GET", f"{server.url}/explain/ghost")[0] == 404
+        assert code == 200
+        (eviction,) = doc["decisions"]
+        assert eviction["kind"] == "job" and eviction["job_id"] == "a"
+        assert eviction["evict_reason"] == "preempt"
+        assert eviction["state"] == "QUEUED"

@@ -126,9 +126,10 @@ def test_mixed_fleet_prefilter_identical():
 @pytest.mark.parametrize("scheduler_name", ["TOPO-AWARE", "TOPO-AWARE-P"])
 def test_fully_instrumented_run_identical_to_bare(scheduler_name):
     """The whole observability stack is a tap: running with the
-    introspection server live (SSE stream included), span recording
-    on, telemetry + watchdog (windowed rules included) + snapshot +
-    time-series sampler + decision-provenance observers attached, and
+    introspection server live (SSE stream included), spans recorded
+    into the decision recorder's journal, telemetry + watchdog
+    (windowed rules included) + snapshot + time-series sampler +
+    decision-provenance observers attached, and
     a dashboard client polling ``/timeseries``/``/cluster``/``/state``
     over HTTP for the whole run, must reproduce the bare run's records
     bit-for-bit."""
@@ -139,9 +140,9 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
     from pathlib import Path
 
     from repro.analysis.top import render_dashboard
-    from repro.obs import EventLog, MetricsRegistry
+    from repro.obs import MetricsRegistry
     from repro.obs.alerts import DEFAULT_RULES, Rule, Watchdog
-    from repro.obs.provenance import DecisionRecorder, read_decisions
+    from repro.obs.provenance import DecisionRecorder, read_records
     from repro.obs.server import IntrospectionServer
     from repro.obs.state import SnapshotObserver, SnapshotPublisher
     from repro.obs.telemetry import TelemetryObserver
@@ -155,7 +156,6 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
     )
 
     registry = MetricsRegistry()
-    log = EventLog()
     publisher = SnapshotPublisher()
     rules = DEFAULT_RULES + (
         Rule("qd-mean", "queue_depth", ">", 1e9, window=8, agg="mean"),
@@ -163,14 +163,14 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
         Rule("hits", "cache_hit_rate", "<", -1.0, window=4, agg="min",
              nan="violate", for_rounds=10_000),
     )
-    watchdog = Watchdog(registry, log, rules, scheduler=scheduler_name)
+    watchdog = Watchdog(registry, rules, scheduler=scheduler_name)
     recorder = DecisionRecorder(
         journal=True, registry=registry, scheduler=scheduler_name
     )
     store = TimeSeriesStore()
     sampler = TimeSeriesSampler(store, min_interval_s=0.0)
     observers = (
-        TelemetryObserver(registry, log, scheduler=scheduler_name),
+        TelemetryObserver(registry, scheduler=scheduler_name),
         watchdog,
         SnapshotObserver(publisher),
         sampler,
@@ -195,7 +195,9 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
         poller = threading.Thread(target=poll_dashboard, daemon=True)
         poller.start()
         try:
-            with recording():
+            # the recorder is also the span sink: spans land in its
+            # journal next to the decisions they timed
+            with recording(recorder):
                 instrumented = run_with_observers(
                     cluster(3),
                     make_scheduler(scheduler_name),
@@ -231,7 +233,12 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
     ) == recorder.counts()["recorded"]
     with tempfile.TemporaryDirectory() as tmp:
         journal_path = recorder.write_journal(Path(tmp) / "d.jsonl")
-        assert len(read_decisions(journal_path)) == len(recorder.journal)
+        records = read_records(journal_path)
+        assert len(records) == len(recorder.journal)
+    spans = [r for r in records if r["kind"] == "span"]
+    assert any(s["name"] == "sched.propose" for s in spans)
+    # span capture never costs a decision its ring slot
+    assert recorder.counts()["dropped"] == 0
 
 
 def test_check_equivalence_reports_identical():

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cli import main
@@ -103,32 +105,34 @@ class TestSimulateAndCompare:
 
 class TestTelemetryFlags:
     def test_simulate_writes_all_three_sinks(self, tmp_path, capsys):
+        """Metrics, lifecycle and spans: what three sinks used to
+        write now comes from two, the journal holding every record."""
         metrics = tmp_path / "metrics.prom"
-        events = tmp_path / "events.jsonl"
-        trace = tmp_path / "trace.jsonl"
+        journal = tmp_path / "records.jsonl"
         code = main(
             ["simulate", "--jobs", "5", "--machines", "1",
              "--scheduler", "topo-aware-p", "--seed", "7",
              "--metrics-out", str(metrics),
-             "--events-out", str(events),
-             "--trace-out", str(trace)]
+             "--decisions-out", str(journal)]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert f"metrics written to {metrics}" in out
-        assert "events written to" in out and "spans written to" in out
+        assert f"records written to {journal}" in out
 
-        from repro.obs import parse_prometheus, read_events, read_trace
+        from repro.obs import parse_prometheus, read_records
 
         families = parse_prometheus(metrics.read_text())
         assert len(families) >= 12
         assert "repro_decision_latency_seconds" in families
-        events_list = read_events(events)
-        assert {e["type"] for e in events_list} >= {
-            "run_start", "arrival", "place", "finish", "run_end"
+        records = read_records(journal)
+        assert {r["kind"] for r in records} >= {
+            "run_start", "job", "decision", "round", "span", "run_end"
         }
-        spans = read_trace(trace)
-        assert any(s["name"] == "sched.propose" for s in spans)
+        assert any(
+            r["kind"] == "span" and r["name"] == "sched.propose"
+            for r in records
+        )
 
     def test_metrics_json_suffix(self, tmp_path, capsys):
         import json
@@ -144,13 +148,13 @@ class TestTelemetryFlags:
 
     def test_compare_aggregates_all_policies(self, tmp_path, capsys):
         metrics = tmp_path / "m.prom"
-        events = tmp_path / "e.jsonl"
+        journal = tmp_path / "r.jsonl"
         code = main(
             ["compare", "--jobs", "5", "--machines", "1", "--seed", "7",
-             "--metrics-out", str(metrics), "--events-out", str(events)]
+             "--metrics-out", str(metrics), "--decisions-out", str(journal)]
         )
         assert code == 0
-        from repro.obs import parse_prometheus, read_events
+        from repro.obs import parse_prometheus, read_records
 
         families = parse_prometheus(metrics.read_text())
         arrived = families["repro_jobs_arrived_total"]["samples"]
@@ -158,15 +162,65 @@ class TestTelemetryFlags:
         assert schedulers == {
             "BF", "FCFS", "TOPO-AWARE", "TOPO-AWARE-P", "TOPO-AWARE-PM"
         }
-        events_list = read_events(events)
-        assert {e["scheduler"] for e in events_list} == schedulers
+        records = read_records(journal)
+        assert {r["scheduler"] for r in records} == schedulers
+        # one run per policy, each a whole run of its own
+        from repro.obs.provenance import split_runs
+
+        runs = split_runs(records)
+        assert [name for name, _ in runs] == [
+            "BF", "FCFS", "TOPO-AWARE", "TOPO-AWARE-P", "TOPO-AWARE-PM"
+        ]
+        for name, run in runs:
+            assert run[0]["kind"] == "run_start"
+            assert run[-1]["kind"] == "run_end"
+            assert all(r["scheduler"] == name for r in run)
+            seqs = [r["seq"] for r in run]
+            assert seqs == sorted(set(seqs))
+
+    def test_compare_readers_keep_policies_apart(self, tmp_path, capsys):
+        """Each policy's recorder numbers seq, rounds and span ids from
+        1, so ``trace profile`` and ``explain job`` on a compare journal
+        must render each policy's run on its own."""
+        journal = tmp_path / "r.jsonl"
+        assert main(
+            ["compare", "--jobs", "5", "--machines", "1", "--seed", "7",
+             "--decisions-out", str(journal)]
+        ) == 0
+        from repro.obs.provenance import read_records, records_of
+
+        spans = records_of("span", read_records(journal))
+        per_policy = Counter(span["scheduler"] for span in spans)
+        capsys.readouterr()
+
+        assert main(["trace", "profile", str(journal)]) == 0
+        sections = capsys.readouterr().out.split("### ")[1:]
+        assert len(sections) == len(per_policy)
+        for section in sections:
+            name, body = section.split("\n", 1)
+            assert body.startswith(f"trace: {per_policy[name]} spans")
+
+        assert main(["explain", "job", "job0", str(journal)]) == 0
+        sections = capsys.readouterr().out.split("### ")[1:]
+        assert [s.split("\n", 1)[0] for s in sections] == [
+            "BF", "FCFS", "TOPO-AWARE", "TOPO-AWARE-P", "TOPO-AWARE-PM"
+        ]
+        for section in sections:
+            name, body = section.split("\n", 1)
+            assert body.count("job job0 -> QUEUED") == 1
+            assert body.count("job job0 -> FINISHED") == 1
+            verdicts = [
+                line for line in body.splitlines() if line.startswith("[round ")
+            ]
+            assert all(f"] {name} -> " in line for line in verdicts)
+            assert bool(verdicts) == name.startswith("TOPO-AWARE")
 
     def test_trace_summarize_round_trip(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
+        trace = tmp_path / "records.jsonl"
         assert main(
             ["simulate", "--jobs", "5", "--machines", "1",
              "--scheduler", "TOPO-AWARE-P", "--seed", "7",
-             "--trace-out", str(trace)]
+             "--decisions-out", str(trace)]
         ) == 0
         capsys.readouterr()
         assert main(["trace", "summarize", str(trace)]) == 0
@@ -174,15 +228,48 @@ class TestTelemetryFlags:
         assert "=== job" in out and "sched.propose" in out
 
     def test_trace_summarize_job_filter(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
+        trace = tmp_path / "records.jsonl"
         main(
             ["simulate", "--jobs", "5", "--machines", "1", "--seed", "7",
-             "--trace-out", str(trace)]
+             "--decisions-out", str(trace)]
         )
         capsys.readouterr()
         assert main(["trace", "summarize", str(trace), "--job", "job0"]) == 0
         out = capsys.readouterr().out
         assert "=== job0" in out and "=== job1" not in out
+
+    @pytest.mark.parametrize("verb", ["simulate", "compare"])
+    @pytest.mark.parametrize("flag", ["--events-out", "--trace-out"])
+    def test_removed_record_flags_rejected(self, tmp_path, capsys, verb, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--jobs", "5", "--machines", "1",
+                  flag, str(tmp_path / "x.jsonl")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_explain_job_tells_one_jobs_story(self, tmp_path, capsys):
+        """``explain job`` on a simulate journal: the job's lifecycle,
+        its decision and that decision's sched.propose time, in
+        order."""
+        journal = tmp_path / "records.jsonl"
+        assert main(
+            ["simulate", "--jobs", "5", "--machines", "1",
+             "--scheduler", "TOPO-AWARE-P", "--seed", "7",
+             "--decisions-out", str(journal)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["explain", "job", "job0", str(journal)]) == 0
+        out = capsys.readouterr().out
+        story = [
+            "job job0 -> QUEUED",
+            "-> PLACED",
+            "decision time: sched.propose",
+            "job job0 -> RUNNING",
+            "job job0 -> FINISHED",
+        ]
+        positions = [out.index(marker) for marker in story]
+        assert positions == sorted(positions)
+        assert "job job1" not in out
 
     def test_no_flags_no_files(self, tmp_path, capsys):
         code = main(["simulate", "--jobs", "5", "--machines", "1", "--seed", "7"])
@@ -234,7 +321,7 @@ class TestObservabilityCLI:
         assert main(
             ["simulate", "--jobs", "5", "--machines", "1",
              "--scheduler", "TOPO-AWARE", "--seed", "7",
-             "--trace-out", str(trace)]
+             "--decisions-out", str(trace)]
         ) == 0
         return trace
 
@@ -283,7 +370,7 @@ class TestObservabilityCLI:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"schema": 99, "kind": "span"}\n')
         assert main(["trace", sub, str(bad)]) == 2
-        assert "unsupported trace schema" in capsys.readouterr().err
+        assert "unsupported record schema" in capsys.readouterr().err
 
     def test_trace_not_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -58,7 +58,9 @@ class TestExamples:
     def test_telemetry_tour(self):
         out = run_example("telemetry_tour.py")
         assert "repro_jobs_finished_total" in out
-        assert "Event log" in out and "arrival" in out and "finish" in out
+        assert "Record journal" in out
+        assert "job job0 -> QUEUED" in out and "job job0 -> FINISHED" in out
+        assert "decision time: sched.propose" in out
         assert "=== job0" in out and "sched.propose" in out
         assert "final_outcome=placed" in out
 
