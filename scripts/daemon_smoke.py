@@ -8,6 +8,10 @@ would:
 * ``POST /submit`` a job -> 202 with ``state: SUBMITTED``;
 * poll ``GET /jobs/<id>`` until the job reaches ``FINISHED`` and its
   record carries a placement;
+* three identical jobs, each submitted once the one before finished,
+  are proposed on a placement-memo hit: the first hit decision's SSE
+  ``data:`` line byte-matches its ``--decisions-out`` journal line and
+  carries a ``pools`` report equal to the one of the miss before it;
 * resubmitting the same id answers 409 ``duplicate``;
 * ``POST /submit`` an over-capacity job answers 422;
 * ``POST /cancel`` of the finished job answers 409 (terminal wins),
@@ -51,6 +55,9 @@ from http.client import HTTPConnection
 
 LISTEN_RE = re.compile(r"listening on (http://\S+)")
 
+#: identical jobs submitted one after another to force memo hits
+HIT_JOBS = 3
+
 
 def fail(message: str) -> None:
     print(f"FAIL: {message}", file=sys.stderr)
@@ -70,6 +77,19 @@ def http(method: str, url: str, body: dict | None = None) -> tuple[int, dict]:
             return resp.status, json.loads(resp.read() or b"{}")
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read() or b"{}")
+
+
+def wait_terminal(url: str, job_id: str, timeout_s: float = 15.0) -> dict:
+    """Poll ``GET /jobs/<id>`` until the job is terminal; returns the
+    last status document seen."""
+    doc: dict = {}
+    deadline = time.time() + timeout_s
+    while time.time() < deadline:
+        _, doc = http("GET", url + f"/jobs/{job_id}")
+        if doc.get("state") in ("FINISHED", "CANCELLED", "FAILED"):
+            break
+        time.sleep(0.05)
+    return doc
 
 
 def read_sse_frames(url: str, timeout_s: float, wanted: dict) -> dict:
@@ -149,19 +169,25 @@ def main() -> None:
             fail(f"/submit answered {status}: {doc}")
 
         # -- poll to terminal ------------------------------------------
-        state = None
-        poll_deadline = time.time() + 15
-        while time.time() < poll_deadline:
-            status, doc = http("GET", url + "/jobs/smoke-1")
-            state = doc.get("state")
-            if state in ("FINISHED", "CANCELLED", "FAILED"):
-                break
-            time.sleep(0.05)
+        doc = wait_terminal(url, "smoke-1")
+        state = doc.get("state")
         if state != "FINISHED":
             fail(f"job never finished (last state {state!r})")
         record = doc.get("record") or {}
         if len(record.get("gpus", [])) != 2:
             fail(f"finished record lacks a placement: {record}")
+
+        # -- placement-memo hits ---------------------------------------
+        # identical jobs, each finishing before the next, meet the
+        # empty cluster smoke-1 met: their proposals replay its memo
+        # entry, pool report included
+        for i in range(HIT_JOBS):
+            twin = dict(job, id=f"smoke-hit-{i}")
+            status, doc = http("POST", url + "/submit", twin)
+            if status != 202:
+                fail(f"/submit of {twin['id']} answered {status}: {doc}")
+            if wait_terminal(url, twin["id"]).get("state") != "FINISHED":
+                fail(f"{twin['id']} never finished")
 
         # -- rejection codes -------------------------------------------
         status, doc = http("POST", url + "/submit", job)
@@ -238,13 +264,8 @@ def main() -> None:
         if status != 202:
             fail(f"/evict answered {status}: {doc}")
         # the evicted job must re-place and still run to completion
-        poll_deadline = time.time() + 15
-        while time.time() < poll_deadline:
-            status, doc = http("GET", url + "/jobs/smoke-evict")
-            state = doc.get("state")
-            if state in ("FINISHED", "CANCELLED", "FAILED"):
-                break
-            time.sleep(0.05)
+        doc = wait_terminal(url, "smoke-evict")
+        state = doc.get("state")
         if state != "FINISHED":
             fail(f"evicted job never finished (last state {state!r})")
         record = doc.get("record") or {}
@@ -257,9 +278,11 @@ def main() -> None:
 
         streamed = read_sse_frames(url, 10.0, {
             "decision": ("decision", '"verdict"'),
+            "hit": ("decision", '"hit": true'),
             "eviction": ("job", '"evict_reason": "preempt"'),
         })
         streamed_seq, streamed_line = streamed["decision"]
+        hit_seq, hit_line = streamed["hit"]
         eviction_seq, eviction_line = streamed["eviction"]
         if '"smoke-evict"' not in eviction_line:
             fail(f"streamed eviction names the wrong job: {eviction_line}")
@@ -316,6 +339,28 @@ def main() -> None:
                 f"the journal: {eviction_line!r} vs "
                 f"{by_seq.get(eviction_seq)!r}"
             )
+        if by_seq.get(hit_seq) != hit_line:
+            fail(
+                f"SSE memo-hit decision seq {hit_seq} does not byte-match "
+                f"the journal: {hit_line!r} vs {by_seq.get(hit_seq)!r}"
+            )
+        hit = json.loads(hit_line)
+        if not hit["job_id"].startswith("smoke-hit-"):
+            fail(f"first memo hit is not a twin job's: {hit_line}")
+        if not hit.get("pools"):
+            fail(f"memo-hit decision carries no pool report: {hit_line}")
+        misses = [
+            record for seq, record in sorted(
+                (seq, json.loads(line)) for seq, line in by_seq.items()
+            )
+            if seq < hit_seq and record["kind"] == "decision"
+            and not (record.get("memo") or {}).get("hit")
+        ]
+        if not misses or misses[-1]["pools"] != hit["pools"]:
+            fail(
+                f"memo-hit pool report {hit['pools']} differs from the "
+                f"miss before it: {misses[-1:]}"
+            )
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -323,6 +368,7 @@ def main() -> None:
     print(
         "daemon smoke OK: submit -> FINISHED over HTTP, rejection codes "
         "409/422, cancel codes 409/404, /decisions + /explain live, "
+        "memo-hit decision streams its miss's pool report, "
         "evict -> RUNNING->QUEUED->FINISHED with the SSE eviction "
         "byte-matching the journal, SSE decision byte-matches the "
         f"journal, clean SIGTERM, journal holds {len(expected)} "

@@ -58,9 +58,10 @@ class CandidatePrefilter:
     constraint, because the exhaustive scan orders survivors by
     (free count asc, name asc) and the engine only ever examines the
     first ``top_k`` pools — the capacity-dominance argument written up
-    in DESIGN.md §9.  ``stats`` is optional so read-only re-reports
-    (provenance on a memo hit) can run the same pruning without
-    perturbing the engine's counters.
+    in DESIGN.md §9.  ``stats`` is optional so the one read-only pass
+    left, the placement memo's fallback report (the first hit that asks
+    for provenance on an entry solved without it), runs the same
+    pruning without perturbing the engine's counters.
     """
 
     def __init__(self, top_k: int, stats: PrefilterStats | None = None) -> None:
@@ -76,7 +77,7 @@ class CandidatePrefilter:
             self.stats.pruned += pruned
 
     def readonly(self) -> "CandidatePrefilter":
-        """A stats-less clone for tap-only (provenance) re-runs."""
+        """A stats-less clone for the memo's tap-only fallback report."""
         return CandidatePrefilter(self.top_k, None)
 
 

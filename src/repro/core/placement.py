@@ -11,7 +11,7 @@ the proposed solution.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.constraints import (
@@ -101,9 +101,6 @@ class PoolSolveStats:
     hits_across: int = 0
 
 
-#: distinguishes "memoised None (no fit)" from "not memoised"
-_MISS = object()
-
 #: co-runner entry of the job being placed in a pool-solve key: the
 #: interference model skips the scored job's own id
 _SELF = "self"
@@ -157,7 +154,8 @@ class PlacementEngine:
         self._reference_bw = self._max_pair_bandwidth()
         self.memo_size = memo_size
         self.stats = PlacementStats()
-        self._memo: OrderedDict[tuple, PlacementSolution | None] = OrderedDict()
+        #: key -> [solution or None, pool report or None]
+        self._memo: OrderedDict[tuple, list] = OrderedDict()
         self._memo_version = -1
         self.pool_stats = PoolSolveStats()
         self._pool_solves: OrderedDict[tuple, tuple] = OrderedDict()
@@ -243,11 +241,15 @@ class PlacementEngine:
         ``provenance`` (optional) is a decision-provenance out-param:
         when a dict is passed it is filled with memo hit/miss state,
         the candidate-pool report and the per-pool evaluation results.
-        On a memo hit the pool report is recomputed via a read-only
-        ``filter_hosts`` pass (the cached answer skipped it), so every
-        decision record carries its candidate-pool sizes; the extra
-        pass only runs when provenance is requested and mutates
-        nothing, keeping results bit-identical.
+        A memo entry holds the pool report its miss built, so a hit
+        hands that stored report to the record without filtering hosts
+        again: the report is a function of the memo key (the key pins
+        the job fields, the allocation and the co-runner lookups
+        ``filter_hosts`` makes; ``top_k`` is the constant
+        :attr:`max_pools`).  An entry solved without provenance builds
+        its report once, on the first hit that asks for one, through a
+        stats-less read-only prefilter.  The stored dict is shared by
+        every record of that entry and must never be mutated.
         """
         co_runners = co_runners or {}
         if self.memo_size <= 0:
@@ -263,30 +265,49 @@ class PlacementEngine:
                 self.stats.invalidations += 1
             self._memo_version = version
         key = self._memo_key(job, co_runners)
-        cached = self._memo.get(key, _MISS)
-        if cached is not _MISS:
+        entry = self._memo.get(key)
+        if entry is not None:
             self._memo.move_to_end(key)
             self.stats.hits += 1
             if provenance is not None:
                 provenance["memo"] = {"enabled": True, "hit": True}
-                report: dict = {}
-                # stats-less clone: the re-report is a pure tap and
-                # must not perturb the engine's prefilter counters
-                self._candidate_pools(
-                    job, co_runners, report, self.prefilter.readonly()
-                )
-                provenance["pools"] = report
+                provenance["pools"] = self._entry_report(entry, job, co_runners)
+            cached = entry[0]
             if cached is None:
                 return None
-            return replace(cached, job_id=job.job_id)
+            return PlacementSolution(
+                job.job_id, cached.gpus, cached.task_mapping,
+                cached.metrics, cached.pool, cached.p2p,
+            )
         self.stats.misses += 1
         if provenance is not None:
             provenance["memo"] = {"enabled": True, "hit": False}
         solution = self._propose(job, co_runners, provenance)
-        self._memo[key] = solution
+        self._memo[key] = [
+            solution, None if provenance is None else provenance["pools"]
+        ]
         if len(self._memo) > self.memo_size:
             self._memo.popitem(last=False)
         return solution
+
+    def _entry_report(
+        self,
+        entry: list,
+        job: Job,
+        co_runners: Mapping[str, tuple[Job, frozenset[str]]],
+    ) -> dict:
+        """The pool report of a memo entry, built on first request when
+        its miss ran without provenance."""
+        report = entry[1]
+        if report is None:
+            report = {}
+            # stats-less clone: building the report is a pure tap and
+            # must not perturb the engine's prefilter counters
+            self._candidate_pools(
+                job, co_runners, report, self.prefilter.readonly()
+            )
+            entry[1] = report
+        return report
 
     def _propose(
         self,

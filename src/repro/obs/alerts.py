@@ -63,7 +63,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.hooks import BaseObserver
@@ -337,11 +337,23 @@ class Watchdog(BaseObserver):
         self.scheduler = scheduler
         self.fired: list[dict] = []
         self._state = {rule.name: _RuleState(rule) for rule in self.rules}
-        # hot-loop pairing: on_decision_round runs every rule every
-        # round, so skip the per-rule dict lookup there
+        # hot loop: on_decision_round runs every rule every round, so
+        # each rule carries its state and comparison pre-resolved, and
+        # an instantaneous rule (window 1, ``last``) is flagged to skip
+        # the window deque and the aggregate
         self._pairs = tuple(
-            (rule, self._state[rule.name]) for rule in self.rules
+            (
+                rule,
+                self._state[rule.name],
+                rule.signal,
+                _OPS[rule.op],
+                rule.threshold,
+                rule.window == 1 and rule.agg == "last",
+            )
+            for rule in self.rules
         )
+        #: only the signals some rule reads are derived per round
+        self._needed = frozenset(rule.signal for rule in self.rules)
         self._rounds = 0
         self._starved_rounds = 0
         # job id -> postponements already counted; dropped at the job's
@@ -407,30 +419,50 @@ class Watchdog(BaseObserver):
             pass
         return self._wait_p95_cache
 
-    def signals(self, queued: int) -> dict[str, float]:
-        """All rule-visible signals at the current round boundary."""
-        if self._cluster is not None:
-            stats = self._cluster.engine.stats
-            proposals = stats.hits + stats.misses
-            hit_rate = stats.hit_rate if proposals else math.nan
-            busy = self._cluster.alloc.busy_count()
-            total = self._total_gpus
-            utilization = busy / total if total else math.nan
-            running = float(len(self._cluster.running))
-        else:
-            hit_rate = self._registry_value("repro_placement_cache_hit_rate")
-            utilization = self._registry_value("repro_gpu_utilization")
-            running = self._registry_value("repro_running_jobs", 0.0)
-        return {
-            "queue_depth": float(queued),
-            "queue_wait_p95": self._wait_p95(),
-            "utilization": utilization,
-            "cache_hit_rate": hit_rate,
-            "starved_rounds": float(self._starved_rounds),
-            "postponements_total": float(self._postponements_total),
-            "requeues_total": float(self._requeues),
-            "running_jobs": running,
-        }
+    def signals(
+        self, queued: int, names: Collection[str] = SIGNALS
+    ) -> dict[str, float]:
+        """Rule-visible signals at the current round boundary: the
+        ones in ``names`` (every signal by default)."""
+        out: dict[str, float] = {}
+        cluster = self._cluster
+        if "queue_depth" in names:
+            out["queue_depth"] = float(queued)
+        if "queue_wait_p95" in names:
+            out["queue_wait_p95"] = self._wait_p95()
+        if "utilization" in names:
+            if cluster is not None:
+                total = self._total_gpus
+                out["utilization"] = (
+                    cluster.alloc.busy_count() / total if total else math.nan
+                )
+            else:
+                out["utilization"] = self._registry_value(
+                    "repro_gpu_utilization"
+                )
+        if "cache_hit_rate" in names:
+            if cluster is not None:
+                stats = cluster.engine.stats
+                hits = stats.hits
+                lookups = hits + stats.misses
+                out["cache_hit_rate"] = hits / lookups if lookups else math.nan
+            else:
+                out["cache_hit_rate"] = self._registry_value(
+                    "repro_placement_cache_hit_rate"
+                )
+        if "starved_rounds" in names:
+            out["starved_rounds"] = float(self._starved_rounds)
+        if "postponements_total" in names:
+            out["postponements_total"] = float(self._postponements_total)
+        if "requeues_total" in names:
+            out["requeues_total"] = float(self._requeues)
+        if "running_jobs" in names:
+            out["running_jobs"] = (
+                float(len(cluster.running))
+                if cluster is not None
+                else self._registry_value("repro_running_jobs", 0.0)
+            )
+        return out
 
     # ------------------------------------------------------------------
     # SimObserver hooks
@@ -457,14 +489,25 @@ class Watchdog(BaseObserver):
             self._starved_rounds += 1
         else:
             self._starved_rounds = 0
-        signals = self.signals(queued)
-        for rule, state in self._pairs:
-            window = state.window
-            window.append(signals[rule.signal])
-            value, action = rule.evaluate(window)
-            if action == "skip":
-                continue  # no data: neither healthy nor violating
-            if action == "violate" or rule.violated(value):
+        signals = self.signals(queued, self._needed)
+        for rule, state, signal, op, threshold, instant in self._pairs:
+            value = signals[signal]
+            if instant:
+                # Rule.evaluate of a one-sample ``last`` window, inline
+                if value != value:  # NaN: no data this round
+                    if rule.nan == "skip":
+                        continue  # neither healthy nor violating
+                    violated = True
+                else:
+                    violated = op(value, threshold)
+            else:
+                window = state.window
+                window.append(value)
+                value, action = rule.evaluate(window)
+                if action == "skip":
+                    continue  # no data: neither healthy nor violating
+                violated = action == "violate" or op(value, threshold)
+            if violated:
                 state.violating_rounds += 1
                 if not state.active and state.violating_rounds >= rule.for_rounds:
                     state.active = True

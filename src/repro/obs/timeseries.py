@@ -245,6 +245,9 @@ class TimeSeriesSampler(BaseObserver):
         self._cluster = None
         self._machines: tuple[str, ...] = ()
         self._machine_gpus: dict[str, int] = {}
+        #: per machine ``(name, GPU count, occupancy, fragmentation,
+        #: link_load series)``, made by the first per-machine sweep
+        self._rows: tuple = ()
         self._total_gpus = 0
 
     # ------------------------------------------------------------------
@@ -257,6 +260,7 @@ class TimeSeriesSampler(BaseObserver):
             m: len(topo.gpus(machine=m)) for m in self._machines
         }
         self._total_gpus = len(topo.gpus())
+        self._rows = ()
 
     # ------------------------------------------------------------------
     def _link_load(self, alloc, machine: str) -> float:
@@ -294,24 +298,30 @@ class TimeSeriesSampler(BaseObserver):
         store.record(t, "running_jobs", float(len(cluster.running)))
         store.record(t, "gpus_busy", float(busy))
         store.record(t, "utilization", busy / total if total else 0.0)
-        store.record(t, "fragmentation", alloc.fragmentation())
+        fractions = alloc.socket_free_fractions()
+        store.record(t, "fragmentation", alloc.fragmentation(None, fractions))
         if self.machine_series:
-            for machine in self._machines:
-                m_total = self._machine_gpus[machine]
+            rows = self._rows
+            if not rows:
+                rows = self._rows = tuple(
+                    (
+                        machine,
+                        self._machine_gpus[machine],
+                        store.series("occupancy", machine),
+                        store.series("fragmentation", machine),
+                        store.series("link_load", machine),
+                    )
+                    for machine in self._machines
+                )
+            for machine, m_total, occupancy, fragmentation, link_load in rows:
                 free = alloc.free_count(machine)
-                store.record(
-                    t, "occupancy",
-                    (m_total - free) / m_total if m_total else 0.0,
-                    machine=machine,
+                occupancy.append(
+                    t, (m_total - free) / m_total if m_total else 0.0
                 )
-                store.record(
-                    t, "fragmentation", alloc.fragmentation(machine),
-                    machine=machine,
+                fragmentation.append(
+                    t, alloc.fragmentation(machine, fractions)
                 )
-                store.record(
-                    t, "link_load", self._link_load(alloc, machine),
-                    machine=machine,
-                )
+                link_load.append(t, self._link_load(alloc, machine))
         store.samples_taken += 1
 
     # ------------------------------------------------------------------

@@ -28,6 +28,13 @@ class AllocationError(RuntimeError):
 LINKS_CACHE_MAX = 4096
 
 
+def _free_fraction(gpus: tuple[str, ...], owner: Mapping[str, str]) -> float:
+    """Share of ``gpus`` that no job owns (0.0 for none)."""
+    if not gpus:
+        return 0.0
+    return sum([g not in owner for g in gpus]) / len(gpus)
+
+
 class AllocationState:
     """Mutable view of which job owns which GPUs on a topology.
 
@@ -68,6 +75,7 @@ class AllocationState:
         self._down_machines: set[str] = set()
         self._signature: tuple | None = None
         self._signature_version = -1
+        self._sockets: dict[str, tuple[str, ...]] | None = None
         self.digest = 0
         # maintained aggregates for O(1) capacity queries at fleet scale:
         # the healthy-machine free total and a capacity-bucket
@@ -336,19 +344,50 @@ class AllocationState:
     # ------------------------------------------------------------------
     # fragmentation (Eq. 5)
     # ------------------------------------------------------------------
-    def socket_free_fraction(self, socket: str) -> float:
-        gpus = self.topo.gpus(socket=socket)
-        if not gpus:
-            return 0.0
-        free = sum(1 for g in gpus if g not in self._gpu_owner)
-        return free / len(gpus)
+    def _socket_table(self) -> dict[str, tuple[str, ...]]:
+        """Socket -> its GPUs, in :meth:`TopologyGraph.sockets` order;
+        built on first use (the topology is fixed for the lifetime of
+        an allocation state, like ``_all_gpus``)."""
+        table = self._sockets
+        if table is None:
+            topo = self.topo
+            table = self._sockets = {
+                s: tuple(topo.gpus(socket=s)) for s in topo.sockets()
+            }
+        return table
 
-    def fragmentation(self, machine: str | None = None) -> float:
-        """Average per-socket free-GPU fraction (Eq. 5's omega)."""
+    def socket_free_fraction(self, socket: str) -> float:
+        return _free_fraction(
+            self._socket_table().get(socket, ()), self._gpu_owner
+        )
+
+    def socket_free_fractions(self) -> dict[str, float]:
+        """:meth:`socket_free_fraction` of every socket, for a sweep
+        that reads many of them (see :meth:`fragmentation`)."""
+        owner = self._gpu_owner
+        return {
+            s: _free_fraction(gpus, owner)
+            for s, gpus in self._socket_table().items()
+        }
+
+    def fragmentation(
+        self,
+        machine: str | None = None,
+        fractions: Mapping[str, float] | None = None,
+    ) -> float:
+        """Average per-socket free-GPU fraction (Eq. 5's omega).
+
+        ``fractions`` (optional) is a :meth:`socket_free_fractions`
+        snapshot of the current allocation, so a sweep over every
+        machine and then the cluster (the time-series sampler) counts
+        each socket once instead of once per call.
+        """
         sockets = self.topo.sockets(machine=machine)
         if not sockets:
             return 0.0
-        return sum(self.socket_free_fraction(s) for s in sockets) / len(sockets)
+        if fractions is None:
+            fractions = self.socket_free_fractions()
+        return sum([fractions[s] for s in sockets]) / len(sockets)
 
     # ------------------------------------------------------------------
     # link usage / sharing

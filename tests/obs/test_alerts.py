@@ -7,7 +7,13 @@ import pytest
 
 from repro.analysis.scenarios import scenario1_jobs
 from repro.obs import MetricsRegistry
-from repro.obs.alerts import DEFAULT_RULES, Rule, Watchdog, load_rules
+from repro.obs.alerts import (
+    DEFAULT_RULES,
+    SIGNALS,
+    Rule,
+    Watchdog,
+    load_rules,
+)
 from repro.obs.provenance import DecisionRecorder, records_of
 from repro.obs.telemetry import TelemetryObserver
 from repro.schedulers import make_scheduler
@@ -240,6 +246,34 @@ class TestWindowedRules:
         assert len(watchdog.fired) == 1
         assert watchdog.fired[0]["value"] is None  # NaN serialised as null
         json.dumps(watchdog.published_state())
+
+    @pytest.mark.parametrize("nan", ["skip", "violate"])
+    def test_instant_rules_fire_as_the_general_evaluation(self, nan):
+        # window 1 + ``last`` takes the inline path; ``max`` over one
+        # sample is the same rule through Rule.evaluate
+        def rules(agg):
+            return (
+                Rule("qd", "queue_depth", ">", 3.0, for_rounds=2, agg=agg,
+                     nan=nan),
+                Rule("hr", "cache_hit_rate", "<", 0.5, for_rounds=3,
+                     agg=agg, nan=nan),
+            )
+
+        depths = [0, 5, 5, 1, 7, 7, 7, 2, 2, 9]
+        fast, general = Watchdog(None, rules("last")), Watchdog(None, rules("max"))
+        self.drive(fast, depths)
+        self.drive(general, depths)
+        strip = lambda docs: [
+            {k: v for k, v in d.items() if k != "agg"} for d in docs
+        ]
+        assert fast.fired and strip(fast.fired) == strip(general.fired)
+        assert (fast.published_state()["active"]
+                == general.published_state()["active"])
+
+    def test_only_the_signals_rules_read_are_derived(self):
+        watchdog = Watchdog(None, (Rule("qd", "queue_depth", ">", 1.0),))
+        assert watchdog.signals(3, {"queue_depth"}) == {"queue_depth": 3.0}
+        assert set(watchdog.signals(3)) == set(SIGNALS)
 
     def test_windowed_rule_fires_in_real_run(self):
         rule = Rule("qd-mean", "queue_depth", ">=", 4.0, window=5,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.topology.allocation import AllocationError, AllocationState
-from repro.topology.builders import cluster, power8_minsky
+from repro.topology.builders import cluster, dgx1, power8_pcie_k80
 
 
 class TestAllocateRelease:
@@ -85,6 +85,23 @@ class TestFragmentation:
         assert alloc.socket_free_fraction("m0/s0") == 0.5
         assert alloc.socket_free_fraction("m0/s1") == 1.0
         assert alloc.fragmentation() == 0.75
+
+    def test_snapshot_sweep_matches_per_call_counts(self):
+        # a mixed fleet, every third GPU taken: sockets differ in size
+        # and occupancy from machine to machine
+        topo = cluster(
+            6,
+            lambda mid: (dgx1 if int(mid[1:]) % 2 else power8_pcie_k80)(mid),
+        )
+        alloc = AllocationState(topo)
+        for i, gpu in enumerate(topo.gpus()[::3]):
+            alloc.allocate(f"j{i}", [gpu])
+        fractions = alloc.socket_free_fractions()
+        assert list(fractions) == topo.sockets()
+        for machine in (None, *topo.machines()):
+            assert alloc.fragmentation(machine, fractions) == (
+                alloc.fragmentation(machine)
+            )
 
 
 class TestLinksAndSharing:
