@@ -32,9 +32,7 @@ def main() -> None:
 
     # 1. Wire the taps: metrics in a registry, records in the recorder.
     registry = MetricsRegistry()
-    observer = TelemetryObserver(
-        registry, scheduler="TOPO-AWARE-P", total_gpus=len(topo.gpus())
-    )
+    observer = TelemetryObserver(registry, scheduler="TOPO-AWARE-P")
     recorder = DecisionRecorder(journal=True, registry=registry)
 
     # 2. Run with the recorder as the span sink — every scheduler

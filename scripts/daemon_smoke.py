@@ -23,6 +23,11 @@ would:
   record byte-matches the ``--decisions-out`` journal line;
 * ``GET /jobs`` lists every id with a terminal state, ``GET /metrics``
   carries the service metric families;
+* once the loop is idle, ``/metrics`` and ``/state`` agree: the
+  ``repro_gpus_busy`` gauge equals ``gpus_busy`` and the memo-miss
+  counter equals ``placement_cache.misses``;
+* the ``GET /events`` replay from id 0 opens with the ``run_start``
+  record;
 * ``GET /decisions`` reports at least one recorded decision,
   ``GET /explain/smoke-1`` shows a ``placed`` verdict plus the
   lifecycle state, and one ``decision`` event is read off the
@@ -52,6 +57,11 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from http.client import HTTPConnection
+
+sys.path.insert(0, "src")
+
+from repro.obs import parse_prometheus  # noqa: E402
+from repro.obs.export import sample_value  # noqa: E402
 
 LISTEN_RE = re.compile(r"listening on (http://\S+)")
 
@@ -90,6 +100,39 @@ def wait_terminal(url: str, job_id: str, timeout_s: float = 15.0) -> dict:
             break
         time.sleep(0.05)
     return doc
+
+
+def check_metrics_match_state(url: str, timeout_s: float = 5.0) -> None:
+    """Wait for the loop to go idle, then require ``/metrics`` and
+    ``/state`` to read the same busy GPUs and memo misses (retried
+    briefly: the idle flag is set just before the final publish)."""
+    deadline = time.time() + timeout_s
+    seen = None
+    while time.time() < deadline:
+        if http("GET", url + "/jobs")[1].get("idle"):
+            _, state = http("GET", url + "/state")
+            with urllib.request.urlopen(url + "/metrics", timeout=5) as resp:
+                families = parse_prometheus(resp.read().decode())
+            labels = {"scheduler": state["scheduler"]}
+            try:
+                seen = (
+                    sample_value(families, "repro_gpus_busy", labels=labels),
+                    state["gpus_busy"],
+                    sample_value(
+                        families, "repro_placement_cache_misses_total",
+                        labels=labels,
+                    ),
+                    state["placement_cache"]["misses"],
+                )
+            except KeyError as exc:
+                fail(f"/metrics lacks a sample: {exc}")
+            if seen[0] == seen[1] and seen[2] == seen[3]:
+                return
+        time.sleep(0.05)
+    fail(
+        "/metrics and /state disagree once idle "
+        f"(gpus_busy, state gpus_busy, memo misses, state misses): {seen}"
+    )
 
 
 def read_sse_frames(url: str, timeout_s: float, wanted: dict) -> dict:
@@ -177,6 +220,14 @@ def main() -> None:
         if len(record.get("gpus", [])) != 2:
             fail(f"finished record lacks a placement: {record}")
 
+        # -- the record stream opens with the run envelope -------------
+        # (seq 1 is the first record the daemon ever wrote)
+        start_seq, start_line = read_sse_frames(url, 5.0, {
+            "run_start": ("run_start", '"jobs": 0'),
+        })["run_start"]
+        if start_seq != 1:
+            fail(f"/events replay does not open with run_start: {start_line}")
+
         # -- placement-memo hits ---------------------------------------
         # identical jobs, each finishing before the next, meet the
         # empty cluster smoke-1 met: their proposals replay its memo
@@ -216,6 +267,7 @@ def main() -> None:
                        "repro_service_jobs"):
             if family not in metrics:
                 fail(f"/metrics missing family {family}")
+        check_metrics_match_state(url)
 
         # -- decision provenance over HTTP -----------------------------
         status, doc = http("GET", url + "/decisions")
@@ -367,7 +419,8 @@ def main() -> None:
 
     print(
         "daemon smoke OK: submit -> FINISHED over HTTP, rejection codes "
-        "409/422, cancel codes 409/404, /decisions + /explain live, "
+        "409/422, cancel codes 409/404, /metrics agrees with /state, "
+        "/events opens with run_start, /decisions + /explain live, "
         "memo-hit decision streams its miss's pool report, "
         "evict -> RUNNING->QUEUED->FINISHED with the SSE eviction "
         "byte-matching the journal, SSE decision byte-matches the "

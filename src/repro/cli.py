@@ -457,20 +457,15 @@ class _TelemetrySinks:
         self.watchdogs: dict[str, object] = {}
         self.decision_recorders: dict[str, object] = {}
 
-    def observers(self, scheduler: str, total_gpus: int) -> tuple:
+    def observers(self, scheduler: str) -> tuple:
         if not self.enabled:
             return ()
         from repro.obs.telemetry import TelemetryObserver
 
-        observer = TelemetryObserver(
-            self.registry, scheduler=scheduler, total_gpus=total_gpus
-        )
-        taps: list = [observer]
+        taps: list = [TelemetryObserver(self.registry, scheduler=scheduler)]
         if self.watchdog_enabled:
             from repro.obs.alerts import Watchdog
 
-            # after the telemetry observer, so registry-derived signals
-            # are fresh when rules evaluate at each round boundary
             watchdog = Watchdog(self.registry, self.rules, scheduler=scheduler)
             self.watchdogs[scheduler] = watchdog
             if self.server is not None:
@@ -496,13 +491,7 @@ class _TelemetrySinks:
         if self.publisher is not None:
             from repro.obs.state import SnapshotObserver
 
-            taps.append(
-                SnapshotObserver(
-                    self.publisher,
-                    scheduler=scheduler,
-                    total_gpus=total_gpus,
-                )
-            )
+            taps.append(SnapshotObserver(self.publisher, scheduler=scheduler))
         return tuple(taps)
 
     def __enter__(self):
@@ -600,7 +589,7 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    telemetry = sinks.observers(args.scheduler, len(topo.gpus()))
+    telemetry = sinks.observers(args.scheduler)
     with sinks:
         result = run_with_observers(
             topo,
@@ -630,7 +619,6 @@ def _cmd_compare(args) -> int:
     from repro.sim.runner import COMPARE_POLICIES, run_comparison
 
     topo_factory = _topology_factory(args)
-    total_gpus = len(topo_factory().gpus())
     jobs = _generate(args)
     try:
         sinks = _TelemetrySinks(args)
@@ -640,7 +628,7 @@ def _cmd_compare(args) -> int:
     gantts: dict[str, GanttObserver] = {}
 
     def observer_factory(name: str):
-        observers = list(sinks.observers(name, total_gpus))
+        observers = list(sinks.observers(name))
         if args.gantt:
             gantts[name] = GanttObserver(name)
             observers.append(gantts[name])

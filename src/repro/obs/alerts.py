@@ -5,9 +5,14 @@ regressions instead of waiting for post-mortem log analysis.  The
 :class:`Watchdog` is a :class:`~repro.sim.hooks.SimObserver` that
 evaluates a set of :class:`Rule` objects at every decision-round
 boundary — the cadence Algorithm 1 already wakes the scheduler on —
-against *signals* derived from the shared
-:class:`~repro.obs.metrics.MetricsRegistry` and the hook stream
-itself:
+against *signals* that it reads, keeping no copy: ``queue_depth`` and
+``starved_rounds`` from the round, ``utilization``, ``cache_hit_rate``
+and ``running_jobs`` from the simulation ``Simulator.start`` binds it
+to, and ``queue_wait_p95``, ``postponements_total`` and
+``requeues_total`` from the families a
+:class:`~repro.obs.telemetry.TelemetryObserver` keeps in the shared
+:class:`~repro.obs.metrics.MetricsRegistry`.  Unbound, or without that
+registry, those signals are NaN.
 
 ======================  ====================================================
 signal                  meaning
@@ -46,7 +51,9 @@ false under every operator — historically "no data" could silently
 never page.  ``nan="skip"`` (the default) excludes NaN samples from
 evaluation and leaves the rule's streak state untouched (no data is
 neither healthy nor violating); ``nan="violate"`` treats a NaN sample
-as a violation, for signals whose absence is itself the incident.
+as a violation, for signals whose absence is itself the incident.  The
+watchdog counts the NaN samples of each rule's window as they enter
+and leave it, so a NaN-free window is aggregated without a NaN probe.
 
 Signals are all derived from *simulation* state (sim time, sim-time
 waits), never wall clock, so a rule that fires in a scenario fires
@@ -65,7 +72,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Sequence
 
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.hooks import BaseObserver
 
 #: signal names rules may reference (validated at load time)
@@ -154,42 +161,40 @@ class Rule:
         missing sample pages directly).
         """
         current = window_values[-1]
-        if math.isnan(current) and self.nan == "violate":
+        if current != current and self.nan == "violate":
             return math.nan, "violate"
         agg = self.agg
         if agg == "last":
-            if math.isnan(current):
+            if current != current:
                 return math.nan, "skip"
             return current, "evaluate"
-        # hot path: a NaN anywhere poisons sum(), so one C-speed pass
-        # detects it; without NaNs the aggregates run on the deque
-        # directly, no intermediate list (this evaluates per rule per
-        # round — its cost is pinned by the obs-overhead benchmark)
-        n = len(window_values)
-        total = sum(window_values)
-        if not math.isnan(total):
-            if agg == "mean":
-                return total / n, "evaluate"
-            if agg == "max":
-                return max(window_values), "evaluate"
-            if agg == "min":
-                return min(window_values), "evaluate"
-            # rate: per-round change across the window; needs two points
-            if n < 2:
+        # a NaN anywhere poisons sum(): one C-speed probe.  The
+        # watchdog counts its windows' NaNs instead and evaluates a
+        # NaN-free window inline, without the probe
+        if math.isnan(sum(window_values)):
+            window_values = [v for v in window_values if v == v]
+            if not window_values:
                 return math.nan, "skip"
-            return (current - window_values[0]) / (n - 1), "evaluate"
-        finite = [v for v in window_values if not math.isnan(v)]
-        if not finite:
+        value = _AGGREGATE[agg](window_values)
+        if value != value:  # rate needs two points
             return math.nan, "skip"
-        if agg == "mean":
-            return sum(finite) / len(finite), "evaluate"
-        if agg == "max":
-            return max(finite), "evaluate"
-        if agg == "min":
-            return min(finite), "evaluate"
-        if len(finite) < 2:
-            return math.nan, "skip"
-        return (finite[-1] - finite[0]) / (len(finite) - 1), "evaluate"
+        return value, "evaluate"
+
+
+def _rate(window) -> float:
+    """Per-round change across the window (NaN below two points)."""
+    n = len(window)
+    return (window[-1] - window[0]) / (n - 1) if n > 1 else math.nan
+
+
+#: window aggregates over NaN-free samples
+_AGGREGATE = {
+    "last": lambda window: window[-1],
+    "mean": lambda window: sum(window) / len(window),
+    "max": max,
+    "min": min,
+    "rate": _rate,
+}
 
 
 #: conservative defaults: silent on the paper's Scenario 1 workload,
@@ -299,7 +304,7 @@ def load_rules(path: Path | str) -> tuple[Rule, ...]:
 class _RuleState:
     """Mutable evaluation state for one rule."""
 
-    __slots__ = ("violating_rounds", "active", "fired_count", "window")
+    __slots__ = ("violating_rounds", "active", "fired_count", "window", "nans")
 
     def __init__(self, rule: Rule) -> None:
         self.violating_rounds = 0
@@ -307,15 +312,19 @@ class _RuleState:
         self.fired_count = 0
         #: trailing signal samples the rule's aggregate sees
         self.window: deque = deque(maxlen=rule.window)
+        #: NaN samples in ``window``, kept on append and eviction so a
+        #: NaN-free window needs no probe
+        self.nans = 0
 
 
 class Watchdog(BaseObserver):
     """Evaluate SLO rules at decision-round boundaries.
 
     Shares the :class:`MetricsRegistry` with the
-    :class:`~repro.obs.telemetry.TelemetryObserver` (attach the
-    telemetry observer *first* so gauges are fresh when rules run —
-    the CLI wiring guarantees this).  Every firing and resolution is
+    :class:`~repro.obs.telemetry.TelemetryObserver`, whose counters it
+    reads (the waiting histogram and the postponement counter only on
+    the first round after a placement: nothing else moves them).
+    Every firing and resolution is
     also recorded as an ``alert`` record by the decision recorder of the
     simulation it is bound to, if that simulation has one.  Rounds are
     numbered from 0, like the recorder's ``round`` records, so an alert
@@ -338,9 +347,9 @@ class Watchdog(BaseObserver):
         self.fired: list[dict] = []
         self._state = {rule.name: _RuleState(rule) for rule in self.rules}
         # hot loop: on_decision_round runs every rule every round, so
-        # each rule carries its state and comparison pre-resolved, and
-        # an instantaneous rule (window 1, ``last``) is flagged to skip
-        # the window deque and the aggregate
+        # each rule carries its state, comparison and aggregate
+        # pre-resolved; an instantaneous rule (window 1, ``last``) has
+        # no aggregate and skips the window deque
         self._pairs = tuple(
             (
                 rule,
@@ -348,7 +357,8 @@ class Watchdog(BaseObserver):
                 rule.signal,
                 _OPS[rule.op],
                 rule.threshold,
-                rule.window == 1 and rule.agg == "last",
+                None if rule.window == 1 and rule.agg == "last"
+                else _AGGREGATE[rule.agg],
             )
             for rule in self.rules
         )
@@ -356,18 +366,15 @@ class Watchdog(BaseObserver):
         self._needed = frozenset(rule.signal for rule in self.rules)
         self._rounds = 0
         self._starved_rounds = 0
-        # job id -> postponements already counted; dropped at the job's
-        # terminal hook so the map holds live jobs only
-        self._postponements: dict[str, int] = {}
-        self._postponements_total = 0
-        self._requeues = 0
         self._sim = None
         self._cluster = None
         self._total_gpus = 0
-        # p95 is only recomputed after a placement lands in the waiting
-        # histogram; between placements the cached value is exact
+        # the waiting histogram and the postponement counter move only
+        # when a placement lands: both are re-read on the first round
+        # after an on_place, and served from this cache otherwise
         self._wait_p95_cache = math.nan
-        self._waits_dirty = True
+        self._postponements_cache = math.nan
+        self._placed_since_read = True
         #: immutable dict swapped whole on fire/resolve transitions;
         #: the introspection server's /alerts endpoint reads it lock-free
         self._published: dict = self._publish()
@@ -383,7 +390,7 @@ class Watchdog(BaseObserver):
 
     # ------------------------------------------------------------------
     def bind_simulation(self, sim) -> None:
-        """Runner wiring: read cluster-derived signals directly."""
+        """Read the cluster signals off ``sim`` (``Simulator.start``)."""
         self._sim = sim
         self._cluster = sim.cluster
         self._total_gpus = len(sim.topo.gpus())
@@ -394,30 +401,27 @@ class Watchdog(BaseObserver):
     # ------------------------------------------------------------------
     # signal derivation
     # ------------------------------------------------------------------
-    def _registry_value(self, name: str, default: float = math.nan) -> float:
-        if self.registry is None or name not in self.registry:
-            return default
-        instrument = self.registry.get(name)
-        try:
-            return instrument.value(scheduler=self.scheduler)
-        except (AttributeError, ValueError):
-            return default
+    def _counter(self, name: str) -> float:
+        """This scheduler's series of a shared-registry counter; NaN
+        without a registry or a telemetry observer feeding it."""
+        registry = self.registry
+        if registry is None or name not in registry:
+            return math.nan
+        return registry.get(name).value(scheduler=self.scheduler)
 
-    def _wait_p95(self) -> float:
-        if not self._waits_dirty:
-            return self._wait_p95_cache
-        self._waits_dirty = False
-        self._wait_p95_cache = math.nan
-        if self.registry is None or "repro_job_waiting_seconds" not in self.registry:
-            return math.nan
-        hist = self.registry.get("repro_job_waiting_seconds")
-        if not isinstance(hist, Histogram):
-            return math.nan
-        try:
-            self._wait_p95_cache = hist.quantile(0.95, scheduler=self.scheduler)
-        except ValueError:
-            pass
-        return self._wait_p95_cache
+    def _read_after_place(self) -> None:
+        self._placed_since_read = False
+        self._postponements_cache = self._counter(
+            "repro_job_postponements_total"
+        )
+        registry = self.registry
+        self._wait_p95_cache = (
+            registry.get("repro_job_waiting_seconds").quantile(
+                0.95, scheduler=self.scheduler
+            )
+            if registry is not None and "repro_job_waiting_seconds" in registry
+            else math.nan
+        )
 
     def signals(
         self, queued: int, names: Collection[str] = SIGNALS
@@ -425,64 +429,41 @@ class Watchdog(BaseObserver):
         """Rule-visible signals at the current round boundary: the
         ones in ``names`` (every signal by default)."""
         out: dict[str, float] = {}
-        cluster = self._cluster
+        if self._placed_since_read and (
+            "queue_wait_p95" in names or "postponements_total" in names
+        ):
+            self._read_after_place()
         if "queue_depth" in names:
             out["queue_depth"] = float(queued)
         if "queue_wait_p95" in names:
-            out["queue_wait_p95"] = self._wait_p95()
-        if "utilization" in names:
-            if cluster is not None:
-                total = self._total_gpus
-                out["utilization"] = (
-                    cluster.alloc.busy_count() / total if total else math.nan
-                )
-            else:
-                out["utilization"] = self._registry_value(
-                    "repro_gpu_utilization"
-                )
-        if "cache_hit_rate" in names:
-            if cluster is not None:
-                stats = cluster.engine.stats
-                hits = stats.hits
-                lookups = hits + stats.misses
-                out["cache_hit_rate"] = hits / lookups if lookups else math.nan
-            else:
-                out["cache_hit_rate"] = self._registry_value(
-                    "repro_placement_cache_hit_rate"
-                )
+            out["queue_wait_p95"] = self._wait_p95_cache
         if "starved_rounds" in names:
             out["starved_rounds"] = float(self._starved_rounds)
         if "postponements_total" in names:
-            out["postponements_total"] = float(self._postponements_total)
+            out["postponements_total"] = self._postponements_cache
         if "requeues_total" in names:
-            out["requeues_total"] = float(self._requeues)
+            out["requeues_total"] = self._counter("repro_jobs_requeued_total")
+        cluster = self._cluster
+        if cluster is None:  # unbound: the cluster signals have no value
+            for name in ("utilization", "cache_hit_rate", "running_jobs"):
+                if name in names:
+                    out[name] = math.nan
+            return out
+        if "utilization" in names:
+            out["utilization"] = cluster.alloc.busy_count() / self._total_gpus
+        if "cache_hit_rate" in names:
+            stats = cluster.engine.stats
+            lookups = stats.hits + stats.misses
+            out["cache_hit_rate"] = stats.hits / lookups if lookups else math.nan
         if "running_jobs" in names:
-            out["running_jobs"] = (
-                float(len(cluster.running))
-                if cluster is not None
-                else self._registry_value("repro_running_jobs", 0.0)
-            )
+            out["running_jobs"] = float(len(cluster.running))
         return out
 
     # ------------------------------------------------------------------
     # SimObserver hooks
     # ------------------------------------------------------------------
     def on_place(self, t, job, solution, solo_exec_time, postponements):
-        self._waits_dirty = True
-        if postponements:
-            seen = self._postponements.get(job.job_id, 0)
-            self._postponements_total += postponements - seen
-            self._postponements[job.job_id] = postponements
-
-    def on_finish(self, t, job, gpus):
-        self._postponements.pop(job.job_id, None)
-
-    def on_evict(self, t, job, gpus, reason):
-        if reason == "cancel":
-            self._postponements.pop(job.job_id, None)
-
-    def on_requeue(self, t, job):
-        self._requeues += 1
+        self._placed_since_read = True
 
     def on_decision_round(self, t, placed, queued, elapsed_s):
         if queued > 0 and not placed:
@@ -490,9 +471,9 @@ class Watchdog(BaseObserver):
         else:
             self._starved_rounds = 0
         signals = self.signals(queued, self._needed)
-        for rule, state, signal, op, threshold, instant in self._pairs:
+        for rule, state, signal, op, threshold, aggregate in self._pairs:
             value = signals[signal]
-            if instant:
+            if aggregate is None:
                 # Rule.evaluate of a one-sample ``last`` window, inline
                 if value != value:  # NaN: no data this round
                     if rule.nan == "skip":
@@ -502,11 +483,22 @@ class Watchdog(BaseObserver):
                     violated = op(value, threshold)
             else:
                 window = state.window
+                if len(window) == window.maxlen and window[0] != window[0]:
+                    state.nans -= 1  # a NaN leaves the window
                 window.append(value)
-                value, action = rule.evaluate(window)
-                if action == "skip":
-                    continue  # no data: neither healthy nor violating
-                violated = action == "violate" or op(value, threshold)
+                if value != value:
+                    state.nans += 1
+                if state.nans:
+                    value, action = rule.evaluate(window)
+                    if action == "skip":
+                        continue  # no data: neither healthy nor violating
+                    violated = action == "violate" or op(value, threshold)
+                else:
+                    # Rule.evaluate of a NaN-free window, inline
+                    value = aggregate(window)
+                    if value != value:
+                        continue  # rate below two points: no data
+                    violated = op(value, threshold)
             if violated:
                 state.violating_rounds += 1
                 if not state.active and state.violating_rounds >= rule.for_rounds:

@@ -302,7 +302,8 @@ class DecisionRecorder(BaseObserver):
     # the run envelope, alerts and spans
     # ------------------------------------------------------------------
     def bind_simulation(self, sim) -> None:
-        """Runner wiring: open the run with a ``run_start`` record."""
+        """``Simulator.start`` wiring: open the run with a ``run_start``
+        record (a daemon's run starts with ``jobs: 0``)."""
         if not self.scheduler:
             self.scheduler = sim.scheduler.name
         self._append("run_start", {

@@ -12,7 +12,7 @@ one, never a half-built state, and the sim thread never blocks on a
 reader.
 
 :class:`SnapshotObserver` is the :class:`~repro.sim.hooks.SimObserver`
-that builds snapshots.  It is bound to the run by the runner
+that builds snapshots.  ``Simulator.start`` binds it to the run
 (``bind_simulation``) so it can read queue depth, per-machine free
 GPUs, the allocation epoch and placement-cache counters directly from
 the live cluster, and it republishes at every decision-round boundary
@@ -137,14 +137,12 @@ class SnapshotObserver(BaseObserver):
         publisher: SnapshotPublisher | None = None,
         *,
         scheduler: str = "",
-        total_gpus: int | None = None,
         clock=time.time,
         min_publish_interval_s: float = 0.05,
         job_states_source=None,
     ) -> None:
         self.publisher = publisher if publisher is not None else SnapshotPublisher()
         self.scheduler = scheduler
-        self.total_gpus = total_gpus
         self.clock = clock
         self.min_publish_interval_s = min_publish_interval_s
         #: optional callable returning a fresh job_id -> state dict the
@@ -155,27 +153,20 @@ class SnapshotObserver(BaseObserver):
         self._last_publish = float("-inf")
         self._events_seen = 0
         self._rounds = 0
-        self._cluster = None
-        self._sched = None
         self._sim = None
+        self._total_gpus = 0
 
     # ------------------------------------------------------------------
     def bind_simulation(self, sim) -> None:
-        """Called by the runner once the Simulator exists."""
-        self._cluster = sim.cluster
-        self._sched = sim.scheduler
-        # the decision recorder is discovered by Simulator.start(),
-        # which may run after this bind: keep the sim handle and read
-        # the recorder's counters lazily at build time
+        """Called by ``Simulator.start``; publishes the first snapshot."""
         self._sim = sim
+        self._total_gpus = len(sim.topo.gpus())
         if not self.scheduler:
             self.scheduler = sim.scheduler.name
-        if self.total_gpus is None:
-            self.total_gpus = len(sim.topo.gpus())
         self._publish()
 
     def _decision_stats(self) -> tuple[tuple[str, int], ...]:
-        recorder = getattr(self._sim, "decision_recorder", None)
+        recorder = self._sim.decision_recorder
         if recorder is None:
             return ()
         counts = recorder.counts()
@@ -191,29 +182,13 @@ class SnapshotObserver(BaseObserver):
             if self.job_states_source is not None
             else {}
         )
-        cluster = self._cluster
-        if cluster is None:
-            return RunSnapshot(
-                scheduler=self.scheduler,
-                wall_time=self.clock(),
-                total_gpus=self.total_gpus or 0,
-                events_seen=self._events_seen,
-                finished=finished,
-                makespan=makespan,
-                job_states=job_states,
-                decision_stats=self._decision_stats(),
-            )
+        cluster = self._sim.cluster
         alloc = cluster.alloc
         free_by_machine = tuple(
             (m, alloc.free_count(m)) for m in sorted(cluster.topo.machines())
         )
-        busy = sum(len(run.gpus) for run in cluster.running.values())
         stats = cluster.engine.stats.as_dict()
-        queued = (
-            tuple(j.job_id for j in self._sched.queued_jobs())
-            if self._sched is not None
-            else ()
-        )
+        queued = tuple(j.job_id for j in self._sim.scheduler.queued_jobs())
         return RunSnapshot(
             scheduler=self.scheduler,
             sim_time=cluster.now,
@@ -222,8 +197,8 @@ class SnapshotObserver(BaseObserver):
             queue_depth=len(queued),
             running_jobs=tuple(sorted(cluster.running)),
             queued_jobs=queued,
-            gpus_busy=busy,
-            total_gpus=self.total_gpus or len(cluster.topo.gpus()),
+            gpus_busy=alloc.busy_count(),
+            total_gpus=self._total_gpus,
             free_gpus_by_machine=free_by_machine,
             allocation_epoch=alloc.version,
             placement_cache=tuple(sorted(stats.items())),

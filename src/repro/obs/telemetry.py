@@ -1,9 +1,12 @@
 """Bridge from simulation hooks to metrics.
 
 :class:`TelemetryObserver` is a :class:`~repro.sim.hooks.SimObserver`
-that drives a :class:`~repro.obs.metrics.MetricsRegistry` (live
-cluster gauges, lifecycle counters, a decision-latency histogram) from
-the simulation event stream; the per-event records live in the
+that drives a :class:`~repro.obs.metrics.MetricsRegistry`: lifecycle
+counters and histograms from the simulation event stream, and cluster
+gauges plus the engine's memo and prefilter counters read off the
+bound simulation at every round boundary (and after an out-of-round
+eviction), so a daemon that never finishes a run exports them too.
+The per-event records live in the
 decision flight recorder (:mod:`repro.obs.provenance`).  It is a
 pure tap: it never mutates cluster or scheduler state, so attaching it
 cannot change simulation results (pinned by the golden-equivalence
@@ -34,6 +37,11 @@ repro_gpu_utilization                   gauge      busy fraction of all GPUs
 repro_decision_latency_seconds          histogram  wall-clock per decision round
 repro_job_waiting_seconds               histogram  arrival -> placement delay
 repro_placement_utility                 histogram  chosen normalised utility
+repro_placement_cache_hits_total        counter    placement-memo hits
+repro_placement_cache_misses_total      counter    placement-memo misses
+repro_placement_cache_invalidations_total  counter  allocation-epoch rotations
+                                                   between memo lookups
+repro_placement_cache_hit_rate          gauge      memo hits per proposal
 repro_placement_prefilter_considered_total  counter  hosts probed by the top-k
                                                      candidate prefilter
 repro_placement_prefilter_pruned_total  counter    capacity-eligible hosts the
@@ -59,24 +67,26 @@ _SUBMIT_BUCKETS = (
 
 
 class TelemetryObserver(BaseObserver):
-    """Feed sim lifecycle events into a metrics registry."""
+    """Feed sim lifecycle events into a metrics registry.
+
+    Lifecycle counters and histograms come from the hooks; the cluster
+    gauges and the engine's memo and prefilter counters are read off
+    the simulation it is bound to (``bind_simulation``, called by
+    ``Simulator.start``) at every decision-round boundary.
+    """
 
     def __init__(
         self,
         registry: MetricsRegistry | None = None,
         *,
         scheduler: str = "",
-        total_gpus: int | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.scheduler = scheduler
-        self.total_gpus = total_gpus
-        self._busy = 0
-        self._running = 0
-        self._held: dict[str, int] = {}  # job id -> GPUs it occupies
         # job id -> postponements already counted; dropped at the job's
         # terminal hook so the map holds live jobs only
         self._postponements_seen: dict[str, int] = {}
+        self._cluster = None  # set by bind_simulation
 
         reg = self.registry
         labels = ("scheduler",)
@@ -132,13 +142,13 @@ class TelemetryObserver(BaseObserver):
             "repro_placement_utility",
             "Normalised utility of enforced placements (Eq. 1).",
             labels, buckets=_UTILITY_BUCKETS)
-        self._memo_hits = reg.counter(
+        memo_hits = reg.counter(
             "repro_placement_cache_hits_total",
             "Placement-memo hits (proposals replayed from cache).", labels)
-        self._memo_misses = reg.counter(
+        memo_misses = reg.counter(
             "repro_placement_cache_misses_total",
             "Placement-memo misses (proposals solved from scratch).", labels)
-        self._memo_invalidations = reg.counter(
+        memo_invalidations = reg.counter(
             "repro_placement_cache_invalidations_total",
             "Allocation-epoch rotations seen between placement-memo "
             "lookups (entries survive them).",
@@ -146,48 +156,65 @@ class TelemetryObserver(BaseObserver):
         self._memo_hit_rate = reg.gauge(
             "repro_placement_cache_hit_rate",
             "Fraction of proposals served from the placement memo.", labels)
-        self._prefilter_considered = reg.counter(
+        prefilter_considered = reg.counter(
             "repro_placement_prefilter_considered_total",
             "Hosts probed by the top-k candidate prefilter.", labels)
-        self._prefilter_pruned = reg.counter(
+        prefilter_pruned = reg.counter(
             "repro_placement_prefilter_pruned_total",
             "Capacity-eligible hosts the prefilter never had to probe.",
             labels)
+        self._engine_counters = (
+            memo_hits, memo_misses, memo_invalidations,
+            prefilter_considered, prefilter_pruned,
+        )
 
     # ------------------------------------------------------------------
+    def bind_simulation(self, sim) -> None:
+        """Read the gauges and engine counters off ``sim.cluster``."""
+        self._cluster = sim.cluster
+        self._total_gpus = len(sim.topo.gpus())
+        if not self.scheduler:
+            self.scheduler = sim.scheduler.name
+        #: (busy GPUs, running jobs) the gauges were last set to
+        self._gauged = None
+        #: this engine's counters as last folded, in
+        #: ``_engine_counters`` order
+        self._folded = (0, 0, 0, 0, 0)
+
     def _gpu_gauges(self) -> None:
-        self._gpus_busy.set(self._busy, scheduler=self.scheduler)
-        self._running_jobs.set(self._running, scheduler=self.scheduler)
-        if self.total_gpus:
-            self._utilization.set(
-                self._busy / self.total_gpus, scheduler=self.scheduler
-            )
+        cluster = self._cluster
+        busy, running = now = (cluster.alloc.busy_count(), len(cluster.running))
+        if now != self._gauged:  # else the gauges already hold these
+            self._gauged = now
+            sched = self.scheduler
+            self._gpus_busy.set(busy, scheduler=sched)
+            self._running_jobs.set(running, scheduler=sched)
+            self._utilization.set(busy / self._total_gpus, scheduler=sched)
+
+    def _fold_engine(self, *, every: bool = False) -> None:
+        """Add what the engine's memo and prefilter counted since the
+        last fold; ``every`` also writes zero deltas, so a finished run
+        exports every series."""
+        engine = self._cluster.engine
+        stats, pf = engine.stats, engine.prefilter.stats
+        now = (stats.hits, stats.misses, stats.invalidations,
+               pf.considered, pf.pruned)
+        if now != self._folded or every:
+            sched = self.scheduler
+            for counter, new, old in zip(self._engine_counters, now, self._folded):
+                if new != old or every:
+                    counter.inc(new - old, scheduler=sched)
+            self._folded = now
+            self._memo_hit_rate.set(stats.hit_rate, scheduler=sched)
 
     # ------------------------------------------------------------------
     # run envelope
     # ------------------------------------------------------------------
     def finalize_result(self, result) -> None:
         """Runner wiring (:func:`repro.sim.runner.run_with_observers`):
-        fold the run's memo and prefilter counters in once the result
-        exists."""
-        stats = getattr(result, "placement_stats", None) or {}
-        if stats:
-            sched = self.scheduler
-            self._memo_hits.inc(stats.get("hits", 0), scheduler=sched)
-            self._memo_misses.inc(stats.get("misses", 0), scheduler=sched)
-            self._memo_invalidations.inc(
-                stats.get("invalidations", 0), scheduler=sched
-            )
-            self._memo_hit_rate.set(stats.get("hit_rate", 0.0), scheduler=sched)
-        pf_stats = getattr(result, "prefilter_stats", None) or {}
-        if pf_stats:
-            sched = self.scheduler
-            self._prefilter_considered.inc(
-                pf_stats.get("considered", 0), scheduler=sched
-            )
-            self._prefilter_pruned.inc(
-                pf_stats.get("pruned", 0), scheduler=sched
-            )
+        fold what the engine counted since the last round, zeros
+        included."""
+        self._fold_engine(every=True)
 
     # ------------------------------------------------------------------
     # SimObserver hooks
@@ -196,6 +223,8 @@ class TelemetryObserver(BaseObserver):
         self._arrived.inc(scheduler=self.scheduler)
 
     def on_place(self, t, job, solution, solo_exec_time, postponements):
+        # no gauge refresh here: mid-round, the allocation already
+        # holds every placement the round enforced
         sched = self.scheduler
         self._placed.inc(scheduler=sched)
         self._waiting.observe(max(0.0, t - job.arrival_time), scheduler=sched)
@@ -208,24 +237,13 @@ class TelemetryObserver(BaseObserver):
             self._postponements_seen[job.job_id] = postponements
         if solution.utility < job.min_utility - SLO_EPS:
             self._slo_violations.inc(scheduler=sched)
-        self._held[job.job_id] = len(solution.gpus)
-        self._busy += len(solution.gpus)
-        self._running += 1
-        self._gpu_gauges()
 
     def on_finish(self, t, job, gpus):
         self._finished.inc(scheduler=self.scheduler)
-        self._busy -= self._held.pop(job.job_id, 0)
         self._postponements_seen.pop(job.job_id, None)
-        self._running -= 1
-        self._gpu_gauges()
 
     def on_failure(self, t, machine, victims):
         self._failures.inc(scheduler=self.scheduler)
-        for job in victims:
-            self._busy -= self._held.pop(job.job_id, 0)
-            self._running -= 1
-        self._gpu_gauges()
 
     def on_requeue(self, t, job):
         self._requeued.inc(scheduler=self.scheduler)
@@ -237,19 +255,16 @@ class TelemetryObserver(BaseObserver):
             self._migrations.inc(scheduler=sched)
         elif reason == "cancel":
             self._postponements_seen.pop(job.job_id, None)
-        # guarded pop: a cancel may catch a job that never ran (queued
-        # or pending phase) — the gauges then have nothing to release
-        freed = self._held.pop(job.job_id, None)
-        if freed is not None:
-            self._busy -= freed
-            self._running -= 1
-            self._gpu_gauges()
+        # cancel_job / preempt_job free GPUs outside any round
+        self._gpu_gauges()
 
     def on_decision_round(self, t, placed, queued, elapsed_s):
         sched = self.scheduler
         self._rounds.inc(scheduler=sched)
         self._decision_latency.observe(elapsed_s, scheduler=sched)
         self._queue_depth.set(queued, scheduler=sched)
+        self._gpu_gauges()
+        self._fold_engine()
 
 
 class ServiceTelemetry:

@@ -252,7 +252,7 @@ class TimeSeriesSampler(BaseObserver):
 
     # ------------------------------------------------------------------
     def bind_simulation(self, sim) -> None:
-        """Runner wiring: read cluster-derived signals directly."""
+        """Read the cluster signals off ``sim`` (``Simulator.start``)."""
         self._cluster = sim.cluster
         topo = sim.topo
         self._machines = tuple(sorted(topo.machines()))
@@ -288,8 +288,6 @@ class TimeSeriesSampler(BaseObserver):
     def sample(self, t: float, queued: int) -> None:
         """Take one sample now (bypasses both throttles)."""
         cluster = self._cluster
-        if cluster is None:
-            return
         store = self.store
         alloc = cluster.alloc
         busy = alloc.busy_count()

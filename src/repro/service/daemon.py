@@ -160,9 +160,7 @@ class SchedulerService:
             job_states_source=self.lifecycle.states,
         )
         sim_telemetry = TelemetryObserver(
-            self.registry,
-            scheduler=scheduler.name,
-            total_gpus=len(topo.gpus()),
+            self.registry, scheduler=scheduler.name
         )
         # the decision flight recorder backs /decisions, /explain/<id>
         # and the /events SSE stream; ring-bounded so a long-running
@@ -180,9 +178,9 @@ class SchedulerService:
         provenance_taps = (
             (self.decision_recorder,) if self.decision_recorder else ()
         )
-        # the SLO watchdog evaluates after the telemetry observer so
-        # registry-derived signals are fresh; windowed rules let a soak
-        # run page on trends (growing queues, decaying utilization)
+        # the SLO watchdog reads the telemetry observer's counters and
+        # the bound cluster; windowed rules let a soak run page on
+        # trends (growing queues, decaying utilization)
         self.watchdog = (
             Watchdog(
                 self.registry,
@@ -276,12 +274,7 @@ class SchedulerService:
     # lifecycle of the daemon itself
     # ------------------------------------------------------------------
     def start(self) -> "SchedulerService":
-        self.sim.start()
-        self._snapshots.bind_simulation(self.sim)
-        if self.watchdog is not None:
-            self.watchdog.bind_simulation(self.sim)
-        if self.sampler is not None:
-            self.sampler.bind_simulation(self.sim)
+        self.sim.start()  # binds every tap, the recorder's run_start too
         self._thread = threading.Thread(
             target=self._loop, name="repro-scheduler-loop", daemon=True
         )

@@ -150,11 +150,15 @@ class Simulator:
     # steppable event loop
     # ------------------------------------------------------------------
     def start(self) -> "Simulator":
-        """Arm the event loop: register trace jobs, queue failures.
+        """Arm the event loop: bind observers, register trace jobs,
+        queue failures.
 
-        After ``start()`` the loop is driven either by :meth:`run`
-        (batch mode) or externally by :meth:`step` / :meth:`submit_job`
-        / :meth:`cancel_job` (service mode).
+        Every attached observer with a ``bind_simulation`` method gets
+        this simulator here, after the decision recorder is found and
+        before any event, whoever drives the loop.  After ``start()``
+        the loop is driven either by :meth:`run` (batch mode) or
+        externally by :meth:`step` / :meth:`submit_job` /
+        :meth:`cancel_job` (service mode).
         """
         if self._started:
             raise RuntimeError("Simulator.start() called twice")
@@ -176,6 +180,12 @@ class Simulator:
             ),
             None,
         )
+        # the one bind seam: taps that read cluster facts directly get
+        # the simulator before the first event (read-only wiring)
+        for observer in self.observers:
+            bind = getattr(observer, "bind_simulation", None)
+            if bind is not None:
+                bind(self)
         self._events = EventQueue()
         for job in self.jobs:
             self._register(job)
@@ -239,6 +249,7 @@ class Simulator:
             raise KeyError(job_id)
         if job_id in self.cluster.running:
             self._cancelled.add(job_id)
+            self.scheduler.postponements.pop(job_id, None)
             run, touched = self.cluster.cancel(job_id)
             self._notify.on_evict(self.cluster.now, run.job, run.gpus, "cancel")
             return "running", touched
@@ -298,6 +309,9 @@ class Simulator:
                     continue
                 run, machines = cluster.finish(event.job_id)
                 touched |= machines
+                # the postponement map holds live jobs only; the job's
+                # record already keeps its count
+                scheduler.postponements.pop(event.job_id, None)
                 notify.on_finish(t, run.job, run.gpus)
             elif isinstance(event, Failure):
                 victims, machines = cluster.fail_machine(event.machine)

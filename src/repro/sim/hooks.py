@@ -15,6 +15,13 @@ protocol (subclass :class:`BaseObserver` for no-op defaults) and are
 attached via ``Simulator(..., observers=[...])`` or
 :func:`repro.sim.runner.run_with_observers`.  Hooks must not mutate
 cluster or scheduler state; they are taps on the event stream.
+
+An observer that also defines ``bind_simulation(sim)`` is handed the
+:class:`~repro.sim.engine.Simulator` by ``Simulator.start``, before the
+first event, whoever drives the loop (batch run, comparison, service
+daemon).  Such a tap reads cluster facts (busy GPUs, running jobs,
+engine counters) from ``sim.cluster`` at the round boundary instead of
+rebuilding them from hook arguments.
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ Thin conveniences over :class:`repro.sim.engine.Simulator`:
   a set of :class:`~repro.sim.hooks.SimObserver` taps attached.
 * :func:`run_comparison` — replay the same trace under several
   policies on fresh topologies (the evaluation-section workhorse).
+
+Observers are bound to the run by :meth:`Simulator.start`, the one
+bind seam every caller shares; the runner adds only the post-run
+:func:`_finalize_observers` hook.
 """
 
 from __future__ import annotations
@@ -26,29 +30,14 @@ DEFAULT_POLICIES = ("BF", "FCFS", "TOPO-AWARE", "TOPO-AWARE-P")
 COMPARE_POLICIES = DEFAULT_POLICIES + ("TOPO-AWARE-PM",)
 
 
-def _bind_observers(sim: Simulator, observers: Sequence[SimObserver]) -> None:
-    """Give run-aware observers a view of the simulation they tap.
-
-    Observers that expose ``bind_simulation`` (the snapshot publisher,
-    the SLO watchdog) receive the :class:`Simulator` before the run so
-    they can read cluster/scheduler state directly instead of shadow-
-    tracking it from hook arguments.  Binding is read-only wiring; the
-    observers stay taps.
-    """
-    for obs in observers:
-        bind = getattr(obs, "bind_simulation", None)
-        if callable(bind):
-            bind(sim)
-
-
 def _finalize_observers(
     result: SimulationResult, observers: Sequence[SimObserver]
 ) -> None:
     """Post-run hook: observers that expose ``finalize_result`` get
     the finished result (the watchdog attaches its alert digest, the
-    telemetry observer folds in the memo counters, the decision
-    recorder writes ``run_end``, the snapshot publisher marks
-    the run finished)."""
+    telemetry observer folds the engine counters left since the last
+    round, the decision recorder writes ``run_end``, the snapshot
+    publisher marks the run finished)."""
     for obs in observers:
         finalize = getattr(obs, "finalize_result", None)
         if callable(finalize):
@@ -69,7 +58,6 @@ def run_with_observers(
     utility params, profiles, failures, a pre-built cluster state).
     """
     sim = Simulator(topo, scheduler, list(jobs), observers=observers, **sim_kwargs)
-    _bind_observers(sim, observers)
     result = sim.run()
     _finalize_observers(result, observers)
     return result
@@ -104,7 +92,6 @@ def run_comparison(
             observers=observers,
             **sim_kwargs,
         )
-        _bind_observers(sim, observers)
         results[name] = sim.run()
         _finalize_observers(results[name], observers)
     return results

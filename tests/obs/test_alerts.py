@@ -270,6 +270,38 @@ class TestWindowedRules:
         assert (fast.published_state()["active"]
                 == general.published_state()["active"])
 
+    @pytest.mark.parametrize("agg", ["mean", "max", "min", "rate"])
+    @pytest.mark.parametrize("nan", ["skip", "violate"])
+    def test_windowed_rules_fire_as_the_general_evaluation(self, agg, nan):
+        # the watchdog counts each window's NaNs as samples enter and
+        # leave it; Rule.evaluate over the same trailing window, NaN
+        # probe included, must give the same alerts and values
+        samples = [1.0, math.nan, 5.0, 6.0, math.nan, math.nan, math.nan,
+                   2.0, 9.0, 9.0, math.nan, 0.0, 7.0, 8.0]
+        rule = Rule("qw", "queue_wait_p95", ">", 4.0, window=3, agg=agg,
+                    nan=nan)
+
+        class Scripted(Watchdog):
+            def signals(self, queued, names=SIGNALS):
+                return {"queue_wait_p95": samples[self._rounds]}
+
+        watchdog = Scripted(None, (rule,))
+        state = watchdog._state["qw"]
+        for i in range(len(samples)):
+            watchdog.on_decision_round(float(i), 1, 0, 0.0)
+            assert state.nans == sum(v != v for v in state.window)
+        expected, active = [], False
+        for i in range(len(samples)):
+            value, action = rule.evaluate(samples[max(0, i - 2):i + 1])
+            if action == "skip":
+                continue
+            violated = action == "violate" or value > rule.threshold
+            if violated and not active:
+                expected.append((i, None if math.isnan(value) else value))
+            active = violated
+        assert expected
+        assert [(d["round"], d["value"]) for d in watchdog.fired] == expected
+
     def test_only_the_signals_rules_read_are_derived(self):
         watchdog = Watchdog(None, (Rule("qd", "queue_depth", ">", 1.0),))
         assert watchdog.signals(3, {"queue_depth"}) == {"queue_depth": 3.0}

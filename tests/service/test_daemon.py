@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from repro.analysis.scenarios import scenario1_jobs
 from repro.service import SchedulerService, ServiceServer
 from repro.service.daemon import JOURNAL_ERROR, JournalError
 from repro.service.statemachine import JobState
@@ -311,3 +312,51 @@ class TestHTTPVerbs:
         code, doc = http("POST", f"{url}/submit", submit_doc("a"))
         assert (code, doc) == (202, {"id": "a", "state": "SUBMITTED"})
         assert service.queue.depth == depth + 1
+
+
+class TestTapsBoundAtStart:
+    """``Simulator.start`` binds every daemon tap: the telemetry
+    observer reads the engine and the recorder opens the stream."""
+
+    def test_metrics_carry_the_engine_counters_after_drain(self, tmp_path):
+        svc = SchedulerService(
+            cluster(4), "TOPO-AWARE", store_path=str(tmp_path / "svc.db")
+        )
+        with svc:
+            for job in scenario1_jobs(30, seed=1):
+                assert svc.submit(job_to_dict(job)).decision.admitted
+            assert svc.drain()
+            engine = svc.sim.cluster.engine
+            prefilter = engine.prefilter_stats()
+            assert engine.stats.misses > 0 and prefilter["considered"] > 0
+
+            def value(name: str) -> float:
+                return svc.registry.get(name).value(scheduler="TOPO-AWARE")
+
+            assert value("repro_placement_cache_hits_total") == engine.stats.hits
+            assert value("repro_placement_cache_misses_total") == (
+                engine.stats.misses
+            )
+            assert value("repro_placement_cache_invalidations_total") == (
+                engine.stats.invalidations
+            )
+            assert value("repro_placement_cache_hit_rate") == (
+                engine.stats.hit_rate
+            )
+            assert value("repro_placement_prefilter_considered_total") == (
+                prefilter["considered"]
+            )
+            assert value("repro_placement_prefilter_pruned_total") == (
+                prefilter["pruned"]
+            )
+            assert value("repro_gpus_busy") == svc.publisher.snapshot.gpus_busy
+
+    def test_record_stream_opens_with_run_start(self, service):
+        service.submit(submit_doc("a"))
+        assert service.drain()
+        (seq, kind, line), *_ = service.decision_recorder.entries_after(0)
+        assert (seq, kind) == (1, "run_start")
+        record = json.loads(line)
+        assert record["jobs"] == 0
+        assert record["total_gpus"] == 8
+        assert record["scheduler"] == "TOPO-AWARE"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.scenarios import scenario1_jobs
 from repro.schedulers import make_scheduler
 from repro.sim.engine import Simulator, run_comparison
 from repro.topology.builders import cluster, power8_minsky
@@ -155,3 +156,27 @@ class TestComparisonRunner:
             0.5 * result.decision_rounds
         )
         assert result.mean_decision_time_s == pytest.approx(0.5)
+
+
+class TestPostponementMap:
+    """``Scheduler.postponements`` holds live jobs only; the records
+    keep every job's count."""
+
+    def test_finished_jobs_leave_the_map(self):
+        sched = make_scheduler("TOPO-AWARE-P")
+        result = Simulator(cluster(3), sched, scenario1_jobs(80, seed=42)).run()
+        assert all(r.finished_at is not None for r in result.records)
+        assert sum(r.postponements for r in result.records) > 0
+        assert sched.postponements == {}
+
+    def test_cancelled_running_job_leaves_the_map(self):
+        sched = make_scheduler("TOPO-AWARE-P")
+        sim = Simulator(cluster(3), sched, scenario1_jobs(80, seed=42)).start()
+        postponed: list[str] = []
+        while not postponed:
+            assert sim.step(), "no postponed job ever ran"
+            postponed = [j for j in sim.cluster.running if j in sched.postponements]
+        count = sched.postponements[postponed[0]]
+        sim.cancel_job(postponed[0])
+        assert postponed[0] not in sched.postponements
+        assert sim.record_of(postponed[0]).postponements == count

@@ -46,7 +46,7 @@ class TestCancelAccounting:
                              arrival_time=10.0)
         gantt = GanttObserver()
         util = UtilizationObserver(total_gpus=4)
-        telemetry = TelemetryObserver(scheduler="FCFS", total_gpus=4)
+        telemetry = TelemetryObserver(scheduler="FCFS")
         sim = started_sim(
             [long_job, short_job], observers=[gantt, util, telemetry]
         )
