@@ -32,10 +32,16 @@ would:
   ``GET /explain/smoke-1`` shows a ``placed`` verdict plus the
   lifecycle state, and one ``decision`` event is read off the
   ``GET /events`` SSE stream (``Last-Event-ID: 0`` replay);
+* group commit: once idle, the journal-write histogram's ``_count``
+  (one sample per commit) is below the number of ``transitions`` rows;
 * ``SIGTERM`` shuts the daemon down cleanly (exit 0, the stop line on
   stdout), the sqlite journal holds the full lifecycle history, and
   the streamed SSE decision byte-matches the ``--decisions-out``
-  journal record with the same ``seq``.
+  journal record with the same ``seq``;
+* ``kill -9`` mid-load: a second daemon on the same store takes a
+  paused burst of submissions and is killed while they still arrive;
+  a third one recovers the store and every job that got a 202 reaches
+  a terminal state.
 
 Budget: well under 30 s.
 
@@ -52,6 +58,7 @@ import sqlite3
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.error
 import urllib.parse
@@ -100,6 +107,109 @@ def wait_terminal(url: str, job_id: str, timeout_s: float = 15.0) -> dict:
             break
         time.sleep(0.05)
     return doc
+
+
+def start_daemon(store: str, *extra: str) -> tuple[subprocess.Popen, str]:
+    """Launch ``repro serve`` on ``store``; returns the process and its
+    URL once the listen line is out."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--machines", "2", "--port", "0", "--store", store, *extra],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1"),
+    )
+    deadline = time.time() + 30
+    assert proc.stdout is not None
+    seen = []
+    while time.time() < deadline:
+        line = proc.stdout.readline()
+        if not line:
+            break
+        seen.append(line)
+        match = LISTEN_RE.search(line)
+        if match:
+            return proc, match.group(1)
+    proc.kill()
+    fail(f"no listen line in output: {seen!r}")
+
+
+def check_group_commit(url: str, store: str) -> tuple[int, int]:
+    """Once idle, the journal took fewer commits than it holds
+    transition rows: one commit covers a whole loop iteration."""
+    with urllib.request.urlopen(url + "/metrics", timeout=5) as resp:
+        families = parse_prometheus(resp.read().decode())
+    try:
+        commits = sample_value(
+            families, "repro_service_journal_write_latency_seconds",
+            series="repro_service_journal_write_latency_seconds_count",
+        )
+    except KeyError as exc:
+        fail(f"/metrics lacks the journal-write histogram: {exc}")
+    db = sqlite3.connect(store)
+    rows = db.execute("SELECT COUNT(*) FROM transitions").fetchone()[0]
+    db.close()
+    if not 0 < commits < rows:
+        fail(f"{commits:g} journal commits for {rows} transition rows: "
+             "no group commit")
+    return int(commits), rows
+
+
+def check_kill_and_recover(store: str) -> int:
+    """``kill -9`` a daemon while a paused burst still arrives, restart
+    on the same store, and require every acknowledged job to finish."""
+    proc, url = start_daemon(store)
+    acked: list[str] = []
+    try:
+        http("POST", url + "/pause")
+
+        def load() -> None:
+            for i in range(400):
+                doc = {"id": f"kill-{i}", "model": "alexnet",
+                       "batch_size": 4, "num_gpus": 2}
+                try:
+                    status, _ = http("POST", url + "/submit", doc)
+                except OSError:
+                    return  # the daemon is gone
+                if status == 202:
+                    acked.append(doc["id"])
+
+        loader = threading.Thread(target=load, daemon=True)
+        loader.start()
+        deadline = time.time() + 15
+        while len(acked) < 50 and loader.is_alive() and time.time() < deadline:
+            time.sleep(0.01)
+        proc.kill()  # SIGKILL: no shutdown path runs
+        proc.wait(timeout=10)
+        loader.join(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    if len(acked) < 50 or len(acked) >= 400:
+        fail(f"kill did not land mid-load ({len(acked)} of 400 acked)")
+    proc, url = start_daemon(store)
+    try:
+        deadline = time.time() + 15
+        while True:
+            states = http("GET", url + "/jobs")[1].get("jobs", {})
+            if time.time() > deadline or all(
+                states.get(j) == "FINISHED" for j in acked
+            ):
+                break
+            time.sleep(0.05)
+        missing = [j for j in acked if states.get(j) != "FINISHED"]
+        if missing:
+            fail(f"{len(missing)} acknowledged jobs lost or unfinished "
+                 f"after kill -9 and restart, e.g. {missing[:3]}")
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=30)
+        if proc.returncode != 0:
+            fail(f"restarted serve exited {proc.returncode}: {err[-500:]}")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+    return len(acked)
 
 
 def check_metrics_match_state(url: str, timeout_s: float = 5.0) -> None:
@@ -178,32 +288,8 @@ def main() -> None:
     tmpdir = tempfile.mkdtemp(prefix="repro-daemon-")
     store = os.path.join(tmpdir, "svc.db")
     decisions_path = os.path.join(tmpdir, "decisions.jsonl")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve",
-         "--machines", "2", "--port", "0", "--store", store,
-         "--decisions-out", decisions_path],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1"),
-    )
+    proc, url = start_daemon(store, "--decisions-out", decisions_path)
     try:
-        url = None
-        deadline = time.time() + 30
-        assert proc.stdout is not None
-        seen = []
-        while time.time() < deadline:
-            line = proc.stdout.readline()
-            if not line:
-                break
-            seen.append(line)
-            match = LISTEN_RE.search(line)
-            if match:
-                url = match.group(1)
-                break
-        if url is None:
-            fail(f"no listen line in output: {seen!r}")
-
         # -- submit ----------------------------------------------------
         job = {"id": "smoke-1", "model": "alexnet", "batch_size": 4,
                "num_gpus": 2}
@@ -268,6 +354,7 @@ def main() -> None:
             if family not in metrics:
                 fail(f"/metrics missing family {family}")
         check_metrics_match_state(url)
+        commits, rows = check_group_commit(url, store)
 
         # -- decision provenance over HTTP -----------------------------
         status, doc = http("GET", url + "/decisions")
@@ -416,6 +503,7 @@ def main() -> None:
     finally:
         if proc.poll() is None:
             proc.kill()
+    survived = check_kill_and_recover(store)
 
     print(
         "daemon smoke OK: submit -> FINISHED over HTTP, rejection codes "
@@ -425,7 +513,8 @@ def main() -> None:
         "evict -> RUNNING->QUEUED->FINISHED with the SSE eviction "
         "byte-matching the journal, SSE decision byte-matches the "
         f"journal, clean SIGTERM, journal holds {len(expected)} "
-        "lifecycle hops"
+        f"lifecycle hops, {commits} commits for {rows} transition rows, "
+        f"{survived} acknowledged jobs finished after kill -9 and restart"
     )
 
 

@@ -75,6 +75,11 @@ SCALES = {
 
 DEFAULT_SCHEDULERS = ("FCFS", "BF", "TOPO-AWARE", "TOPO-AWARE-P")
 
+#: fewest timed runs per scheduler: a quick bench's mean round is tens
+#: of microseconds, which one scheduler hiccup can multiply, so even a
+#: one-repeat bench keeps the best of this many
+MIN_TIMING_RUNS = 3
+
 
 @dataclass
 class BenchResult:
@@ -288,9 +293,11 @@ def run_bench(
 ) -> BenchResult:
     """Time decision rounds for each scheduler at one scale.
 
-    Each scheduler runs ``repeats`` times on fresh topologies; the
-    reported decision time is the *minimum* across repeats (the usual
-    benchmarking convention: least-noise estimate of the true cost).
+    Each scheduler runs ``max(repeats, MIN_TIMING_RUNS)`` times on fresh
+    topologies; the reported row is the run with the *minimum* mean
+    decision time (the usual benchmarking convention: least-noise
+    estimate of the true cost), as the ``fastpath`` section keeps its
+    best run.  ``repeats`` alone sets the ``fastpath`` runs.
     With ``fastpath=True`` (default) a TOPO-AWARE comparison of the
     candidate prefilter against the exhaustive host scan is measured
     and attached as the ``fastpath`` section.
@@ -304,12 +311,14 @@ def run_bench(
     n_machines = n_machines if n_machines is not None else default_machines
     jobs = _jobs_for(scale, n_jobs, n_machines)
 
+    timing_runs = max(repeats, MIN_TIMING_RUNS)
     bench = BenchResult(
-        scale=scale, n_jobs=n_jobs, n_machines=n_machines, repeats=repeats
+        scale=scale, n_jobs=n_jobs, n_machines=n_machines,
+        repeats=timing_runs,
     )
     for name in schedulers:
         best: dict | None = None
-        for _ in range(repeats):
+        for _ in range(timing_runs):
             result, wall = _run_once(jobs, n_machines, name)
             row = {
                 "wall_s": wall,
@@ -320,7 +329,9 @@ def run_bench(
                 "placement_stats": result.placement_stats,
                 "prefilter_stats": result.prefilter_stats,
             }
-            if best is None or row["decision_time_s"] < best["decision_time_s"]:
+            if best is None or (
+                row["mean_decision_time_s"] < best["mean_decision_time_s"]
+            ):
                 best = row
         bench.schedulers[name] = best
     if fastpath:

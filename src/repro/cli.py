@@ -146,12 +146,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--machines", type=int, default=None,
                        help="override the scale's machine count")
     bench.add_argument("--repeats", type=int, default=3,
-                       help="runs per scheduler; best is reported")
+                       help="runs per scheduler (at least 3) and per "
+                       "fast-path side; best is reported")
     bench.add_argument("--schedulers", default=None, metavar="A,B,...",
                        help="comma-separated policies (default: FCFS,BF,"
                        "TOPO-AWARE,TOPO-AWARE-P)")
     bench.add_argument("--quick", action="store_true",
-                       help="CI mode: one repeat, TOPO-AWARE + FCFS only")
+                       help="CI mode: one fast-path repeat, TOPO-AWARE + "
+                       "FCFS only")
     bench.add_argument("--no-verify", action="store_true",
                        help="skip the fast-path equivalence check")
     bench.add_argument("--out", type=Path, default=None, metavar="FILE",
@@ -872,7 +874,9 @@ def _cmd_serve(args) -> int:
         "/timeseries /cluster /decisions /explain/<id> /events"
     )
     try:
-        while not stop.is_set():
+        # a fail-stopped service exits on its own, non-zero, so a
+        # supervisor restarts it from the journal
+        while not stop.is_set() and service.failure is None:
             stop.wait(0.5)
     finally:
         server.stop()
@@ -881,6 +885,10 @@ def _cmd_serve(args) -> int:
         path = service.decision_recorder.write_journal(args.decisions_out)
         count = len(service.decision_recorder.journal or ())
         print(f"{count} records written to {path}")
+    if service.failure is not None:
+        print(f"error: scheduler service failed: {service.failure}",
+              file=sys.stderr)
+        return 1
     print("scheduler service stopped")
     return 0
 

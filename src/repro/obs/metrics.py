@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -65,12 +67,22 @@ class _Instrument:
         self._series: dict[tuple[str, ...], object] = {}
 
     def _key(self, labels: Mapping[str, str]) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise ValueError(
-                f"{self.name}: got labels {sorted(labels)}, "
-                f"declared {sorted(self.labelnames)}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        # fast path: as many labels as declared and every declared one
+        # present means the key sets are equal (declared names are
+        # unique), so no set needs building
+        names = self.labelnames
+        n = len(names)
+        if len(labels) == n:
+            try:
+                if n == 1:
+                    return (str(labels[names[0]]),)
+                return tuple([str(labels[name]) for name in names])
+            except KeyError:
+                pass
+        raise ValueError(
+            f"{self.name}: got labels {sorted(labels)}, "
+            f"declared {sorted(names)}"
+        )
 
     def samples(self) -> Iterable[tuple[str, tuple[tuple[str, str], ...], float]]:
         """Yield ``(series_name, ((label, value), ...), value)`` rows."""
@@ -120,12 +132,20 @@ class Gauge(_Instrument):
 
 
 class _HistogramSeries:
-    __slots__ = ("bucket_counts", "sum", "count")
+    """Per-bucket (not cumulative) counts: slot ``i`` counts the values
+    whose first covering bound is ``buckets[i]``; the last slot counts
+    the ones only ``+Inf`` covers (NaN included)."""
+
+    __slots__ = ("counts", "sum", "count")
 
     def __init__(self, n_buckets: int) -> None:
-        self.bucket_counts = [0] * n_buckets
+        self.counts = [0] * (n_buckets + 1)
         self.sum = 0.0
         self.count = 0
+
+    def cumulative(self) -> list[int]:
+        """Cumulative count of each finite bucket (Prometheus ``le``)."""
+        return list(accumulate(self.counts[:-1]))
 
 
 class Histogram(_Instrument):
@@ -155,9 +175,13 @@ class Histogram(_Instrument):
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = _HistogramSeries(len(self.buckets))
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                series.bucket_counts[i] += 1
+        # the first bound >= value; NaN compares false with every bound
+        # (bisect would put it first), so it counts under +Inf only
+        slot = (
+            bisect_left(self.buckets, value) if value == value
+            else len(self.buckets)
+        )
+        series.counts[slot] += 1
         series.sum += value
         series.count += 1
 
@@ -182,10 +206,11 @@ class Histogram(_Instrument):
         if series is None or series.count == 0:
             return math.nan
         target = q * series.count
+        cumulative = series.cumulative()
         for i, bound in enumerate(self.buckets):
-            cum = series.bucket_counts[i]
+            cum = cumulative[i]
             if cum >= target:
-                lower_cum = series.bucket_counts[i - 1] if i > 0 else 0
+                lower_cum = cumulative[i - 1] if i > 0 else 0
                 if cum == lower_cum:
                     # target rounds onto the bucket edge (q == running
                     # fraction exactly); the value is at the lower edge
@@ -204,9 +229,7 @@ class Histogram(_Instrument):
         for key in sorted(self._series):
             series = self._series[key]
             base = tuple(zip(self.labelnames, key))
-            # bucket_counts are maintained cumulatively (observe() adds
-            # to every bucket whose bound covers the value)
-            for bound, in_bucket in zip(self.buckets, series.bucket_counts):
+            for bound, in_bucket in zip(self.buckets, series.cumulative()):
                 yield (
                     f"{self.name}_bucket",
                     base + (("le", _format_bound(bound)),),

@@ -130,6 +130,12 @@ class DecisionRecorder(BaseObserver):
     with ``list()`` and only block (in :meth:`wait_beyond`) on the
     condition variable; the writer touches it solely when a waiter is
     registered.
+
+    Visibility: readers see records up to a *visible* seq.  Normally
+    it follows every write; between :meth:`hold` and :meth:`publish`
+    it stays put, so a writer that must not expose records before some
+    commit (the service daemon holds each loop iteration until its
+    journal commit) publishes them all at once, or never.
     """
 
     #: duck-typed flag the simulation kernel looks for when deciding
@@ -154,6 +160,11 @@ class DecisionRecorder(BaseObserver):
         self._cond = threading.Condition()
         self._waiters = 0
         self._seq = 0
+        #: readers see entries with seq <= _visible; _ring_visible is
+        #: the newest such ring entry's seq (spans are journal-only)
+        self._visible = 0
+        self._ring_visible = 0
+        self._held = False
         self._round = 0
         self.recorded_total = 0
         self.dropped_total = 0
@@ -198,6 +209,22 @@ class DecisionRecorder(BaseObserver):
                 self._recorded_ctr.inc(scheduler=self.scheduler)
         if self._journal is not None:
             self._journal.append(entry)
+        if not self._held:
+            self._visible = self._ring_visible = self._seq
+            if self._waiters:
+                with self._cond:
+                    self._cond.notify_all()
+
+    def hold(self) -> None:
+        """Stop exposing new records until :meth:`publish`."""
+        self._held = True
+
+    def publish(self) -> None:
+        """Expose every record written so far and stop holding."""
+        self._held = False
+        self._visible = self._seq
+        ring = self._ring
+        self._ring_visible = ring[-1][0] if ring else 0
         if self._waiters:
             with self._cond:
                 self._cond.notify_all()
@@ -434,9 +461,9 @@ class DecisionRecorder(BaseObserver):
     # ------------------------------------------------------------------
     @property
     def last_seq(self) -> int:
-        """Sequence number of the newest ring entry (0 when empty)."""
-        ring = self._ring
-        return ring[-1][0] if ring else 0
+        """Sequence number of the newest visible ring entry (0 when
+        none)."""
+        return self._ring_visible
 
     def counts(self) -> dict:
         return {"recorded": self.recorded_total, "dropped": self.dropped_total}
@@ -446,15 +473,24 @@ class DecisionRecorder(BaseObserver):
         """Every kept record line (``None`` unless ``journal=True``)."""
         if self._journal is None:
             return None
-        return [self._line(e) for e in list(self._journal)]
+        return [self._line(e) for e in self._visible_entries(self._journal)]
+
+    def _visible_entries(self, entries) -> list[list]:
+        """A snapshot of ``entries`` (ring or journal) cut at the
+        visible seq.  ``list(deque)`` is one C-level call, so the
+        snapshot is consistent without taking a lock."""
+        visible = self._visible
+        out = list(entries)
+        if out and out[-1][0] > visible:
+            out = [e for e in out if e[0] <= visible]
+        return out
 
     def entries_after(self, cursor: int) -> list[tuple[int, str, str]]:
-        """``(seq, kind, line)`` ring entries with ``seq > cursor``
-        (the SSE replay read).  ``list(deque)`` is one C-level call,
-        so the snapshot is consistent without taking a lock."""
+        """Visible ``(seq, kind, line)`` ring entries with ``seq >
+        cursor`` (the SSE replay read)."""
         return [
             (e[0], e[1], self._line(e))
-            for e in list(self._ring)
+            for e in self._visible_entries(self._ring)
             if e[0] > cursor
         ]
 
@@ -477,7 +513,7 @@ class DecisionRecorder(BaseObserver):
         parsed copies — callers may mutate them freely)."""
         return [
             json.loads(self._line(e))
-            for e in list(self._ring)
+            for e in self._visible_entries(self._ring)
             if e[1] == "decision"
         ]
 
@@ -487,7 +523,7 @@ class DecisionRecorder(BaseObserver):
         entries = self._ring if self._journal is None else self._journal
         return [
             json.loads(self._line(e))
-            for e in list(entries)
+            for e in self._visible_entries(entries)
             if (e[1] == "decision" and e[2][3] == job_id)
             or (
                 e[1] == "job" and e[2][1] == job_id
@@ -500,7 +536,7 @@ class DecisionRecorder(BaseObserver):
         if self._journal is None:
             raise ValueError("recorder was built without journal=True")
         path = Path(path)
-        lines = [self._line(e) for e in list(self._journal)]
+        lines = self.journal
         with open_text(path, "w") as fp:
             for line in lines:
                 fp.write(line + "\n")
@@ -524,6 +560,8 @@ class _SpanJournal(SpanRecorder):
         if rec._journal is not None:
             rec._seq += 1
             rec._journal.append([rec._seq, "span", (rec._round, span), None])
+            if not rec._held:
+                rec._visible = rec._seq
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,11 @@ class SnapshotObserver(BaseObserver):
     clock and the publisher slot, never simulation state, so results
     stay bit-identical.  The bind-time and end-of-run snapshots always
     publish.
+
+    Between :meth:`hold` and :meth:`release` a due republish is only
+    noted, and ``release`` performs it: the service daemon holds each
+    loop iteration so ``/state`` is rebuilt only after the iteration's
+    journal commit, never from state the journal may yet lose.
     """
 
     def __init__(
@@ -151,6 +156,8 @@ class SnapshotObserver(BaseObserver):
         #: lifecycle view
         self.job_states_source = job_states_source
         self._last_publish = float("-inf")
+        self._held = False
+        self._due = False
         self._events_seen = 0
         self._rounds = 0
         self._sim = None
@@ -213,13 +220,30 @@ class SnapshotObserver(BaseObserver):
         self._last_publish = self.clock()
         self.publisher.publish(self._build(**kwargs))
 
+    def hold(self) -> None:
+        """Defer round-boundary republishes until :meth:`release`."""
+        self._held = True
+
+    def release(self) -> None:
+        """Stop deferring; publish now if a republish came due."""
+        self._held = False
+        if self._due:
+            self._due = False
+            self._publish()
+
     def publish_now(self) -> None:
         """Force an immediate republish, bypassing the throttle.
 
-        The service daemon calls this when its loop goes idle, so
-        ``/state`` always reflects the settled system even when the
-        last burst finished inside one throttle window."""
+        The service daemon calls this to settle ``/state`` once its
+        loop is idle (see :meth:`next_publish_in`)."""
         self._publish()
+
+    def next_publish_in(self) -> float:
+        """Seconds until the throttle allows the next rebuild (<= 0:
+        allowed now; never more than one interval, even when the wall
+        clock steps back)."""
+        interval = self.min_publish_interval_s
+        return min(self._last_publish + interval - self.clock(), interval)
 
     # ------------------------------------------------------------------
     # SimObserver hooks: count traffic, republish at round boundaries
@@ -243,7 +267,10 @@ class SnapshotObserver(BaseObserver):
         self._events_seen += 1
         self._rounds += 1
         if self.clock() - self._last_publish >= self.min_publish_interval_s:
-            self._publish()
+            if self._held:
+                self._due = True
+            else:
+                self._publish()
 
     # ------------------------------------------------------------------
     def finalize_result(self, result) -> None:

@@ -291,8 +291,9 @@ class ServiceTelemetry:
                                                            (admission backlog)
     repro_service_jobs{state}                   gauge      jobs per lifecycle state
     repro_service_submission_latency_seconds    histogram  submit wall latency
-    repro_service_journal_write_latency_seconds histogram  one sqlite journal
-                                                           write (stall detector)
+    repro_service_journal_write_latency_seconds histogram  sqlite time of one
+                                                           journal commit (stall
+                                                           detector)
     ==========================================  =========  ======================
     """
 
@@ -329,8 +330,10 @@ class ServiceTelemetry:
             buckets=_SUBMIT_BUCKETS)
         self._journal_latency = reg.histogram(
             "repro_service_journal_write_latency_seconds",
-            "Wall-clock latency of one sqlite journal write (submission "
-            "or state transition) — the soak harness's stall detector.",
+            "Wall-clock time spent in sqlite for one journal commit (one "
+            "sample per commit: the loop iteration's submission rows and "
+            "state transitions plus the COMMIT) — the soak harness's "
+            "stall detector.",
             buckets=_SUBMIT_BUCKETS)
 
     def submission(self, decision: str, latency_s: float) -> None:
@@ -352,7 +355,7 @@ class ServiceTelemetry:
         self._inbox_depth.set(depth)
 
     def journal_write(self, latency_s: float) -> None:
-        """Record one sqlite journal write's wall-clock latency."""
+        """Record the sqlite time of one journal commit."""
         self._journal_latency.observe(latency_s)
 
     def set_jobs_by_state(self, counts: dict) -> None:

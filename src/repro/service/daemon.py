@@ -2,36 +2,54 @@
 
 Threading model (the whole point of the design):
 
-* **HTTP handler threads** (from the stdlib threading server) never
-  touch the simulation engine.  A submission is validated, admitted
-  (:class:`~repro.service.queue.QueueManager`), journaled
-  (:class:`~repro.service.store.ServiceStore`) and pushed onto the
-  priority inbox — all thread-safe, all O(1)-ish — then the loop is
-  woken.  Reads are served from atomically published snapshots and the
-  lifecycle table.
+* **HTTP handler threads** never touch the simulation engine or the
+  journal.  A submission is validated, admitted
+  (:class:`~repro.service.queue.QueueManager`) and pushed onto the
+  priority inbox; then the handler waits for the journal commit that
+  covers it.  Reads are served from atomically published snapshots,
+  the lifecycle table and the decision recorder — all of which show
+  only committed state.
 * **The scheduler loop thread** is the *only* mutator of the
-  :class:`~repro.sim.engine.Simulator`: it drains the inbox into
-  :meth:`~repro.sim.engine.Simulator.submit_job`, applies cancels, and
-  steps the event loop.  Single-writer means the engine needs no locks
-  and stays bit-identical with its one-shot batch mode.
+  :class:`~repro.sim.engine.Simulator` and the *only* writer of the
+  :class:`~repro.service.store.ServiceStore`.  Single-writer means the
+  engine needs no locks and stays bit-identical with its one-shot
+  batch mode.
+
+Durability: each loop iteration is one sqlite transaction.  It journals
+the submissions it pops from the inbox, feeds them to the engine,
+applies cancels and evictions, steps the engine (journaling every
+lifecycle hop the step makes, through the
+:class:`~repro.service.statemachine.LifecycleTable`), and issues one
+``COMMIT``.  Only then are the iteration's lifecycle moves, decision
+records and ``/state`` snapshot published and its submitters answered
+``202`` — so "accepted" means durable and no reader ever sees a state
+the journal lacks.  Submissions that arrive while an iteration runs
+join the next one (group commit).  Two failures are defined:
+
+* a submission row fails before the engine has seen the group: the
+  transaction rolls back, every member is answered 503 and its
+  reservation released, and the loop keeps running;
+* a hop write or the ``COMMIT`` fails after the engine has moved: the
+  service *fail-stops* — nothing of the iteration is published, its
+  submitters and every later one are answered 503, ``/healthz``
+  answers 503 with the reason (:attr:`SchedulerService.failure`) and
+  ``repro serve`` exits non-zero.  A restart recovers from the
+  journal, which holds exactly what clients were told.
+
+On restart the daemon re-admits every non-terminal journaled job, so a
+killed daemon resumes with the queue it died with.
 
 Pause/resume (``POST /pause`` / ``POST /resume``) stops *stepping*
 while commands keep applying: submit a whole trace paused, resume, and
 the engine drains it in virtual-time order — byte-for-byte the same
 records a one-shot ``repro simulate`` of that trace produces (pinned
 by the batch-equivalence golden test).
-
-Lifecycle hops observed from the engine (arrival, placement, finish,
-failure requeue) flow through the
-:class:`~repro.service.statemachine.LifecycleTable`, which journals
-every accepted transition to sqlite; on restart the daemon re-admits
-every non-terminal journaled job, so a killed daemon resumes with the
-queue it died with.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import sqlite3
 import threading
 import time
@@ -86,6 +104,18 @@ class JournalError(RuntimeError):
         self.job_id = job_id
 
 
+class _Pending:
+    """One submission handed to the scheduler loop: its HTTP thread
+    waits on ``done`` for the commit that covers it; ``error`` is set
+    when the submission was refused instead."""
+
+    __slots__ = ("done", "error")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.error: BaseException | None = None
+
+
 class _LifecycleBridge(BaseObserver):
     """Feed engine lifecycle notifications into the state machine.
 
@@ -108,8 +138,7 @@ class _LifecycleBridge(BaseObserver):
         self._svc.lifecycle.advance_if(job.job_id, JobState.RUNNING)
 
     def on_finish(self, t, job, gpus):
-        if self._svc.lifecycle.advance_if(job.job_id, JobState.FINISHED):
-            self._svc.queue.retire(job.job_id)
+        self._svc.lifecycle.advance_if(job.job_id, JobState.FINISHED)
 
     def on_requeue(self, t, job):
         self._svc.lifecycle.advance_if(job.job_id, JobState.QUEUED)
@@ -119,7 +148,7 @@ class _LifecycleBridge(BaseObserver):
         # journal the RUNNING -> QUEUED hop (a migrated job's on_place
         # follows in the same round and advances it straight back).
         # Cancel is NOT handled here: _apply_cancels owns the
-        # CANCELLED transition and the queue retirement.
+        # CANCELLED transition.
         if reason in ("preempt", "migrate"):
             self._svc.lifecycle.advance_if(job.job_id, JobState.QUEUED)
 
@@ -149,9 +178,12 @@ class SchedulerService:
         self.store = ServiceStore(
             store_path, observe_write=self.telemetry.journal_write
         )
-        self.lifecycle = LifecycleTable(journal=self._journal_hook)
         self.queue = QueueManager(
             len(topo.gpus()), max_depth=max_queue_depth
+        )
+        # a published terminal state frees the job's backlog budget
+        self.lifecycle = LifecycleTable(
+            journal=self._journal_hook, on_terminal=self.queue.retire
         )
         self.publisher = SnapshotPublisher()
         self._snapshots = SnapshotObserver(
@@ -222,11 +254,16 @@ class SchedulerService:
             ],
         )
         self._cv = threading.Condition()
+        self._pending: dict[str, _Pending] = {}
         self._cancels: list[str] = []
         self._evictions: list[str] = []
         self._paused = False
         self._stop = False
         self._idle = True
+        #: why submissions are refused (None while the loop runs)
+        self._down: str | None = "the scheduler loop is not running"
+        #: the fail-stop reason, once a journal failure stopped the loop
+        self.failure: str | None = None
         self._thread: threading.Thread | None = None
         self._gauge_stamp = float("-inf")
         self._recovered = self._recover()
@@ -254,7 +291,8 @@ class SchedulerService:
             recovered += 1
         # terminal jobs stay in the journal (and keep their ids
         # reserved, in both the lifecycle table and admission) but
-        # need no replay
+        # need no replay; create before reserve, so the table's
+        # terminal callback (QueueManager.retire) finds nothing to free
         for stored in self.store.all_jobs():
             if stored.state.terminal:
                 self.lifecycle.create(
@@ -275,6 +313,7 @@ class SchedulerService:
     # ------------------------------------------------------------------
     def start(self) -> "SchedulerService":
         self.sim.start()  # binds every tap, the recorder's run_start too
+        self._down = None
         self._thread = threading.Thread(
             target=self._loop, name="repro-scheduler-loop", daemon=True
         )
@@ -301,10 +340,12 @@ class SchedulerService:
     # API surface (called from HTTP handler threads and the CLI)
     # ------------------------------------------------------------------
     def submit(self, doc: dict) -> SubmitResult:
-        """Validate, admit, journal and enqueue one submission.
+        """Validate and admit one submission, then wait until the
+        scheduler loop has journaled and committed it.
 
         Raises :class:`ManifestError` for a malformed document and
-        :class:`JournalError` when the journal write fails.
+        :class:`JournalError` when the submission was not journaled
+        (its group's write failed, or the service is down).
         """
         t0 = time.perf_counter()
         body = dict(doc)
@@ -316,34 +357,36 @@ class SchedulerService:
         # the manifest-level priority doubles as the service queue
         # priority and (via Job.priority) the preemption rank
         priority = job.priority
-        # two-phase admission: reserve first, enqueue last — the loop
-        # thread must never pop a job whose lifecycle entry and journal
-        # row do not exist yet (the engine's observer notifications
-        # would hit an untracked id and strand the job in SUBMITTED)
-        decision = self.queue.admit_and_reserve(job)
-        state: str | None = None
-        if decision.admitted:
-            try:
-                self.store.journal_submission(
-                    job, priority, JobState.SUBMITTED
-                )
-            except sqlite3.Error as exc:
-                # not durable, so not accepted: free the reservation so
-                # the client can resubmit the same id
-                self.queue.release(job.job_id)
+        pending = None
+        with self._cv:
+            down = self._down
+            if down is None:
+                # reserve the id and depth budget, then hand the job to
+                # the loop, which journals it in its next transaction
+                decision = self.queue.admit_and_reserve(job)
+                if decision.admitted:
+                    pending = self._pending[job.job_id] = _Pending()
+                    self.queue.enqueue(job, priority)
+                    self._idle = False
+                    self._cv.notify_all()
+        if down is not None:
+            self.telemetry.submission(
+                JOURNAL_ERROR, time.perf_counter() - t0
+            )
+            raise JournalError(job.job_id, RuntimeError(down))
+        if pending is not None:
+            pending.done.wait()
+            if pending.error is not None:
+                # not durable, so not accepted: the loop freed the
+                # reservation, so the client can resubmit the same id
                 self.telemetry.submission(
                     JOURNAL_ERROR, time.perf_counter() - t0
                 )
-                raise JournalError(job.job_id, exc) from exc
-            self.lifecycle.create(job.job_id, JobState.SUBMITTED)
-            state = JobState.SUBMITTED.value
-            self.telemetry.set_queue_depth(self.queue.depth)
-            self.queue.enqueue(job, priority)
-            self.telemetry.set_inbox_depth(len(self.queue))
-            with self._cv:
-                self._idle = False
-                self._cv.notify_all()
+                raise JournalError(
+                    job.job_id, pending.error
+                ) from pending.error
         self.telemetry.submission(decision.reason, time.perf_counter() - t0)
+        state = JobState.SUBMITTED.value if decision.admitted else None
         return SubmitResult(job.job_id, decision, state)
 
     def cancel(self, job_id: str) -> str:
@@ -407,8 +450,9 @@ class SchedulerService:
     def drain(self, timeout_s: float = 60.0) -> bool:
         """Block until the loop is idle (inbox empty, events drained).
 
-        Test/driver convenience; returns False on timeout.  A paused
-        service is idle once the inbox is applied.
+        Test/driver convenience; returns False on timeout and once the
+        service has fail-stopped.  A paused service is idle once the
+        inbox is applied.
         """
         deadline = time.monotonic() + timeout_s
         with self._cv:
@@ -417,7 +461,7 @@ class SchedulerService:
                 if remaining <= 0:
                     return False
                 self._cv.wait(min(remaining, 0.2))
-        return True
+        return self.failure is None
 
     # ------------------------------------------------------------------
     # reads
@@ -463,33 +507,99 @@ class SchedulerService:
             with self._cv:
                 while not self._stop and not self._has_work():
                     if not self._idle:
-                        self._idle = True
                         # settle the published snapshot: bursts shorter
                         # than the snapshot throttle window would
-                        # otherwise leave /state showing their start
+                        # otherwise leave /state showing their start.
+                        # Settle when the window allows, not at once: a
+                        # steady trickle of submissions goes idle after
+                        # nearly every job, and one rebuild per job
+                        # would undo the throttle
+                        wait = self._snapshots.next_publish_in()
+                        if wait > 0:
+                            self._cv.wait(wait)
+                            continue
+                        self._idle = True
                         self._snapshots.publish_now()
                         self._refresh_gauges(force=True)
                         self._cv.notify_all()
                     self._cv.wait(0.2)
                 if self._stop:
-                    self._idle = True
-                    self._cv.notify_all()
+                    self._shut("the service stopped")
                     return
-                cancels = self._cancels
-                self._cancels = []
-                evictions = self._evictions
-                self._evictions = []
-            self._apply_submissions()
+            try:
+                if not self._iterate():
+                    return
+            except Exception as exc:
+                # a fault past the commit: the journal is durable and the
+                # group answered; stop loudly rather than let the thread
+                # die unseen
+                self._halt(exc, ())
+                return
+
+    def _iterate(self) -> bool:
+        """One transaction: journal the popped submissions, feed them,
+        apply cancels and evictions, step, commit, then publish.
+        Returns False when the service fail-stopped."""
+        store, lifecycle = self.store, self.lifecycle
+        entries = self.queue.pop_batch(_APPLY_BATCH)
+        # a popped job with a waiting submitter is new; one without
+        # was restored by recovery and is journaled already
+        group, restored = [], []
+        for entry in entries:
+            pending = self._pending.pop(entry.job.job_id, None)
+            if pending is None:
+                restored.append(entry)
+            else:
+                group.append((entry, pending))
+        store.begin()
+        lifecycle.stage()
+        try:
+            for entry, _ in group:
+                store.journal_submission(
+                    entry.job, entry.priority, JobState.SUBMITTED
+                )
+                lifecycle.create(entry.job.job_id, JobState.SUBMITTED)
+        except Exception as exc:
+            # the engine has not seen the group: undo it whole and
+            # refuse every member; restored jobs go back to the inbox
+            store.rollback()
+            lifecycle.discard()
+            for entry in restored:
+                self.queue.enqueue(entry.job, entry.priority)
+            self._refuse(group, exc)
+            return True
+        recorder = self.decision_recorder
+        if recorder is not None:
+            recorder.hold()
+        self._snapshots.hold()
+        try:
+            self._feed(entries)
+            with self._cv:
+                cancels, self._cancels = self._cancels, []
+                evictions, self._evictions = self._evictions, []
             self._apply_cancels(cancels)
             self._apply_evictions(evictions)
             if not self._paused and self.sim.pending_events:
                 self.sim.step()
                 if not self.sim.pending_events:
                     self._handle_stuck_queue()
-            self._refresh_gauges()
+            store.commit()
+        except Exception as exc:
+            # a hop write, the COMMIT, or any fault after the engine
+            # moved: what the engine did can no longer be journaled
+            self._halt(exc, group)
+            return False
+        lifecycle.publish()
+        for _, pending in group:
+            pending.done.set()
+        if recorder is not None:
+            recorder.publish()
+        self._snapshots.release()
+        self._refresh_gauges()
+        return True
 
-    def _apply_submissions(self) -> None:
-        for entry in self.queue.pop_batch(_APPLY_BATCH):
+    def _feed(self, entries) -> None:
+        for entry in entries:
             job = entry.job
             # a daemon submission may carry a trace arrival time that
             # the virtual clock has already passed: clamp to now, the
@@ -500,10 +610,45 @@ class SchedulerService:
                 )
             self.sim.submit_job(job)
 
+    def _refuse(self, group, exc: BaseException) -> None:
+        """Answer each member's submitter with ``exc`` and free its id
+        and depth budget."""
+        for entry, pending in group:
+            self.queue.release(entry.job.job_id)
+            pending.error = exc
+            pending.done.set()
+
+    def _halt(self, exc: BaseException, group) -> None:
+        """Fail-stop after the engine moved past what the journal can
+        hold: publish nothing of this iteration (the recorder and the
+        snapshot stay held), refuse its submitters, stop the loop."""
+        kind = "journal" if isinstance(exc, sqlite3.Error) else "loop"
+        self.failure = f"{kind} failure: {type(exc).__name__}: {exc}"
+        try:
+            self.store.rollback()
+        except sqlite3.Error:
+            pass  # the connection is beyond use; the journal is intact
+        self.lifecycle.discard()
+        self._refuse(group, exc)
+        with self._cv:
+            self._shut(self.failure)
+
+    def _shut(self, reason: str) -> None:
+        """Stop taking submissions (``_cv`` held): refuse every waiting
+        one and mark the loop idle for good."""
+        self._down = reason
+        refused = [
+            (entry, pending)
+            for entry in self.queue.pop_batch()
+            if (pending := self._pending.pop(entry.job.job_id, None))
+        ]
+        self._refuse(refused, RuntimeError(reason))
+        self._idle = True
+        self._cv.notify_all()
+
     def _apply_cancels(self, job_ids: list[str]) -> None:
         for job_id in job_ids:
-            state = self.lifecycle.state(job_id)
-            if state.terminal:
+            if self.lifecycle.current(job_id).terminal:
                 continue  # raced with finish/fail: terminal wins
             try:
                 phase, touched = self.sim.cancel_job(job_id)
@@ -518,9 +663,7 @@ class SchedulerService:
                         self._cancels.append(job_id)
                     continue
             self.lifecycle.advance(job_id, JobState.CANCELLED)
-            self.queue.retire(job_id)
             self.telemetry.cancellation(phase)
-            self.telemetry.set_queue_depth(self.queue.depth)
             if touched:
                 # reoffer the freed capacity without waiting for the
                 # next event
@@ -550,8 +693,6 @@ class SchedulerService:
         for job_id in stuck:
             self.sim.cancel_job(job_id)  # withdraw from the engine
             self.lifecycle.advance(job_id, JobState.FAILED)
-            self.queue.retire(job_id)
-        self.telemetry.set_queue_depth(self.queue.depth)
 
     def _refresh_gauges(self, force: bool = False) -> None:
         now = time.monotonic()
@@ -595,14 +736,16 @@ class ServiceServer(IntrospectionServer):
     """The daemon's HTTP face: introspection endpoints + write verbs.
 
     Inherits ``GET /metrics`` (simulation + service families on one
-    registry), ``/healthz``, ``/state`` (now carrying the job-state
+    registry), ``/healthz`` (503 with the reason once the service has
+    fail-stopped), ``/state`` (now carrying the job-state
     table), ``/alerts``, and — when the service keeps a decision
     recorder — ``/decisions``, ``/explain/<id>`` and the ``/events``
     SSE stream; adds:
 
     * ``POST /submit`` — manifest-format job object (+ optional
-      ``priority``); 202 admitted, 4xx with a reason otherwise, 503
-      when the journal write failed (nothing kept: resubmit);
+      ``priority``); 202 once admitted *and committed*, 4xx with a
+      reason otherwise, 503 when the journal write failed (nothing
+      kept: resubmit) or the service has stopped;
     * ``POST /cancel`` — ``{"id": ...}``; 202 accepted (poll the job);
     * ``POST /evict`` — ``{"id": ...}``; 202 accepted: the running job
       is checkpointed back to the queue for re-placement;
@@ -629,6 +772,16 @@ class ServiceServer(IntrospectionServer):
             timeseries=service.timeseries,
         )
         self.service = service
+
+    def render_health(self) -> tuple[str, int]:
+        body, code = super().render_health()
+        failure = self.service.failure
+        if failure is None:
+            return body, code
+        # fail-stopped: the process is alive but schedules nothing
+        doc = json.loads(body)
+        doc.update(status="failed", reason=failure)
+        return json.dumps(doc), 503
 
     def explain_document(self, job_id: str, decisions: list) -> dict:
         doc = super().explain_document(job_id, decisions)

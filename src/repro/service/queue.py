@@ -94,11 +94,10 @@ class QueueManager:
         """Rule on a submission and claim its id/depth budget — without
         making it visible to :meth:`pop_batch` yet.
 
-        The daemon's submit path needs a two-phase protocol: the
-        scheduler loop must never pop a job before its lifecycle entry
-        and journal row exist, or the engine's observer notifications
-        hit an untracked id.  So the handler thread reserves first,
-        does its bookkeeping, then calls :meth:`enqueue`.
+        The daemon's submit path reserves first, registers the waiting
+        submitter, then calls :meth:`enqueue`: the loop must find the
+        submitter of every job it pops, or it would take the job for
+        one restored by recovery and never journal it.
         """
         with self._lock:
             decision = self._admit_locked(job)

@@ -10,13 +10,17 @@ Two tables:
 * ``transitions`` — the append-only lifecycle history: every accepted
   state-machine hop with a wall-clock stamp.
 
-The store is written from HTTP handler threads (submissions) and the
-scheduler loop (transitions), so connections run with
-``check_same_thread=False`` behind one process-wide write lock; WAL
-journaling with ``synchronous=NORMAL`` keeps a single insert cheap
-enough for thousands of submissions per second while surviving a
-process kill (WAL recovery replays complete transactions; a torn tail
-is discarded, never half-applied).
+The scheduler loop is the store's only writer.  A loop iteration opens
+a *group* (:meth:`ServiceStore.begin`): every submission row and
+lifecycle hop it journals joins one sqlite transaction, closed by one
+:meth:`ServiceStore.commit` (or undone by :meth:`ServiceStore.rollback`).
+Outside a group each write is its own transaction.  No lock is taken:
+the connection (``check_same_thread=False``) is used by one thread at a
+time — the loop while it runs, anyone once it is idle or stopped; a
+read issued during an open group would see its uncommitted rows.  WAL
+journaling with ``synchronous=NORMAL`` survives a process kill (WAL
+recovery replays complete transactions; a torn tail is discarded,
+never half-applied).
 
 On restart :meth:`ServiceStore.recover` returns every non-terminal
 job so the daemon can rebuild its queue exactly where the dead
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import json
 import sqlite3
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,23 +80,51 @@ class ServiceStore:
     ) -> None:
         self.path = str(path)
         self.clock = clock
-        #: optional ``callable(latency_s)`` invoked after every journal
-        #: write with its wall-clock cost — the daemon points this at
-        #: the journal-write-latency histogram so a soak run can watch
-        #: for sqlite stalls (lock contention, fsync storms)
+        #: optional ``callable(latency_s)`` invoked once per commit with
+        #: the wall time spent in sqlite for it (its statements plus
+        #: the COMMIT) — the daemon points this at the journal-write
+        #: latency histogram so a soak run can watch for sqlite stalls
         self.observe_write = observe_write
-        self._lock = threading.Lock()
+        self._group = False
+        self._group_s = 0.0  # sqlite time of the open group's statements
         self._db = sqlite3.connect(self.path, check_same_thread=False)
         self._db.execute("PRAGMA journal_mode=WAL")
         self._db.execute("PRAGMA synchronous=NORMAL")
-        with self._lock:
-            self._db.executescript(_SCHEMA)
-            self._db.commit()
+        self._db.executescript(_SCHEMA)
+        self._db.commit()
 
     # ------------------------------------------------------------------
-    # writes: each is one transaction (``with self._db`` commits, or
-    # rolls back on any exception, so a failed write leaves no
-    # statement behind for the next commit to pick up)
+    # groups: one transaction over many writes
+    # ------------------------------------------------------------------
+    def begin(self) -> None:
+        """Open a group: later writes join one transaction until
+        :meth:`commit` or :meth:`rollback`."""
+        self._group = True
+
+    def commit(self) -> None:
+        """Close the group with one COMMIT (none when nothing was
+        written).  Raises the sqlite error when the COMMIT fails; the
+        caller must then :meth:`rollback`."""
+        self._group = False
+        if not self._db.in_transaction:
+            return
+        t0 = time.perf_counter()
+        self._db.commit()
+        spent = self._group_s + time.perf_counter() - t0
+        self._group_s = 0.0
+        if self.observe_write is not None:
+            self.observe_write(spent)
+
+    def rollback(self) -> None:
+        """Close the group, undoing every write it holds."""
+        self._group = False
+        self._group_s = 0.0
+        self._db.rollback()
+
+    # ------------------------------------------------------------------
+    # writes: inside a group they join its transaction; outside, each is
+    # one transaction that commits, or rolls back on any exception, so a
+    # failed write leaves no statement behind for a later commit
     # ------------------------------------------------------------------
     def journal_submission(
         self, job: Job, priority: int, state: JobState
@@ -101,37 +132,39 @@ class ServiceStore:
         """Persist one accepted submission (job row + first transition)."""
         now = self.clock()
         doc = json.dumps(job_to_dict(job), sort_keys=True)
-        t0 = time.perf_counter()
-        with self._lock, self._db:
-            self._db.execute(
-                "INSERT INTO jobs (job_id, manifest, priority, state, "
-                "submitted_wall, updated_wall) VALUES (?, ?, ?, ?, ?, ?)",
-                (job.job_id, doc, priority, state.value, now, now),
-            )
-            self._db.execute(
-                "INSERT INTO transitions (job_id, from_state, to_state, wall) "
-                "VALUES (?, NULL, ?, ?)",
-                (job.job_id, state.value, now),
-            )
-        if self.observe_write is not None:
-            self.observe_write(time.perf_counter() - t0)
+        self._write(
+            "INSERT INTO jobs (job_id, manifest, priority, state, "
+            "submitted_wall, updated_wall) VALUES (?, ?, ?, ?, ?, ?)",
+            (job.job_id, doc, priority, state.value, now, now),
+            "INSERT INTO transitions (job_id, from_state, to_state, wall) "
+            "VALUES (?, NULL, ?, ?)",
+            (job.job_id, state.value, now),
+        )
 
     def journal_transition(
         self, job_id: str, frm: JobState | None, to: JobState
     ) -> None:
         """Append one lifecycle hop and refresh the job's current state."""
         now = self.clock()
+        self._write(
+            "UPDATE jobs SET state = ?, updated_wall = ? WHERE job_id = ?",
+            (to.value, now, job_id),
+            "INSERT INTO transitions (job_id, from_state, to_state, wall) "
+            "VALUES (?, ?, ?, ?)",
+            (job_id, None if frm is None else frm.value, to.value, now),
+        )
+
+    def _write(self, sql1: str, args1: tuple, sql2: str, args2: tuple) -> None:
+        db = self._db
         t0 = time.perf_counter()
-        with self._lock, self._db:
-            self._db.execute(
-                "UPDATE jobs SET state = ?, updated_wall = ? WHERE job_id = ?",
-                (to.value, now, job_id),
-            )
-            self._db.execute(
-                "INSERT INTO transitions (job_id, from_state, to_state, wall) "
-                "VALUES (?, ?, ?, ?)",
-                (job_id, None if frm is None else frm.value, to.value, now),
-            )
+        if self._group:
+            db.execute(sql1, args1)
+            db.execute(sql2, args2)
+            self._group_s += time.perf_counter() - t0
+            return
+        with db:
+            db.execute(sql1, args1)
+            db.execute(sql2, args2)
         if self.observe_write is not None:
             self.observe_write(time.perf_counter() - t0)
 
@@ -139,11 +172,10 @@ class ServiceStore:
     # reads
     # ------------------------------------------------------------------
     def load_job(self, job_id: str) -> StoredJob | None:
-        with self._lock:
-            row = self._db.execute(
-                "SELECT manifest, priority, state FROM jobs WHERE job_id = ?",
-                (job_id,),
-            ).fetchone()
+        row = self._db.execute(
+            "SELECT manifest, priority, state FROM jobs WHERE job_id = ?",
+            (job_id,),
+        ).fetchone()
         if row is None:
             return None
         return StoredJob(
@@ -154,11 +186,10 @@ class ServiceStore:
 
     def all_jobs(self) -> list[StoredJob]:
         """Every journaled job, submission order."""
-        with self._lock:
-            rows = self._db.execute(
-                "SELECT manifest, priority, state FROM jobs "
-                "ORDER BY submitted_wall, job_id"
-            ).fetchall()
+        rows = self._db.execute(
+            "SELECT manifest, priority, state FROM jobs "
+            "ORDER BY submitted_wall, job_id"
+        ).fetchall()
         return [
             StoredJob(
                 job=job_from_dict(json.loads(m)),
@@ -184,13 +215,11 @@ class ServiceStore:
             query += " WHERE job_id = ?"
             args = (job_id,)
         query += " ORDER BY seq"
-        with self._lock:
-            return self._db.execute(query, args).fetchall()
+        return self._db.execute(query, args).fetchall()
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        with self._lock:
-            self._db.close()
+        self._db.close()
 
     def __enter__(self) -> "ServiceStore":
         return self

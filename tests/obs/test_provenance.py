@@ -270,3 +270,28 @@ class TestCapacityProvenance:
         cap = capacity[0]["capacity"]
         bound = "max_free" if cap["single_node"] else "total_free"
         assert cap[bound] < 5
+
+
+class TestHeldRecords:
+    """Between ``hold`` and ``publish`` no reader sees a new record."""
+
+    def test_readers_stop_at_the_visible_seq(self):
+        recorder = DecisionRecorder(journal=True)
+        recorder.alert({"t": 0.0, "rule": "r"})
+        recorder.hold()
+        recorder.alert({"t": 1.0, "rule": "held"})
+        with recorder.span("sched.propose"):
+            pass
+        assert recorder.last_seq == 1
+        assert [seq for seq, _, _ in recorder.entries_after(0)] == [1]
+        assert len(recorder.journal) == 1
+        assert not recorder.wait_beyond(1, timeout=0.01)
+        recorder.publish()
+        assert recorder.last_seq == 2
+        assert [seq for seq, _, _ in recorder.entries_after(0)] == [1, 2]
+        assert [json.loads(line)["kind"] for line in recorder.journal] == [
+            "alert", "alert", "span",
+        ]
+        # unheld again: every write is visible at once
+        recorder.alert({"t": 2.0, "rule": "after"})
+        assert recorder.last_seq == 4

@@ -19,6 +19,7 @@ from repro.obs.state import (
 )
 from repro.obs.telemetry import TelemetryObserver
 from repro.schedulers import make_scheduler
+from repro.sim.engine import Simulator
 from repro.sim.runner import run_with_observers
 from repro.topology.builders import power8_minsky
 
@@ -170,6 +171,44 @@ class TestSnapshotObserver:
         assert final.decision_rounds > 5
         reads = round(final.wall_time / 0.01)
         assert reads < final.decision_rounds * 2 + 20
+
+    def test_held_rounds_publish_once_on_release(self):
+        publisher = SnapshotPublisher()
+        observer = SnapshotObserver(
+            publisher, clock=lambda: 0.0, min_publish_interval_s=0.0
+        )
+        sim = Simulator(
+            power8_minsky(), make_scheduler("TOPO-AWARE"), table1_jobs(),
+            observers=[observer],
+        ).start()
+        bound = publisher.snapshot
+        observer.hold()
+        while sim.step():
+            pass
+        assert publisher.snapshot is bound  # nothing published while held
+        observer.release()
+        assert publisher.snapshot.decision_rounds > bound.decision_rounds
+        released = publisher.snapshot
+        observer.release()  # nothing came due since: no rebuild
+        assert publisher.snapshot is released
+
+    def test_next_publish_in_follows_the_throttle(self):
+        now = [100.0]
+        observer = SnapshotObserver(
+            SnapshotPublisher(), clock=lambda: now[0],
+            min_publish_interval_s=0.05,
+        )
+        Simulator(
+            power8_minsky(), make_scheduler("TOPO-AWARE"), table1_jobs(),
+            observers=[observer],
+        ).start()  # the bind-time publish at t=100
+        assert observer.next_publish_in() == pytest.approx(0.05)
+        now[0] = 100.03
+        assert observer.next_publish_in() == pytest.approx(0.02)
+        now[0] = 100.2
+        assert observer.next_publish_in() <= 0
+        now[0] = 50.0  # the wall clock stepped back
+        assert observer.next_publish_in() == pytest.approx(0.05)
 
     def test_snapshot_json_serialisable(self):
         publisher = SnapshotPublisher()
