@@ -24,61 +24,7 @@ See DESIGN.md for the architecture and EXPERIMENTS.md for the
 paper-vs-measured results of every table and figure.
 """
 
-from repro.topology import (
-    AllocationState,
-    LinkSpec,
-    LinkType,
-    NodeKind,
-    TopologyGraph,
-    cluster,
-    dgx1,
-    machine,
-    power8_minsky,
-    power8_pcie_k80,
-)
-from repro.workload import (
-    BatchClass,
-    GeneratorConfig,
-    Job,
-    JobGraph,
-    JobProfile,
-    ModelType,
-    ProfileDatabase,
-    WorkloadGenerator,
-    default_database,
-    load_manifest,
-)
-from repro.perf import (
-    Calibration,
-    DEFAULT_CALIBRATION,
-    InterferenceModel,
-    PerformanceModel,
-    Placement,
-)
-from repro.core import (
-    PlacementEngine,
-    PlacementSolution,
-    UtilityParams,
-    drb_map,
-    fm_bipartition,
-)
-from repro.schedulers import (
-    BestFitScheduler,
-    FCFSScheduler,
-    RandomScheduler,
-    Scheduler,
-    TopoAwareScheduler,
-    make_scheduler,
-)
-from repro.sim import (
-    ClusterState,
-    MachineFailure,
-    SimObserver,
-    SimulationResult,
-    Simulator,
-    run_comparison,
-    run_with_observers,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -128,3 +74,34 @@ __all__ = [
     "run_comparison",
     "run_with_observers",
 ]
+
+# names resolve on first use (PEP 562): ``import repro`` alone, or any
+# ``import repro.<module>``, does not import every subpackage
+__getattr__ = lazy_exports(__name__, {
+    "repro.topology": (
+        "AllocationState", "LinkSpec", "LinkType", "NodeKind",
+        "TopologyGraph", "cluster", "dgx1", "machine", "power8_minsky",
+        "power8_pcie_k80",
+    ),
+    "repro.workload": (
+        "BatchClass", "GeneratorConfig", "Job", "JobGraph", "JobProfile",
+        "ModelType", "ProfileDatabase", "WorkloadGenerator",
+        "default_database", "load_manifest",
+    ),
+    "repro.perf": (
+        "Calibration", "DEFAULT_CALIBRATION", "InterferenceModel",
+        "PerformanceModel", "Placement",
+    ),
+    "repro.core": (
+        "PlacementEngine", "PlacementSolution", "UtilityParams", "drb_map",
+        "fm_bipartition",
+    ),
+    "repro.schedulers": (
+        "BestFitScheduler", "FCFSScheduler", "RandomScheduler", "Scheduler",
+        "TopoAwareScheduler", "make_scheduler",
+    ),
+    "repro.sim": (
+        "ClusterState", "MachineFailure", "SimObserver", "SimulationResult",
+        "Simulator", "run_comparison", "run_with_observers",
+    ),
+})

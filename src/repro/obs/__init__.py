@@ -40,38 +40,7 @@ disabled trace points stay within 3 % of the uninstrumented runtime
 (enforced by ``benchmarks/test_obs_overhead.py``).
 """
 
-from repro.obs.export import (
-    parse_prometheus,
-    render_json,
-    render_prometheus,
-    sample_value,
-    write_metrics,
-)
-from repro.obs.io import is_gzip_path, open_text
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.profile import (
-    PhaseStats,
-    RoundProfile,
-    TraceProfile,
-    format_profile,
-    profile_spans,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.trace import (
-    NULL_SPAN,
-    SpanRecorder,
-    install,
-    recording,
-    span,
-    summarize,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -118,36 +87,39 @@ __all__ = [
     "write_metrics",
 ]
 
-#: lazily-resolved names -> home module.  These all pull in
-#: repro.sim.hooks, whose import chain reaches back into repro.core.*
-#: — the very modules that import this package for their trace points.
-#: Loading them lazily keeps the hot-path import (repro.obs.trace)
-#: cycle-free.
-_LAZY = {
-    "TelemetryObserver": "repro.obs.telemetry",
-    "SnapshotObserver": "repro.obs.state",
-    "SnapshotPublisher": "repro.obs.state",
-    "RunSnapshot": "repro.obs.state",
-    "IntrospectionServer": "repro.obs.server",
-    "Watchdog": "repro.obs.alerts",
-    "Rule": "repro.obs.alerts",
-    "DEFAULT_RULES": "repro.obs.alerts",
-    "load_rules": "repro.obs.alerts",
-    "DecisionRecorder": "repro.obs.provenance",
-    "PROVENANCE_SCHEMA_VERSION": "repro.obs.provenance",
-    "read_records": "repro.obs.provenance",
-    "validate_record": "repro.obs.provenance",
-    "TimeSeriesStore": "repro.obs.timeseries",
-    "TimeSeriesSampler": "repro.obs.timeseries",
-    "TieredSeries": "repro.obs.timeseries",
-    "TIMESERIES_SCHEMA_VERSION": "repro.obs.timeseries",
-}
-
-
-def __getattr__(name: str):
-    home = _LAZY.get(name)
-    if home is not None:
-        import importlib
-
-        return getattr(importlib.import_module(home), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# every name resolves on first use (PEP 562).  The hot path imports
+# only ``repro.obs.trace`` for its ``span()`` seam, and several homes
+# below import repro.sim.hooks, whose chain reaches back into the
+# repro.core modules that import that seam: eager imports here would
+# load the exposition and profiling code into every simulation and
+# close an import cycle.
+__getattr__ = lazy_exports(__name__, {
+    "repro.obs.export": (
+        "parse_prometheus", "render_json", "render_prometheus",
+        "sample_value", "write_metrics",
+    ),
+    "repro.obs.io": ("is_gzip_path", "open_text"),
+    "repro.obs.metrics": (
+        "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    ),
+    "repro.obs.profile": (
+        "PhaseStats", "RoundProfile", "TraceProfile", "format_profile",
+        "profile_spans", "to_chrome_trace", "write_chrome_trace",
+    ),
+    "repro.obs.trace": (
+        "NULL_SPAN", "SpanRecorder", "install", "recording", "span",
+        "summarize",
+    ),
+    "repro.obs.telemetry": ("TelemetryObserver",),
+    "repro.obs.state": ("RunSnapshot", "SnapshotObserver", "SnapshotPublisher"),
+    "repro.obs.server": ("IntrospectionServer",),
+    "repro.obs.alerts": ("DEFAULT_RULES", "Rule", "Watchdog", "load_rules"),
+    "repro.obs.provenance": (
+        "DecisionRecorder", "PROVENANCE_SCHEMA_VERSION", "read_records",
+        "validate_record",
+    ),
+    "repro.obs.timeseries": (
+        "TIMESERIES_SCHEMA_VERSION", "TieredSeries", "TimeSeriesSampler",
+        "TimeSeriesStore",
+    ),
+})

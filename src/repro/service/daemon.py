@@ -31,10 +31,12 @@ join the next one (group commit).  Two failures are defined:
   reservation released, and the loop keeps running;
 * a hop write or the ``COMMIT`` fails after the engine has moved: the
   service *fail-stops* — nothing of the iteration is published, its
-  submitters and every later one are answered 503, ``/healthz``
-  answers 503 with the reason (:attr:`SchedulerService.failure`) and
-  ``repro serve`` exits non-zero.  A restart recovers from the
-  journal, which holds exactly what clients were told.
+  submitters and every later one are answered 503, as is every later
+  cancel and eviction, ``GET /jobs/<id>`` serves only the committed
+  state, ``/healthz`` answers 503 with the reason
+  (:attr:`SchedulerService.failure`) and ``repro serve`` exits
+  non-zero.  A restart recovers from the journal, which holds exactly
+  what clients were told.
 
 On restart the daemon re-admits every non-terminal journaled job, so a
 killed daemon resumes with the queue it died with.
@@ -96,8 +98,10 @@ JOURNAL_ERROR = "journal-error"
 
 
 class JournalError(RuntimeError):
-    """An admitted submission could not be journaled; it was withdrawn
-    (no lifecycle entry, no inbox entry, id and depth budget freed)."""
+    """A request the journal will not hold.  An admitted submission
+    that could not be journaled was withdrawn (no lifecycle entry, no
+    inbox entry, id and depth budget freed); a cancel or eviction on a
+    stopped or failed service was never queued."""
 
     def __init__(self, job_id: str, cause: BaseException) -> None:
         super().__init__(f"job {job_id!r} was not journaled: {cause}")
@@ -394,8 +398,9 @@ class SchedulerService:
 
         The actual engine withdrawal happens on the loop thread; poll
         ``GET /jobs/<id>`` for the terminal ``CANCELLED``.  Raises
-        :class:`KeyError` for unknown ids and :class:`ValueError` for
-        already-terminal jobs.
+        :class:`KeyError` for unknown ids, :class:`ValueError` for
+        already-terminal jobs and :class:`JournalError` when no loop
+        will apply the request (the service is stopped or failed).
         """
         if job_id not in self.lifecycle:
             raise KeyError(job_id)
@@ -404,10 +409,7 @@ class SchedulerService:
             raise ValueError(
                 f"job {job_id!r} is already {state.value}"
             )
-        with self._cv:
-            self._cancels.append(job_id)
-            self._idle = False
-            self._cv.notify_all()
+        self._request(self._cancels, job_id)
         return state.value
 
     def evict(self, job_id: str) -> str:
@@ -417,19 +419,29 @@ class SchedulerService:
         progress is checkpointed, its GPUs are freed and it re-enters
         the scheduler queue (journaled as a RUNNING -> QUEUED hop) for
         a later round to re-place with only its remaining work plus
-        the migration cost.  Raises :class:`KeyError` for unknown ids
-        and :class:`ValueError` for jobs that are not running.
+        the migration cost.  Raises :class:`KeyError` for unknown ids,
+        :class:`ValueError` for jobs that are not running and
+        :class:`JournalError` when the service is stopped or failed.
         """
         if job_id not in self.lifecycle:
             raise KeyError(job_id)
         state = self.lifecycle.state(job_id)
         if state is not JobState.RUNNING:
             raise ValueError(f"job {job_id!r} is {state.value}, not running")
-        with self._cv:
-            self._evictions.append(job_id)
-            self._idle = False
-            self._cv.notify_all()
+        self._request(self._evictions, job_id)
         return state.value
+
+    def _request(self, requests: list[str], job_id: str) -> None:
+        """Hand a cancel or eviction to the loop; refused, like a
+        submission, once no loop will apply it."""
+        with self._cv:
+            down = self._down
+            if down is None:
+                requests.append(job_id)
+                self._idle = False
+                self._cv.notify_all()
+        if down is not None:
+            raise JournalError(job_id, RuntimeError(down))
 
     def pause(self) -> None:
         """Stop stepping the engine; submissions keep applying."""
@@ -475,9 +487,15 @@ class SchedulerService:
         }
 
     def job_status(self, job_id: str) -> dict:
-        """State plus (once the engine knows the job) its live record."""
+        """State plus (once the engine knows the job) its live record.
+
+        After a fail-stop the engine may hold what the journal lost, so
+        only the committed state is served.
+        """
         state = self.lifecycle.state(job_id)  # KeyError for unknown
         doc: dict = {"id": job_id, "state": state.value}
+        if self.failure is not None:
+            return doc
         try:
             record = self.sim.record_of(job_id)
         except KeyError:
@@ -813,8 +831,8 @@ class ServiceServer(IntrospectionServer):
     def post_routes(self):
         return {
             "/submit": self._post_submit,
-            "/cancel": self._post_cancel,
-            "/evict": self._post_evict,
+            "/cancel": lambda body: self._post_request(self.service.cancel, body),
+            "/evict": lambda body: self._post_request(self.service.evict, body),
             "/pause": self._post_pause,
             "/resume": self._post_resume,
         }
@@ -841,28 +859,20 @@ class ServiceServer(IntrospectionServer):
             202, {"id": result.job_id, "state": result.state}
         )
 
-    def _post_cancel(self, body: dict) -> Response:
+    def _post_request(self, verb, body: dict) -> Response:
+        """``POST /cancel`` and ``POST /evict``: 202 once the loop has
+        the request, 503 when no loop will apply it."""
         job_id = body.get("id")
         if not isinstance(job_id, str) or not job_id:
             return json_response(400, {"error": 'body needs an "id" string'})
         try:
-            seen = self.service.cancel(job_id)
+            seen = verb(job_id)
         except KeyError:
             return json_response(404, {"error": f"unknown job {job_id!r}"})
         except ValueError as exc:
             return json_response(409, {"error": str(exc)})
-        return json_response(202, {"id": job_id, "state": seen})
-
-    def _post_evict(self, body: dict) -> Response:
-        job_id = body.get("id")
-        if not isinstance(job_id, str) or not job_id:
-            return json_response(400, {"error": 'body needs an "id" string'})
-        try:
-            seen = self.service.evict(job_id)
-        except KeyError:
-            return json_response(404, {"error": f"unknown job {job_id!r}"})
-        except ValueError as exc:
-            return json_response(409, {"error": str(exc)})
+        except JournalError as exc:
+            return json_response(503, {"id": job_id, "error": str(exc)})
         return json_response(202, {"id": job_id, "state": seen})
 
     def _post_pause(self, body: dict) -> Response:

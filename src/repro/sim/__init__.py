@@ -40,8 +40,7 @@ from repro.sim.metrics import (
     summarize,
     total_slowdown,
 )
-from repro.sim.runner import run_comparison, run_with_observers
-from repro.sim.trace import load_trace, save_trace, records_to_rows
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Arrival",
@@ -74,3 +73,11 @@ __all__ = [
     "summarize",
     "total_slowdown",
 ]
+
+# the run entry points and the trace-file codec resolve on first use
+# (PEP 562): a program that drives ``Simulator`` itself loads neither
+# them nor the manifest codec behind trace files
+__getattr__ = lazy_exports(__name__, {
+    "repro.sim.runner": ("run_comparison", "run_with_observers"),
+    "repro.sim.trace": ("load_trace", "records_to_rows", "save_trace"),
+})

@@ -29,14 +29,8 @@ from repro.topology.builders import (
     power8_pcie_k80,
     power9_ac922,
 )
-from repro.topology.discovery import (
-    parse_numactl_hardware,
-    parse_topo_matrix,
-    render_numactl_hardware,
-    render_topo_matrix,
-    topology_from_matrix,
-)
 from repro.topology.allocation import AllocationState, AllocationError
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AllocationError",
@@ -62,3 +56,13 @@ __all__ = [
     "render_topo_matrix",
     "topology_from_matrix",
 ]
+
+# the discovery helpers resolve on first use (PEP 562): a simulation
+# builds its machines from the builders and never parses a topo matrix
+__getattr__ = lazy_exports(__name__, {
+    "repro.topology.discovery": (
+        "parse_numactl_hardware", "parse_topo_matrix",
+        "render_numactl_hardware", "render_topo_matrix",
+        "topology_from_matrix",
+    ),
+})

@@ -12,7 +12,8 @@ for NVLink connections.  Every edge carries
 
 The graph is undirected.  Shortest-path distances and widest-path
 (bottleneck-bandwidth) queries are computed with Dijkstra variants and
-cached per source; any mutation invalidates the caches.
+cached per source; any mutation invalidates the caches (once per build
+inside :meth:`TopologyGraph._building`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import enum
 import heapq
 import itertools
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -146,6 +148,32 @@ class _Caches:
         self.bus_capacity.clear()
 
 
+class _DeferredCaches:
+    """Stands in for a graph's caches inside its build scope.
+
+    A mutation's ``clear()`` costs nothing here; the scope clears the
+    real caches once on exit.  The first query inside the scope (any
+    other attribute read) puts the real caches back, emptied, so every
+    later mutation clears at once again and nothing cached mid-build
+    outlives a mutation.
+    """
+
+    __slots__ = ("_graph", "_caches")
+
+    def __init__(self, graph: "TopologyGraph", caches: _Caches) -> None:
+        self._graph = graph
+        self._caches = caches
+
+    def clear(self) -> None:
+        pass
+
+    def __getattr__(self, name: str):
+        caches = self._caches
+        caches.clear()
+        self._graph._caches = caches
+        return getattr(caches, name)
+
+
 class TopologyGraph:
     """Weighted undirected graph over topology components."""
 
@@ -158,6 +186,22 @@ class TopologyGraph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    @contextmanager
+    def _building(self) -> Iterator[None]:
+        """Build scope: mutations inside it skip their cache clear and
+        the scope clears once on exit.  Every per-add check still runs.
+        Nested scopes are part of the outermost one."""
+        caches = self._caches
+        if type(caches) is _DeferredCaches:
+            yield
+            return
+        self._caches = _DeferredCaches(self, caches)
+        try:
+            yield
+        finally:
+            self._caches = caches
+            caches.clear()
+
     def add_node(
         self,
         name: str,
@@ -194,15 +238,26 @@ class TopologyGraph:
         return edge
 
     def merge(self, other: "TopologyGraph") -> None:
-        """Copy all nodes and edges of ``other`` into this graph."""
+        """Copy all nodes and edges of ``other`` into this graph.
+
+        Each edge is inserted at both ends when the walk over
+        ``other``'s adjacency first meets it, as :meth:`edges` yields
+        it, so every node's adjacency order (which breaks shortest-path
+        ties) matches an edge-by-edge copy.  An edge is met first at its
+        earlier endpoint: at the later one, it is in the copy already.
+        """
+        nodes, adj = self._nodes, self._adj
         for node in other._nodes.values():
-            if node.name in self._nodes:
+            if node.name in nodes:
                 raise TopologyError(f"node {node.name!r} exists in both graphs")
-            self._nodes[node.name] = node
-            self._adj[node.name] = {}
-        for edge in other.edges():
-            self._adj[edge.u][edge.v] = edge
-            self._adj[edge.v][edge.u] = edge
+            nodes[node.name] = node
+            adj[node.name] = {}
+        for u, nbrs in other._adj.items():
+            mine = adj[u]
+            for v, edge in nbrs.items():
+                if v not in mine:
+                    mine[v] = edge
+                    adj[v][u] = edge
         self._caches.clear()
 
     # ------------------------------------------------------------------
@@ -872,7 +927,11 @@ class TopologyGraph:
         return sorted(pairs)
 
     def to_networkx(self):
-        """Export to a :mod:`networkx` graph (for analysis/visualisation)."""
+        """Export to a :mod:`networkx` graph (for analysis/visualisation).
+
+        Needs networkx, which the package does not require at run time
+        (it is in the ``test`` extra).
+        """
         import networkx as nx
 
         g = nx.Graph(name=self.name)

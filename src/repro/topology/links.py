@@ -55,6 +55,16 @@ class LinkType(enum.Enum):
         return self.value
 
 
+#: Per-lane bandwidth a :class:`LinkSpec` gets when it names none.
+_DEFAULT_BANDWIDTH: dict[LinkType, float] = {
+    LinkType.NVLINK: NVLINK_LANE_BW,
+    LinkType.PCIE: PCIE3_X16_BW,
+    LinkType.XBUS: XBUS_BW,
+    LinkType.NETWORK: NETWORK_BW,
+    LinkType.ONBOARD: 1e9,
+}
+
+
 @dataclass(frozen=True)
 class LinkSpec:
     """A concrete link: technology, lane count and derived bandwidth.
@@ -62,6 +72,10 @@ class LinkSpec:
     ``bandwidth_gbs`` is the *unidirectional* aggregate bandwidth of the
     link.  ``lanes`` is retained so NVLink dual-lane connections (Power8)
     can be distinguished from single-lane ones (DGX-1 cube mesh).
+
+    Specs are immutable and compare by value, so the factories below
+    hand out one shared instance per distinct spec: a fleet build does
+    not construct one per edge.
     """
 
     link_type: LinkType
@@ -75,41 +89,43 @@ class LinkSpec:
             raise ValueError("bandwidth_gbs must be non-negative")
         if self.bandwidth_gbs == 0.0:
             object.__setattr__(
-                self, "bandwidth_gbs", _default_bandwidth(self.link_type) * self.lanes
+                self, "bandwidth_gbs", _DEFAULT_BANDWIDTH[self.link_type] * self.lanes
             )
 
     @staticmethod
     def nvlink(lanes: int = 1) -> "LinkSpec":
-        return LinkSpec(LinkType.NVLINK, lanes=lanes)
+        spec = _NVLINK.get(lanes)
+        if spec is None:
+            spec = _NVLINK[lanes] = LinkSpec(LinkType.NVLINK, lanes=lanes)
+        return spec
 
     @staticmethod
     def pcie() -> "LinkSpec":
-        return LinkSpec(LinkType.PCIE)
+        return _PCIE
 
     @staticmethod
     def xbus() -> "LinkSpec":
-        return LinkSpec(LinkType.XBUS)
+        return _XBUS
 
     @staticmethod
     def network() -> "LinkSpec":
-        return LinkSpec(LinkType.NETWORK)
+        return _NETWORK
 
     @staticmethod
     def onboard() -> "LinkSpec":
-        # Parent/child edges inside a component are not a bandwidth
-        # bottleneck by themselves; give them effectively-unconstrained
-        # bandwidth so only real buses constrain the perf model.
-        return LinkSpec(LinkType.ONBOARD, bandwidth_gbs=1e9)
+        return _ONBOARD
 
 
-def _default_bandwidth(link_type: LinkType) -> float:
-    return {
-        LinkType.NVLINK: NVLINK_LANE_BW,
-        LinkType.PCIE: PCIE3_X16_BW,
-        LinkType.XBUS: XBUS_BW,
-        LinkType.NETWORK: NETWORK_BW,
-        LinkType.ONBOARD: 1e9,
-    }[link_type]
+#: the factories' shared instances (NVLink ones per lane count, made on
+#: first use so an invalid count still raises)
+_NVLINK: dict[int, LinkSpec] = {}
+_PCIE = LinkSpec(LinkType.PCIE)
+_XBUS = LinkSpec(LinkType.XBUS)
+_NETWORK = LinkSpec(LinkType.NETWORK)
+# Parent/child edges inside a component are not a bandwidth bottleneck
+# by themselves; give them effectively-unconstrained bandwidth so only
+# real buses constrain the perf model.
+_ONBOARD = LinkSpec(LinkType.ONBOARD, bandwidth_gbs=1e9)
 
 
 #: Default qualitative distance weights per hierarchy level, following

@@ -10,8 +10,8 @@ from repro.workload.jobgraph import (
     model_parallel_ring,
 )
 from repro.workload.profiles import JobProfile, ProfileDatabase, default_database
-from repro.workload.manifest import ManifestError, dump_manifest, load_manifest, dumps_manifest, loads_manifest
 from repro.workload.generator import WorkloadGenerator, GeneratorConfig
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchClass",
@@ -36,3 +36,12 @@ __all__ = [
     "model_parallel_chain",
     "model_parallel_ring",
 ]
+
+# the manifest codec resolves on first use (PEP 562): it serves the
+# service, the CLI and trace files, not the simulation itself
+__getattr__ = lazy_exports(__name__, {
+    "repro.workload.manifest": (
+        "ManifestError", "dump_manifest", "dumps_manifest", "load_manifest",
+        "loads_manifest",
+    ),
+})

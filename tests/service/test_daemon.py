@@ -111,6 +111,58 @@ class TestJournalFailure:
         ]
 
 
+def fail_stop_after_running(service, fail_nth_execute) -> None:
+    """Fail-stop ``service`` with job "a" committed RUNNING: the engine
+    finishes "a" but the FINISHED hop's write fails."""
+    service.pause()
+    service.submit(submit_doc("a"))
+    assert service.drain()
+    # the next iteration writes QUEUED, PLACED and RUNNING (six
+    # statements); the one after writes FINISHED, whose first fails
+    fail_nth_execute(service.store, 7)
+    service.resume()
+    assert not service.drain(timeout_s=10)
+    assert "injected" in service.failure
+    assert service.lifecycle.state("a") is JobState.RUNNING
+    # the engine moved past the journal
+    assert service.sim.record_of("a").finished_at is not None
+
+
+class TestAfterFailStop:
+    """A fail-stopped service takes no further request and serves only
+    what its journal committed."""
+
+    def test_cancel_and_evict_are_refused(self, service, fail_nth_execute):
+        fail_stop_after_running(service, fail_nth_execute)
+        for verb in (service.cancel, service.evict):
+            with pytest.raises(JournalError) as exc:
+                verb("a")
+            assert exc.value.job_id == "a"
+            assert "injected" in str(exc.value)
+        assert service._cancels == [] and service._evictions == []
+        # unknown and terminal ids keep their own answers
+        with pytest.raises(KeyError):
+            service.cancel("ghost")
+
+    def test_stopped_service_refuses_cancel(self, tmp_path):
+        svc = SchedulerService(
+            cluster(2), "TOPO-AWARE", store_path=str(tmp_path / "svc.db")
+        )
+        with svc:
+            svc.pause()
+            svc.submit(submit_doc("a"))
+            assert svc.drain()
+        with pytest.raises(JournalError, match="stopped"):
+            svc.cancel("a")
+        assert svc._cancels == []
+
+    def test_job_status_serves_only_the_committed_state(
+        self, service, fail_nth_execute
+    ):
+        fail_stop_after_running(service, fail_nth_execute)
+        assert service.job_status("a") == {"id": "a", "state": "RUNNING"}
+
+
 class TestCancel:
     def test_cancel_unknown_raises(self, service):
         with pytest.raises(KeyError):
@@ -313,6 +365,19 @@ class TestHTTPVerbs:
         assert (code, doc) == (202, {"id": "a", "state": "SUBMITTED"})
         assert service.queue.depth == depth + 1
 
+
+    def test_after_fail_stop_cancel_evict_503_and_status_committed(
+        self, served, fail_nth_execute
+    ):
+        service, url = served
+        fail_stop_after_running(service, fail_nth_execute)
+        for verb in ("cancel", "evict"):
+            code, doc = http("POST", f"{url}/{verb}", {"id": "a"})
+            assert code == 503
+            assert doc["id"] == "a" and "injected" in doc["error"]
+        assert http("POST", f"{url}/cancel", {"id": "ghost"})[0] == 404
+        code, doc = http("GET", f"{url}/jobs/a")
+        assert (code, doc) == (200, {"id": "a", "state": "RUNNING"})
 
 class TestTapsBoundAtStart:
     """``Simulator.start`` binds every daemon tap: the telemetry

@@ -1,0 +1,307 @@
+"""A fleet build pays for each piece of work once, and builds the same graph.
+
+The machine builders and :func:`cluster` build inside the graph's build
+scope (one cache invalidation per graph), share the factories' link
+specs and merge machines in one pass.  The reference here is the
+per-mutation build kept test-only: every ``add_node`` / ``add_edge`` /
+``merge`` clears the caches at once, ``merge`` copies edge by edge as
+:meth:`TopologyGraph.edges` yields them, and every link spec is a fresh
+object.  Both must give the same nodes in the same order, the same
+adjacency order at every node (it breaks shortest-path ties), the same
+edges, weights and specs, and the same ``machine_shape`` per machine.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import pytest
+
+import repro.topology.builders as builders
+import repro.topology.graph as graph_mod
+from repro.topology.builders import (
+    cluster,
+    dgx1,
+    machine,
+    power8_minsky,
+    power8_pcie_k80,
+)
+from repro.topology.graph import NodeKind, TopologyError, TopologyGraph
+from repro.topology.links import LinkSpec, LinkType
+
+
+class ReferenceGraph(TopologyGraph):
+    """The per-mutation build: no deferral, edge-by-edge merge."""
+
+    @contextmanager
+    def _building(self):
+        yield
+
+    def merge(self, other: TopologyGraph) -> None:
+        for node in other._nodes.values():
+            if node.name in self._nodes:
+                raise TopologyError(f"node {node.name!r} exists in both graphs")
+            self._nodes[node.name] = node
+            self._adj[node.name] = {}
+        for edge in other.edges():
+            self._adj[edge.u][edge.v] = edge
+            self._adj[edge.v][edge.u] = edge
+        self._caches.clear()
+
+
+def reference(make):
+    """Run ``make`` building with :class:`ReferenceGraph` and fresh
+    link specs."""
+    fresh = {
+        "nvlink": lambda lanes=1: LinkSpec(LinkType.NVLINK, lanes=lanes),
+        "pcie": lambda: LinkSpec(LinkType.PCIE),
+        "xbus": lambda: LinkSpec(LinkType.XBUS),
+        "network": lambda: LinkSpec(LinkType.NETWORK),
+        "onboard": lambda: LinkSpec(LinkType.ONBOARD, bandwidth_gbs=1e9),
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builders, "TopologyGraph", ReferenceGraph)
+        for name, factory in fresh.items():
+            patch.setattr(LinkSpec, name, staticmethod(factory))
+        topo = make()
+    assert type(topo) is ReferenceGraph
+    return topo
+
+
+def mixed(machine_id: str) -> TopologyGraph:
+    """Alternating DGX-1 and PCIe-K80 machines."""
+    return (dgx1, power8_pcie_k80)[int(machine_id[1:]) % 2](machine_id)
+
+
+FLEETS = {
+    "power8_minsky": lambda: power8_minsky("m3"),
+    "dgx1": lambda: dgx1("m1"),
+    "power8_pcie_k80": lambda: power8_pcie_k80(),
+    "machine": lambda: machine(
+        "m2", sockets=3, gpus_per_socket=3, peer_link=LinkSpec.nvlink(1)
+    ),
+    "cluster-minsky": lambda: cluster(12),
+    "cluster-dgx1": lambda: cluster(5, dgx1),
+    "cluster-mixed": lambda: cluster(9, mixed),
+    "cluster-machine": lambda: cluster(
+        4, lambda m: machine(m, gpus_per_socket=3, peer_link=LinkSpec.pcie())
+    ),
+}
+
+
+def layout(topo: TopologyGraph):
+    """Everything a build decides, in order, compared by value."""
+    return {
+        "nodes": list(topo._nodes.items()),
+        "adjacency": {
+            name: [(v, edge) for v, edge in nbrs.items()]
+            for name, nbrs in topo._adj.items()
+        },
+        "edges": [(e.u, e.v, e.weight, e.spec) for e in topo.edges()],
+        "shapes": {m: topo.machine_shape(m) for m in topo.machines()},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(FLEETS))
+def test_build_matches_the_per_mutation_reference(name):
+    fast = FLEETS[name]()
+    assert type(fast) is TopologyGraph
+    expected = layout(reference(FLEETS[name]))
+    got = layout(fast)
+    assert got["nodes"] == expected["nodes"]
+    # adjacency order node by node, not just as sets
+    assert list(got["adjacency"]) == list(expected["adjacency"])
+    for node, nbrs in expected["adjacency"].items():
+        assert got["adjacency"][node] == nbrs, node
+    assert got["edges"] == expected["edges"]
+    assert got["shapes"] == expected["shapes"]
+    # shapes keep their hashes, so pool-solve cache keys do not move
+    assert {m: hash(s) for m, s in got["shapes"].items()} == {
+        m: hash(s) for m, s in expected["shapes"].items()
+    }
+
+
+def test_distances_and_paths_match_the_reference():
+    fast = cluster(6, mixed)
+    slow = reference(lambda: cluster(6, mixed))
+    gpus = fast.gpus()
+    assert gpus == slow.gpus()
+    for u in gpus[::3]:
+        for v in gpus[1::4]:
+            assert fast.distance(u, v) == slow.distance(u, v)
+            assert fast.shortest_path(u, v) == slow.shortest_path(u, v)
+            assert fast.bottleneck_bandwidth(u, v) == slow.bottleneck_bandwidth(u, v)
+
+
+def test_specs_are_shared_and_equal_by_value():
+    assert LinkSpec.nvlink(2) is LinkSpec.nvlink(2)
+    assert LinkSpec.nvlink(2) == LinkSpec(LinkType.NVLINK, lanes=2)
+    assert hash(LinkSpec.pcie()) == hash(LinkSpec(LinkType.PCIE))
+    assert LinkSpec.nvlink(2).bandwidth_gbs == 40.0
+    assert LinkSpec.onboard() == LinkSpec(LinkType.ONBOARD, bandwidth_gbs=1e9)
+    with pytest.raises(ValueError):
+        LinkSpec.nvlink(0)
+    with pytest.raises(ValueError):  # a refused count is not kept
+        LinkSpec.nvlink(0)
+
+
+def test_one_invalidation_and_every_validation_per_build(monkeypatch):
+    counts = {"clear": 0, "validate": 0}
+    clear, validate = graph_mod._Caches.clear, TopologyGraph.validate
+
+    def counting_clear(self):
+        counts["clear"] += 1
+        clear(self)
+
+    def counting_validate(self):
+        counts["validate"] += 1
+        validate(self)
+
+    monkeypatch.setattr(graph_mod._Caches, "clear", counting_clear)
+    monkeypatch.setattr(TopologyGraph, "validate", counting_validate)
+    cluster(40)
+    # one clear per machine graph and one for the fleet; each builder
+    # validates its machine and the fleet is validated once
+    assert counts == {"clear": 41, "validate": 41}
+
+
+# ----------------------------------------------------------------------
+# every check still runs
+# ----------------------------------------------------------------------
+def bare_machine(machine_id: str) -> TopologyGraph:
+    """A valid one-GPU machine, not validated by its builder."""
+    topo = TopologyGraph()
+    topo.add_node(machine_id, NodeKind.MACHINE)
+    sock = f"{machine_id}/s0"
+    topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
+    topo.add_edge(sock, machine_id, 20.0, LinkSpec.xbus())
+    gpu = f"{machine_id}/gpu0"
+    topo.add_node(gpu, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=0)
+    topo.add_edge(gpu, sock, 1.0, LinkSpec.nvlink(2))
+    return topo
+
+
+def duplicate_node(machine_id: str) -> TopologyGraph:
+    topo = bare_machine(machine_id)
+    topo.add_node(f"{machine_id}/s0", NodeKind.SOCKET, machine=machine_id)
+    return topo
+
+
+def disconnected_node(machine_id: str) -> TopologyGraph:
+    topo = bare_machine(machine_id)
+    topo.add_node(f"{machine_id}/s1", NodeKind.SOCKET, machine=machine_id)
+    return topo
+
+
+def duplicate_gpu_index(machine_id: str) -> TopologyGraph:
+    topo = bare_machine(machine_id)
+    gpu = f"{machine_id}/gpu1"
+    topo.add_node(
+        gpu, NodeKind.GPU, machine=machine_id, socket=f"{machine_id}/s0", gpu_index=0
+    )
+    topo.add_edge(gpu, f"{machine_id}/s0", 1.0, LinkSpec.nvlink(2))
+    return topo
+
+
+def self_loop(machine_id: str) -> TopologyGraph:
+    topo = bare_machine(machine_id)
+    topo.add_edge(f"{machine_id}/s0", f"{machine_id}/s0", 1.0, LinkSpec.xbus())
+    return topo
+
+
+def same_names(machine_id: str) -> TopologyGraph:
+    return bare_machine("m0")  # ignores its id: collides on merge
+
+
+@pytest.mark.parametrize(
+    "builder, message",
+    [
+        (duplicate_node, "duplicate node"),
+        (disconnected_node, "disconnected nodes"),
+        (duplicate_gpu_index, "duplicate gpu_index"),
+        (self_loop, "self-loop"),
+        (same_names, "exists in both graphs"),
+    ],
+)
+def test_malformed_builders_still_raise(builder, message):
+    assert cluster(1, bare_machine).validate() is None
+    with pytest.raises(TopologyError, match=message):
+        cluster(2, builder)
+
+
+def test_per_add_checks_inside_the_scope():
+    topo = TopologyGraph()
+    with topo._building():
+        topo.add_node("m0", NodeKind.MACHINE)
+        with pytest.raises(TopologyError, match="requires gpu_index"):
+            topo.add_node("m0/gpu0", NodeKind.GPU, machine="m0")
+        with pytest.raises(TopologyError, match="unknown node"):
+            topo.add_edge("m0", "ghost", 1.0, LinkSpec.pcie())
+        topo.add_node("m0/s0", NodeKind.SOCKET, machine="m0")
+        topo.add_edge("m0/s0", "m0", 20.0, LinkSpec.xbus())
+        with pytest.raises(TopologyError, match="duplicate edge"):
+            topo.add_edge("m0", "m0/s0", 20.0, LinkSpec.xbus())
+        topo.add_node("m0/s1", NodeKind.SOCKET, machine="m0")
+        with pytest.raises(TopologyError, match="must be positive"):
+            topo.add_edge("m0/s1", "m0", 0.0, LinkSpec.xbus())
+        with pytest.raises(TopologyError, match="self-loop"):
+            topo.add_edge("m0/s1", "m0/s1", 1.0, LinkSpec.xbus())
+        with pytest.raises(TopologyError, match="duplicate node"):
+            topo.add_node("m0/s1", NodeKind.SOCKET, machine="m0")
+
+
+# ----------------------------------------------------------------------
+# no stale cache, inside or after a scope
+# ----------------------------------------------------------------------
+def add_gpu(topo: TopologyGraph, index: int) -> str:
+    name = f"m0/gpu{index}"
+    topo.add_node(name, NodeKind.GPU, machine="m0", socket="m0/s0", gpu_index=index)
+    topo.add_edge(name, "m0/s0", 1.0, LinkSpec.nvlink(2))
+    return name
+
+
+def test_query_inside_the_scope_is_never_stale():
+    topo = TopologyGraph()
+    with topo._building():
+        topo.add_node("m0", NodeKind.MACHINE)
+        topo.add_node("m0/s0", NodeKind.SOCKET, machine="m0")
+        topo.add_edge("m0/s0", "m0", 20.0, LinkSpec.xbus())
+        add_gpu(topo, 0)
+        add_gpu(topo, 1)
+        assert topo.gpus() == ["m0/gpu0", "m0/gpu1"]
+        assert topo.distance("m0/gpu0", "m0/gpu1") == 2.0
+        assert topo.p2p_island_sizes() == [1, 1]
+        # mutations after the query invalidate at once
+        add_gpu(topo, 2)
+        topo.add_edge("m0/gpu0", "m0/gpu1", 1.0, LinkSpec.nvlink(2))
+        assert topo.gpus() == ["m0/gpu0", "m0/gpu1", "m0/gpu2"]
+        assert topo.distance("m0/gpu0", "m0/gpu1") == 1.0
+        assert topo.p2p_island_sizes() == [2, 1]
+        with topo._building():  # nested: part of the outer scope
+            add_gpu(topo, 3)
+            assert topo.gpus("m0") == [f"m0/gpu{i}" for i in range(4)]
+            add_gpu(topo, 4)
+        assert len(topo.gpus()) == 5
+        add_gpu(topo, 5)
+    assert len(topo.gpus()) == 6
+    assert topo.sockets("m0") == ["m0/s0"]
+    topo.validate()
+
+
+def test_mutation_after_a_query_is_never_stale():
+    topo = cluster(2)
+    gpus = topo.gpus()
+    far = topo.distance(gpus[0], gpus[-1])
+    assert topo.machines() == ["m0", "m1"]
+    # a later build scope on a queried graph drops what it cached
+    with topo._building():
+        topo.merge(power8_minsky("m2"))
+        topo.add_edge("m2", "net", 100.0, LinkSpec.network())
+    assert topo.machines() == ["m0", "m1", "m2"]
+    assert len(topo.gpus()) == 12
+    assert topo.distance(gpus[0], "m2/gpu3") == far
+    topo.merge(power8_minsky("m3"))  # outside a scope: invalidates at once
+    assert topo.machines() == ["m0", "m1", "m2", "m3"]
+    topo.add_edge("m3", "net", 100.0, LinkSpec.network())
+    assert topo.distance("m3/gpu0", "m0/gpu0") == far
+    topo.validate()
