@@ -7,9 +7,9 @@ same renderer:
 
 * :func:`gantt_chart` / :func:`utility_timeline` — post-hoc, from the
   :class:`JobRecord` list of a finished run;
-* :class:`GanttObserver` / :class:`UtilityTimelineObserver` — live,
-  as :class:`~repro.sim.hooks.SimObserver` hooks attached to a run
-  (``Simulator(..., observers=[...])``).  The observers also see
+* :class:`GanttObserver` — live, as a
+  :class:`~repro.sim.hooks.SimObserver` hook attached to a run
+  (``Simulator(..., observers=[...])``).  The observer also sees
   intermediate placements that a machine failure later voids, which
   records alone cannot reconstruct.
 """
@@ -159,13 +159,22 @@ def comparison_charts(
     return "\n\n".join(panels)
 
 
-def _mean_utility_series(
-    intervals: Sequence[tuple[float, float | None, float]],
-    n_samples: int,
+def utility_timeline(
+    records: Sequence[JobRecord],
+    n_samples: int = 100,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean utility over (start, end, utility) intervals."""
+    """Mean utility of the jobs running at each sampled time (Fig. 9).
+
+    Times with no running job yield NaN so plots show gaps, like the
+    paper's panels between job waves.
+    """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    intervals = [
+        (r.placed_at, r.end_time, r.utility)
+        for r in records
+        if r.placed_at is not None and r.utility is not None
+    ]
     if not intervals:
         return np.array([0.0]), np.array([np.nan])
     horizon = max(end if end is not None else start for start, end, _ in intervals)
@@ -180,54 +189,3 @@ def _mean_utility_series(
         if running:
             means[i] = float(np.mean(running))
     return times, means
-
-
-def utility_timeline(
-    records: Sequence[JobRecord],
-    n_samples: int = 100,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean utility of the jobs running at each sampled time (Fig. 9).
-
-    Times with no running job yield NaN so plots show gaps, like the
-    paper's panels between job waves.
-    """
-    intervals = [
-        (r.placed_at, r.end_time, r.utility)
-        for r in records
-        if r.placed_at is not None and r.utility is not None
-    ]
-    return _mean_utility_series(intervals, n_samples)
-
-
-class UtilityTimelineObserver(BaseObserver):
-    """Live Figure-9 series: per-placement utility intervals."""
-
-    def __init__(self) -> None:
-        self._intervals: list[list] = []  # [start, end|None, utility]
-        self._open: dict[str, list] = {}
-
-    def on_place(self, t, job, solution, solo_exec_time, postponements):
-        if solution.utility is None:
-            return
-        interval = [t, None, solution.utility]
-        self._open[job.job_id] = interval
-        self._intervals.append(interval)
-
-    def _close(self, t: float, job_id: str) -> None:
-        interval = self._open.pop(job_id, None)
-        if interval is not None:
-            interval[1] = t
-
-    def on_finish(self, t, job, gpus):
-        self._close(t, job.job_id)
-
-    def on_failure(self, t, machine, victims):
-        for job in victims:
-            self._close(t, job.job_id)
-
-    def on_evict(self, t, job, gpus, reason):
-        self._close(t, job.job_id)
-
-    def series(self, n_samples: int = 100) -> tuple[np.ndarray, np.ndarray]:
-        intervals = [(s, e, u) for s, e, u in self._intervals]
-        return _mean_utility_series(intervals, n_samples)

@@ -29,7 +29,6 @@ Two utility forms are provided:
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -117,21 +116,13 @@ def communication_cost(topo: TopologyGraph, gpus: Iterable[str]) -> float:
     return topo.pairwise_distance_sum(list(gpus))
 
 
-_BOUNDS_CACHE: "weakref.WeakKeyDictionary[TopologyGraph, tuple[float, float]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _pair_distance_bounds(topo: TopologyGraph) -> tuple[float, float]:
     """(min, max) GPU pair distance, assuming homogeneous machines.
 
     The minimum comes from the densest machine-local pair; the maximum
     is a cross-machine pair when the topology has several machines,
-    else the machine diameter.  Cached per topology object.
+    else the machine diameter.
     """
-    cached = _BOUNDS_CACHE.get(topo)
-    if cached is not None:
-        return cached
     machines = topo.machines()
     first = topo.gpus(machine=machines[0])
     if len(first) >= 2:
@@ -147,18 +138,24 @@ def _pair_distance_bounds(topo: TopologyGraph) -> tuple[float, float]:
         other = topo.gpus(machine=machines[1])
         if other:
             dmax = max(dmax, topo.distance(first[0], other[0]))
-    bounds = (dmin, dmax)
-    _BOUNDS_CACHE[topo] = bounds
-    return bounds
+    return dmin, dmax
 
 
 def comm_cost_bounds(topo: TopologyGraph, n_gpus: int) -> tuple[float, float]:
-    """Best/worst Eq. 3 values for an ``n_gpus`` allocation."""
+    """Best/worst Eq. 3 values for an ``n_gpus`` allocation.
+
+    Memoised on the graph (:attr:`TopologyGraph.comm_bounds_memo`), so
+    a mutation of the topology clears it.
+    """
     if n_gpus < 2:
         return (0.0, 0.0)
-    pairs = n_gpus * (n_gpus - 1) / 2
-    dmin, dmax = _pair_distance_bounds(topo)
-    return (pairs * dmin, pairs * dmax)
+    memo = topo.comm_bounds_memo
+    bounds = memo.get(n_gpus)
+    if bounds is None:
+        pairs = n_gpus * (n_gpus - 1) / 2
+        dmin, dmax = _pair_distance_bounds(topo)
+        bounds = memo[n_gpus] = (pairs * dmin, pairs * dmax)
+    return bounds
 
 
 def normalized_comm_cost(topo: TopologyGraph, gpus: Iterable[str]) -> float:

@@ -8,7 +8,8 @@ Threading model (the whole point of the design):
   priority inbox; then the handler waits for the journal commit that
   covers it.  Reads are served from atomically published snapshots,
   the lifecycle table and the decision recorder — all of which show
-  only committed state.
+  only committed state — and ``GET /jobs/<id>`` reads the engine's
+  record only while the loop sits between two commits.
 * **The scheduler loop thread** is the *only* mutator of the
   :class:`~repro.sim.engine.Simulator` and the *only* writer of the
   :class:`~repro.service.store.ServiceStore`.  Single-writer means the
@@ -258,6 +259,10 @@ class SchedulerService:
             ],
         )
         self._cv = threading.Condition()
+        #: held by the loop from its first engine call of an iteration
+        #: through that iteration's publish, so an engine read taken
+        #: under it (``job_status``) sees the last committed state
+        self._commit_lock = threading.Lock()
         self._pending: dict[str, _Pending] = {}
         self._cancels: list[str] = []
         self._evictions: list[str] = []
@@ -487,20 +492,22 @@ class SchedulerService:
         }
 
     def job_status(self, job_id: str) -> dict:
-        """State plus (once the engine knows the job) its live record.
+        """State plus (once the engine knows the job) its record, both
+        as of the last commit.
 
         After a fail-stop the engine may hold what the journal lost, so
         only the committed state is served.
         """
-        state = self.lifecycle.state(job_id)  # KeyError for unknown
-        doc: dict = {"id": job_id, "state": state.value}
-        if self.failure is not None:
-            return doc
-        try:
-            record = self.sim.record_of(job_id)
-        except KeyError:
-            return doc  # journaled but not yet fed to the engine
-        doc["record"] = _record_to_dict(record)
+        with self._commit_lock:
+            state = self.lifecycle.state(job_id)  # KeyError for unknown
+            doc: dict = {"id": job_id, "state": state.value}
+            if self.failure is not None:
+                return doc
+            try:
+                record = self.sim.record_of(job_id)
+            except KeyError:
+                return doc  # journaled but not yet fed to the engine
+            doc["record"] = _record_to_dict(record)
         return doc
 
     def result(self) -> SimulationResult:
@@ -590,24 +597,25 @@ class SchedulerService:
         if recorder is not None:
             recorder.hold()
         self._snapshots.hold()
-        try:
-            self._feed(entries)
-            with self._cv:
-                cancels, self._cancels = self._cancels, []
-                evictions, self._evictions = self._evictions, []
-            self._apply_cancels(cancels)
-            self._apply_evictions(evictions)
-            if not self._paused and self.sim.pending_events:
-                self.sim.step()
-                if not self.sim.pending_events:
-                    self._handle_stuck_queue()
-            store.commit()
-        except Exception as exc:
-            # a hop write, the COMMIT, or any fault after the engine
-            # moved: what the engine did can no longer be journaled
-            self._halt(exc, group)
-            return False
-        lifecycle.publish()
+        with self._commit_lock:
+            try:
+                self._feed(entries)
+                with self._cv:
+                    cancels, self._cancels = self._cancels, []
+                    evictions, self._evictions = self._evictions, []
+                self._apply_cancels(cancels)
+                self._apply_evictions(evictions)
+                if not self._paused and self.sim.pending_events:
+                    self.sim.step()
+                    if not self.sim.pending_events:
+                        self._handle_stuck_queue()
+                store.commit()
+            except Exception as exc:
+                # a hop write, the COMMIT, or any fault after the engine
+                # moved: what the engine did can no longer be journaled
+                self._halt(exc, group)
+                return False
+            lifecycle.publish()
         for _, pending in group:
             pending.done.set()
         if recorder is not None:

@@ -39,10 +39,9 @@ class AllocationState:
     """Mutable view of which job owns which GPUs on a topology.
 
     Every state mutation (allocate / release / machine down / machine
-    up) bumps :attr:`version`, so derived caches — the free-pool
-    signature here, the placement memo's epoch count — can be
-    invalidated by a single integer compare instead of tracking
-    individual deltas.
+    up) bumps :attr:`version`.  Its readers are the placement memo,
+    which counts an epoch rotation when it changes, and the ``/state``
+    snapshot's ``allocation_epoch``.
 
     :attr:`digest` names the state itself rather than the epoch: the
     XOR of ``hash((job_id, gpu))`` over every owned GPU and of
@@ -73,8 +72,6 @@ class AllocationState:
         }
         self._jobs_by_machine: dict[str, set[str]] = {m: set() for m in topo.machines()}
         self._down_machines: set[str] = set()
-        self._signature: tuple | None = None
-        self._signature_version = -1
         self._sockets: dict[str, tuple[str, ...]] | None = None
         self.digest = 0
         # maintained aggregates for O(1) capacity queries at fleet scale:
@@ -262,22 +259,6 @@ class AllocationState:
             for m in self._buckets[c]:
                 yield c, m
 
-    def free_pool_signature(self) -> tuple:
-        """Hashable snapshot of per-machine free capacity and health.
-
-        Cached per :attr:`version` so repeated reads within one
-        allocation epoch cost two attribute loads.  The signature
-        deliberately tracks free *counts*, not free GPU identities;
-        :attr:`digest` is the identity-precise name of the state.
-        """
-        if self._signature_version != self.version:
-            self._signature = (
-                tuple(sorted(self._free_count.items())),
-                frozenset(self._down_machines),
-            )
-            self._signature_version = self.version
-        return self._signature
-
     # ------------------------------------------------------------------
     # machine health (failure injection)
     # ------------------------------------------------------------------
@@ -324,11 +305,6 @@ class AllocationState:
     def jobs_on_machine(self, machine: str) -> frozenset[str]:
         """Jobs currently holding GPUs on ``machine``, O(1)."""
         return frozenset(self._jobs_by_machine[machine])
-
-    def busy_gpus(self, machine: str | None = None) -> list[str]:
-        return [
-            g for g in self.topo.gpus(machine=machine) if g in self._gpu_owner
-        ]
 
     def busy_count(self) -> int:
         """Allocated GPUs cluster-wide, O(1) (hot path of the
@@ -424,11 +400,6 @@ class AllocationState:
             self._links_cache.popitem(last=False)
         return result
 
-    def shared_links(
-        self, gpus_a: Iterable[str], gpus_b: Iterable[str]
-    ) -> frozenset[tuple[str, str]]:
-        return self.links_used(gpus_a) & self.links_used(gpus_b)
-
     def link_sharing_factor(
         self, gpus_a: Iterable[str], gpus_b: Iterable[str]
     ) -> float:
@@ -457,42 +428,6 @@ class AllocationState:
         if len(self._share_cache) > LINKS_CACHE_MAX:
             self._share_cache.popitem(last=False)
         return result
-
-    def link_utilization(
-        self,
-        demands: Mapping[str, float],
-    ) -> dict[tuple[str, str], float]:
-        """Aggregate bus demand per link (GB/s) across allocations.
-
-        ``demands`` maps job id -> average bus demand; each job's
-        demand is charged to every link in its footprint (including the
-        per-socket DRAM pseudo-links).  Used for bottleneck diagnostics
-        and the Figure 8-style bus panels.
-        """
-        out: dict[tuple[str, str], float] = {}
-        for job_id, gpus in self._job_gpus.items():
-            demand = demands.get(job_id)
-            if not demand:
-                continue
-            for key in self.links_used(gpus):
-                out[key] = out.get(key, 0.0) + demand
-        return out
-
-    def hottest_links(
-        self, demands: Mapping[str, float], top: int = 5
-    ) -> list[tuple[tuple[str, str], float]]:
-        """The ``top`` busiest links, hottest first."""
-        util = self.link_utilization(demands)
-        return sorted(util.items(), key=lambda kv: (-kv[1], kv[0]))[:top]
-
-    def co_located_jobs(self, gpus: Iterable[str]) -> list[str]:
-        """Jobs holding GPUs on any machine touched by ``gpus``."""
-        machines = {self.topo.machine_of(g) for g in gpus}
-        out = []
-        for job_id, held in self._job_gpus.items():
-            if any(self.topo.machine_of(g) in machines for g in held):
-                out.append(job_id)
-        return sorted(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -26,8 +26,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from repro.topology.links import LinkSpec, LinkType
 
 
@@ -35,17 +33,12 @@ class TopologyError(ValueError):
     """Raised for malformed topology construction or queries."""
 
 
-#: Topologies with more GPUs than this never materialise the dense
-#: all-pairs GPU distance matrix (memory grows as ``n_gpus**2``) and
-#: keep the per-source Dijkstra cache as their only fast path.
-MATRIX_MAX_GPUS = 2048
-
-#: bound on cached *unscoped* per-source Dijkstra results.  Above the
-#: matrix cap every cross-machine distance query falls back to these,
-#: and each one holds a distance for every node in the graph — on a
-#: 1k-machine fleet that is ~9k entries per source, so caching one per
-#: GPU would grow without limit.  Eviction is LRU and only ever forces
-#: a recompute, never a different answer.
+#: bound on cached *unscoped* per-source Dijkstra results.  Every
+#: cross-machine distance query is served from these, and each one
+#: holds a distance for every node in the graph — on a 1k-machine fleet
+#: that is ~9k entries per source, so caching one per GPU would grow
+#: without limit.  Eviction is LRU and only ever forces a recompute,
+#: never a different answer.
 DIST_UNSCOPED_CACHE_MAX = 128
 
 
@@ -103,22 +96,11 @@ class _Caches:
     socket_lists: dict[str | None, list[str]] = field(default_factory=dict)
     machine_map: dict[str, str] = field(default_factory=dict)
     socket_map: dict[str, str] = field(default_factory=dict)
-    #: all-pairs unscoped GPU shortest-path distances (Eq. 3's
-    #: precomputed form): row index per GPU name plus per-GPU row lists
-    #: for fast scalar access.  ``gpu_index is None`` = not built yet;
-    #: an empty index = matrix unavailable (size cap or disconnected
-    #: GPUs) and callers fall through to the per-source Dijkstra path.
-    gpu_index: dict[str, int] | None = None
-    gpu_rows: list[list[float]] | None = None
     #: LRU order of unscoped entries in ``dist`` (see
     #: :data:`DIST_UNSCOPED_CACHE_MAX`); values are unused.
     dist_unscoped_lru: "OrderedDict[tuple[str, str | None], None]" = field(
         default_factory=OrderedDict
     )
-    #: representative machine-to-machine distances and per-anchor
-    #: proximity rankings (diagnostics / provenance enrichment).
-    machine_dist: dict[tuple[str, str], float] = field(default_factory=dict)
-    proximity: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: :meth:`TopologyGraph.p2p_island_sizes` results per machine scope
     #: (``None`` = the whole fleet), filled on first use.
     p2p_islands: dict[str | None, tuple[int, ...]] = field(default_factory=dict)
@@ -128,6 +110,9 @@ class _Caches:
     #: per-machine GPU-uplink bandwidth totals, filled on first use by
     #: :func:`repro.core.constraints.machine_bus_capacity`.
     bus_capacity: dict[str, float] = field(default_factory=dict)
+    #: Eq. 3 best/worst communication cost per GPU count, filled on
+    #: first use by :func:`repro.core.utility.comm_cost_bounds`.
+    comm_bounds: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def clear(self) -> None:
         self.dist.clear()
@@ -138,14 +123,11 @@ class _Caches:
         self.socket_lists.clear()
         self.machine_map.clear()
         self.socket_map.clear()
-        self.gpu_index = None
-        self.gpu_rows = None
         self.dist_unscoped_lru.clear()
-        self.machine_dist.clear()
-        self.proximity.clear()
         self.p2p_islands.clear()
         self.pack.clear()
         self.bus_capacity.clear()
+        self.comm_bounds.clear()
 
 
 class _DeferredCaches:
@@ -497,8 +479,8 @@ class TopologyGraph:
         self._caches.dist[key] = dist
         if scope_machine is None:
             # unscoped rows are graph-sized; keep only the hottest few
-            # (see DIST_UNSCOPED_CACHE_MAX) so above-matrix-cap fleets
-            # do not accumulate one full-graph dict per GPU.
+            # (see DIST_UNSCOPED_CACHE_MAX) so large fleets do not
+            # accumulate one full-graph dict per GPU.
             lru = self._caches.dist_unscoped_lru
             lru[key] = None
             lru.move_to_end(key)
@@ -517,63 +499,8 @@ class TopologyGraph:
         )
         return mu if (mu is not None and mu == mv) else None
 
-    def _gpu_matrix_index(self) -> dict[str, int]:
-        """Row index of the all-pairs GPU distance matrix, building it
-        lazily on first use.
-
-        The matrix stores *unscoped* Dijkstra distances — the exact
-        values :meth:`distance` uses for cross-machine pairs and
-        :meth:`pairwise_distance_sum` uses for machine-spanning GPU
-        sets — so serving those queries from it is bit-identical to the
-        per-call search.  An empty index means the matrix is
-        unavailable (more than :data:`MATRIX_MAX_GPUS` GPUs, or a
-        disconnected GPU pair) and callers must fall back.
-        """
-        index = self._caches.gpu_index
-        if index is not None:
-            return index
-        order = self.gpus()
-        caches = self._caches
-        if not order or len(order) > MATRIX_MAX_GPUS:
-            caches.gpu_index = {}
-            return caches.gpu_index
-        index = {name: i for i, name in enumerate(order)}
-        rows: list[list[float]] = []
-        for u in order:
-            # keep build memory bounded: full-graph rows we computed
-            # only for the matrix are dropped from the Dijkstra cache
-            fresh = (u, None) not in caches.dist
-            dist = self._dijkstra(u, None)
-            row = [0.0] * len(order)
-            for j, v in enumerate(order):
-                if v == u:
-                    continue
-                d = dist.get(v)
-                if d is None:
-                    caches.gpu_index = {}
-                    return caches.gpu_index
-                row[j] = d
-            rows.append(row)
-            if fresh:
-                caches.dist.pop((u, None), None)
-                caches.dist_unscoped_lru.pop((u, None), None)
-        caches.gpu_index = index
-        caches.gpu_rows = rows
-        return index
-
     def distance(self, u: str, v: str) -> float:
         """Shortest-path distance (sum of qualitative edge weights)."""
-        index = self._gpu_matrix_index()
-        if index:
-            i = index.get(u)
-            j = index.get(v)
-            if i is not None and j is not None:
-                if i == j:
-                    return 0.0
-                # matrix rows are unscoped; same-machine queries keep
-                # the scoped search whose per-source cache is hot anyway
-                if self._nodes[u].machine != self._nodes[v].machine:
-                    return self._caches.gpu_rows[i][j]
         self.node(u)
         self.node(v)
         if u == v:
@@ -686,31 +613,6 @@ class TopologyGraph:
                     heapq.heappush(heap, (-nw, v))
         return width
 
-    def distance_matrix(self, names: Iterable[str] | None = None) -> tuple[list[str], np.ndarray]:
-        """All-pairs shortest-path distances for ``names`` (default: GPUs).
-
-        Returns the node order and a symmetric float matrix.
-        """
-        order = list(names) if names is not None else self.gpus()
-        index = self._gpu_matrix_index()
-        if index and all(name in index for name in order):
-            rows = self._caches.gpu_rows
-            ids = [index[name] for name in order]
-            return order, np.array(
-                [[rows[i][j] for j in ids] for i in ids], dtype=float
-            )
-        n = len(order)
-        mat = np.zeros((n, n), dtype=float)
-        for i, u in enumerate(order):
-            dist = self._dijkstra(u)
-            for j, v in enumerate(order):
-                if i != j:
-                    try:
-                        mat[i, j] = dist[v]
-                    except KeyError:
-                        raise TopologyError(f"{u!r} and {v!r} are disconnected") from None
-        return order, mat
-
     # ------------------------------------------------------------------
     # aggregates
     # ------------------------------------------------------------------
@@ -721,21 +623,6 @@ class TopologyGraph:
             return 0.0
         machines = {self._nodes[n].machine for n in names}
         scope = machines.pop() if len(machines) == 1 else None
-        if scope is None:
-            # machine-spanning sets use unscoped distances — exactly
-            # what the matrix stores.  Same pair order and accumulation
-            # as the Dijkstra loop below, so the sum is bit-identical.
-            index = self._gpu_matrix_index()
-            if index:
-                rows = self._caches.gpu_rows
-                ids = [index.get(n) for n in names]
-                if None not in ids:
-                    total = 0.0
-                    for a, i in enumerate(ids):
-                        row = rows[i]
-                        for j in ids[a + 1 :]:
-                            total += row[j]
-                    return total
         total = 0.0
         for i, u in enumerate(names):
             dist = self._dijkstra(u, scope)
@@ -747,64 +634,6 @@ class TopologyGraph:
                         f"{u!r} and {v!r} are disconnected"
                     ) from None
         return total
-
-    def machine_distance(self, a: str, b: str) -> float:
-        """Representative inter-machine distance for proximity ranking.
-
-        The unscoped shortest-path distance between the machines' first
-        GPUs (machines are internally symmetric in the paper's
-        hierarchies, so any representative pair gives the same
-        cross-machine ranking); machines without GPUs fall back to the
-        machine nodes themselves.  Works identically above and below
-        the dense-matrix cap — above it the per-source Dijkstra fallback
-        serves the same values the matrix would have stored.  Cached per
-        unordered pair.  Diagnostics/provenance only: placement
-        tie-breaks stay on (capacity, name) so results are unaffected.
-        """
-        if a == b:
-            return 0.0
-        key = (a, b) if a <= b else (b, a)
-        cached = self._caches.machine_dist.get(key)
-        if cached is not None:
-            return cached
-        gpus_a = self.gpus(machine=a)
-        gpus_b = self.gpus(machine=b)
-        if gpus_a and gpus_b:
-            d = self.distance(gpus_a[0], gpus_b[0])
-        else:
-            d = self.distance(a, b)
-        self._caches.machine_dist[key] = d
-        return d
-
-    def machines_by_proximity(self, anchor: str) -> tuple[str, ...]:
-        """All other machines sorted by (distance from ``anchor``, name).
-
-        One unscoped Dijkstra from the anchor's representative GPU on
-        first use, then cached; used to annotate placement provenance
-        with how topologically far each candidate sits from an anchor
-        host.
-        """
-        cached = self._caches.proximity.get(anchor)
-        if cached is not None:
-            return cached
-        self.node(anchor)
-        ranked = sorted(
-            (m for m in self.machines() if m != anchor),
-            key=lambda m: (self.machine_distance(anchor, m), m),
-        )
-        result = tuple(ranked)
-        self._caches.proximity[anchor] = result
-        return result
-
-    def diameter(self, names: Iterable[str] | None = None) -> float:
-        """Largest pairwise distance among ``names`` (default: GPUs)."""
-        order = list(names) if names is not None else self.gpus()
-        worst = 0.0
-        for i, u in enumerate(order):
-            dist = self._dijkstra(u)
-            for v in order[i + 1 :]:
-                worst = max(worst, dist[v])
-        return worst
 
     # ------------------------------------------------------------------
     # validation / export
@@ -899,6 +728,15 @@ class TopologyGraph:
         :func:`repro.core.constraints.machine_bus_capacity`.
         """
         return self._caches.bus_capacity
+
+    @property
+    def comm_bounds_memo(self) -> dict[int, tuple[float, float]]:
+        """Eq. 3 best/worst communication cost keyed by GPU count.
+
+        Owned by the graph so every mutation clears it with the other
+        caches; filled by :func:`repro.core.utility.comm_cost_bounds`.
+        """
+        return self._caches.comm_bounds
 
     def _scan_p2p_islands(self, machine: str | None) -> list[int]:
         sizes: list[int] = []

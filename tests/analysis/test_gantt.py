@@ -120,25 +120,6 @@ class TestGanttObserver:
         )
         assert observer.chart() == gantt_chart(result)
 
-    def test_live_utility_series_matches_records(self):
-        from repro.analysis.gantt import UtilityTimelineObserver
-        from repro.analysis.scenarios import table1_jobs
-        from repro.schedulers import make_scheduler
-        from repro.sim.runner import run_with_observers
-        from repro.topology.builders import power8_minsky
-
-        observer = UtilityTimelineObserver()
-        result = run_with_observers(
-            power8_minsky(),
-            make_scheduler("TOPO-AWARE"),
-            table1_jobs(),
-            observers=[observer],
-        )
-        times_obs, means_obs = observer.series()
-        times_rec, means_rec = utility_timeline(result.records)
-        np.testing.assert_allclose(times_obs, times_rec)
-        np.testing.assert_allclose(means_obs, means_rec)
-
     def test_failure_splits_span(self):
         from repro.analysis.gantt import GanttObserver
         from repro.schedulers import make_scheduler

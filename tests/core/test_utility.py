@@ -14,8 +14,9 @@ from repro.core.utility import (
     normalized_utility,
     raw_utility,
 )
-from repro.topology.allocation import AllocationState
-from repro.topology.builders import cluster
+from repro.topology.builders import cluster, power8_minsky
+from repro.topology.graph import NodeKind
+from repro.topology.links import LinkSpec
 
 from tests.conftest import make_job
 
@@ -51,6 +52,17 @@ class TestCommCost:
         best, worst = comm_cost_bounds(minsky, 2)
         assert best == 1.0 and worst == 42.0
         assert comm_cost_bounds(minsky, 1) == (0.0, 0.0)
+
+    def test_bounds_follow_a_graph_mutation(self):
+        topo = power8_minsky()
+        assert comm_cost_bounds(topo, 2) == (1.0, 42.0)
+        # a second machine behind a network node adds cross-machine pairs
+        topo.add_node("net", NodeKind.NETWORK)
+        topo.add_edge("m0", "net", 100.0, LinkSpec.network())
+        topo.merge(power8_minsky("m1"))
+        topo.add_edge("m1", "net", 100.0, LinkSpec.network())
+        assert comm_cost_bounds(topo, 2) == (1.0, 242.0)
+        assert comm_cost_bounds(topo, 2) == comm_cost_bounds(cluster(2), 2)
 
     def test_normalized_extremes(self, minsky):
         assert normalized_comm_cost(minsky, ["m0/gpu0", "m0/gpu1"]) == 0.0

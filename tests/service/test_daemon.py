@@ -1,6 +1,7 @@
 """Scheduler service daemon: API semantics, HTTP verbs, recovery."""
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -10,6 +11,7 @@ from repro.analysis.scenarios import scenario1_jobs
 from repro.service import SchedulerService, ServiceServer
 from repro.service.daemon import JOURNAL_ERROR, JournalError
 from repro.service.statemachine import JobState
+from repro.sim.hooks import BaseObserver
 from repro.topology.builders import cluster
 from repro.workload.job import Job, ModelType
 from repro.workload.manifest import ManifestError, job_to_dict
@@ -78,6 +80,42 @@ class TestSubmitAndRun:
             ("PLACED", "RUNNING"),
             ("RUNNING", "FINISHED"),
         ]
+
+
+class TestJobStatusIsCommitted:
+    def test_no_live_record_beside_an_older_state(self, tmp_path):
+        # park the loop inside the step that finishes "a": the engine
+        # record has its finished_at, the lifecycle still says RUNNING
+        parked, release = threading.Event(), threading.Event()
+
+        class ParkOnFinish(BaseObserver):
+            def on_finish(self, t, job, gpus):
+                parked.set()
+                release.wait(10.0)
+
+        svc = SchedulerService(
+            cluster(2),
+            "TOPO-AWARE",
+            store_path=str(tmp_path / "svc.db"),
+            extra_observers=(ParkOnFinish(),),
+        )
+        seen: dict = {}
+        with svc:
+            try:
+                svc.submit(submit_doc("a"))
+                assert parked.wait(10.0)
+                reader = threading.Thread(
+                    target=lambda: seen.update(svc.job_status("a"))
+                )
+                reader.start()
+                reader.join(0.2)  # reads now, or waits for the commit
+            finally:
+                release.set()
+            reader.join(10.0)
+            assert svc.drain()
+        assert (seen["state"] == "FINISHED") == (
+            seen["record"]["finished_at"] is not None
+        )
 
 
 class TestJournalFailure:

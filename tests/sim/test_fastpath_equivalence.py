@@ -3,8 +3,8 @@ the top-k candidate prefilter vs the exhaustive host scan.
 
 Extends the golden-equivalence pins (which compare the current engine
 against committed seed outputs) with a direct A/B proof that the
-placement memo, the GPU distance matrix, the capacity pruning and the
-prefilter change no scheduling decision: a full scenario run must be
+placement memo, the capacity pruning and the prefilter change no
+scheduling decision: a full scenario run must be
 record-for-record identical (``==``, no tolerance) to one with
 ``memo_size=0`` or one on the :class:`ExhaustiveHostEngine` reference.
 """

@@ -134,38 +134,3 @@ class TestLinksAndSharing:
         topo = cluster(2)
         state = AllocationState(topo)
         assert state.link_sharing_factor(["m0/gpu0"], ["m1/gpu0"]) == 0.0
-
-    def test_co_located_jobs(self):
-        topo = cluster(2)
-        state = AllocationState(topo)
-        state.allocate("a", ["m0/gpu0"])
-        state.allocate("b", ["m1/gpu0"])
-        assert state.co_located_jobs(["m0/gpu1"]) == ["a"]
-
-
-class TestLinkUtilization:
-    def test_demands_charged_to_footprint(self, alloc):
-        alloc.allocate("a", ["m0/gpu0", "m0/gpu2"])  # crosses the X-bus
-        util = alloc.link_utilization({"a": 10.0})
-        assert util[("m0", "m0/s0")] == pytest.approx(10.0)
-        assert util[("m0", "m0/s1")] == pytest.approx(10.0)
-        assert util[("dram", "m0/s0")] == pytest.approx(10.0)
-
-    def test_shared_links_accumulate(self, alloc):
-        alloc.allocate("a", ["m0/gpu0", "m0/gpu2"])
-        alloc.allocate("b", ["m0/gpu1", "m0/gpu3"])
-        util = alloc.link_utilization({"a": 10.0, "b": 5.0})
-        assert util[("m0", "m0/s0")] == pytest.approx(15.0)
-
-    def test_zero_or_missing_demand_ignored(self, alloc):
-        alloc.allocate("a", ["m0/gpu0"])
-        assert alloc.link_utilization({}) == {}
-        assert alloc.link_utilization({"a": 0.0}) == {}
-
-    def test_hottest_links_ordering(self, alloc):
-        alloc.allocate("a", ["m0/gpu0", "m0/gpu2"])
-        alloc.allocate("b", ["m0/gpu1"])
-        hot = alloc.hottest_links({"a": 20.0, "b": 1.0}, top=3)
-        assert len(hot) == 3
-        values = [v for _, v in hot]
-        assert values == sorted(values, reverse=True)

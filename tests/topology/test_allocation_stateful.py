@@ -84,6 +84,7 @@ class AllocationMachine(RuleBasedStateMachine):
 
     @invariant()
     def free_counts_consistent(self):
+        healthy_free = 0
         for m in self.topo.machines():
             expected_busy = sum(
                 1
@@ -96,6 +97,9 @@ class AllocationMachine(RuleBasedStateMachine):
                 assert self.state.free_count(m) == 0
             else:
                 assert self.state.free_count(m) == total - expected_busy
+                healthy_free += total - expected_busy
+        # a down machine's free GPUs are excluded from the total
+        assert self.state.total_free_count() == healthy_free
 
     @invariant()
     def utilization_matches(self):

@@ -1,18 +1,13 @@
 """Cache fast paths must be invisible: warm and cold graphs agree.
 
-Covers the all-pairs GPU distance matrix (and its fallback sentinel),
-the tuple-keyed widest-path cache, validate-before-cache lookups, the
-P2P island cache, and the AllocationState epoch counter / state digest
-/ pool signature / bounded links cache behind the placement memo and
-the incremental DRB tree.
+Covers the tuple-keyed widest-path cache, validate-before-cache
+lookups, the P2P island cache, and the AllocationState epoch counter /
+state digest / bounded links cache behind the placement memo.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import repro.topology.allocation as allocation_mod
 import repro.topology.graph as graph_mod
@@ -28,95 +23,6 @@ from repro.topology.builders import (
 )
 from repro.topology.graph import TopologyError
 from repro.topology.links import LinkSpec
-
-
-@st.composite
-def cluster_shapes(draw):
-    n_machines = draw(st.integers(min_value=1, max_value=4))
-    return n_machines
-
-
-# ----------------------------------------------------------------------
-# GPU distance matrix
-# ----------------------------------------------------------------------
-class TestDistanceMatrix:
-    @settings(max_examples=15, deadline=None)
-    @given(cluster_shapes())
-    def test_matrix_agrees_with_cold_dijkstra(self, n_machines):
-        warm = cluster(n_machines)
-        cold = cluster(n_machines)
-        cold._caches.gpu_index = {}  # force the pre-matrix path
-        gpus = warm.gpus()
-        # prime the matrix via one cross-pair query
-        warm.distance(gpus[0], gpus[-1])
-        for a, b in itertools.combinations(gpus, 2):
-            assert warm.distance(a, b) == cold.distance(a, b)
-
-    @settings(max_examples=15, deadline=None)
-    @given(cluster_shapes(), st.randoms(use_true_random=False))
-    def test_pairwise_sum_agrees_with_cold(self, n_machines, rng):
-        warm = cluster(n_machines)
-        cold = cluster(n_machines)
-        cold._caches.gpu_index = {}
-        gpus = warm.gpus()
-        names = rng.sample(gpus, k=min(len(gpus), 5))
-        assert warm.pairwise_distance_sum(names) == cold.pairwise_distance_sum(
-            names
-        )
-
-    def test_matrix_survives_distance_matrix_query(self):
-        warm = cluster(2)
-        cold = cluster(2)
-        cold._caches.gpu_index = {}
-        w_names, w_mat = warm.distance_matrix()
-        c_names, c_mat = cold.distance_matrix()
-        assert w_names == c_names
-        assert (w_mat == c_mat).all()
-
-    def test_oversized_graph_falls_back(self, monkeypatch):
-        monkeypatch.setattr(graph_mod, "MATRIX_MAX_GPUS", 3)
-        capped = cluster(2)  # 8 GPUs > 3: matrix must disable itself
-        reference = cluster(2)
-        reference._caches.gpu_index = {}
-        gpus = capped.gpus()
-        for a, b in itertools.combinations(gpus, 2):
-            assert capped.distance(a, b) == reference.distance(a, b)
-        assert capped._caches.gpu_index == {}  # fallback sentinel
-
-    def test_above_cap_fleet_matches_matrix_path(self, monkeypatch):
-        """Fig. 11-scale audit: a fleet past ``MATRIX_MAX_GPUS`` must
-        serve ``distance``, ``pairwise_distance_sum`` and
-        ``machine_distance`` from the per-source Dijkstra fallback with
-        exactly the values the dense matrix stores below the cap."""
-        matrix = cluster(4)  # 16 GPUs, comfortably under the real cap
-        gpus = matrix.gpus()
-        matrix.distance(gpus[0], gpus[-1])  # prime the matrix
-        assert matrix._caches.gpu_index  # it actually built
-
-        monkeypatch.setattr(graph_mod, "MATRIX_MAX_GPUS", 8)
-        capped = cluster(4)  # same fleet, now above the cap
-        for a, b in itertools.combinations(gpus, 2):
-            assert capped.distance(a, b) == matrix.distance(a, b)
-        assert capped._caches.gpu_index == {}  # stayed on the fallback
-
-        # machine-spanning Eq. 3 sums and machine ranking distances
-        spanning = [gpus[0], gpus[5], gpus[10], gpus[15]]
-        assert capped.pairwise_distance_sum(
-            spanning
-        ) == matrix.pairwise_distance_sum(spanning)
-        for ma, mb in itertools.combinations(matrix.machines(), 2):
-            assert capped.machine_distance(ma, mb) == matrix.machine_distance(
-                ma, mb
-            )
-
-    def test_same_machine_pairs_stay_on_scoped_path(self, minsky):
-        # the matrix stores unscoped values only; same-machine queries
-        # must keep using the machine-scoped Dijkstra
-        gpus = minsky.gpus()
-        cold = power8_minsky()
-        cold._caches.gpu_index = {}
-        for a, b in itertools.combinations(gpus, 2):
-            assert minsky.distance(a, b) == cold.distance(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +102,7 @@ class TestPathCaches:
 
 
 # ----------------------------------------------------------------------
-# AllocationState epochs, signature, bounded links cache
+# AllocationState epochs, digest, bounded links cache
 # ----------------------------------------------------------------------
 class TestAllocationEpochs:
     def test_every_mutator_bumps_version(self):
@@ -291,25 +197,8 @@ class TestAllocationEpochs:
         alloc.free_gpus()
         alloc.max_free_count()
         alloc.total_free_count()
-        alloc.free_pool_signature()
         alloc.links_used(topo.gpus()[:2])
         assert alloc.version == v0
-
-    def test_signature_tracks_pool_and_health(self):
-        topo = cluster(2)
-        m0, m1 = topo.machines()
-        alloc = AllocationState(topo)
-        sig0 = alloc.free_pool_signature()
-        assert alloc.free_pool_signature() is sig0  # cached per version
-        alloc.allocate("j", topo.gpus(machine=m0)[:2])
-        sig1 = alloc.free_pool_signature()
-        assert sig1 != sig0
-        counts = dict(sig1[0])
-        assert counts[m0] == 2 and counts[m1] == 4
-        alloc.set_machine_down(m1)
-        sig2 = alloc.free_pool_signature()
-        assert m1 in sig2[1]
-        assert alloc.total_free_count() == 2  # down machine excluded
 
     def test_links_cache_is_bounded(self, monkeypatch):
         monkeypatch.setattr(allocation_mod, "LINKS_CACHE_MAX", 4)

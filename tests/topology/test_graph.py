@@ -132,12 +132,6 @@ class TestPaths:
         with pytest.raises(TopologyError, match="disconnected"):
             t.distance("m/gpu0", "island")
 
-    def test_distance_matrix_symmetric_zero_diag(self):
-        t = tiny_machine()
-        order, mat = t.distance_matrix()
-        assert order == ["m/gpu0", "m/gpu1"]
-        assert mat[0, 0] == 0.0 and mat[0, 1] == mat[1, 0] == 42.0
-
 
 class TestBottleneckBandwidth:
     def test_cross_socket_limited_by_xbus(self):
@@ -173,9 +167,6 @@ class TestAggregates:
         t = tiny_machine()
         assert t.pairwise_distance_sum(["m/gpu0", "m/gpu1"]) == 42.0
         assert t.pairwise_distance_sum(["m/gpu0"]) == 0.0
-
-    def test_diameter(self):
-        assert tiny_machine().diameter() == 42.0
 
 
 class TestValidate:

@@ -1,12 +1,19 @@
 """Property-based tests for graph algorithms against scipy references."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path as scipy_shortest_path
 
-from repro.topology.builders import cluster, machine, power8_minsky
+from repro.topology.builders import (
+    cluster,
+    dgx1,
+    dgx2,
+    machine,
+    power8_minsky,
+    power8_pcie_k80,
+    power9_ac922,
+)
 from repro.topology.graph import NodeKind, TopologyGraph
 from repro.topology.links import LinkSpec
 
@@ -33,22 +40,43 @@ def _scipy_distances(topo: TopologyGraph):
     return names, scipy_shortest_path(mat, method="D", directed=False)
 
 
+FLEET_BUILDERS = (power8_minsky, dgx1, power8_pcie_k80, power9_ac922, dgx2, machine)
+
+
+def with_every_fleet(test):
+    """Also run ``test`` on a 2- and a 3-machine fleet of each builder."""
+    for builder in FLEET_BUILDERS:
+        for n_machines in (2, 3):
+            test = example(("fleet", n_machines, builder))(test)
+    return test
+
+
 @settings(max_examples=25, deadline=None)
-@given(random_machine_shapes())
-def test_distances_match_scipy(shape):
-    """Our Dijkstra must agree with scipy's on every generated machine."""
-    sockets, gps, peer = shape
-    topo = machine(
-        "mx",
-        sockets=sockets,
-        gpus_per_socket=gps,
-        peer_link=LinkSpec.nvlink(1) if peer else None,
-    )
+@given(random_machine_shapes().map(lambda shape: ("machine", *shape)))
+@with_every_fleet
+def test_distances_match_scipy(case):
+    """Our Dijkstra must agree with scipy's on every generated machine,
+    and on every cross-machine GPU pair of every builder's fleets.
+    Same-machine fleet pairs are not compared: scipy lets a GPU relay
+    (DGX-1's NVLink mesh), the topology graph never does."""
+    if case[0] == "fleet":
+        _, n_machines, builder = case
+        topo = cluster(n_machines, builder)
+    else:
+        _, sockets, gps, peer = case
+        topo = machine(
+            "mx",
+            sockets=sockets,
+            gpus_per_socket=gps,
+            peer_link=LinkSpec.nvlink(1) if peer else None,
+        )
     names, ref = _scipy_distances(topo)
     gpus = topo.gpus()
     index = {n: i for i, n in enumerate(names)}
     for a in gpus:
         for b in gpus:
+            if case[0] == "fleet" and topo.machine_of(a) == topo.machine_of(b):
+                continue
             assert topo.distance(a, b) == pytest.approx(ref[index[a], index[b]])
 
 
@@ -144,10 +172,12 @@ def test_gpus_never_relay_traffic():
 
 
 def test_pairwise_distance_sum_equals_manual(minsky):
-    gpus = minsky.gpus()
-    manual = sum(
-        minsky.distance(a, b)
-        for i, a in enumerate(gpus)
-        for b in gpus[i + 1 :]
-    )
-    assert minsky.pairwise_distance_sum(gpus) == pytest.approx(manual)
+    fleet = cluster(3)
+    spanning = ["m0/gpu0", "m0/gpu2", "m1/gpu1", "m2/gpu3"]
+    for topo, gpus in [(minsky, minsky.gpus()), (fleet, spanning)]:
+        manual = sum(
+            topo.distance(a, b)
+            for i, a in enumerate(gpus)
+            for b in gpus[i + 1 :]
+        )
+        assert topo.pairwise_distance_sum(gpus) == pytest.approx(manual)
