@@ -6,8 +6,6 @@ places it immediately (no P2P); TOPO-AWARE-P postpones until a socket
 pair frees up, trading queue time for a faster run -- and wins overall.
 """
 
-import pytest
-
 from repro.schedulers import make_scheduler
 from repro.sim.engine import Simulator
 from repro.topology.builders import power8_minsky

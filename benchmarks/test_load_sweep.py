@@ -7,8 +7,6 @@ at low load every policy finds good placements (machines are empty),
 under pressure the greedy policies start splitting jobs.
 """
 
-import numpy as np
-
 from repro.analysis.sweep import (
     format_sweep,
     mean_qos_metric,

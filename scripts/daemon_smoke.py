@@ -21,6 +21,10 @@ would:
   ``FINISHED`` with ``preemptions: 1``, the sqlite journal shows the
   ``RUNNING -> QUEUED`` eviction hop, and the SSE-streamed eviction
   record byte-matches the ``--decisions-out`` journal line;
+* on one raw keep-alive socket, an unknown-route ``POST`` with a body
+  answers 404 and a pipelined ``GET /healthz`` behind it 200; a chunked
+  ``POST /submit`` then answers 501 with a JSON body, and ``GET /jobs``
+  shows no job admitted from it;
 * ``GET /jobs`` lists every id with a terminal state, ``GET /metrics``
   carries the service metric families;
 * once the loop is idle, ``/metrics`` and ``/state`` agree: the
@@ -54,6 +58,7 @@ import json
 import os
 import re
 import signal
+import socket
 import sqlite3
 import subprocess
 import sys
@@ -133,6 +138,45 @@ def start_daemon(store: str, *extra: str) -> tuple[subprocess.Popen, str]:
             return proc, match.group(1)
     proc.kill()
     fail(f"no listen line in output: {seen!r}")
+
+
+def read_raw_response(rfile) -> tuple[int, dict]:
+    """One HTTP/1.1 response off a raw socket file: its status and its
+    body parsed as JSON (``None`` when it is not JSON)."""
+    status = int(rfile.readline().split()[1])
+    length = 0
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.lower() == "content-length":
+            length = int(value)
+    try:
+        return status, json.loads(rfile.read(length))
+    except ValueError:
+        return status, None
+
+
+def check_raw_framing(url: str) -> None:
+    """On one keep-alive socket: a 404 POST leaves the stream in sync
+    for the request behind it, and a chunked submit is refused whole."""
+    parsed = urllib.parse.urlsplit(url)
+    with socket.create_connection((parsed.hostname, parsed.port), timeout=5) as sock:
+        rfile = sock.makefile("rb")
+        body = b'{"GET /x": 1}'
+        sock.sendall(b"POST /nope HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                     b"GET /healthz HTTP/1.1\r\n\r\n" % (len(body), body))
+        codes = [read_raw_response(rfile)[0], read_raw_response(rfile)[0]]
+        if codes != [404, 200]:
+            fail(f"404 POST then GET /healthz on one socket answered {codes}")
+        chunk = b'{"id": "smoke-chunked", "model": "alexnet", "num_gpus": 1}'
+        sock.sendall(b"POST /submit HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     b"%x\r\n%s\r\n0\r\n\r\n" % (len(chunk), chunk))
+        status, doc = read_raw_response(rfile)
+        if status != 501 or not isinstance(doc, dict) or "error" not in doc:
+            fail(f"chunked /submit answered {status}: {doc}")
+        rfile.close()
+    jobs = http("GET", url + "/jobs")[1].get("jobs", {})
+    if "smoke-chunked" in jobs:
+        fail(f"chunked /submit admitted a job: {jobs['smoke-chunked']}")
 
 
 def check_group_commit(url: str, store: str) -> tuple[int, int]:
@@ -343,6 +387,9 @@ def main() -> None:
         if status != 404:
             fail(f"cancel of an unknown job answered {status}: {doc}")
 
+        # -- malformed framing on a raw socket ---------------------------
+        check_raw_framing(url)
+
         # -- listings and metrics --------------------------------------
         status, doc = http("GET", url + "/jobs")
         if status != 200 or doc.get("jobs", {}).get("smoke-1") != "FINISHED":
@@ -507,7 +554,8 @@ def main() -> None:
 
     print(
         "daemon smoke OK: submit -> FINISHED over HTTP, rejection codes "
-        "409/422, cancel codes 409/404, /metrics agrees with /state, "
+        "409/422, cancel codes 409/404, raw-socket 404 + pipelined GET "
+        "and chunked submit refused with 501, /metrics agrees with /state, "
         "/events opens with run_start, /decisions + /explain live, "
         "memo-hit decision streams its miss's pool report, "
         "evict -> RUNNING->QUEUED->FINISHED with the SSE eviction "

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.sim.engine import SimulationResult
-from repro.sim.metrics import summarize
 from repro.workload.job import BatchClass, ModelType
 
 

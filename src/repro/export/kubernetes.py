@@ -11,7 +11,7 @@ it did.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.placement import PlacementSolution
 from repro.prototype.enforcement import launch_environment

@@ -1,7 +1,8 @@
 """Live introspection endpoint for running simulations.
 
-A stdlib :class:`~http.server.ThreadingHTTPServer` started on a
-daemon thread by ``repro simulate/compare --serve PORT``.  Endpoints:
+A small HTTP/1.1 server on a :mod:`socketserver` thread pool, started
+on a daemon thread by ``repro simulate/compare --serve PORT`` and
+extended by the ``repro serve`` daemon.  Endpoints:
 
 * ``GET /metrics`` — the shared :class:`MetricsRegistry` in Prometheus
   text exposition format (scrape-ready);
@@ -41,14 +42,35 @@ re-implementing the HTTP plumbing.  Connections are HTTP/1.1 with
 keep-alive, so a replay driver can push thousands of submissions per
 second over a handful of sockets; the SSE stream alone closes its
 connection when the client disconnects or the server stops.
+
+The reader speaks the subset of HTTP/1.1 those routes need, and no
+more.  A request body must come with ``Content-Length``; every answer,
+errors included, is one write of head plus body, with a JSON body for
+every error.  Malformed input gets these answers:
+
+* bad request line or header line: 400, then close;
+* ``POST`` without ``Content-Length``: 411, then close;
+* negative or non-numeric ``Content-Length``: 400, then close;
+* body over :data:`MAX_BODY_BYTES`: 413, then close;
+* request line plus headers over :data:`MAX_HEADER_BYTES`: 431, then
+  close;
+* ``Transfer-Encoding`` (a chunked body): 501, then close;
+* a method other than GET and POST: 501, connection kept;
+* unknown route: 404, body read, connection kept;
+* client gone mid-head or mid-body: nothing dispatched, connection
+  closed.
+
+``Connection: close`` from the client, and any HTTP/1.0 request, close
+the connection after the response.
 """
 
 from __future__ import annotations
 
 import json
+import socketserver
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Callable
 
 from repro.obs.export import render_prometheus
@@ -64,28 +86,96 @@ PROM = "text/plain; version=0.0.4; charset=utf-8"
 #: refuse request bodies beyond this (a submit manifest is ~500 bytes)
 MAX_BODY_BYTES = 1 << 20
 
+#: refuse a request line plus header block beyond this (431)
+MAX_HEADER_BYTES = 1 << 16
+
 
 def json_response(code: int, doc: dict) -> Response:
     return code, json.dumps(doc), JSON
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Stateless HTTP plumbing; all routing lives on the server object.
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection: read HTTP/1.1 requests off it until it closes.
 
-    ``ThreadingHTTPServer`` instantiates one of these per connection;
-    ``self.server.owner`` points back at the
-    :class:`IntrospectionServer` that carries the route tables.
+    A request is parsed in one pass (request line, headers into a
+    lowercase dict, ``Content-Length`` body), then handed to
+    :meth:`do_GET` / :meth:`do_POST` with ``path``, ``headers`` and
+    ``body`` set.  All routing lives on the server object:
+    ``self.server.owner`` is the :class:`IntrospectionServer` that
+    carries the route tables.  A framing error the stream cannot be
+    resynchronised after is answered, then the connection closes.
     """
 
-    protocol_version = "HTTP/1.1"  # keep-alive: one socket, many verbs
-    # headers and body go out as separate writes; without TCP_NODELAY
-    # Nagle holds the second one hostage to the client's delayed ACK
-    # (~40 ms per request — three orders of magnitude off the replay
-    # driver's submission-rate target)
+    # without TCP_NODELAY a write that follows an unacknowledged one
+    # (a pipelined response, an SSE frame) waits for the client's
+    # delayed ACK (~40 ms)
     disable_nagle_algorithm = True
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # silence per-request stderr chatter
+    def handle(self) -> None:
+        try:
+            while self._serve_one():
+                pass
+        except ConnectionError:
+            pass  # the client went away
+
+    def _serve_one(self) -> bool:
+        """Read and answer one request; ``False`` ends the connection."""
+        head: list[str] = []
+        budget = MAX_HEADER_BYTES
+        while True:
+            line = self.rfile.readline(budget + 1)
+            if len(line) > budget:
+                return self._fail(431, "request head too large")
+            if not line.endswith(b"\n"):
+                return False  # closed between requests or mid-head
+            if line in (b"\r\n", b"\n"):
+                break
+            budget -= len(line)
+            head.append(line.decode("latin-1"))
+        parts = head[0].split() if head else []
+        if len(parts) != 3 or parts[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            return self._fail(400, "bad request line")
+        method, target, version = parts
+        headers: dict[str, str] = {}
+        for field in head[1:]:
+            name, colon, value = field.partition(":")
+            name = name.lower()
+            if not colon or not name or name != name.strip():
+                return self._fail(400, "bad header line")
+            value = value.strip()
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        self.close_connection = (
+            version == "HTTP/1.0"
+            or "close" in headers.get("connection", "").lower()
+        )
+        if "transfer-encoding" in headers:
+            return self._fail(501, "Transfer-Encoding is not supported; send Content-Length")
+        length = headers.get("content-length")
+        if length is None:
+            if method == "POST":
+                return self._fail(411, "POST needs Content-Length")
+            length = "0"
+        if not (length.isascii() and length.isdigit()):
+            return self._fail(400, "bad Content-Length")
+        size = int(length)
+        if size > MAX_BODY_BYTES:
+            return self._fail(413, "body too large")
+        self.body = self.rfile.read(size) if size else b""
+        if len(self.body) < size:
+            return False  # closed mid-body: nothing is dispatched
+        self.path, self.headers = target, headers
+        if method == "GET":
+            self.do_GET()
+        elif method == "POST":
+            self.do_POST()
+        else:
+            self._send(*json_response(501, {"error": f"unsupported method {method}"}))
+        return not self.close_connection
+
+    def _fail(self, code: int, error: str) -> bool:
+        self.close_connection = True
+        self._send(*json_response(code, {"error": error}))
+        return False
 
     def do_GET(self) -> None:
         path = self.path.split("?", 1)[0]
@@ -110,16 +200,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(*json_response(404, {"error": f"no route {path}"}))
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            self._send(*json_response(400, {"error": "bad Content-Length"}))
-            return
-        if length > MAX_BODY_BYTES:
-            self._send(*json_response(413, {"error": "body too large"}))
-            return
-        raw = self.rfile.read(length) if length else b""
-        try:
-            body = json.loads(raw) if raw else {}
+            body = json.loads(self.body) if self.body else {}
         except ValueError:
             self._send(*json_response(400, {"error": "body is not JSON"}))
             return
@@ -130,11 +211,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send(self, code: int, body: str, content_type: str) -> None:
         payload = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (
+            f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n{close}\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + payload)
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    daemon_threads = True
+    allow_reuse_address = True
 
 
 class IntrospectionServer:
@@ -162,9 +250,8 @@ class IntrospectionServer:
         self.timeseries = timeseries
         self._started_at = time.time()
         self._stopping = threading.Event()
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd = _Server((host, port), _Handler)
         self._httpd.owner = self  # route lookups go through this back-ref
-        self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
@@ -374,19 +461,17 @@ class IntrospectionServer:
             )
             return
         try:
-            cursor = int(handler.headers.get("Last-Event-ID") or 0)
+            cursor = int(handler.headers.get("last-event-id") or 0)
         except ValueError:
             cursor = 0
-        handler.send_response(200)
-        handler.send_header("Content-Type", "text/event-stream")
-        handler.send_header("Cache-Control", "no-cache")
-        handler.send_header("Connection", "close")
-        handler.end_headers()
         handler.close_connection = True
         wfile = handler.wfile
         try:
-            wfile.write(b": stream open\n\n")
-            wfile.flush()
+            wfile.write(
+                b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+                b"Cache-Control: no-cache\r\nConnection: close\r\n\r\n"
+                b": stream open\n\n"
+            )
             last_write = time.monotonic()
             while not self._stopping.is_set():
                 entries = recorder.entries_after(cursor)

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.perf.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perf.model import PerformanceModel
-from repro.topology.graph import TopologyGraph
 from repro.workload.job import Job
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.workload.job import BatchClass, Job, ModelType, batch_class_of
+from repro.workload.job import Job, ModelType, batch_class_of
 from repro.workload.jobgraph import comm_weight
 from repro.workload.profiles import JobProfile, ProfileDatabase, default_database
 

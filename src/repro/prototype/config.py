@@ -10,7 +10,7 @@ algorithms."
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.utility import UtilityParams

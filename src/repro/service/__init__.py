@@ -18,15 +18,7 @@ submission API, so jobs arrive over HTTP instead of from a manifest:
   bursty workloads through the API.
 """
 
-from repro.service.daemon import SchedulerService, ServiceServer
-from repro.service.driver import ReplayReport, replay_trace
-from repro.service.queue import AdmissionDecision, QueueManager
-from repro.service.statemachine import (
-    JobState,
-    LifecycleTable,
-    TransitionError,
-)
-from repro.service.store import ServiceStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AdmissionDecision",
@@ -40,3 +32,15 @@ __all__ = [
     "TransitionError",
     "replay_trace",
 ]
+
+# every name resolves on first use (PEP 562): ``repro serve`` loads the
+# daemon, not the replay driver and the HTTP client behind it
+__getattr__ = lazy_exports(__name__, {
+    "repro.service.daemon": ("SchedulerService", "ServiceServer"),
+    "repro.service.driver": ("ReplayReport", "replay_trace"),
+    "repro.service.queue": ("AdmissionDecision", "QueueManager"),
+    "repro.service.statemachine": (
+        "JobState", "LifecycleTable", "TransitionError",
+    ),
+    "repro.service.store": ("ServiceStore",),
+})

@@ -17,7 +17,7 @@ jobs, 0.5 for multi-GPU jobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,7 +1,5 @@
 """Tests for scenario definitions and table formatting."""
 
-import pytest
-
 from repro.analysis.scenarios import scenario1_jobs, scenario2_jobs, table1_jobs
 from repro.analysis.tables import (
     format_breakdown_table,

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.analysis.sweep import (
-    SweepPoint,
     format_sweep,
     mean_qos_metric,
     mean_wait_metric,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.bipartition import gpu_affinity, physical_bipartition
-from repro.topology.builders import cluster, machine
+from repro.topology.builders import machine
 from repro.topology.links import LinkSpec
 
 

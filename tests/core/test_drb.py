@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.drb import drb_map
 from repro.topology.allocation import AllocationState
-from repro.topology.builders import cluster, dgx1, power8_minsky
+from repro.topology.builders import dgx1
 from repro.workload.jobgraph import data_parallel_graph, model_parallel_chain
 
 from tests.conftest import make_job

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.job_bipartition import ExternalRegion, job_graph_bipartition
-from repro.topology.allocation import AllocationState
 from repro.workload.jobgraph import JobGraph, data_parallel_graph, model_parallel_chain
 
 from tests.conftest import make_job

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.placement import PlacementEngine
 from repro.topology.allocation import AllocationState
-from repro.topology.builders import cluster, dgx1, power8_minsky, power8_pcie_k80
+from repro.topology.builders import cluster, dgx1
 
 from tests.conftest import make_job
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import socket
 import urllib.error
 import urllib.request
 
@@ -10,7 +11,12 @@ import pytest
 from repro.analysis.scenarios import table1_jobs
 from repro.obs import MetricsRegistry
 from repro.obs.alerts import Rule, Watchdog
-from repro.obs.server import IntrospectionServer
+from repro.obs.server import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
+    IntrospectionServer,
+    json_response,
+)
 from repro.obs.state import (
     RunSnapshot,
     STATE_SCHEMA_VERSION,
@@ -95,6 +101,159 @@ class TestHTTP:
         with IntrospectionServer(publisher) as server:
             assert server.port > 0
             assert server.url == f"http://127.0.0.1:{server.port}"
+
+
+class RecordingServer(IntrospectionServer):
+    """An introspection server with one POST verb that records what
+    reached it."""
+
+    def __init__(self) -> None:
+        super().__init__(SnapshotPublisher())
+        self.posted: list[dict] = []
+
+    def post_routes(self):
+        return {"/submit": self._submit}
+
+    def _submit(self, body: dict):
+        self.posted.append(body)
+        return json_response(202, {"accepted": True})
+
+
+class RawConnection:
+    """One client socket, written and read byte for byte."""
+
+    def __init__(self, server: IntrospectionServer) -> None:
+        self.sock = socket.create_connection((server.host, server.port), timeout=5)
+        self.rfile = self.sock.makefile("rb")
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def response(self) -> tuple[int, dict, bytes]:
+        status = self.rfile.readline()
+        assert status.startswith(b"HTTP/1.1 "), status
+        headers = {}
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.lower()] = value.strip()
+        body = self.rfile.read(int(headers["content-length"]))
+        return int(status.split()[1]), headers, body
+
+    def closed_by_server(self) -> bool:
+        return self.rfile.read(1) == b""
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+@pytest.fixture()
+def raw():
+    """A recording server and a factory of raw connections to it."""
+    conns: list[RawConnection] = []
+    with RecordingServer() as server:
+
+        def connect() -> RawConnection:
+            conns.append(RawConnection(server))
+            return conns[-1]
+
+        yield server, connect
+        for conn in conns:
+            conn.close()
+
+
+def healthy(server: IntrospectionServer) -> bool:
+    status, _, body = fetch(server.url + "/healthz")
+    return status == 200 and json.loads(body)["status"] == "ok"
+
+
+class TestMalformedInput:
+    """Every malformed request gets a documented answer with a JSON
+    body; an error the stream cannot resync after closes it."""
+
+    @pytest.mark.parametrize("head, code", [
+        (b"GARBAGE\r\n\r\n", 400),
+        (b"GET /healthz\r\n\r\n", 400),
+        (b"GET /healthz HTTP/2.0\r\n\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+        (b"POST /submit HTTP/1.1\r\nHost: x\r\n\r\n", 411),
+        (b"POST /submit HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400),
+        (b"POST /submit HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"POST /submit HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+         % (MAX_BODY_BYTES + 1), 413),
+        (b"GET /healthz HTTP/1.1\r\nX-Big: %s\r\n\r\n"
+         % (b"a" * MAX_HEADER_BYTES), 431),
+        (b"POST /submit HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"2\r\n{}\r\n0\r\n\r\n", 501),
+    ], ids=["garbage", "two-words", "http2", "header-line", "no-length",
+            "negative-length", "text-length", "body-too-large",
+            "head-too-large", "chunked"])
+    def test_framing_errors_answer_then_close(self, raw, head, code):
+        server, connect = raw
+        conn = connect()
+        conn.send(head)
+        status, headers, body = conn.response()
+        assert status == code
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert "error" in json.loads(body)
+        assert conn.closed_by_server()
+        assert server.posted == []
+        assert healthy(server)
+
+    def test_chunked_submit_runs_no_handler_and_no_next_request(self, raw):
+        server, connect = raw
+        conn = connect()
+        conn.send(b"POST /submit HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                  b"12\r\n{\"id\": \"chunked-1\"}\r\n0\r\n\r\n"
+                  b"POST /submit HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+        assert conn.response()[0] == 501
+        assert conn.closed_by_server()
+        assert server.posted == []
+
+    def test_unknown_method_is_501_and_keeps_the_connection(self, raw):
+        _, connect = raw
+        conn = connect()
+        conn.send(b"DELETE /state HTTP/1.1\r\n\r\nGET /healthz HTTP/1.1\r\n\r\n")
+        status, _, body = conn.response()
+        assert status == 501 and json.loads(body)["error"]
+        assert conn.response()[0] == 200
+
+    def test_404_post_reads_its_body_and_serves_a_pipelined_get(self, raw):
+        server, connect = raw
+        conn = connect()
+        body = b'{"GET /x": 1}'
+        conn.send(b"POST /nope HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                  b"GET /healthz HTTP/1.1\r\n\r\n" % (len(body), body))
+        status, _, doc = conn.response()
+        assert status == 404 and json.loads(doc) == {"error": "no route /nope"}
+        status, headers, doc = conn.response()
+        assert status == 200 and json.loads(doc)["status"] == "ok"
+        assert "connection" not in headers
+        # the connection is still open for a third request
+        conn.send(b'POST /submit HTTP/1.1\r\nContent-Length: 8\r\n\r\n{"a": 1}')
+        assert conn.response()[0] == 202
+        assert server.posted == [{"a": 1}]
+
+    def test_disconnect_mid_body_dispatches_nothing(self, raw):
+        server, connect = raw
+        conn = connect()
+        conn.send(b'POST /submit HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"id": ')
+        conn.close()
+        assert healthy(server)
+        assert server.posted == []
+
+    @pytest.mark.parametrize("head", [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ], ids=["connection-close", "http1.0"])
+    def test_close_after_one_response(self, raw, head):
+        _, connect = raw
+        conn = connect()
+        conn.send(head + b"GET /healthz HTTP/1.1\r\n\r\n")
+        status, headers, _ = conn.response()
+        assert status == 200 and headers["connection"] == "close"
+        assert conn.closed_by_server()
 
 
 class TestRenderBodies:

@@ -10,7 +10,6 @@ from repro.perf.bandwidth import (
     peak_demand_gbs,
 )
 from repro.perf.model import PerformanceModel, Placement
-from repro.workload.job import Job, ModelType
 
 from tests.conftest import make_job
 

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.perf.calibration import (
-    Calibration,
     DEFAULT_CALIBRATION,
     MachineKind,
-    ModelCalibration,
 )
 from repro.workload.job import BatchClass, ModelType
 

@@ -11,7 +11,6 @@ from repro.perf.collectives import (
     tree_allreduce_time,
 )
 from repro.perf.model import PerformanceModel
-from repro.topology.builders import dgx1, power8_minsky
 from repro.workload.job import CommPattern, Job, ModelType
 
 

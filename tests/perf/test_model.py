@@ -10,8 +10,7 @@ from repro.perf.model import (
     pack_gpus,
     spread_gpus,
 )
-from repro.topology.builders import cluster, power8_minsky
-from repro.workload.job import Job, ModelType
+from repro.topology.builders import cluster
 
 from tests.conftest import make_job
 

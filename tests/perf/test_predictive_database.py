@@ -6,7 +6,7 @@ from repro.perf.prediction import PredictiveProfileDatabase
 from repro.schedulers import make_scheduler
 from repro.sim.engine import Simulator
 from repro.topology.builders import power8_minsky
-from repro.workload.job import BatchClass, Job, ModelType
+from repro.workload.job import BatchClass, ModelType
 
 from tests.conftest import make_job
 

@@ -1,7 +1,5 @@
 """Tests for the FCFS and Best-Fit greedy baselines."""
 
-import pytest
-
 from repro.schedulers import BestFitScheduler, FCFSScheduler, RandomScheduler
 from repro.topology.builders import cluster
 

@@ -1,7 +1,5 @@
 """Interplay between scheduling policies and failure injection."""
 
-import pytest
-
 from repro.schedulers import make_scheduler
 from repro.sim.engine import MachineFailure, Simulator
 from repro.topology.builders import cluster

@@ -1,10 +1,8 @@
 """Tests for the SJF and EASY-backfill baselines."""
 
-import pytest
-
 from repro.schedulers import BackfillScheduler, SJFScheduler, make_scheduler
 from repro.sim.engine import Simulator
-from repro.topology.builders import cluster, power8_minsky
+from repro.topology.builders import power8_minsky
 from repro.workload.job import Job, ModelType
 
 from tests.conftest import make_job

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.schedulers import TopoAwareScheduler
-from repro.topology.builders import cluster
 
 from tests.conftest import make_job
 from tests.schedulers.test_base import make_ctx

@@ -6,7 +6,6 @@ from repro.analysis.scenarios import scenario1_jobs
 from repro.schedulers import make_scheduler
 from repro.sim.engine import Simulator, run_comparison
 from repro.topology.builders import cluster, power8_minsky
-from repro.workload.job import Job, ModelType
 
 from tests.conftest import make_job
 

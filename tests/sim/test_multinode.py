@@ -6,8 +6,6 @@ to multiple disaggregated GPUs across the cluster" -- is supported via
 engine maps the job over a network-spanning pool.
 """
 
-import pytest
-
 from repro.schedulers import make_scheduler
 from repro.sim.engine import Simulator
 from repro.sim.metrics import qos_slowdown

@@ -1,6 +1,5 @@
 """Property-based tests for simulator invariants."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.schedulers import make_scheduler

@@ -11,7 +11,6 @@ from repro.sim.metrics import (
 )
 from repro.workload.profiles import default_database
 
-from tests.conftest import make_job
 from tests.sim.test_metrics import record
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.core.placement import PlacementEngine
 from repro.export import to_mesos_task, to_pod_spec, to_pod_specs
 from repro.topology.allocation import AllocationState
-from repro.topology.builders import cluster, power8_minsky
+from repro.topology.builders import cluster
 
 from tests.conftest import make_job
 

@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: the packages whose re-exports resolve on first use
 LAZY_PACKAGES = (
     "repro", "repro.obs", "repro.analysis", "repro.topology", "repro.workload",
-    "repro.sim",
+    "repro.sim", "repro.service",
 )
 
 #: what the batch path must never load
@@ -93,6 +93,18 @@ def test_unknown_names_still_raise():
         print(json.dumps({"missing": missing, "trace": trace.__name__}))
     """)
     assert out == {"missing": ["repro", "repro.obs"], "trace": "repro.obs.trace"}
+
+
+def test_daemon_skips_the_stdlib_http_stack():
+    """``repro serve`` reads its own HTTP: neither the stdlib server and
+    client nor the email parser behind their headers is loaded."""
+    loaded = run_fresh("""
+        import json, sys
+        import repro.cli, repro.service.daemon
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    assert not {"http.server", "http.client", "email.parser"} & set(loaded)
+    assert "repro.service.driver" not in loaded
 
 
 def test_simulator_run_imports_nothing():

@@ -7,8 +7,6 @@ from repro.topology.builders import (
     cluster,
     dgx1,
     machine,
-    power8_minsky,
-    power8_pcie_k80,
 )
 from repro.topology.graph import NodeKind
 from repro.topology.links import LinkSpec

@@ -1,8 +1,6 @@
 """Tests for the ASCII topology renderer."""
 
-import pytest
-
-from repro.topology.builders import cluster, dgx1, dgx2, power8_minsky
+from repro.topology.builders import dgx2
 from repro.topology.render import render_gpu_distances, render_tree
 
 
