@@ -95,15 +95,22 @@ class PlacementStats:
 @dataclass
 class PoolSolveStats:
     """Pool-solve cache hits on a pool already solved in the same
-    proposal or in an earlier one."""
+    proposal or in an earlier one, and on an allocation already scored
+    by :meth:`PlacementEngine.score_allocation`."""
 
     hits_in_proposal: int = 0
     hits_across: int = 0
+    score_hits: int = 0
 
 
 #: co-runner entry of the job being placed in a pool-solve key: the
 #: interference model skips the scored job's own id
 _SELF = "self"
+
+#: first element of a :meth:`PlacementEngine.score_allocation` key;
+#: pool keys start with the job-fields tuple, so the two kinds never
+#: collide in the shared cache
+_SCORE = "score"
 
 
 class PlacementEngine:
@@ -134,7 +141,10 @@ class PlacementEngine:
     signature (:meth:`_pool_key`): a pool equal up to relabelling to
     one solved before — on a same-shaped machine in this proposal, or
     on a machine back in an earlier state — replays that solve on its
-    own GPUs.  It is always on and exact, not a switch.
+    own GPUs.  :meth:`score_allocation` shares that cache under its own
+    tagged key (:meth:`_score_key`), so re-scoring a running job whose
+    machine is back in a state scored before costs one lookup.  Both
+    are always on and exact, not a switch.
     """
 
     def __init__(
@@ -378,6 +388,43 @@ class PlacementEngine:
             self._machine_tables[machine] = table
         return table
 
+    def _residents(
+        self,
+        job: Job,
+        machine: str,
+        index: dict[str, int],
+        co_runners: Mapping[str, tuple[Job, frozenset[str]]],
+    ) -> tuple | None:
+        """Co-runner part of both canonical keys, or ``None`` when a
+        co-runner on ``machine`` also holds GPUs elsewhere.
+
+        In sorted job-id order — the order the Eq. 4 terms are summed
+        in — each job :meth:`AllocationState.jobs_on_machine` names
+        that has a view entry gives a bit mask of its local GPU
+        indices, its model, batch size and GPU count; the scored job
+        itself gives a ``self`` marker (the interference model skips
+        its own id).
+        """
+        residents = []
+        for job_id in sorted(self.alloc.jobs_on_machine(machine)):
+            entry = co_runners.get(job_id)
+            if entry is None:
+                continue
+            if job_id == job.job_id:
+                residents.append(_SELF)
+                continue
+            other, gpus = entry
+            local = 0
+            for g in gpus:
+                i = index.get(g)
+                if i is None:
+                    return None
+                local |= 1 << i
+            residents.append(
+                (local, other.model, other.batch_size, other.num_gpus)
+            )
+        return tuple(residents)
+
     def _pool_key(
         self,
         job: Job,
@@ -391,12 +438,10 @@ class PlacementEngine:
         The job's placement fields, the machine's shape id (equal
         shapes are identical up to the name prefix, see
         :meth:`TopologyGraph.machine_shape`), its health, the local
-        indices of the pool's GPUs, and — in sorted job-id order, the
-        order the Eq. 4 terms are summed in — each co-runner's local
-        GPU indices, model, batch size and GPU count, with the job
-        itself as a ``self`` marker.  Spanning pools, pools short of
-        the machine's whole free set and machines hosting a co-runner
-        that also holds GPUs elsewhere (its bus footprint leaves the
+        indices of the pool's GPUs, and the co-runners
+        (:meth:`_residents`).  Spanning pools, pools short of the
+        machine's whole free set and machines hosting a co-runner that
+        also holds GPUs elsewhere (its bus footprint leaves the
         machine) get no key.  DESIGN.md §9 argues exactness.
         """
         if len(pool.machines) != 1:
@@ -406,28 +451,62 @@ class PlacementEngine:
         if len(pool.gpus) != alloc.free_count(machine):
             return None
         shape_id, index, _ = self._machine_table(machine)
-        residents = []
-        for job_id in sorted(alloc.jobs_on_machine(machine)):
-            entry = co_runners.get(job_id)
-            if entry is None:
-                continue
-            if job_id == job.job_id:
-                residents.append(_SELF)
-                continue
-            other, gpus = entry
-            try:
-                local = tuple(sorted([index[g] for g in gpus]))
-            except KeyError:
-                return None
-            residents.append(
-                (local, other.model, other.batch_size, other.num_gpus)
-            )
+        residents = self._residents(job, machine, index, co_runners)
+        if residents is None:
+            return None
         return (
             self._job_fields(job),
             shape_id,
             alloc.is_machine_up(machine),
             tuple([index[g] for g in pool.gpus]),
-            tuple(residents),
+            residents,
+        )
+
+    def _score_key(
+        self,
+        job: Job,
+        machines: tuple[str, ...],
+        gpus: tuple[str, ...],
+        co_runners: Mapping[str, tuple[Job, frozenset[str]]],
+    ) -> tuple | None:
+        """Machine-canonical name of everything
+        :func:`evaluate_solution` reads when scoring ``gpus`` (sorted)
+        for ``job``, or ``None`` when the allocation is scored directly.
+
+        A ``score`` tag, the job's model and batch size (all Eq. 4
+        reads of the job besides the id :meth:`_residents` marks), the
+        machine's shape id and health, a bit mask of the local indices
+        of ``gpus`` (their sorted order follows from the set and the
+        shape), a bit mask of the machine's busy GPUs (Eq. 5 reads the
+        allocation, not the view, so a view that lacks a resident
+        cannot share an entry with one that holds it) and the
+        co-runners (:meth:`_residents`).  Spanning allocations and
+        machines hosting a co-runner that also holds GPUs elsewhere
+        get no key.  DESIGN.md §9 argues exactness.
+        """
+        if len(machines) != 1:
+            return None
+        machine = machines[0]
+        shape_id, index, names = self._machine_table(machine)
+        residents = self._residents(job, machine, index, co_runners)
+        if residents is None:
+            return None
+        alloc = self.alloc
+        scored = busy = 0
+        for g in gpus:
+            scored |= 1 << index[g]
+        for i, g in enumerate(names):
+            if not alloc.is_free(g):
+                busy |= 1 << i
+        return (
+            _SCORE,
+            job.model,
+            job.batch_size,
+            shape_id,
+            alloc.is_machine_up(machine),
+            scored,
+            busy,
+            residents,
         )
 
     def _solve(
@@ -557,25 +636,44 @@ class PlacementEngine:
         gpus: tuple[str, ...],
         co_runners: Mapping[str, tuple[Job, frozenset[str]]] | None = None,
     ) -> PlacementSolution:
-        """Score an externally chosen allocation (used by the greedy
-        baselines so their decisions carry the same metrics)."""
+        """Score an externally chosen allocation: the greedy baselines
+        score their picks, and TOPO-AWARE-PM scores running jobs'
+        current placements, through it.
+
+        Memoised in the pool-solve cache under :meth:`_score_key`,
+        whose entries hold the metrics and the P2P flag; a hit rebuilds
+        the solution on these GPUs with this job's id.  The key is the
+        whole input of the evaluation, so entries never go stale.
+        """
         co_runners = co_runners or {}
         gpus = tuple(sorted(gpus))
         machines = tuple(sorted({self.topo.machine_of(g) for g in gpus}))
-        p2p = all(
-            self.topo.p2p_connected(a, b)
-            for i, a in enumerate(gpus)
-            for b in gpus[i + 1 :]
-        )
-        metrics = evaluate_solution(
-            self.topo,
-            self.alloc,
-            job,
-            gpus,
-            co_runners,
-            self.params,
-            self.interference,
-        )
+        key = self._score_key(job, machines, gpus, co_runners)
+        cache = self._pool_solves
+        entry = None if key is None else cache.get(key)
+        if entry is None:
+            p2p = all(
+                self.topo.p2p_connected(a, b)
+                for i, a in enumerate(gpus)
+                for b in gpus[i + 1 :]
+            )
+            metrics = evaluate_solution(
+                self.topo,
+                self.alloc,
+                job,
+                gpus,
+                co_runners,
+                self.params,
+                self.interference,
+            )
+            if key is not None:
+                cache[key] = (metrics, p2p)
+                if len(cache) > self.POOL_SOLVES_MAX:
+                    cache.popitem(last=False)
+        else:
+            self.pool_stats.score_hits += 1
+            cache.move_to_end(key)
+            metrics, p2p = entry
         return PlacementSolution(
             job_id=job.job_id,
             gpus=gpus,

@@ -158,16 +158,20 @@ def comm_cost_bounds(topo: TopologyGraph, n_gpus: int) -> tuple[float, float]:
     return bounds
 
 
-def normalized_comm_cost(topo: TopologyGraph, gpus: Iterable[str]) -> float:
-    """Eq. 3 value scaled to [0, 1] against the best/worst allocation."""
-    gpus = list(gpus)
-    if len(gpus) < 2:
+def _normalize_comm_cost(topo: TopologyGraph, n_gpus: int, t: float) -> float:
+    """Scale an ``n_gpus`` allocation's Eq. 3 value ``t`` to [0, 1]."""
+    if n_gpus < 2:
         return 0.0
-    best, worst = comm_cost_bounds(topo, len(gpus))
-    t = communication_cost(topo, gpus)
+    best, worst = comm_cost_bounds(topo, n_gpus)
     if worst <= best:
         return 0.0
     return min(1.0, max(0.0, (t - best) / (worst - best)))
+
+
+def normalized_comm_cost(topo: TopologyGraph, gpus: Iterable[str]) -> float:
+    """Eq. 3 value scaled to [0, 1] against the best/worst allocation."""
+    gpus = list(gpus)
+    return _normalize_comm_cost(topo, len(gpus), communication_cost(topo, gpus))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +363,7 @@ def evaluate_solution(
     model = interference_model or InterferenceModel(topo)
     with _trace.span("utility.evaluate", job_id=job.job_id, gpus=len(gpus)) as sp:
         t = communication_cost(topo, gpus)
-        t_norm = normalized_comm_cost(topo, gpus)
+        t_norm = _normalize_comm_cost(topo, len(gpus), t)
         interference = model.eq4_interference(job, gpus, co_runners, alloc)
         frag = fragmentation_after(topo, alloc, gpus)
         i_norm = normalize_interference(interference, params)

@@ -100,10 +100,12 @@ class _Handler(socketserver.StreamRequestHandler):
     A request is parsed in one pass (request line, headers into a
     lowercase dict, ``Content-Length`` body), then handed to
     :meth:`do_GET` / :meth:`do_POST` with ``path``, ``headers`` and
-    ``body`` set.  All routing lives on the server object:
-    ``self.server.owner`` is the :class:`IntrospectionServer` that
-    carries the route tables.  A framing error the stream cannot be
-    resynchronised after is answered, then the connection closes.
+    ``body`` set.  All routing lives on the server object: it holds
+    the route tables its owner (``self.server.owner``, the
+    :class:`IntrospectionServer`) built once at start, and the owner
+    answers the parameterised routes.  A framing error the stream
+    cannot be resynchronised after is answered, then the connection
+    closes.
     """
 
     # without TCP_NODELAY a write that follows an unacknowledged one
@@ -179,11 +181,11 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def do_GET(self) -> None:
         path = self.path.split("?", 1)[0]
-        stream = self.server.owner.stream_routes().get(path)
+        stream = self.server.stream_table.get(path)
         if stream is not None:
             stream(self)
             return
-        handler = self.server.owner.get_routes().get(path)
+        handler = self.server.get_table.get(path)
         if handler is not None:
             self._send(*handler())
             return
@@ -195,7 +197,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def do_POST(self) -> None:
         path = self.path.split("?", 1)[0]
-        handler = self.server.owner.post_routes().get(path)
+        handler = self.server.post_table.get(path)
         if handler is None:
             self._send(*json_response(404, {"error": f"no route {path}"}))
             return
@@ -223,6 +225,11 @@ class _Handler(socketserver.StreamRequestHandler):
 class _Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
+    # the owner's route tables, set by IntrospectionServer.start
+    # before the first request
+    stream_table: dict[str, Callable]
+    get_table: dict[str, Callable[[], Response]]
+    post_table: dict[str, Callable[[dict], Response]]
 
 
 class IntrospectionServer:
@@ -255,7 +262,8 @@ class IntrospectionServer:
         self._thread: threading.Thread | None = None
 
     # ------------------------------------------------------------------
-    # routing tables (subclass extension point)
+    # routing tables (subclass extension point; each is read once, by
+    # start)
     # ------------------------------------------------------------------
     def get_routes(self) -> dict[str, Callable[[], Response]]:
         """Path -> handler for GET; subclasses extend the dict."""
@@ -336,6 +344,12 @@ class IntrospectionServer:
     def start(self) -> "IntrospectionServer":
         self._started_at = time.time()
         self._stopping.clear()
+        # the tables never change while the server runs: build them
+        # once here (subclass attributes are set by now), not per request
+        httpd = self._httpd
+        httpd.stream_table = self.stream_routes()
+        httpd.get_table = self.get_routes()
+        httpd.post_table = self.post_routes()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-introspection",

@@ -148,10 +148,22 @@ class InterferenceModel:
         their link-sharing factor is 0.
         """
         victim_gpus = frozenset(victim_gpus)
+        return self._slowdown(
+            victim, victim_gpus, self._nearby(victim_gpus, co_runners, alloc),
+            alloc,
+        )
+
+    def _slowdown(
+        self,
+        victim: Job,
+        victim_gpus: frozenset[str],
+        nearby: list[tuple[str, tuple[Job, frozenset[str]]]],
+        alloc: AllocationState,
+    ) -> float:
+        """:meth:`slowdown_factor` over an already built :meth:`_nearby`
+        list."""
         total = 0.0
-        for other_id, (other, other_gpus) in self._nearby(
-            victim_gpus, co_runners, alloc
-        ):
+        for other_id, (other, other_gpus) in nearby:
             if other_id == victim.job_id:
                 continue
             share = alloc.link_sharing_factor(victim_gpus, other_gpus)
@@ -202,8 +214,9 @@ class InterferenceModel:
         direction -- see DESIGN.md).  ``I == 1`` means no interference.
         """
         gpus = frozenset(gpus)
-        terms = [self.slowdown_factor(job, gpus, co_runners, alloc)]
-        for other_id, (other, other_gpus) in self._nearby(gpus, co_runners, alloc):
+        nearby = self._nearby(gpus, co_runners, alloc)
+        terms = [self._slowdown(job, gpus, nearby, alloc)]
+        for other_id, (other, other_gpus) in nearby:
             if other_id == job.job_id:
                 continue
             share = alloc.link_sharing_factor(other_gpus, gpus)

@@ -3,23 +3,30 @@
 ``PlacementEngine`` solves each single-machine pool through a cache
 keyed on a machine-canonical signature: the job's placement fields,
 the machine's shape id and health, the pool's local GPU indices and
-the co-runners' local indices and attributes in sorted job-id order.
+the co-runners' local GPU masks and attributes in sorted job-id order.
 These tests pin the cache as invisible.  A test-only oracle engine
 that solves every pool directly must produce the same records and the
 same decision journal (``candidates`` included) on fig11-, pm-,
 heterogeneous- and DGX-2-style traces; coarser keys must not; and
 equal keys on different machines must mean relabel-equal solves.
+
+``score_allocation`` shares the cache under its own key (the scored
+job's model and batch size, the machine's shape id and health, the
+scored and busy local GPUs and the same co-runner tuple).  An oracle
+that scores every allocation directly pins it the same way, eviction
+economics included, on the TOPO-AWARE-PM traces.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.bench import RECORD_FIELDS
-from repro.analysis.scenarios import scenario2_jobs
+from repro.analysis.scenarios import fragmentation_jobs, scenario2_jobs
 from repro.core.constraints import CandidatePool
 from repro.core.placement import PlacementEngine
 from repro.obs.provenance import DecisionRecorder
@@ -102,8 +109,8 @@ TRACES = {
 }
 
 
-def _run(name: str, engine_cls=PlacementEngine):
-    make_topo, policy, make_jobs = TRACES[name]
+def _run(name: str, engine_cls=PlacementEngine, traces=TRACES):
+    make_topo, policy, make_jobs = traces[name]
     topo = make_topo()
     state = ClusterState(topo)
     state.engine = engine_cls(
@@ -210,7 +217,7 @@ def test_self_marker_differs_from_a_same_shaped_co_runner():
     k0 = engine._pool_key(job, _whole_machine_pool(alloc, "m0"), co)
     k1 = engine._pool_key(job, _whole_machine_pool(alloc, "m1"), co)
     assert k0[4] == ("self",)
-    assert k1[4] == (((0,), ModelType.ALEXNET, 16, 1),)
+    assert k1[4] == ((0b1, ModelType.ALEXNET, 16, 1),)
     assert k0 != k1
 
 
@@ -291,3 +298,221 @@ def test_equal_keys_give_relabel_equal_solves(data):
     assert any(len(answers) > 1 for answers in solved.values())
     for answers in solved.values():
         assert all(answer == answers[0] for answer in answers[1:])
+
+
+# ---------------------------------------------------------------------------
+# running-job scores
+# ---------------------------------------------------------------------------
+
+class _Scored(PlacementEngine):
+    """The engine under test, logging every score it returns."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.scores = []
+
+    def score_allocation(self, job, gpus, co_runners=None):
+        solution = super().score_allocation(job, gpus, co_runners)
+        self.scores.append((solution.job_id, solution.gpus, solution.metrics))
+        return solution
+
+
+class _Unscored(_Scored):
+    """The scoring oracle: every allocation is scored directly."""
+
+    def _score_key(self, job, machines, gpus, co_runners):
+        return None
+
+
+class _ScoreNoResidents(_Scored):
+    """A too-coarse score key: the co-runners are not named."""
+
+    def _score_key(self, job, machines, gpus, co_runners):
+        key = super()._score_key(job, machines, gpus, co_runners)
+        return None if key is None else key[:-1]
+
+
+class _ScoreNoBatch(_Scored):
+    """A too-coarse score key: the scored job's batch size is dropped."""
+
+    def _score_key(self, job, machines, gpus, co_runners):
+        key = super()._score_key(job, machines, gpus, co_runners)
+        return None if key is None else key[:2] + key[3:]
+
+
+def _with_priority(jobs, every: int):
+    """Every ``every``-th job at priority 1, so the preempt pass runs."""
+    return [
+        replace(job, priority=1) if i % every == every - 1 else job
+        for i, job in enumerate(jobs)
+    ]
+
+
+def _mixed_pm_jobs():
+    return _with_priority(
+        _generated(5, 120, 20.0, (1, 2, 4), (0.4, 0.45, 0.15)), 10
+    )
+
+
+#: TOPO-AWARE-PM runs (the defrag pass scores every running job, the
+#: preempt pass every candidate victim) and a greedy baseline, which
+#: scores each placement it makes
+SCORE_TRACES = {
+    "pm": TRACES["pm"],
+    "contended": (lambda: cluster(10), "TOPO-AWARE-PM",
+                  lambda: _contended_trace(3, 80, 0.1)),
+    "mixed": (lambda: cluster(6, _mixed), "TOPO-AWARE-PM", _mixed_pm_jobs),
+    "fragmentation": (lambda: cluster(2), "TOPO-AWARE-PM", fragmentation_jobs),
+    "mixed-bf": (lambda: cluster(6, _mixed), "BF", _mixed_pm_jobs),
+}
+
+
+@pytest.fixture(scope="module")
+def score_oracle_runs():
+    return {
+        name: _run(name, _Unscored, SCORE_TRACES) for name in SCORE_TRACES
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SCORE_TRACES))
+def test_cached_scores_match_the_score_everything_oracle(name, score_oracle_runs):
+    fast, fast_journal, engine = _run(name, _Scored, SCORE_TRACES)
+    slow, slow_journal, oracle = score_oracle_runs[name]
+    assert _same(fast, fast_journal, slow, slow_journal)
+    assert engine.scores == oracle.scores
+    # not vacuous: scores repeated, and on the PM traces evictions
+    # recorded their economics (victim utility, penalty, gain)
+    assert engine.pool_stats.score_hits > 0
+    if SCORE_TRACES[name][1] == "TOPO-AWARE-PM":
+        assert any(record.get("evict") for record in fast_journal)
+
+
+@pytest.mark.parametrize("coarse", [_ScoreNoResidents, _ScoreNoBatch])
+def test_a_coarser_score_key_diverges_on_the_mixed_cluster(
+    coarse, score_oracle_runs
+):
+    slow, slow_journal, oracle = score_oracle_runs["mixed"]
+    fast, fast_journal, engine = _run("mixed", coarse, SCORE_TRACES)
+    assert (
+        not _same(fast, fast_journal, slow, slow_journal)
+        or engine.scores != oracle.scores
+    )
+
+
+def _direct(alloc, job, gpus, co):
+    """``score_allocation`` without the cache, on the same state."""
+    return _Unscored(alloc.topo, alloc).score_allocation(job, gpus, co)
+
+
+def test_a_spanning_allocation_is_scored_directly():
+    topo = cluster(3)
+    alloc = AllocationState(topo)
+    engine = PlacementEngine(topo, alloc)
+    co = {}
+    _place(alloc, co, "a", ["m0/gpu1"])
+    job = Job("q", ModelType.ALEXNET, 16, 2)
+    gpus = ("m0/gpu0", "m1/gpu0")
+    assert engine._score_key(job, ("m0", "m1"), gpus, co) is None
+    for _ in range(2):
+        assert engine.score_allocation(job, gpus, co) == _direct(alloc, job, gpus, co)
+    assert not engine._pool_solves and engine.pool_stats.score_hits == 0
+
+
+def test_a_machine_with_a_spanning_co_runner_is_scored_directly():
+    topo = cluster(3)
+    alloc = AllocationState(topo)
+    engine = PlacementEngine(topo, alloc)
+    co = {}
+    _place(alloc, co, "wide", ["m0/gpu0", "m1/gpu0"])
+    job = Job("q", ModelType.GOOGLENET, 16, 1)
+    for gpu in ("m0/gpu1", "m1/gpu1"):
+        machine = gpu.split("/")[0]
+        assert engine._score_key(job, (machine,), (gpu,), co) is None
+        assert engine.score_allocation(job, (gpu,), co) == _direct(
+            alloc, job, (gpu,), co
+        )
+    assert not engine._pool_solves
+    assert engine._score_key(job, ("m2",), ("m2/gpu1",), co) is not None
+
+
+def test_an_empty_view_on_an_occupied_machine_never_meets_a_full_view():
+    """Eq. 5 reads the allocation and Eq. 4 the view: ``{}`` on an
+    occupied machine scores as a direct evaluation with ``{}``, after a
+    full-view score of the same allocation was cached."""
+    topo = cluster(2)
+    alloc = AllocationState(topo)
+    engine = PlacementEngine(topo, alloc)
+    co = {}
+    _place(alloc, co, "a", ["m0/gpu1", "m0/gpu3"], batch=1)
+    _place(alloc, co, "b", ["m1/gpu1"], batch=1)
+    job = Job("q", ModelType.ALEXNET, 1, 2)
+    gpus = ("m0/gpu0", "m0/gpu2")
+    full = engine.score_allocation(job, gpus, co)
+    assert full.metrics.interference > 1.0
+    for view in ({}, {"b": co["b"]}):
+        empty = engine.score_allocation(job, gpus, view)
+        assert empty == _direct(alloc, job, gpus, view)
+        assert empty.metrics != full.metrics
+    # the view without "a" reads on m0 exactly what {} reads, so it
+    # replays that entry; the full view still replays its own
+    assert engine.score_allocation(job, gpus, co) == full
+    assert engine.pool_stats.score_hits == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cached_scores_equal_direct_scores_on_any_state(data):
+    """Scores through the cache equal direct scores whatever the
+    layout, the view (full, partial or empty) and the scored job —
+    including the scored job's own placement — across allocation
+    changes that revisit earlier states."""
+    builder = data.draw(st.sampled_from((power8_minsky, dgx1)))
+    topo = cluster(3, builder)
+    alloc = AllocationState(topo)
+    engine = PlacementEngine(topo, alloc)
+    co = {}
+    names = {m: topo.gpus(machine=m) for m in topo.machines()}
+    n_local = len(names["m0"])
+    for m in topo.machines():
+        layout = data.draw(_layout)
+        order = data.draw(st.permutations(range(n_local)))
+        used = 0
+        for k, (held, model, batch) in enumerate(layout):
+            if used + held >= n_local:
+                break
+            gpus = [names[m][i] for i in sorted(order[used: used + held])]
+            used += held
+            _place(alloc, co, f"{m}-{k}", gpus, model, batch)
+    ids = sorted(co)
+    for _ in range(12):
+        move = data.draw(st.sampled_from(("score", "score", "release")))
+        if move == "release" and ids:
+            job_id = data.draw(st.sampled_from(ids))
+            if job_id in alloc.jobs():
+                gpus = alloc.release(job_id)
+                if data.draw(st.booleans()):
+                    alloc.allocate(job_id, gpus)  # a probe's revert
+            continue
+        machine = data.draw(st.sampled_from(topo.machines()))
+        if ids and data.draw(st.booleans()):
+            # a running job on its own placement
+            job_id = data.draw(st.sampled_from(ids))
+            job, gpus = co[job_id]
+        else:
+            job = Job("q", data.draw(st.sampled_from(list(ModelType))),
+                      data.draw(st.sampled_from((1, 16, 128))), 1)
+            free = alloc.free_gpus(machine=machine) or names[machine]
+            gpus = data.draw(st.lists(st.sampled_from(free), min_size=1,
+                                      max_size=4, unique=True))
+        view = data.draw(st.sampled_from(("full", "partial", "empty")))
+        if view == "full":
+            seen = co
+        elif view == "partial":
+            seen = {i: co[i] for i in ids[::2]}
+        else:
+            seen = {}
+        for _ in range(2):
+            assert engine.score_allocation(job, tuple(gpus), seen) == _direct(
+                alloc, job, tuple(gpus), seen
+            )
+    assert engine.pool_stats.score_hits > 0

@@ -165,3 +165,47 @@ class TestEvaluateSolution:
         )
         assert noisy.utility < quiet.utility
         assert noisy.interference > 1.0
+
+    def test_eq3_is_computed_once_and_normalised_bit_for_bit(
+        self, small_cluster, monkeypatch
+    ):
+        """``evaluate_solution`` normalises the ``t`` it computed: one
+        pairwise distance sum per evaluation, and ``comm_norm`` equal
+        to :func:`normalized_comm_cost` bit for bit."""
+        from repro.topology.allocation import AllocationState
+        from repro.topology.graph import TopologyGraph
+
+        alloc = AllocationState(small_cluster)
+        calls = []
+        direct = TopologyGraph.pairwise_distance_sum
+
+        def counted(self, names):
+            calls.append(1)
+            return direct(self, names)
+
+        layouts = [
+            ["m0/gpu0"],
+            ["m0/gpu0", "m0/gpu1"],
+            ["m0/gpu0", "m0/gpu2"],
+            ["m0/gpu0", "m0/gpu1", "m0/gpu3"],
+            small_cluster.gpus(machine="m1"),
+            ["m0/gpu1", "m1/gpu2"],
+            ["m0/gpu0", "m1/gpu1", "m2/gpu3"],
+        ]
+        for gpus in layouts:
+            expected_t = communication_cost(small_cluster, gpus)
+            expected_norm = normalized_comm_cost(small_cluster, gpus)
+            monkeypatch.setattr(TopologyGraph, "pairwise_distance_sum", counted)
+            calls.clear()
+            metrics = evaluate_solution(
+                small_cluster, alloc, make_job(num_gpus=len(gpus)), gpus, {}
+            )
+            monkeypatch.undo()
+            assert len(calls) == 1, gpus
+            assert metrics.comm_cost == expected_t
+            assert metrics.comm_norm == expected_norm
+        # not vacuous: the layouts span the whole [0, 1] range
+        norms = {
+            normalized_comm_cost(small_cluster, gpus) for gpus in layouts
+        }
+        assert 0.0 in norms and 1.0 in norms and len(norms) > 3

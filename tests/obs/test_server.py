@@ -102,6 +102,38 @@ class TestHTTP:
             assert server.port > 0
             assert server.url == f"http://127.0.0.1:{server.port}"
 
+    def test_route_tables_are_built_once_per_server(self):
+        """The three route seams are read once, at start, however many
+        requests follow; subclass routes are served from that read."""
+        calls = []
+
+        class Counting(RecordingServer):
+            def get_routes(self):
+                calls.append("get")
+                routes = super().get_routes()
+                routes["/extra"] = lambda: json_response(200, {"extra": True})
+                return routes
+
+            def stream_routes(self):
+                calls.append("stream")
+                return super().stream_routes()
+
+            def post_routes(self):
+                calls.append("post")
+                return super().post_routes()
+
+        with Counting() as server:
+            for _ in range(3):
+                assert healthy(server)
+                assert json.loads(fetch(server.url + "/extra")[2]) == {"extra": True}
+                request = urllib.request.Request(
+                    server.url + "/submit", data=b'{"n": 1}', method="POST"
+                )
+                with urllib.request.urlopen(request, timeout=5) as resp:
+                    assert resp.status == 202
+            assert server.posted == [{"n": 1}] * 3
+        assert sorted(calls) == ["get", "post", "stream"]
+
 
 class RecordingServer(IntrospectionServer):
     """An introspection server with one POST verb that records what

@@ -127,6 +127,36 @@ class TestInterferenceModel:
         )
         assert 1.0 < eq4 < mine  # the big job suffers less than I do
 
+    def test_eq4_builds_the_neighbour_list_once(self, monkeypatch):
+        """One ``_nearby`` list serves both directions, and the terms
+        are summed in the same order as before: the scored job's own
+        slowdown, then each co-runner's in sorted id order."""
+        topo, alloc, model = self._setup()
+        gpus = frozenset(["m0/gpu0", "m0/gpu2"])
+        co = {}
+        for job_id, batch, held in (("b", 128, ["m0/gpu3"]), ("a", 1, ["m0/gpu1"])):
+            alloc.allocate(job_id, held)
+            co[job_id] = (make_job(job_id, batch_size=batch, num_gpus=1),
+                          frozenset(held))
+        job = make_job("j", batch_size=1)
+        co["j"] = (job, gpus)
+        terms = [model.slowdown_factor(job, gpus, co, alloc)] + [
+            1.0 + pairwise_slowdown(
+                co[i][0], job, alloc.link_sharing_factor(co[i][1], gpus)
+            )
+            for i in ("a", "b")
+        ]
+        calls = []
+        nearby = InterferenceModel._nearby
+
+        def counted(self, *args):
+            calls.append(1)
+            return nearby(self, *args)
+
+        monkeypatch.setattr(InterferenceModel, "_nearby", counted)
+        assert model.eq4_interference(job, gpus, co, alloc) == sum(terms) / 3
+        assert len(calls) == 1
+
     def test_collocation_pair_slowdown_asymmetry(self):
         topo, alloc, model = self._setup()
         a, b = alex(1, "a"), alex(128, "b")
