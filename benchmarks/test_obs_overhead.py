@@ -187,13 +187,17 @@ def test_server_and_watchdog_overhead_under_3pct(benchmark, write_result):
 def test_sampler_and_windowed_watchdog_overhead_under_3pct(
     benchmark, write_result
 ):
-    """Continuous telemetry, same decomposition: the sampler's work is
-    wall-clock throttled (one sample per ``min_interval_s`` at most),
-    the windowed watchdog adds a deque append + small-window aggregate
-    per rule per round.  Pin:
+    """Continuous telemetry, same decomposition: the time-series store
+    is sampled at each snapshot publish, which is wall-clock throttled
+    (one per ``min_publish_interval_s`` at most); the windowed watchdog
+    adds a deque append + small-window aggregate per rule per round.
+    Pin:
 
-        samples x per_sample_cost + rounds x windowed_round_cost
+        publishes x per_sample_cost
+            + rounds x (windowed_round_cost + snapshot_throttle_check)
             < 3 % of the bare wall time.
+
+    The snapshot rebuild itself is priced by the server pin above.
 
     Priced on the fleet-scale workload (Scenario 2, 24 machines — the
     same family of contended rounds the fast-path matrix uses) because that is
@@ -205,8 +209,9 @@ def test_sampler_and_windowed_watchdog_overhead_under_3pct(
     from repro.analysis.scenarios import scenario2_jobs
     from repro.obs import MetricsRegistry
     from repro.obs.alerts import DEFAULT_RULES, Rule, Watchdog
+    from repro.obs.state import SnapshotObserver, SnapshotPublisher
     from repro.obs.telemetry import TelemetryObserver
-    from repro.obs.timeseries import TimeSeriesSampler, TimeSeriesStore
+    from repro.obs.timeseries import TimeSeriesStore
     from repro.sim.runner import run_with_observers
 
     def bare():
@@ -231,30 +236,32 @@ def test_sampler_and_windowed_watchdog_overhead_under_3pct(
     watchdog = Watchdog(registry, windowed, scheduler="TOPO-AWARE-P")
     telemetry = TelemetryObserver(registry, scheduler="TOPO-AWARE-P")
     store = TimeSeriesStore()
-    sampler = TimeSeriesSampler(store)  # production 50 ms throttle
+    # production 50 ms throttle
+    snapshots = SnapshotObserver(SnapshotPublisher(), timeseries=store)
     t0 = time.perf_counter()
     run_with_observers(
         cluster(24), make_scheduler("TOPO-AWARE-P"),
         scenario2_jobs(120, 24, seed=11),
-        observers=(telemetry, watchdog, sampler),
+        observers=(telemetry, watchdog, snapshots),
     )
     instrumented_s = time.perf_counter() - t0
     samples = store.samples_taken
-    assert samples > 0, "sampler never fired"
+    assert samples > 0, "store never sampled"
 
     # per-call costs on the warmed, fully populated instances
     calls = 2_000
     windowed_round_s = _floor(
         lambda: watchdog.on_decision_round(0.0, [], 3, 0.001), calls
     )
-    sample_s = _floor(lambda: sampler.sample(0.0, 3), calls)
     throttle_s = _floor(
-        lambda: sampler.on_decision_round(0.0, [], 3, 0.001), calls
+        lambda: snapshots.on_decision_round(0.0, [], 3, 0.001), calls
     )
-    # like snapshot rebuilds: full samples are wall-clock bounded (one
-    # per 50 ms interval, +2 for the first and terminal samples); the
-    # cheap throttle check runs every round
-    max_samples = bare_s / sampler.min_interval_s + 2
+    bound = snapshots._sim.cluster
+    sample_s = _floor(lambda: store.sample(bound, 0.0, 3), calls)
+    # like snapshot rebuilds: samples are wall-clock bounded (one per
+    # 50 ms interval, +2 for the bind-time and terminal publishes);
+    # the cheap throttle check runs every round
+    max_samples = bare_s / snapshots.min_publish_interval_s + 2
 
     worst_case_s = (
         rounds * (windowed_round_s + throttle_s) + max_samples * sample_s
@@ -272,7 +279,7 @@ def test_sampler_and_windowed_watchdog_overhead_under_3pct(
                 f"decision rounds               {rounds:>9d}",
                 f"samples taken                 {samples:>9d}",
                 f"windowed watchdog per round   {windowed_round_s * 1e6:>9.1f} us",
-                f"sampler throttle per round    {throttle_s * 1e6:>9.1f} us",
+                f"snapshot throttle per round   {throttle_s * 1e6:>9.1f} us",
                 f"full sample cost              {sample_s * 1e6:>9.1f} us"
                 f"  (x{max_samples:.0f} wall-clock-throttled)",
                 f"worst-case overhead           {overhead_pct:>9.4f} %"

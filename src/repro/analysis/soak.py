@@ -3,7 +3,7 @@
 The ROADMAP's missing piece: Figs. 10–11 are time-series claims, so
 the service needs a harness that runs for *wall-clock* minutes under
 bursty load while the windowed SLO watchdog and the continuous-
-telemetry sampler watch — and that emits a machine-checkable verdict
+telemetry history watch — and that emits a machine-checkable verdict
 CI can gate on.
 
 :func:`run_soak` drives a daemon over its real HTTP API (either an
@@ -164,7 +164,7 @@ def run_soak(
     With ``url`` the harness drives an already-running daemon (start
     it with ``repro serve --watchdog`` so windows carry real SLO
     verdicts).  Without, it builds an in-process daemon — windowed
-    watchdog and time-series sampler attached — and drives it over the
+    watchdog and time-series history attached — and drives it over the
     same HTTP path, so both modes exercise identical plumbing.
     """
     from repro.service.driver import _Client

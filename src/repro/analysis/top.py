@@ -170,8 +170,8 @@ def render_dashboard(
 
     ``docs`` maps endpoint name (``state``, ``cluster``,
     ``timeseries``, ``alerts``) to its parsed JSON body; missing keys
-    degrade to sensible placeholders, so a daemon without a sampler or
-    watchdog still renders.
+    degrade to sensible placeholders, so a server without a
+    time-series store or watchdog still renders.
     """
     state = docs.get("state") or {}
     phase = "idle"

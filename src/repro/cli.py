@@ -384,6 +384,23 @@ def _topology_factory(args):
     return lambda: cluster(args.machines, base)
 
 
+class _SloRulesError(Exception):
+    """``--slo-rules`` names a missing or invalid file (exit code 2)."""
+
+
+def _slo_rules(args):
+    """The watchdog's rules: those of ``--slo-rules FILE``, else the
+    defaults."""
+    from repro.obs.alerts import DEFAULT_RULES, load_rules
+
+    if args.slo_rules is None:
+        return DEFAULT_RULES
+    try:
+        return load_rules(args.slo_rules)
+    except (OSError, ValueError) as exc:
+        raise _SloRulesError(exc) from None
+
+
 def _cmd_run(args) -> int:
     from repro.analysis.tables import format_timeline
     from repro.prototype.system import PrototypeSystem
@@ -413,9 +430,8 @@ class _TelemetrySinks:
     With no flags set it stays completely inert (no observers
     attached, tracing disabled, no sockets opened).
 
-    Raises :class:`ValueError` from the constructor when ``--slo-rules``
-    names a missing or invalid file (the commands turn that into a
-    one-line error and exit code 2).
+    Raises :class:`_SloRulesError` from the constructor when
+    ``--slo-rules`` names a missing or invalid file.
     """
 
     def __init__(self, args) -> None:
@@ -435,17 +451,7 @@ class _TelemetrySinks:
             or self.serve_port is not None
         )
         self.registry = MetricsRegistry()
-        self.rules = None
-        if self.watchdog_enabled:
-            from repro.obs.alerts import DEFAULT_RULES, load_rules
-
-            if args.slo_rules is not None:
-                try:
-                    self.rules = load_rules(args.slo_rules)
-                except (OSError, ValueError) as exc:
-                    raise ValueError(f"--slo-rules: {exc}") from None
-            else:
-                self.rules = DEFAULT_RULES
+        self.rules = _slo_rules(args) if self.watchdog_enabled else None
         self.publisher = None
         self.server = None
         if self.serve_port is not None:
@@ -586,11 +592,7 @@ def _cmd_simulate(args) -> int:
     jobs = _generate(args)
     gantt = GanttObserver(args.scheduler)
     utilization = UtilizationObserver(total_gpus=len(topo.gpus()))
-    try:
-        sinks = _TelemetrySinks(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sinks = _TelemetrySinks(args)
     telemetry = sinks.observers(args.scheduler)
     with sinks:
         result = run_with_observers(
@@ -622,11 +624,7 @@ def _cmd_compare(args) -> int:
 
     topo_factory = _topology_factory(args)
     jobs = _generate(args)
-    try:
-        sinks = _TelemetrySinks(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sinks = _TelemetrySinks(args)
     gantts: dict[str, GanttObserver] = {}
 
     def observer_factory(name: str):
@@ -832,18 +830,11 @@ def _cmd_serve(args) -> int:
 
     from repro.service import SchedulerService, ServiceServer
 
-    rules = None
-    if args.watchdog or args.slo_rules is not None:
-        from repro.obs.alerts import DEFAULT_RULES, load_rules
-
-        if args.slo_rules is not None:
-            try:
-                rules = load_rules(args.slo_rules)
-            except (OSError, ValueError) as exc:
-                print(f"error: --slo-rules: {exc}", file=sys.stderr)
-                return 2
-        else:
-            rules = DEFAULT_RULES
+    rules = (
+        _slo_rules(args)
+        if args.watchdog or args.slo_rules is not None
+        else None
+    )
     topo = _topology_factory(args)()
     service = SchedulerService(
         topo,
@@ -881,7 +872,7 @@ def _cmd_serve(args) -> int:
     finally:
         server.stop()
         service.stop()
-    if args.decisions_out is not None and service.decision_recorder is not None:
+    if args.decisions_out is not None:
         path = service.decision_recorder.write_journal(args.decisions_out)
         count = len(service.decision_recorder.journal or ())
         print(f"{count} records written to {path}")
@@ -931,15 +922,7 @@ def _cmd_soak(args) -> int:
     from repro.analysis.soak import format_soak, run_soak, write_soak
     from repro.service.driver import ReplayError
 
-    rules = None
-    if args.slo_rules is not None:
-        from repro.obs.alerts import load_rules
-
-        try:
-            rules = load_rules(args.slo_rules)
-        except (OSError, ValueError) as exc:
-            print(f"error: --slo-rules: {exc}", file=sys.stderr)
-            return 2
+    rules = _slo_rules(args) if args.slo_rules is not None else None
     try:
         result = run_soak(
             url=args.url,
@@ -1112,7 +1095,11 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
         "explain": _cmd_explain,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _SloRulesError as exc:
+        print(f"error: --slo-rules: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

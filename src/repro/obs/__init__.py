@@ -21,7 +21,8 @@ the evaluation used to recover post-hoc from ``JobRecord`` lists:
 * :mod:`repro.obs.telemetry` — :class:`TelemetryObserver`, the bridge
   from simulation hooks into the registry;
 * :mod:`repro.obs.state` — atomically-published immutable
-  :class:`RunSnapshot` of the live run;
+  :class:`RunSnapshot` of the live run, whose publishes also sample
+  the time-series store;
 * :mod:`repro.obs.server` — the ``--serve`` introspection endpoint
   (``/metrics``, ``/healthz``, ``/state``, ``/alerts``);
 * :mod:`repro.obs.profile` — Chrome Trace Event (Perfetto) export and
@@ -29,8 +30,8 @@ the evaluation used to recover post-hoc from ``JobRecord`` lists:
 * :mod:`repro.obs.alerts` — the declarative SLO watchdog (point-in-
   time and windowed rules with explicit NaN policies);
 * :mod:`repro.obs.timeseries` — the in-process tiered ring-buffer
-  time-series store and its sampling observer (cluster- and per-
-  machine series behind ``/timeseries`` and ``/cluster``);
+  time-series store (cluster- and per-machine series behind
+  ``/timeseries`` and ``/cluster``);
 * :mod:`repro.obs.io` — tiny shared IO helpers (gzip-transparent
   ``open_text``).
 
@@ -63,7 +64,6 @@ __all__ = [
     "TIMESERIES_SCHEMA_VERSION",
     "TelemetryObserver",
     "TieredSeries",
-    "TimeSeriesSampler",
     "TimeSeriesStore",
     "TraceProfile",
     "Watchdog",
@@ -119,7 +119,6 @@ __getattr__ = lazy_exports(__name__, {
         "validate_record",
     ),
     "repro.obs.timeseries": (
-        "TIMESERIES_SCHEMA_VERSION", "TieredSeries", "TimeSeriesSampler",
-        "TimeSeriesStore",
+        "TIMESERIES_SCHEMA_VERSION", "TieredSeries", "TimeSeriesStore",
     ),
 })

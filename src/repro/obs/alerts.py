@@ -368,7 +368,6 @@ class Watchdog(BaseObserver):
         self._starved_rounds = 0
         self._sim = None
         self._cluster = None
-        self._total_gpus = 0
         # the waiting histogram and the postponement counter move only
         # when a placement lands: both are re-read on the first round
         # after an on_place, and served from this cache otherwise
@@ -393,7 +392,6 @@ class Watchdog(BaseObserver):
         """Read the cluster signals off ``sim`` (``Simulator.start``)."""
         self._sim = sim
         self._cluster = sim.cluster
-        self._total_gpus = len(sim.topo.gpus())
         if not self.scheduler:
             self.scheduler = sim.scheduler.name
         self._published = self._publish()  # pick up the scheduler name
@@ -450,7 +448,7 @@ class Watchdog(BaseObserver):
                     out[name] = math.nan
             return out
         if "utilization" in names:
-            out["utilization"] = cluster.alloc.busy_count() / self._total_gpus
+            out["utilization"] = cluster.alloc.utilization()
         if "cache_hit_rate" in names:
             stats = cluster.engine.stats
             lookups = stats.hits + stats.misses

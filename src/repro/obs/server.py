@@ -25,7 +25,7 @@ extended by the ``repro serve`` daemon.  Endpoints:
 * ``GET /timeseries`` — the continuous-telemetry store
   (:mod:`repro.obs.timeseries`): every cluster and per-machine series
   across all three downsampling tiers, or ``{"enabled": false}``
-  without a sampler attached;
+  without a store attached;
 * ``GET /cluster`` — the latest per-machine heatmap values (GPU
   occupancy, Eq. 5 fragmentation, link-sharing load), the data the
   ``repro top`` dashboard renders.

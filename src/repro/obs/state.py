@@ -16,7 +16,10 @@ that builds snapshots.  ``Simulator.start`` binds it to the run
 (``bind_simulation``) so it can read queue depth, per-machine free
 GPUs, the allocation epoch and placement-cache counters directly from
 the live cluster, and it republishes at every decision-round boundary
-— the same cadence Algorithm 1 wakes the scheduler on.
+— the same cadence Algorithm 1 wakes the scheduler on.  Given a
+:class:`~repro.obs.timeseries.TimeSeriesStore`, each publish also
+samples it, so ``/timeseries`` and ``/cluster`` move with ``/state``:
+on one throttle, and (in the service daemon) only after a commit.
 """
 
 from __future__ import annotations
@@ -135,6 +138,11 @@ class SnapshotObserver(BaseObserver):
     noted, and ``release`` performs it: the service daemon holds each
     loop iteration so ``/state`` is rebuilt only after the iteration's
     journal commit, never from state the journal may yet lose.
+
+    ``timeseries`` is the store behind ``/timeseries`` and
+    ``/cluster``; every publish samples it at the snapshot's
+    simulation time (the makespan for the terminal one) and queue
+    depth.
     """
 
     def __init__(
@@ -145,6 +153,7 @@ class SnapshotObserver(BaseObserver):
         clock=time.time,
         min_publish_interval_s: float = 0.05,
         job_states_source=None,
+        timeseries=None,
     ) -> None:
         self.publisher = publisher if publisher is not None else SnapshotPublisher()
         self.scheduler = scheduler
@@ -155,6 +164,7 @@ class SnapshotObserver(BaseObserver):
         #: state machine's copy, so ``/state`` carries the full
         #: lifecycle view
         self.job_states_source = job_states_source
+        self.timeseries = timeseries
         self._last_publish = float("-inf")
         self._held = False
         self._due = False
@@ -218,24 +228,34 @@ class SnapshotObserver(BaseObserver):
 
     def _publish(self, **kwargs) -> None:
         self._last_publish = self.clock()
-        self.publisher.publish(self._build(**kwargs))
+        snapshot = self._build(**kwargs)
+        self.publisher.publish(snapshot)
+        if self.timeseries is not None:
+            t = snapshot.makespan if snapshot.finished else snapshot.sim_time
+            self.timeseries.sample(
+                self._sim.cluster, t, snapshot.queue_depth
+            )
 
     def hold(self) -> None:
         """Defer round-boundary republishes until :meth:`release`."""
         self._held = True
 
-    def release(self) -> None:
-        """Stop deferring; publish now if a republish came due."""
+    def release(self) -> bool:
+        """Stop deferring; publish now if a republish came due, and
+        return whether it did."""
         self._held = False
-        if self._due:
-            self._due = False
-            self._publish()
+        if not self._due:
+            return False
+        self._due = False
+        self._publish()
+        return True
 
     def publish_now(self) -> None:
         """Force an immediate republish, bypassing the throttle.
 
-        The service daemon calls this to settle ``/state`` once its
-        loop is idle (see :meth:`next_publish_in`)."""
+        The service daemon calls this to settle ``/state`` and
+        ``/timeseries`` once its loop is idle (see
+        :meth:`next_publish_in`)."""
         self._publish()
 
     def next_publish_in(self) -> float:

@@ -172,7 +172,6 @@ class TelemetryObserver(BaseObserver):
     def bind_simulation(self, sim) -> None:
         """Read the gauges and engine counters off ``sim.cluster``."""
         self._cluster = sim.cluster
-        self._total_gpus = len(sim.topo.gpus())
         if not self.scheduler:
             self.scheduler = sim.scheduler.name
         #: (busy GPUs, running jobs) the gauges were last set to
@@ -183,13 +182,14 @@ class TelemetryObserver(BaseObserver):
 
     def _gpu_gauges(self) -> None:
         cluster = self._cluster
-        busy, running = now = (cluster.alloc.busy_count(), len(cluster.running))
+        alloc = cluster.alloc
+        busy, running = now = (alloc.busy_count(), len(cluster.running))
         if now != self._gauged:  # else the gauges already hold these
             self._gauged = now
             sched = self.scheduler
             self._gpus_busy.set(busy, scheduler=sched)
             self._running_jobs.set(running, scheduler=sched)
-            self._utilization.set(busy / self._total_gpus, scheduler=sched)
+            self._utilization.set(alloc.utilization(), scheduler=sched)
 
     def _fold_engine(self, *, every: bool = False) -> None:
         """Add what the engine's memo and prefilter counted since the

@@ -5,9 +5,11 @@ the cluster doing *now*"; this module answers "how did it get there".
 A :class:`TimeSeriesStore` holds one :class:`TieredSeries` per signal —
 cluster-wide scalars (queue depth, running jobs, busy GPUs,
 utilization, Eq. 5 fragmentation) plus three **per-machine** series
-(GPU occupancy, fragmentation score, link-sharing load) — and the
-:class:`TimeSeriesSampler` observer feeds them at decision-round
-cadence from inside the sim/loop thread.
+(GPU occupancy, fragmentation score, link-sharing load).  Its
+:meth:`TimeSeriesStore.sample` sweep is taken by the
+:class:`~repro.obs.state.SnapshotObserver` at every ``/state``
+publish, so history moves on the same throttle and behind the same
+commit gate as the snapshot.
 
 Tiered downsampling keeps a multi-hour soak in bounded memory.  Each
 series is three rings:
@@ -18,27 +20,23 @@ series is three rings:
 * **coarse** — every ``fanout`` mid points collapse again (100x).
 
 Retention math with the defaults (capacity 512, fanout 10): the coarse
-tier alone spans ``512 * 100 = 51_200`` samples — at the sampler's
-50 ms wall-clock floor that is over 40 minutes of full-rate history
-and *hours* at any realistic round rate, in ``3 * 512`` tuples per
-series, forever.  Memory never grows with run length.
+tier alone spans ``512 * 100 = 51_200`` samples — at the snapshot
+throttle's 50 ms wall-clock floor that is over 40 minutes of full-rate
+history and *hours* at any realistic round rate, in ``3 * 512`` tuples
+per series, forever.  Memory never grows with run length.
 
 Thread model (the provenance-ring idiom): the sim/loop thread is the
 only writer; ``deque.append`` with a ``maxlen`` is atomic under the
 GIL, and HTTP reader threads snapshot with ``list(deque)`` — no locks,
-no reader ever perturbs the simulation.  The sampler is a pure tap:
-its throttle consults only observer-side wall clock, never simulation
-state, so results stay bit-identical with it attached (pinned by the
-fast-path A/B equivalence test) and its per-sample cost is pinned
-< 3 % by ``benchmarks/test_obs_overhead.py``.
+no reader ever perturbs the simulation.  Sampling only reads the
+cluster, so results stay bit-identical with it attached (pinned by the
+fast-path A/B equivalence test) and its cost is pinned < 3 % by
+``benchmarks/test_obs_overhead.py``.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
-
-from repro.sim.hooks import BaseObserver
 
 #: document version served under ``/timeseries`` and ``/cluster``
 TIMESERIES_SCHEMA_VERSION = 1
@@ -46,10 +44,10 @@ TIMESERIES_SCHEMA_VERSION = 1
 #: tier names, finest first (also the serving order)
 TIERS = ("raw", "mid", "coarse")
 
-#: per-machine series names the sampler maintains
+#: per-machine series names :meth:`TimeSeriesStore.sample` maintains
 MACHINE_SERIES = ("occupancy", "fragmentation", "link_load")
 
-#: cluster-wide series names the sampler maintains
+#: cluster-wide series names :meth:`TimeSeriesStore.sample` maintains
 CLUSTER_SERIES = (
     "queue_depth",
     "running_jobs",
@@ -142,6 +140,9 @@ class TimeSeriesStore:
         self.fanout = fanout
         self.samples_taken = 0
         self._series: dict[tuple[str, str], TieredSeries] = {}
+        #: per machine ``(name, GPU count, occupancy, fragmentation,
+        #: link_load series)``, made by the first :meth:`sample`
+        self._rows: tuple = ()
 
     # ------------------------------------------------------------------
     # write side (sampling thread only)
@@ -157,6 +158,62 @@ class TimeSeriesStore:
     def record(self, t: float, name: str, value: float,
                machine: str = "") -> None:
         self.series(name, machine).append(t, value)
+
+    @staticmethod
+    def _link_load(alloc, machine: str) -> float:
+        """Link-sharing load: mean excess multiplicity of bus links.
+
+        For the jobs holding GPUs on ``machine``, charge each job's bus
+        footprint (:meth:`AllocationState.links_used`, LRU-cached) to
+        its links and report ``total_claims / distinct_links - 1`` —
+        0 when no link is shared, rising as co-located jobs pile onto
+        the same buses (the contention channel Eq. 2's penalty models).
+        """
+        jobs = alloc.jobs_on_machine(machine)
+        if len(jobs) < 2:
+            return 0.0
+        claims = 0
+        distinct: set = set()
+        for job_id in jobs:
+            links = alloc.links_used(alloc.gpus_of(job_id))
+            claims += len(links)
+            distinct.update(links)
+        if not distinct:
+            return 0.0
+        return claims / len(distinct) - 1.0
+
+    def sample(self, cluster, t: float, queued: int) -> None:
+        """Append one point to every series from ``cluster`` (a
+        :class:`~repro.sim.cluster.ClusterState`) at simulation time
+        ``t``; a store samples the one cluster of its run."""
+        alloc = cluster.alloc
+        self.record(t, "queue_depth", float(queued))
+        self.record(t, "running_jobs", float(len(cluster.running)))
+        self.record(t, "gpus_busy", float(alloc.busy_count()))
+        self.record(t, "utilization", alloc.utilization())
+        fractions = alloc.socket_free_fractions()
+        self.record(t, "fragmentation", alloc.fragmentation(None, fractions))
+        rows = self._rows
+        if not rows:
+            topo = cluster.topo
+            rows = self._rows = tuple(
+                (
+                    machine,
+                    len(topo.gpus(machine=machine)),
+                    self.series("occupancy", machine),
+                    self.series("fragmentation", machine),
+                    self.series("link_load", machine),
+                )
+                for machine in sorted(topo.machines())
+            )
+        for machine, m_total, occupancy, fragmentation, link_load in rows:
+            free = alloc.free_count(machine)
+            occupancy.append(
+                t, (m_total - free) / m_total if m_total else 0.0
+            )
+            fragmentation.append(t, alloc.fragmentation(machine, fractions))
+            link_load.append(t, self._link_load(alloc, machine))
+        self.samples_taken += 1
 
     # ------------------------------------------------------------------
     # read side (any thread)
@@ -208,153 +265,11 @@ class TimeSeriesStore:
         }
 
 
-class TimeSeriesSampler(BaseObserver):
-    """Feed the store from the decision-round stream.  A pure tap.
-
-    Samples at round cadence, throttled two ways: ``every_rounds``
-    skips rounds outright (deterministic, for dense scenarios) and
-    ``min_interval_s`` rate-limits on *observer-side* wall clock (so a
-    storm of sub-millisecond rounds cannot make sampling the hot path).
-    Neither consults simulation state, preserving bit-identity.  Sample
-    timestamps are **simulation** time, so recorded series are
-    reproducible run-to-run when the wall throttle is disabled.
-
-    ``machine_series=False`` drops the per-machine sweep (the O(1)
-    cluster scalars remain) for fleets so large that even throttled
-    per-machine sampling would matter.
-    """
-
-    def __init__(
-        self,
-        store: TimeSeriesStore | None = None,
-        *,
-        every_rounds: int = 1,
-        min_interval_s: float = 0.05,
-        machine_series: bool = True,
-        clock=time.monotonic,
-    ) -> None:
-        if every_rounds < 1:
-            raise ValueError("every_rounds must be >= 1")
-        self.store = store if store is not None else TimeSeriesStore()
-        self.every_rounds = every_rounds
-        self.min_interval_s = min_interval_s
-        self.machine_series = machine_series
-        self.clock = clock
-        self._rounds = 0
-        self._last_sample = float("-inf")
-        self._cluster = None
-        self._machines: tuple[str, ...] = ()
-        self._machine_gpus: dict[str, int] = {}
-        #: per machine ``(name, GPU count, occupancy, fragmentation,
-        #: link_load series)``, made by the first per-machine sweep
-        self._rows: tuple = ()
-        self._total_gpus = 0
-
-    # ------------------------------------------------------------------
-    def bind_simulation(self, sim) -> None:
-        """Read the cluster signals off ``sim`` (``Simulator.start``)."""
-        self._cluster = sim.cluster
-        topo = sim.topo
-        self._machines = tuple(sorted(topo.machines()))
-        self._machine_gpus = {
-            m: len(topo.gpus(machine=m)) for m in self._machines
-        }
-        self._total_gpus = len(topo.gpus())
-        self._rows = ()
-
-    # ------------------------------------------------------------------
-    def _link_load(self, alloc, machine: str) -> float:
-        """Link-sharing load: mean excess multiplicity of bus links.
-
-        For the jobs holding GPUs on ``machine``, charge each job's bus
-        footprint (:meth:`AllocationState.links_used`, LRU-cached) to
-        its links and report ``total_claims / distinct_links - 1`` —
-        0 when no link is shared, rising as co-located jobs pile onto
-        the same buses (the contention channel Eq. 2's penalty models).
-        """
-        jobs = alloc.jobs_on_machine(machine)
-        if len(jobs) < 2:
-            return 0.0
-        claims = 0
-        distinct: set = set()
-        for job_id in jobs:
-            links = alloc.links_used(alloc.gpus_of(job_id))
-            claims += len(links)
-            distinct.update(links)
-        if not distinct:
-            return 0.0
-        return claims / len(distinct) - 1.0
-
-    def sample(self, t: float, queued: int) -> None:
-        """Take one sample now (bypasses both throttles)."""
-        cluster = self._cluster
-        store = self.store
-        alloc = cluster.alloc
-        busy = alloc.busy_count()
-        total = self._total_gpus
-        store.record(t, "queue_depth", float(queued))
-        store.record(t, "running_jobs", float(len(cluster.running)))
-        store.record(t, "gpus_busy", float(busy))
-        store.record(t, "utilization", busy / total if total else 0.0)
-        fractions = alloc.socket_free_fractions()
-        store.record(t, "fragmentation", alloc.fragmentation(None, fractions))
-        if self.machine_series:
-            rows = self._rows
-            if not rows:
-                rows = self._rows = tuple(
-                    (
-                        machine,
-                        self._machine_gpus[machine],
-                        store.series("occupancy", machine),
-                        store.series("fragmentation", machine),
-                        store.series("link_load", machine),
-                    )
-                    for machine in self._machines
-                )
-            for machine, m_total, occupancy, fragmentation, link_load in rows:
-                free = alloc.free_count(machine)
-                occupancy.append(
-                    t, (m_total - free) / m_total if m_total else 0.0
-                )
-                fragmentation.append(
-                    t, alloc.fragmentation(machine, fractions)
-                )
-                link_load.append(t, self._link_load(alloc, machine))
-        store.samples_taken += 1
-
-    # ------------------------------------------------------------------
-    # SimObserver hooks
-    # ------------------------------------------------------------------
-    def on_decision_round(self, t, placed, queued, elapsed_s):
-        self._rounds += 1
-        if self._rounds % self.every_rounds:
-            return
-        now = self.clock()
-        if now - self._last_sample < self.min_interval_s:
-            return
-        self._last_sample = now
-        self.sample(t, queued)
-
-    def finalize_result(self, result) -> None:
-        """Runner wiring: always capture the terminal state, so even a
-        run shorter than one throttle window has history."""
-        if self._cluster is not None:
-            queue_series = self.store.get("queue_depth")
-            latest = queue_series.latest if queue_series is not None else None
-            # the queue is empty at a normal end of run; preserve the
-            # last observed depth only if the clock has not advanced
-            queued = 0
-            if latest is not None and latest[0] >= result.makespan:
-                queued = int(latest[1])
-            self.sample(result.makespan, queued)
-
-
 __all__ = [
     "CLUSTER_SERIES",
     "MACHINE_SERIES",
     "TIERS",
     "TIMESERIES_SCHEMA_VERSION",
     "TieredSeries",
-    "TimeSeriesSampler",
     "TimeSeriesStore",
 ]

@@ -22,9 +22,9 @@ applies cancels and evictions, steps the engine (journaling every
 lifecycle hop the step makes, through the
 :class:`~repro.service.statemachine.LifecycleTable`), and issues one
 ``COMMIT``.  Only then are the iteration's lifecycle moves, decision
-records and ``/state`` snapshot published and its submitters answered
-``202`` — so "accepted" means durable and no reader ever sees a state
-the journal lacks.  Submissions that arrive while an iteration runs
+records, ``/state`` snapshot and ``/timeseries`` sample published and
+its submitters answered ``202`` — so "accepted" means durable and no
+reader ever sees a state the journal lacks.  Submissions that arrive while an iteration runs
 join the next one (group commit).  Two failures are defined:
 
 * a submission row fails before the engine has seen the group: the
@@ -64,7 +64,7 @@ from repro.obs.provenance import DecisionRecorder
 from repro.obs.server import IntrospectionServer, Response, json_response
 from repro.obs.state import SnapshotObserver, SnapshotPublisher
 from repro.obs.telemetry import ServiceTelemetry, TelemetryObserver
-from repro.obs.timeseries import TimeSeriesSampler, TimeSeriesStore
+from repro.obs.timeseries import TimeSeriesStore
 from repro.schedulers import make_scheduler
 from repro.schedulers.base import Scheduler
 from repro.service.queue import AdmissionDecision, QueueManager
@@ -80,9 +80,6 @@ from repro.workload.manifest import ManifestError, job_from_dict
 #: bounds the latency between a burst and the first decision round
 #: without letting a flood starve the event loop.
 _APPLY_BATCH = 1024
-
-#: wall-clock throttle for the per-state and depth gauge refresh
-_GAUGE_INTERVAL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -170,11 +167,8 @@ class SchedulerService:
         max_queue_depth: int = 100_000,
         registry: MetricsRegistry | None = None,
         extra_observers: tuple = (),
-        decision_ring: int = 4096,
         decision_journal: bool = False,
         watchdog_rules=None,
-        timeseries_capacity: int = 512,
-        sample_interval_s: float = 0.05,
     ) -> None:
         if isinstance(scheduler, str):
             scheduler = make_scheduler(scheduler)
@@ -191,29 +185,26 @@ class SchedulerService:
             journal=self._journal_hook, on_terminal=self.queue.retire
         )
         self.publisher = SnapshotPublisher()
+        #: the continuous-telemetry history behind /timeseries and
+        #: /cluster, sampled at each /state publish
+        self.timeseries = TimeSeriesStore()
         self._snapshots = SnapshotObserver(
             self.publisher,
             scheduler=scheduler.name,
             job_states_source=self.lifecycle.states,
+            timeseries=self.timeseries,
         )
         sim_telemetry = TelemetryObserver(
             self.registry, scheduler=scheduler.name
         )
         # the decision flight recorder backs /decisions, /explain/<id>
         # and the /events SSE stream; ring-bounded so a long-running
-        # daemon's memory stays flat (decision_ring=0 disables it)
-        self.decision_recorder = (
-            DecisionRecorder(
-                ring_size=decision_ring,
-                journal=decision_journal,
-                registry=self.registry,
-                scheduler=scheduler.name,
-            )
-            if decision_ring > 0
-            else None
-        )
-        provenance_taps = (
-            (self.decision_recorder,) if self.decision_recorder else ()
+        # daemon's memory stays flat
+        self.decision_recorder = DecisionRecorder(
+            ring_size=4096,
+            journal=decision_journal,
+            registry=self.registry,
+            scheduler=scheduler.name,
         )
         # the SLO watchdog reads the telemetry observer's counters and
         # the bound cluster; windowed rules let a soak run page on
@@ -228,22 +219,6 @@ class SchedulerService:
             else None
         )
         watchdog_taps = (self.watchdog,) if self.watchdog else ()
-        # the continuous-telemetry sampler behind /timeseries and
-        # /cluster; capacity 0 disables it (and the endpoints degrade
-        # to {"enabled": false})
-        self.timeseries = (
-            TimeSeriesStore(capacity=timeseries_capacity)
-            if timeseries_capacity > 0
-            else None
-        )
-        self.sampler = (
-            TimeSeriesSampler(
-                self.timeseries, min_interval_s=sample_interval_s
-            )
-            if self.timeseries is not None
-            else None
-        )
-        sampler_taps = (self.sampler,) if self.sampler is not None else ()
         self.sim = Simulator(
             topo,
             scheduler,
@@ -253,8 +228,7 @@ class SchedulerService:
                 sim_telemetry,
                 *watchdog_taps,
                 self._snapshots,
-                *sampler_taps,
-                *provenance_taps,
+                self.decision_recorder,
                 *extra_observers,
             ],
         )
@@ -274,7 +248,6 @@ class SchedulerService:
         #: the fail-stop reason, once a journal failure stopped the loop
         self.failure: str | None = None
         self._thread: threading.Thread | None = None
-        self._gauge_stamp = float("-inf")
         self._recovered = self._recover()
         if self._recovered:
             # the loop has restored work to chew through: drain() must
@@ -545,7 +518,7 @@ class SchedulerService:
                             continue
                         self._idle = True
                         self._snapshots.publish_now()
-                        self._refresh_gauges(force=True)
+                        self._refresh_gauges()
                         self._cv.notify_all()
                     self._cv.wait(0.2)
                 if self._stop:
@@ -594,8 +567,7 @@ class SchedulerService:
             self._refuse(group, exc)
             return True
         recorder = self.decision_recorder
-        if recorder is not None:
-            recorder.hold()
+        recorder.hold()
         self._snapshots.hold()
         with self._commit_lock:
             try:
@@ -618,10 +590,9 @@ class SchedulerService:
             lifecycle.publish()
         for _, pending in group:
             pending.done.set()
-        if recorder is not None:
-            recorder.publish()
-        self._snapshots.release()
-        self._refresh_gauges()
+        recorder.publish()
+        if self._snapshots.release():
+            self._refresh_gauges()
         return True
 
     def _feed(self, entries) -> None:
@@ -720,15 +691,14 @@ class SchedulerService:
             self.sim.cancel_job(job_id)  # withdraw from the engine
             self.lifecycle.advance(job_id, JobState.FAILED)
 
-    def _refresh_gauges(self, force: bool = False) -> None:
-        now = time.monotonic()
-        if force or now - self._gauge_stamp >= _GAUGE_INTERVAL_S:
-            self._gauge_stamp = now
-            self.telemetry.set_jobs_by_state(self.lifecycle.counts())
-            self.telemetry.set_queue_depth(self.queue.depth)
-            # unpopped inbox entries: admission backpressure distinct
-            # from the admitted-minus-retired backlog above
-            self.telemetry.set_inbox_depth(len(self.queue))
+    def _refresh_gauges(self) -> None:
+        """Set the per-state and depth gauges; runs with each snapshot
+        publish, so they share its throttle."""
+        self.telemetry.set_jobs_by_state(self.lifecycle.counts())
+        self.telemetry.set_queue_depth(self.queue.depth)
+        # unpopped inbox entries: admission backpressure distinct
+        # from the admitted-minus-retired backlog above
+        self.telemetry.set_inbox_depth(len(self.queue))
 
 
 def _record_to_dict(record: JobRecord) -> dict:
@@ -764,9 +734,9 @@ class ServiceServer(IntrospectionServer):
     Inherits ``GET /metrics`` (simulation + service families on one
     registry), ``/healthz`` (503 with the reason once the service has
     fail-stopped), ``/state`` (now carrying the job-state
-    table), ``/alerts``, and — when the service keeps a decision
-    recorder — ``/decisions``, ``/explain/<id>`` and the ``/events``
-    SSE stream; adds:
+    table), ``/alerts``, ``/timeseries``, ``/cluster``,
+    ``/decisions``, ``/explain/<id>`` and the ``/events`` SSE stream;
+    adds:
 
     * ``POST /submit`` — manifest-format job object (+ optional
       ``priority``); 202 once admitted *and committed*, 4xx with a

@@ -355,7 +355,7 @@ class AllocationState:
 
         ``fractions`` (optional) is a :meth:`socket_free_fractions`
         snapshot of the current allocation, so a sweep over every
-        machine and then the cluster (the time-series sampler) counts
+        machine and then the cluster (the time-series sample) counts
         each socket once instead of once per call.
         """
         sockets = self.topo.sockets(machine=machine)

@@ -331,7 +331,7 @@ class TopologyGraph:
         """Socket node names, sorted.  Cached like :meth:`gpus`: a
         per-machine miss groups the global sorted list in one pass and
         fills every machine's entry, so sweeps that ask machine by
-        machine (the time-series sampler, Eq. 5 scoring) never rescan
+        machine (the time-series sample, Eq. 5 scoring) never rescan
         the node table per component.  Grouping a sorted list keeps
         each machine's sockets sorted."""
         cached = self._caches.socket_lists.get(machine)

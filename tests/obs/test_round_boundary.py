@@ -108,14 +108,14 @@ class Surfaces:
         assert self.gauge("repro_gpus_busy") == shadow.busy
         assert self.gauge("repro_running_jobs") == shadow.running
         assert self.gauge("repro_gpu_utilization") == (
-            shadow.busy / self.watchdog._total_gpus
+            shadow.busy / self.publisher.snapshot.total_gpus
         )
 
     def check_round(self, queued: int) -> None:
         shadow = self.shadow
         signals = self.watchdog.signals(queued)
         assert signals["utilization"] == (
-            shadow.busy / self.watchdog._total_gpus
+            shadow.busy / self.publisher.snapshot.total_gpus
         )
         assert signals["running_jobs"] == shadow.running
         assert signals["postponements_total"] == shadow.postponements

@@ -1,5 +1,5 @@
-"""Tiered time-series store: downsampling boundaries, sampler tap,
-endpoint documents."""
+"""Tiered time-series store: downsampling boundaries, sampling through
+the snapshot observer, endpoint documents."""
 
 import json
 import urllib.request
@@ -9,16 +9,16 @@ import pytest
 from repro.analysis.scenarios import scenario1_jobs
 from repro.obs import MetricsRegistry
 from repro.obs.server import IntrospectionServer
-from repro.obs.state import SnapshotPublisher
+from repro.obs.state import SnapshotObserver, SnapshotPublisher
 from repro.obs.timeseries import (
     CLUSTER_SERIES,
     MACHINE_SERIES,
     TIMESERIES_SCHEMA_VERSION,
     TieredSeries,
-    TimeSeriesSampler,
     TimeSeriesStore,
 )
 from repro.schedulers import make_scheduler
+from repro.sim.engine import Simulator
 from repro.sim.runner import run_with_observers
 from repro.topology.builders import cluster
 
@@ -125,17 +125,24 @@ class TestTimeSeriesStore:
 
 
 class TestTimeSeriesSampler:
-    def run(self, sampler, n_jobs=30, machines=3, scheduler="TOPO-AWARE"):
+    """Time-series sampling: the snapshot observer samples its store
+    at every publish."""
+
+    def run(self, store, n_jobs=30, machines=3, scheduler="TOPO-AWARE",
+            **kwargs):
+        observer = SnapshotObserver(
+            SnapshotPublisher(), timeseries=store, **kwargs
+        )
         return run_with_observers(
             cluster(machines),
             make_scheduler(scheduler),
             scenario1_jobs(n_jobs, seed=42),
-            observers=(sampler,),
+            observers=(observer,),
         )
 
     def test_records_cluster_and_machine_series(self):
         store = TimeSeriesStore()
-        result = self.run(TimeSeriesSampler(store, min_interval_s=0.0))
+        result = self.run(store, min_publish_interval_s=0.0)
         assert store.samples_taken > 1
         for name in CLUSTER_SERIES:
             series = store.get(name)
@@ -154,42 +161,41 @@ class TestTimeSeriesSampler:
     def test_timestamps_are_simulation_time_and_deterministic(self):
         first = TimeSeriesStore()
         second = TimeSeriesStore()
-        self.run(TimeSeriesSampler(first, min_interval_s=0.0))
-        self.run(TimeSeriesSampler(second, min_interval_s=0.0))
+        self.run(first, min_publish_interval_s=0.0)
+        self.run(second, min_publish_interval_s=0.0)
         assert first.document() == second.document()
-
-    def test_every_rounds_skips_deterministically(self):
-        dense = TimeSeriesStore()
-        sparse = TimeSeriesStore()
-        every = TimeSeriesSampler(dense, min_interval_s=0.0)
-        halved = TimeSeriesSampler(sparse, every_rounds=2, min_interval_s=0.0)
-        run_with_observers(
-            cluster(3),
-            make_scheduler("TOPO-AWARE"),
-            scenario1_jobs(30, seed=42),
-            observers=(every, halved),
-        )
-        assert 0 < sparse.samples_taken < dense.samples_taken
 
     def test_wall_clock_throttle_consults_only_observer_clock(self):
         store = TimeSeriesStore()
         frozen = lambda: 100.0  # noqa: E731 - tiny fixed clock
-        self.run(TimeSeriesSampler(store, min_interval_s=0.05, clock=frozen))
-        # first round samples (gap from -inf), every later round sits
-        # inside the frozen 50 ms window; the terminal sample bypasses
-        # the throttle -> exactly two samples
+        self.run(store, min_publish_interval_s=0.05, clock=frozen)
+        # the bind-time publish samples, every round sits inside the
+        # frozen 50 ms window; the terminal publish bypasses the
+        # throttle -> exactly two samples
         assert store.samples_taken == 2
 
-    def test_rejects_bad_every_rounds(self):
-        with pytest.raises(ValueError, match="every_rounds"):
-            TimeSeriesSampler(every_rounds=0)
-
-    def test_machine_series_opt_out(self):
+    def test_samples_follow_the_commit_gate(self):
         store = TimeSeriesStore()
-        self.run(TimeSeriesSampler(store, min_interval_s=0.0,
-                                   machine_series=False))
-        assert store.machines() == []
-        assert store.get("queue_depth") is not None
+        observer = SnapshotObserver(
+            SnapshotPublisher(), clock=lambda: 0.0,
+            min_publish_interval_s=0.0, timeseries=store,
+        )
+        sim = Simulator(
+            cluster(2), make_scheduler("TOPO-AWARE"),
+            scenario1_jobs(10, seed=42), observers=[observer],
+        ).start()
+        assert store.samples_taken == 1  # the bind-time publish
+        observer.hold()
+        while sim.step():
+            pass
+        assert store.samples_taken == 1  # nothing sampled while held
+        assert observer.release() is True
+        assert store.samples_taken == 2
+        assert store.get("gpus_busy").latest == (
+            sim.cluster.now, float(sim.cluster.alloc.busy_count())
+        )
+        assert observer.release() is False  # nothing came due since
+        assert store.samples_taken == 2
 
 
 class TestEndpoints:
@@ -200,12 +206,15 @@ class TestEndpoints:
 
     def test_timeseries_and_cluster_served(self):
         store = TimeSeriesStore()
-        sampler = TimeSeriesSampler(store, min_interval_s=0.0)
+        observer = SnapshotObserver(
+            SnapshotPublisher(), min_publish_interval_s=0.0,
+            timeseries=store,
+        )
         run_with_observers(
             cluster(2),
             make_scheduler("TOPO-AWARE"),
             scenario1_jobs(10, seed=42),
-            observers=(sampler,),
+            observers=(observer,),
         )
         server = IntrospectionServer(
             SnapshotPublisher(), MetricsRegistry(), timeseries=store

@@ -247,6 +247,37 @@ class TestFailStop:
             assert "lost" not in svc.lifecycle
             self._check_nothing_ahead(svc, path, ["kept"])
 
+    def test_failed_commit_publishes_no_history(self, tmp_path):
+        """``/timeseries`` and ``/cluster`` stay at the last commit,
+        like ``/state``: the lost job's GPUs are in no reader's view."""
+        svc = SchedulerService(
+            cluster(4), "TOPO-AWARE", store_path=str(tmp_path / "svc.db")
+        )
+        with svc, ServiceServer(svc) as server:
+            assert svc.submit(submit_doc("kept")).decision.admitted
+            assert svc.drain()
+            # open the throttle window, so the lost job's round would
+            # publish at once were it not held for the commit
+            time.sleep(max(svc._snapshots.next_publish_in(), 0.0))
+            svc.store._db = FailingCommit(svc.store._db)
+            with pytest.raises(JournalError):
+                svc.submit(submit_doc("lost"))
+            assert svc.sim.cluster.alloc.busy_count() == 2  # engine moved
+            _, state = http("GET", f"{server.url}/state")
+            _, history = http("GET", f"{server.url}/timeseries")
+            _, heat = http("GET", f"{server.url}/cluster")
+        assert state["gpus_busy"] == 0
+        newest = history["cluster"]["gpus_busy"]["raw"][-1]
+        assert newest[1] == state["gpus_busy"]
+        topo = svc.sim.topo
+        assert {
+            machine: round(doc["occupancy"] * len(topo.gpus(machine=machine)))
+            for machine, doc in heat["machines"].items()
+        } == {
+            machine: len(topo.gpus(machine=machine)) - free
+            for machine, free in state["free_gpus_by_machine"].items()
+        }
+
     def test_serve_exits_nonzero(self, tmp_path):
         """``repro serve`` recovers a journaled job, its first hop write
         fails, and the daemon exits 1 with the reason on stderr."""

@@ -128,8 +128,8 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
     """The whole observability stack is a tap: running with the
     introspection server live (SSE stream included), spans recorded
     into the decision recorder's journal, telemetry + watchdog
-    (windowed rules included) + snapshot + time-series sampler +
-    decision-provenance observers attached, and
+    (windowed rules included) + snapshot (sampling the time-series
+    store) + decision-provenance observers attached, and
     a dashboard client polling ``/timeseries``/``/cluster``/``/state``
     over HTTP for the whole run, must reproduce the bare run's records
     bit-for-bit."""
@@ -146,7 +146,7 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
     from repro.obs.server import IntrospectionServer
     from repro.obs.state import SnapshotObserver, SnapshotPublisher
     from repro.obs.telemetry import TelemetryObserver
-    from repro.obs.timeseries import TimeSeriesSampler, TimeSeriesStore
+    from repro.obs.timeseries import TimeSeriesStore
     from repro.obs.trace import recording
     from repro.sim.runner import run_with_observers
 
@@ -168,12 +168,14 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
         journal=True, registry=registry, scheduler=scheduler_name
     )
     store = TimeSeriesStore()
-    sampler = TimeSeriesSampler(store, min_interval_s=0.0)
+    # every round publishes, so every round also samples the store
+    snapshots = SnapshotObserver(
+        publisher, min_publish_interval_s=0.0, timeseries=store
+    )
     observers = (
         TelemetryObserver(registry, scheduler=scheduler_name),
         watchdog,
-        SnapshotObserver(publisher),
-        sampler,
+        snapshots,
         recorder,
     )
     with IntrospectionServer(
@@ -217,7 +219,7 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
     assert registry.get("repro_jobs_finished_total").value(
         scheduler=scheduler_name
     ) == len(jobs)
-    # the sampler filled per-machine history and the dashboard client
+    # the snapshot publishes filled per-machine history and the dashboard client
     # rendered live frames from the wire documents
     assert store.samples_taken > 0
     assert store.machines() and len(store.machines()) == 3

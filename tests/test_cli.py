@@ -426,6 +426,21 @@ class TestObservabilityCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: --slo-rules:")
 
+    @pytest.mark.parametrize("command", [
+        ["serve", "--machines", "1", "--port", "0"],
+        ["soak", "--minutes", "0.01", "--machines", "1"],
+    ])
+    def test_bad_slo_rules_exits_2_before_starting(
+        self, tmp_path, capsys, command
+    ):
+        rules = tmp_path / "rules.json"
+        rules.write_text("{broken")
+        code = main([*command, "--slo-rules", str(rules)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --slo-rules:")
+        assert captured.out == ""  # refused before any daemon started
+
     def test_simulate_missing_slo_rules_exits_2(self, tmp_path, capsys):
         code = main(
             ["simulate", "--jobs", "5", "--machines", "1", "--seed", "7",
