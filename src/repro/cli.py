@@ -37,6 +37,9 @@ suffix as gzip transparently.  Telemetry is tap-only: results are
 bit-identical with or without any of these flags (pinned by the
 fast-path A/B equivalence tests).
 
+A usage error (a missing or malformed input file, a bad ``--url``, an
+unreachable daemon) prints one ``error:`` line and exits 2.
+
 Everything is also available as a library; the CLI is a thin veneer
 over :mod:`repro.prototype`, :mod:`repro.sim`, :mod:`repro.obs` and
 :mod:`repro.analysis`.
@@ -46,8 +49,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import closing, contextmanager
 from pathlib import Path
 
+DEFAULT_URL = "http://127.0.0.1:8642"
+#: the keys of ``repro.topology.builders.MACHINES``, spelled out so
+#: building the parser imports no topology code (a test pins the two)
 MACHINE_CHOICES = (
     "power8-minsky",
     "dgx1",
@@ -65,6 +72,57 @@ SCHEDULER_CHOICES = (
     "TOPO-AWARE-PM",
     "RANDOM",
 )
+
+
+class _UsageError(Exception):
+    """An input the user can fix: ``main`` prints ``error: <message>``
+    and exits 2, without a traceback."""
+
+
+@contextmanager
+def _usage_error_on(*errors: type[Exception]):
+    """Turn ``errors`` raised inside the block into a :class:`_UsageError`."""
+    try:
+        yield
+    except errors as exc:
+        raise _UsageError(exc) from None
+
+
+def _add_cluster_flags(p, scheduler: str | None = None) -> None:
+    """``--machines``, ``--machine`` and, given its default, ``--scheduler``."""
+    p.add_argument("--machines", type=int, default=5)
+    p.add_argument("--machine", choices=MACHINE_CHOICES, default="power8-minsky")
+    if scheduler is not None:
+        p.add_argument("--scheduler", choices=SCHEDULER_CHOICES,
+                       type=str.upper, default=scheduler)
+
+
+def _add_workload_flags(p, jobs: bool = True) -> None:
+    """The generated fig10-style workload: ``--jobs`` (optionally),
+    ``--seed`` and ``--arrival-rate``."""
+    if jobs:
+        p.add_argument("--jobs", type=int, default=100,
+                       help="generated-workload size")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--arrival-rate", type=float, default=2.2,
+                   help="jobs per minute (Poisson lambda)")
+
+
+def _add_watchdog_flags(p, watchdog: bool = True) -> None:
+    """``--watchdog`` (optionally) and ``--slo-rules``."""
+    if watchdog:
+        p.add_argument("--watchdog", action="store_true",
+                       help="attach the SLO watchdog, evaluated at every "
+                       "decision round (implied by --slo-rules)")
+    p.add_argument("--slo-rules", type=Path, default=None, metavar="FILE",
+                   help="JSON/TOML SLO watchdog rule file in place of the "
+                   "default rules (supports windowed rules)")
+
+
+def _add_journal_arg(p, dest: str) -> None:
+    p.add_argument(dest, type=Path,
+                   help="JSONL journal written by --decisions-out "
+                   "(.gz read transparently)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,12 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 else "compare all four schedulers"
             ),
         )
-        p.add_argument("--jobs", type=int, default=100)
-        p.add_argument("--machines", type=int, default=5)
-        p.add_argument("--machine", choices=MACHINE_CHOICES, default="power8-minsky")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--arrival-rate", type=float, default=2.2,
-                       help="jobs per minute (Poisson lambda)")
+        _add_workload_flags(p)
+        _add_cluster_flags(p, "TOPO-AWARE-P" if name == "simulate" else None)
         p.add_argument("--gantt", action="store_true",
                        help="also print a live-collected Gantt chart"
                        + (" per policy" if name == "compare" else ""))
@@ -110,15 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="keep the introspection server up this long "
                        "after the run finishes (scrape window)")
-        p.add_argument("--watchdog", action="store_true",
-                       help="evaluate the default SLO watchdog rules at "
-                       "every decision round")
-        p.add_argument("--slo-rules", type=Path, default=None, metavar="FILE",
-                       help="JSON/TOML watchdog rule file (implies "
-                       "--watchdog)")
-        if name == "simulate":
-            p.add_argument("--scheduler", choices=SCHEDULER_CHOICES,
-                           type=lambda s: s.upper(), default="TOPO-AWARE-P")
+        _add_watchdog_flags(p)
 
     topo = sub.add_parser("topo", help="print a machine topology")
     topo.add_argument("--machine", choices=MACHINE_CHOICES, default="power8-minsky")
@@ -181,11 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the scheduler service daemon (submission API)"
     )
-    serve.add_argument("--machines", type=int, default=5)
-    serve.add_argument("--machine", choices=MACHINE_CHOICES,
-                       default="power8-minsky")
-    serve.add_argument("--scheduler", choices=SCHEDULER_CHOICES,
-                       type=lambda s: s.upper(), default="TOPO-AWARE")
+    _add_cluster_flags(serve, "TOPO-AWARE")
     serve.add_argument("--port", type=int, default=8642,
                        help="HTTP port (0 picks a free port)")
     serve.add_argument("--store", type=Path, default=Path("repro_service.db"),
@@ -197,18 +239,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="FILE",
                        help="write the record journal at shutdown "
                        "(JSONL; .gz compresses)")
-    serve.add_argument("--watchdog", action="store_true",
-                       help="attach the SLO watchdog (default rules) — "
-                       "/alerts carries live state, soak verdicts work")
-    serve.add_argument("--slo-rules", type=Path, default=None, metavar="FILE",
-                       help="JSON/TOML watchdog rule file (implies "
-                       "--watchdog; supports windowed rules)")
+    _add_watchdog_flags(serve)
 
     top = sub.add_parser(
         "top", help="htop-style live dashboard for a running daemon"
     )
-    top.add_argument("--url", default="http://127.0.0.1:8642",
-                     help="daemon base URL")
+    top.add_argument("--url", default=DEFAULT_URL, help="daemon base URL")
     top.add_argument("--interval", type=float, default=2.0,
                      help="seconds between repaints")
     top.add_argument("--once", action="store_true",
@@ -223,26 +259,16 @@ def _build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--minutes", type=float, default=5.0,
                       help="wall-clock soak duration")
     soak.add_argument("--url", default=None,
-                      help="drive this daemon (default: start an "
-                      "in-process one, watchdog attached)")
+                      help="drive this daemon (default: start an in-process "
+                      "one from the cluster flags, watchdog attached)")
     soak.add_argument("--window", type=float, default=10.0,
                       help="seconds per SLO observation window")
     soak.add_argument("--jobs-per-burst", type=int, default=20)
     soak.add_argument("--burst-every", type=float, default=5.0,
                       help="seconds between submission bursts")
-    soak.add_argument("--seed", type=int, default=42)
-    soak.add_argument("--arrival-rate", type=float, default=2.2,
-                      help="jobs per minute (Poisson lambda) inside a burst")
-    soak.add_argument("--machines", type=int, default=5,
-                      help="in-process daemon cluster size (ignored "
-                      "with --url)")
-    soak.add_argument("--machine", choices=MACHINE_CHOICES,
-                      default="power8-minsky")
-    soak.add_argument("--scheduler", choices=SCHEDULER_CHOICES,
-                      type=lambda s: s.upper(), default="TOPO-AWARE")
-    soak.add_argument("--slo-rules", type=Path, default=None, metavar="FILE",
-                      help="JSON/TOML rule file for the in-process "
-                      "daemon's watchdog")
+    _add_workload_flags(soak, jobs=False)
+    _add_cluster_flags(soak, "TOPO-AWARE")
+    _add_watchdog_flags(soak, watchdog=False)
     soak.add_argument("--out", type=Path, default=Path("."),
                       help="SOAK_*.json artifact path or directory "
                       "(default: current directory)")
@@ -252,19 +278,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument("manifest", type=Path,
                         help="JSON job manifest (repro.workload.manifest)")
-    submit.add_argument("--url", default="http://127.0.0.1:8642",
-                        help="daemon base URL")
+    submit.add_argument("--url", default=DEFAULT_URL, help="daemon base URL")
     submit.add_argument("--priority", type=int, default=0,
                         help="feeding priority (higher drains first)")
 
     cancel = sub.add_parser("cancel", help="cancel a job on a running daemon")
     cancel.add_argument("job_id")
-    cancel.add_argument("--url", default="http://127.0.0.1:8642")
+    cancel.add_argument("--url", default=DEFAULT_URL, help="daemon base URL")
 
     status = sub.add_parser(
         "status", help="job table (or one job) from a running daemon"
     )
-    status.add_argument("--url", default="http://127.0.0.1:8642")
+    status.add_argument("--url", default=DEFAULT_URL, help="daemon base URL")
     status.add_argument("--job", default=None, help="only this job id")
 
     replay = sub.add_parser(
@@ -273,11 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("manifest", type=Path, nargs="?", default=None,
                         help="JSON job manifest (default: a generated "
                         "fig10-style workload)")
-    replay.add_argument("--url", default="http://127.0.0.1:8642")
-    replay.add_argument("--jobs", type=int, default=100,
-                        help="generated-workload size (no manifest)")
-    replay.add_argument("--seed", type=int, default=42)
-    replay.add_argument("--arrival-rate", type=float, default=2.2)
+    replay.add_argument("--url", default=DEFAULT_URL, help="daemon base URL")
+    _add_workload_flags(replay)
     replay.add_argument("--priority", type=int, default=0)
     replay.add_argument("--live", action="store_true",
                         help="submit against the running engine instead of "
@@ -300,16 +322,14 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_summarize = trace_sub.add_parser(
         "summarize", help="per-job decision timeline from a trace file"
     )
-    trace_summarize.add_argument("trace_file", type=Path,
-                                 help="JSONL journal written by --decisions-out")
+    _add_journal_arg(trace_summarize, "trace_file")
     trace_summarize.add_argument("--job", default=None,
                                  help="only this job id")
     trace_export = trace_sub.add_parser(
         "export",
         help="convert a trace for Perfetto / chrome://tracing",
     )
-    trace_export.add_argument("trace_file", type=Path,
-                              help="JSONL journal written by --decisions-out")
+    _add_journal_arg(trace_export, "trace_file")
     trace_export.add_argument("--format", choices=("chrome",),
                               default="chrome",
                               help="output format (Chrome Trace Event JSON)")
@@ -320,8 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile",
         help="per-phase self/total times, critical paths, slowest rounds",
     )
-    trace_profile.add_argument("trace_file", type=Path,
-                               help="JSONL journal written by --decisions-out")
+    _add_journal_arg(trace_profile, "trace_file")
     trace_profile.add_argument("--top", type=int, default=10,
                                help="rows in the slowest-rounds/heaviest-jobs "
                                "tables")
@@ -337,35 +356,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "job", help="one job's lifecycle, decisions and decision time"
     )
     explain_job.add_argument("job_id")
-    explain_job.add_argument("decisions_file", type=Path,
-                             help="JSONL journal written by --decisions-out "
-                             "(.gz read transparently)")
+    _add_journal_arg(explain_job, "decisions_file")
     explain_round = explain_sub.add_parser(
         "round", help="every decision one scheduling round made"
     )
     explain_round.add_argument("round_no", type=int)
-    explain_round.add_argument("decisions_file", type=Path,
-                               help="JSONL journal written by --decisions-out "
-                               "(.gz read transparently)")
+    _add_journal_arg(explain_round, "decisions_file")
     explain_list = explain_sub.add_parser(
         "list", help="one-line-per-decision index of a journal"
     )
-    explain_list.add_argument("decisions_file", type=Path,
-                              help="JSONL journal written by --decisions-out "
-                              "(.gz read transparently)")
+    _add_journal_arg(explain_list, "decisions_file")
     return parser
-
-
-def _builder_for(machine: str):
-    from repro.topology import builders
-
-    return {
-        "power8-minsky": builders.power8_minsky,
-        "dgx1": builders.dgx1,
-        "dgx2": builders.dgx2,
-        "power8-pcie-k80": builders.power8_pcie_k80,
-        "power9-ac922": builders.power9_ac922,
-    }[machine]
 
 
 def _generate(args) -> list:
@@ -376,16 +377,9 @@ def _generate(args) -> list:
 
 
 def _topology_factory(args):
-    from repro.topology.builders import cluster
+    from repro.topology.builders import fleet
 
-    base = _builder_for(args.machine)
-    if args.machines == 1:
-        return base
-    return lambda: cluster(args.machines, base)
-
-
-class _SloRulesError(Exception):
-    """``--slo-rules`` names a missing or invalid file (exit code 2)."""
+    return fleet(args.machine, args.machines)
 
 
 def _slo_rules(args):
@@ -398,7 +392,33 @@ def _slo_rules(args):
     try:
         return load_rules(args.slo_rules)
     except (OSError, ValueError) as exc:
-        raise _SloRulesError(exc) from None
+        raise _UsageError(f"--slo-rules: {exc}") from None
+
+
+def _load_manifest(path: Path) -> list:
+    from repro.workload.manifest import ManifestError, load_manifest
+
+    with _usage_error_on(OSError, ManifestError):
+        return load_manifest(path)
+
+
+def _read_journal(path: Path) -> list:
+    """The records of a ``--decisions-out`` journal (a missing file or a
+    schema violation is a usage error)."""
+    from repro.obs.provenance import read_records
+
+    with _usage_error_on(OSError, ValueError):
+        return read_records(path)
+
+
+@contextmanager
+def _daemon(url: str):
+    """A keep-alive client of the daemon at ``url``, closed on exit; a
+    bad url or an unreachable daemon is a usage error."""
+    from repro.service.driver import ReplayError, _Client
+
+    with _usage_error_on(ReplayError), closing(_Client(url)) as client:
+        yield client
 
 
 def _cmd_run(args) -> int:
@@ -430,7 +450,7 @@ class _TelemetrySinks:
     With no flags set it stays completely inert (no observers
     attached, tracing disabled, no sockets opened).
 
-    Raises :class:`_SloRulesError` from the constructor when
+    Raises :class:`_UsageError` from the constructor when
     ``--slo-rules`` names a missing or invalid file.
     """
 
@@ -462,7 +482,6 @@ class _TelemetrySinks:
             self.server = IntrospectionServer(
                 self.publisher, self.registry, port=self.serve_port
             )
-        self.watchdogs: dict[str, object] = {}
         self.decision_recorders: dict[str, object] = {}
 
     def observers(self, scheduler: str) -> tuple:
@@ -475,7 +494,6 @@ class _TelemetrySinks:
             from repro.obs.alerts import Watchdog
 
             watchdog = Watchdog(self.registry, self.rules, scheduler=scheduler)
-            self.watchdogs[scheduler] = watchdog
             if self.server is not None:
                 # /alerts follows the policy currently running
                 self.server.watchdog = watchdog
@@ -654,14 +672,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.obs.provenance import read_records, records_of, render_runs
+    from repro.obs.provenance import records_of, render_runs
 
-    try:
-        records = read_records(args.trace_file)
-    except (OSError, ValueError) as exc:
-        # missing file or schema violation: one line, exit 2, no traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = _read_journal(args.trace_file)
     spans = records_of("span", records)
 
     def per_run(render) -> str:
@@ -683,11 +696,8 @@ def _cmd_trace(args) -> int:
         out = args.out
         if out is None:
             out = args.trace_file.with_suffix(".chrome.json")
-        try:
+        with _usage_error_on(OSError):
             write_chrome_trace(spans, out)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         print(
             f"{len(spans)} spans exported to {out} "
             "(open in https://ui.perfetto.dev or chrome://tracing)"
@@ -707,14 +717,8 @@ def _cmd_explain(args) -> int:
         format_job_explanation,
         format_round_explanation,
     )
-    from repro.obs.provenance import read_records
 
-    try:
-        records = read_records(args.decisions_file)
-    except (OSError, ValueError) as exc:
-        # missing file or schema violation: one line, exit 2, no traceback
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = _read_journal(args.decisions_file)
     if args.explain_command == "job":
         print(format_job_explanation(args.job_id, records))
     elif args.explain_command == "round":
@@ -725,10 +729,11 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_topo(args) -> int:
+    from repro.topology.builders import MACHINES
     from repro.topology.discovery import render_numactl_hardware, render_topo_matrix
     from repro.topology.render import render_gpu_distances, render_tree
 
-    topo = _builder_for(args.machine)()
+    topo = MACHINES[args.machine]()
     if args.numactl:
         print(render_numactl_hardware(topo), end="")
     elif args.matrix:
@@ -807,15 +812,11 @@ def _cmd_bench(args) -> int:
         path = write_bench(bench, args.out)
         print(f"bench artifact written to {path}")
     if args.check_against is not None:
-        try:
+        with _usage_error_on(OSError, ValueError):
             failures = compare_to_baseline(
                 bench, args.check_against, args.threshold,
                 min_speedup=args.min_speedup,
             )
-        except (OSError, ValueError) as exc:
-            # missing or malformed baseline: one line, exit 2, no traceback
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         if failures:
             for line in failures:
                 print(f"REGRESSION: {line}", file=sys.stderr)
@@ -889,41 +890,29 @@ def _cmd_top(args) -> int:
 
     from repro.analysis.top import CLEAR, render_dashboard
 
-    client, ReplayError = _service_client(args.url)
-    endpoints = (
-        ("state", "/state"),
-        ("cluster", "/cluster"),
-        ("timeseries", "/timeseries"),
-        ("alerts", "/alerts"),
-    )
-    try:
-        while True:
-            docs = {}
-            for name, path in endpoints:
-                status, doc = client.request("GET", path)
-                if status == 200:
-                    docs[name] = doc
-            frame = render_dashboard(docs, url=args.url)
-            if args.once:
-                print(frame)
-                return 0
-            print(CLEAR + frame, flush=True)
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
-    except ReplayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        client.close()
+    endpoints = ("state", "cluster", "timeseries", "alerts")
+    with _daemon(args.url) as client:
+        try:
+            while True:
+                docs = {}
+                for name in endpoints:
+                    status, doc = client.request("GET", f"/{name}")
+                    if status == 200:
+                        docs[name] = doc
+                frame = render_dashboard(docs, url=args.url)
+                if args.once:
+                    print(frame)
+                    return 0
+                print(CLEAR + frame, flush=True)
+                time.sleep(args.interval)
+        except KeyboardInterrupt:
+            return 0
 
 
 def _cmd_soak(args) -> int:
     from repro.analysis.soak import format_soak, run_soak, write_soak
-    from repro.service.driver import ReplayError
 
-    rules = _slo_rules(args) if args.slo_rules is not None else None
-    try:
+    with _usage_error_on(RuntimeError):  # a ReplayError is a RuntimeError
         result = run_soak(
             url=args.url,
             minutes=args.minutes,
@@ -934,12 +923,9 @@ def _cmd_soak(args) -> int:
             arrival_rate=args.arrival_rate,
             topo_factory=None if args.url else _topology_factory(args),
             scheduler=args.scheduler,
-            rules=rules,
+            rules=_slo_rules(args),
             progress=print,
         )
-    except (ReplayError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(format_soak(result))
     if args.out is not None:
         path = write_soak(result, args.out)
@@ -947,23 +933,12 @@ def _cmd_soak(args) -> int:
     return 0 if result.verdict == "clean" else 1
 
 
-def _service_client(url: str):
-    from repro.service.driver import ReplayError, _Client
-
-    return _Client(url), ReplayError
-
-
 def _cmd_submit(args) -> int:
-    from repro.workload.manifest import ManifestError, job_to_dict, load_manifest
+    from repro.workload.manifest import job_to_dict
 
-    try:
-        jobs = load_manifest(args.manifest)
-    except (OSError, ManifestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    client, ReplayError = _service_client(args.url)
+    jobs = _load_manifest(args.manifest)
     failures = 0
-    try:
+    with _daemon(args.url) as client:
         for job in jobs:
             body = job_to_dict(job)
             if args.priority:
@@ -975,23 +950,12 @@ def _cmd_submit(args) -> int:
                 failures += 1
                 reason = doc.get("rejected") or doc.get("error") or status
                 print(f"{job.job_id}: rejected ({reason})", file=sys.stderr)
-    except ReplayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        client.close()
     return 1 if failures else 0
 
 
 def _cmd_cancel(args) -> int:
-    client, ReplayError = _service_client(args.url)
-    try:
+    with _daemon(args.url) as client:
         status, doc = client.request("POST", "/cancel", {"id": args.job_id})
-    except ReplayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        client.close()
     if status != 202:
         print(f"error: {doc.get('error', status)}", file=sys.stderr)
         return 1
@@ -1000,52 +964,41 @@ def _cmd_cancel(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    client, ReplayError = _service_client(args.url)
-    try:
-        if args.job is not None:
-            status, doc = client.request("GET", f"/jobs/{args.job}")
-            if status != 200:
-                print(f"error: {doc.get('error', status)}", file=sys.stderr)
-                return 1
-            print(f"{doc['id']}: {doc['state']}")
-            for key, value in sorted(doc.get("record", {}).items()):
-                print(f"{key:>18}: {value}")
-            return 0
-        status, doc = client.request("GET", "/jobs")
+    path = "/jobs" if args.job is None else f"/jobs/{args.job}"
+    with _daemon(args.url) as client:
+        status, doc = client.request("GET", path)
+    if args.job is not None:
         if status != 200:
-            print(f"error: GET /jobs answered {status}", file=sys.stderr)
+            print(f"error: {doc.get('error', status)}", file=sys.stderr)
             return 1
-        jobs = doc.get("jobs", {})
-        counts: dict[str, int] = {}
-        for state in jobs.values():
-            counts[state] = counts.get(state, 0) + 1
-        print(
-            f"{len(jobs)} job(s), queue depth {doc.get('queue_depth')}"
-            + (" [paused]" if doc.get("paused") else "")
-        )
-        for state, n in sorted(counts.items()):
-            print(f"{state:>12}: {n}")
+        print(f"{doc['id']}: {doc['state']}")
+        for key, value in sorted(doc.get("record", {}).items()):
+            print(f"{key:>18}: {value}")
         return 0
-    except ReplayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        client.close()
+    if status != 200:
+        print(f"error: GET /jobs answered {status}", file=sys.stderr)
+        return 1
+    jobs = doc.get("jobs", {})
+    counts: dict[str, int] = {}
+    for state in jobs.values():
+        counts[state] = counts.get(state, 0) + 1
+    print(
+        f"{len(jobs)} job(s), queue depth {doc.get('queue_depth')}"
+        + (" [paused]" if doc.get("paused") else "")
+    )
+    for state, n in sorted(counts.items()):
+        print(f"{state:>12}: {n}")
+    return 0
 
 
 def _cmd_replay(args) -> int:
     from repro.service.driver import ReplayError, replay_trace
-    from repro.workload.manifest import ManifestError, load_manifest
 
     if args.manifest is not None:
-        try:
-            jobs = load_manifest(args.manifest)
-        except (OSError, ManifestError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        jobs = _load_manifest(args.manifest)
     else:
         jobs = _generate(args)
-    try:
+    with _usage_error_on(ReplayError):
         report = replay_trace(
             jobs,
             args.url,
@@ -1054,9 +1007,6 @@ def _cmd_replay(args) -> int:
             wait=not args.no_wait,
             timeout_s=args.timeout,
         )
-    except ReplayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(report.summary())
     if not args.no_wait and not report.completed:
         print("error: timed out waiting for terminal states", file=sys.stderr)
@@ -1097,8 +1047,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _SloRulesError as exc:
-        print(f"error: --slo-rules: {exc}", file=sys.stderr)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -397,7 +397,6 @@ class IntrospectionServer:
             "phase": phase,
             "uptime_s": round(now - self._started_at, 6),
             "last_event_age_s": last_event_age,
-            "events_seen": snapshot.events_seen if snapshot else 0,
         }
         return json.dumps(doc), 200
 

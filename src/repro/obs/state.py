@@ -33,8 +33,8 @@ from repro.sim.hooks import BaseObserver
 
 #: snapshot document version served under ``/state`` (2: job_states
 #: table added for service mode; 3: decision_stats — provenance
-#: recorder recorded/dropped counters)
-STATE_SCHEMA_VERSION = 3
+#: recorder recorded/dropped counters; 4: events_seen removed)
+STATE_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class RunSnapshot:
     free_gpus_by_machine: tuple[tuple[str, int], ...] = ()
     allocation_epoch: int = 0
     placement_cache: tuple[tuple[str, float], ...] = ()
-    events_seen: int = 0
     finished: bool = False
     makespan: float = 0.0
     #: service-mode job table: a read-only job_id -> lifecycle state
@@ -88,7 +87,6 @@ class RunSnapshot:
             "free_gpus_by_machine": dict(self.free_gpus_by_machine),
             "allocation_epoch": self.allocation_epoch,
             "placement_cache": dict(self.placement_cache),
-            "events_seen": self.events_seen,
             "finished": self.finished,
             "makespan": self.makespan,
             "job_states": dict(sorted(self.job_states.items())),
@@ -168,7 +166,6 @@ class SnapshotObserver(BaseObserver):
         self._last_publish = float("-inf")
         self._held = False
         self._due = False
-        self._events_seen = 0
         self._rounds = 0
         self._sim = None
         self._total_gpus = 0
@@ -219,7 +216,6 @@ class SnapshotObserver(BaseObserver):
             free_gpus_by_machine=free_by_machine,
             allocation_epoch=alloc.version,
             placement_cache=tuple(sorted(stats.items())),
-            events_seen=self._events_seen,
             finished=finished,
             makespan=makespan,
             job_states=job_states,
@@ -266,25 +262,9 @@ class SnapshotObserver(BaseObserver):
         return min(self._last_publish + interval - self.clock(), interval)
 
     # ------------------------------------------------------------------
-    # SimObserver hooks: count traffic, republish at round boundaries
+    # SimObserver hook: republish at round boundaries
     # ------------------------------------------------------------------
-    def on_arrival(self, t, job):
-        self._events_seen += 1
-
-    def on_place(self, t, job, solution, solo_exec_time, postponements):
-        self._events_seen += 1
-
-    def on_finish(self, t, job, gpus):
-        self._events_seen += 1
-
-    def on_failure(self, t, machine, victims):
-        self._events_seen += 1
-
-    def on_requeue(self, t, job):
-        self._events_seen += 1
-
     def on_decision_round(self, t, placed, queued, elapsed_s):
-        self._events_seen += 1
         self._rounds += 1
         if self.clock() - self._last_publish >= self.min_publish_interval_s:
             if self._held:

@@ -25,27 +25,19 @@ class SystemConfig:
     """Contents of ``sys-config.ini``."""
 
     simulation: bool = True
-    machine: str = "power8-minsky"  # power8-minsky | dgx1 | power8-pcie-k80
+    machine: str = "power8-minsky"  # a key of topology.builders.MACHINES
     n_machines: int = 1
     manifest_path: str | None = None
     scheduler_interval_s: float = 1.0
 
     def topology_factory(self):
         """Builder callable for the configured machine/cluster."""
-        from repro.topology import builders
+        from repro.topology.builders import fleet
 
-        per_machine = {
-            "power8-minsky": builders.power8_minsky,
-            "dgx1": builders.dgx1,
-            "power8-pcie-k80": builders.power8_pcie_k80,
-        }
         try:
-            base = per_machine[self.machine]
+            return fleet(self.machine, self.n_machines)
         except KeyError:
             raise ConfigError(f"unknown machine model {self.machine!r}") from None
-        if self.n_machines == 1:
-            return base
-        return lambda: builders.cluster(self.n_machines, base)
 
 
 @dataclass(frozen=True)

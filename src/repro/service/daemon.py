@@ -72,7 +72,7 @@ from repro.service.statemachine import JobState, LifecycleTable
 from repro.service.store import ServiceStore
 from repro.sim.engine import Simulator
 from repro.sim.hooks import BaseObserver
-from repro.sim.records import JobRecord, SimulationResult
+from repro.sim.records import SimulationResult
 from repro.topology.graph import TopologyGraph
 from repro.workload.manifest import ManifestError, job_from_dict
 
@@ -480,7 +480,7 @@ class SchedulerService:
                 record = self.sim.record_of(job_id)
             except KeyError:
                 return doc  # journaled but not yet fed to the engine
-            doc["record"] = _record_to_dict(record)
+            doc["record"] = record.to_dict()
         return doc
 
     def result(self) -> SimulationResult:
@@ -699,25 +699,6 @@ class SchedulerService:
         # unpopped inbox entries: admission backpressure distinct
         # from the admitted-minus-retired backlog above
         self.telemetry.set_inbox_depth(len(self.queue))
-
-
-def _record_to_dict(record: JobRecord) -> dict:
-    return {
-        "arrival": record.arrival,
-        "placed_at": record.placed_at,
-        "finished_at": record.finished_at,
-        "gpus": list(record.gpus),
-        "utility": record.utility,
-        "p2p": record.p2p,
-        "solo_exec_time": record.solo_exec_time,
-        "ideal_exec_time": record.ideal_exec_time,
-        "postponements": record.postponements,
-        "unplaceable": record.unplaceable,
-        "restarts": record.restarts,
-        "cancelled_at": record.cancelled_at,
-        "preemptions": record.preemptions,
-        "migrations": record.migrations,
-    }
 
 
 #: HTTP status for each admission ruling

@@ -163,8 +163,8 @@ def replay_trace(
             status, _ = client.request("POST", "/resume")
             if status != 200:
                 raise ReplayError(f"POST /resume answered {status}")
-        if wait and submitted_ids:
-            report.completed = _wait_terminal(
+        if wait:  # with nothing accepted, nothing is left to wait for
+            report.completed = not submitted_ids or _wait_terminal(
                 client, submitted_ids, report, timeout_s, poll_interval_s
             )
     finally:

@@ -36,6 +36,26 @@ class JobRecord:
     preemptions: int = 0  # evictions back to the queue (work checkpointed)
     migrations: int = 0  # live migrations to a better allocation
 
+    def to_dict(self) -> dict:
+        """The measured fields as JSON-serialisable values (the job
+        itself is left out; callers key the row by its id)."""
+        return {
+            "arrival": self.arrival,
+            "placed_at": self.placed_at,
+            "finished_at": self.finished_at,
+            "gpus": list(self.gpus),
+            "utility": self.utility,
+            "p2p": self.p2p,
+            "solo_exec_time": self.solo_exec_time,
+            "ideal_exec_time": self.ideal_exec_time,
+            "postponements": self.postponements,
+            "unplaceable": self.unplaceable,
+            "restarts": self.restarts,
+            "cancelled_at": self.cancelled_at,
+            "preemptions": self.preemptions,
+            "migrations": self.migrations,
+        }
+
     @property
     def waiting_time(self) -> float | None:
         if self.placed_at is None:

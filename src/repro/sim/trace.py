@@ -19,25 +19,8 @@ from repro.workload.job import Job
 
 
 def records_to_rows(records: Sequence[JobRecord]) -> list[dict]:
-    """Flatten records into JSON-serialisable rows."""
-    rows = []
-    for r in records:
-        rows.append(
-            {
-                "id": r.job.job_id,
-                "arrival": r.arrival,
-                "placed_at": r.placed_at,
-                "finished_at": r.finished_at,
-                "gpus": list(r.gpus),
-                "utility": r.utility,
-                "p2p": r.p2p,
-                "solo_exec_time": r.solo_exec_time,
-                "ideal_exec_time": r.ideal_exec_time,
-                "postponements": r.postponements,
-                "unplaceable": r.unplaceable,
-            }
-        )
-    return rows
+    """Flatten records into JSON-serialisable rows keyed by job ``id``."""
+    return [{"id": r.job.job_id, **r.to_dict()} for r in records]
 
 
 def save_trace(

@@ -12,6 +12,9 @@
 * :func:`machine` -- generic homogeneous machine builder.
 * :func:`cluster` -- replicate a machine builder behind a network
   vertex, as in the large-scale simulations (Sections 5.3-5.5).
+* :data:`MACHINES` -- the named machine models, and :func:`fleet`, the
+  builder of a cluster of one of them; the command line and the
+  prototype's ``sys-config.ini`` both select machines through these.
 
 Node naming is hierarchical and stable: machine ``m0``, socket
 ``m0/s1``, switch ``m0/s1/sw0``, GPU ``m0/gpu3``.  GPU indices are
@@ -281,3 +284,23 @@ def cluster(
             topo.add_edge(mid, network_name, _W_MACHINE, network_link)
     topo.validate()
     return topo
+
+
+#: machine model name -> per-machine builder
+MACHINES: dict[str, Callable[[str], TopologyGraph]] = {
+    "power8-minsky": power8_minsky,
+    "dgx1": dgx1,
+    "dgx2": dgx2,
+    "power8-pcie-k80": power8_pcie_k80,
+    "power9-ac922": power9_ac922,
+}
+
+
+def fleet(model: str, n_machines: int = 1) -> Callable[[], TopologyGraph]:
+    """Builder of ``n_machines`` machines of the named ``model`` (one
+    machine alone, or a :func:`cluster` of them); raises ``KeyError``
+    for a name not in :data:`MACHINES`."""
+    base = MACHINES[model]
+    if n_machines == 1:
+        return base
+    return lambda: cluster(n_machines, base)

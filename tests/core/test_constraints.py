@@ -11,7 +11,7 @@ from repro.core.constraints import (
     machine_bus_capacity,
 )
 from repro.topology.allocation import AllocationState
-from repro.topology.builders import cluster, dgx1, power8_minsky, power8_pcie_k80
+from repro.topology.builders import cluster, dgx1, power8_pcie_k80
 
 from tests.conftest import make_job
 
@@ -47,7 +47,6 @@ class TestBandwidthConstraint:
         demand_each = profiles.for_job(make_job(batch_size=1)).avg_demand_gbs
         n_needed = int(capacity / demand_each) + 1
         # synthetic co-runners that each burn one GPU's worth of demand
-        topo2 = power8_minsky("m0")
         for i in range(2):
             job = make_job(f"busy{i}", batch_size=1, num_gpus=1)
             alloc.allocate(f"busy{i}", [f"m0/gpu{i}"])

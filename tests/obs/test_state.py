@@ -26,7 +26,6 @@ class _AsdictSnapshot:
     free_gpus_by_machine: tuple[tuple[str, int], ...] = ()
     allocation_epoch: int = 0
     placement_cache: tuple[tuple[str, float], ...] = ()
-    events_seen: int = 0
     finished: bool = False
     makespan: float = 0.0
     job_states: tuple[tuple[str, str], ...] = ()
@@ -58,7 +57,6 @@ def _every_field_set() -> dict:
         free_gpus_by_machine=(("m1", 2), ("m0", 4)),
         allocation_epoch=17,
         placement_cache=(("hits", 3.0), ("hit_rate", 0.75)),
-        events_seen=99,
         finished=True,
         makespan=4321.0,
         decision_stats=(("recorded", 12), ("dropped", 1)),
@@ -80,7 +78,8 @@ def test_to_dict_matches_the_asdict_rendering():
     assert doc == old.to_dict()
     assert json.dumps(doc) == json.dumps(old.to_dict())
     assert list(doc["job_states"]) == sorted(states)
-    assert doc["schema"] == STATE_SCHEMA_VERSION == 3
+    assert doc["schema"] == STATE_SCHEMA_VERSION == 4
+    assert "events_seen" not in doc
 
 
 def test_default_snapshot_matches_the_asdict_rendering():

@@ -32,7 +32,6 @@ class TestRing:
         assert t == pytest.approx(2.0 / 40.0)
 
     def test_ring_order_matters(self, dgx):
-        gpus = ["m0/gpu0", "m0/gpu1", "m0/gpu4", "m0/gpu5"]
         # good ring follows NVLink edges 0-1, 1-5, 5-4, 4-0
         good = ring_allreduce_time(
             dgx, ["m0/gpu0", "m0/gpu1", "m0/gpu5", "m0/gpu4"], 2.0

@@ -4,8 +4,9 @@ import pytest
 
 from repro.schedulers import make_scheduler
 from repro.sim.engine import Simulator
+from repro.analysis.scenarios import fragmentation_jobs
 from repro.sim.trace import load_trace, records_to_rows, save_trace
-from repro.topology.builders import power8_minsky
+from repro.topology.builders import cluster, power8_minsky
 
 from tests.conftest import make_job
 
@@ -37,6 +38,17 @@ class TestRoundTrip:
         assert by_id["a"]["finished_at"] > by_id["a"]["placed_at"]
         assert by_id["a"]["gpus"]
         assert by_id["a"]["utility"] is not None
+
+    def test_rows_keep_every_record_field(self, tmp_path):
+        jobs = fragmentation_jobs()
+        result = Simulator(cluster(2), make_scheduler("TOPO-AWARE-PM"), jobs).run()
+        assert sum(r.preemptions for r in result.records) >= 1
+        path = tmp_path / "trace.json"
+        save_trace(path, jobs, result.records, scheduler=result.scheduler_name)
+        _, rows, _ = load_trace(path)
+        assert sum(row["preemptions"] for row in rows) >= 1
+        by_id = {row.pop("id"): row for row in rows}
+        assert by_id == {r.job.job_id: r.to_dict() for r in result.records}
 
     def test_trace_without_records(self, tmp_path, finished_run):
         jobs, _ = finished_run

@@ -314,6 +314,12 @@ class TestParser:
     def test_module_entry_point_exists(self):
         import repro.__main__  # noqa: F401  -- imports (and exits) only under -m
 
+    def test_machine_choices_are_the_builders_table(self):
+        from repro.cli import MACHINE_CHOICES
+        from repro.topology.builders import MACHINES
+
+        assert MACHINE_CHOICES == tuple(MACHINES)
+
 
 class TestObservabilityCLI:
     def write_trace(self, tmp_path):
@@ -459,3 +465,118 @@ class TestObservabilityCLI:
         for name in ("BF", "FCFS", "TOPO-AWARE", "TOPO-AWARE-P",
                      "TOPO-AWARE-PM"):
             assert f"[{name}] slo_alerts_fired: 0" in out
+
+
+@pytest.fixture
+def daemon(tmp_path):
+    """An in-process scheduler service behind its HTTP face."""
+    from repro.service import SchedulerService, ServiceServer
+    from repro.topology.builders import cluster
+
+    service = SchedulerService(
+        cluster(2), "TOPO-AWARE", store_path=str(tmp_path / "svc.db")
+    )
+    with service, ServiceServer(service) as server:
+        yield service, server.url
+
+
+def refused_url() -> str:
+    """A loopback URL nothing listens on."""
+    import socket
+
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
+
+
+class TestDaemonClientVerbs:
+    def manifest(self, tmp_path):
+        path = tmp_path / "jobs.json"
+        dump_manifest(table1_jobs()[:3], path)
+        return path
+
+    def test_submit_then_status(self, daemon, tmp_path, capsys):
+        service, url = daemon
+        service.pause()
+        assert main(["submit", str(self.manifest(tmp_path)), "--url", url]) == 0
+        out = capsys.readouterr().out
+        ids = [job.job_id for job in table1_jobs()[:3]]
+        assert out.splitlines() == [f"{j}: SUBMITTED" for j in ids]
+        assert main(["status", "--url", url]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("3 job(s), queue depth 3 [paused]")
+        assert main(["status", "--url", url, "--job", ids[0]]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"{ids[0]}: SUBMITTED"
+        assert "arrival" in out
+
+    def test_status_of_an_unknown_job_exits_1(self, daemon, capsys):
+        _, url = daemon
+        assert main(["status", "--url", url, "--job", "nope"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_cancel(self, daemon, tmp_path, capsys):
+        service, url = daemon
+        service.pause()
+        assert main(["submit", str(self.manifest(tmp_path)), "--url", url]) == 0
+        job_id = table1_jobs()[0].job_id
+        capsys.readouterr()
+        assert main(["cancel", job_id, "--url", url]) == 0
+        assert capsys.readouterr().out == (
+            f"{job_id}: cancellation requested (was SUBMITTED)\n"
+        )
+        assert main(["cancel", "nope", "--url", url]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_replay_live(self, daemon, capsys):
+        _, url = daemon
+        code = main(["replay", "--url", url, "--jobs", "3", "--seed", "1",
+                     "--live"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("replayed 3 submissions")
+        assert "terminal states: FINISHED=3" in out
+
+    def test_replay_with_every_submission_rejected_exits_0(self, daemon, capsys):
+        _, url = daemon
+        argv = ["replay", "--url", url, "--jobs", "3", "--seed", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0  # nothing accepted, so nothing to wait for
+        captured = capsys.readouterr()
+        assert "rejected: duplicate=3" in captured.out
+        assert captured.err == ""
+
+    def test_top_once(self, daemon, capsys):
+        _, url = daemon
+        assert main(["top", "--url", url, "--once"]) == 0
+        assert url in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verb", [
+        ["top", "--once"], ["submit", "MANIFEST"], ["cancel", "a"], ["status"],
+        ["replay", "--jobs", "2"],
+    ])
+    def test_refused_port_exits_2(self, verb, tmp_path, capsys):
+        argv = [str(self.manifest(tmp_path)) if a == "MANIFEST" else a
+                for a in verb]
+        assert main([*argv, "--url", refused_url()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: daemon unreachable") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", ["submit", "replay"])
+    def test_missing_manifest_exits_2(self, verb, tmp_path, capsys):
+        absent = str(tmp_path / "absent.json")
+        assert main([verb, absent, "--url", refused_url()]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("verb", [
+        ["top", "--once"], ["submit", "MANIFEST"], ["cancel", "a"], ["status"],
+    ])
+    def test_url_without_scheme_exits_2(self, verb, tmp_path, capsys):
+        argv = [str(self.manifest(tmp_path)) if a == "MANIFEST" else a
+                for a in verb]
+        assert main([*argv, "--url", "127.0.0.1:8642"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unsupported daemon url '127.0.0.1:8642'\n"

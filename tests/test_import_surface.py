@@ -95,6 +95,21 @@ def test_unknown_names_still_raise():
     assert out == {"missing": ["repro", "repro.obs"], "trace": "repro.obs.trace"}
 
 
+def test_command_line_parser_loads_no_repro_module():
+    """Every ``repro`` verb builds the parser first; it pays for no
+    topology, service or obs import (a daemon client verb such as
+    ``repro status`` needs none)."""
+    loaded = run_fresh("""
+        import json, sys
+        import repro.cli
+        repro.cli._build_parser()
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    assert {m for m in loaded if m.split(".")[0] == "repro"} == {
+        "repro", "repro._lazy", "repro.cli",
+    }
+
+
 def test_daemon_skips_the_stdlib_http_stack():
     """``repro serve`` reads its own HTTP: neither the stdlib server and
     client nor the email parser behind their headers is loaded."""

@@ -1,14 +1,23 @@
-"""Unused imports (the F401 rule of the ruff lint step), checked offline.
+"""Unused imports and unused local variables (the F401 and F841 rules
+of the ruff lint step), checked offline.
 
-CI lints with ``ruff check .``; this test applies that rule's core with
-the stdlib ``ast`` so the suite fails on an unused import even where
-ruff is not installed.  It honours ``# noqa`` comments, the
-``per-file-ignores`` of ``pyproject.toml``, names listed in
-``__all__`` and explicit ``import x as x`` re-exports.  An import
-counts as used when its bound name is read anywhere in the module,
-quoted annotations included; that is looser than ruff's per-scope
-analysis, so this test can miss an unused import but never reports a
-used one.
+CI lints with ``ruff check .``; this test applies those rules' core
+with the stdlib ``ast`` so the suite fails on an unused import or local
+even where ruff is not installed.  It honours ``# noqa`` comments and
+the ``per-file-ignores`` of ``pyproject.toml``.
+
+F401 honours names listed in ``__all__`` and explicit ``import x as
+x`` re-exports.  An import counts as used when its bound name is read
+anywhere in the module, quoted annotations included.
+
+F841 flags a plain-name assignment in a function body whose name the
+function (nested functions included) never reads.  Like ruff it skips
+names starting with ``_``, tuple targets and augmented assignments, and
+it skips names declared ``global`` or ``nonlocal`` (in the function
+or a nested one).
+
+Both are looser than ruff's per-scope analysis, so this test can miss
+an unused name but never reports a used one.
 """
 
 from __future__ import annotations
@@ -55,12 +64,12 @@ def python_files() -> list[Path]:
     return found
 
 
-def noqa_silences(line: str) -> bool:
+def noqa_silences(line: str, code: str = "F401") -> bool:
     match = NOQA.search(line)
     if match is None:
         return False
     codes = match.group("codes")
-    return codes is None or "F401" in re.split(r"[,\s]+", codes.upper())
+    return codes is None or code in re.split(r"[,\s]+", codes.upper())
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -114,17 +123,74 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     return sorted(unused)
 
 
-def test_no_unused_imports():
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def own_nodes(func: ast.AST):
+    """The nodes of ``func``'s body outside its nested functions and
+    classes (whose names are not ``func``'s locals)."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of every local assigned and never read."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    unused = []
+    for func in ast.walk(tree):
+        if not isinstance(func, FUNCTIONS):
+            continue
+        read = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)  # ``x += 1`` reads x
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        for node in own_nodes(func):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if (isinstance(target, ast.Name) and target.id not in read
+                        and not target.id.startswith("_")
+                        and not noqa_silences(lines[target.lineno - 1], "F841")):
+                    unused.append((target.lineno, target.id))
+    return sorted(unused)
+
+
+def lint(code: str, check) -> list[str]:
+    """``path:line: name`` of each finding of ``check`` over the tree,
+    minus the files ``per-file-ignores`` exempt from ``code``."""
     ignores = per_file_ignores()
     found = []
     for path in python_files():
         rel = path.relative_to(ROOT).as_posix()
-        if any(fnmatch.fnmatch(rel, pattern) and "F401" in codes
+        if any(fnmatch.fnmatch(rel, pattern) and code in codes
                for pattern, codes in ignores.items()):
             continue
         found += [f"{rel}:{line}: {name}"
-                  for line, name in unused_imports(path.read_text())]
+                  for line, name in check(path.read_text())]
+    return found
+
+
+def test_no_unused_imports():
+    found = lint("F401", unused_imports)
     assert not found, "unused imports (F401):\n" + "\n".join(found)
+
+
+def test_no_unused_locals():
+    found = lint("F841", unused_locals)
+    assert not found, "unused local variables (F841):\n" + "\n".join(found)
 
 
 def test_the_check_sees_unused_imports_only():
@@ -143,4 +209,39 @@ def test_the_check_sees_unused_imports_only():
     )
     assert unused_imports(source) == [
         (1, "os"), (3, "json"), (6, "os.path"), (9, "escape"),
+    ]
+
+
+def test_the_check_sees_unused_locals_only():
+    source = (
+        "x = 1\n"
+        "def f(items):\n"
+        "    a = 1\n"
+        "    b: int = 2\n"
+        "    c = d = 3\n"
+        "    _ = 4\n"
+        "    _e = 5\n"
+        "    g, h = 6, 7\n"
+        "    i = 0\n"
+        "    i += 8\n"
+        "    j = 9  # noqa: F841\n"
+        "    k = 10  # noqa: E501\n"
+        "    m = 11\n"
+        "    def inner():\n"
+        "        n = 12\n"
+        "        return m + d\n"
+        "    class C:\n"
+        "        attr = 13\n"
+        "    global x\n"
+        "    x = 14\n"
+        "    return inner, C\n"
+        "def outer():\n"
+        "    count = 0\n"
+        "    def bump():\n"
+        "        nonlocal count\n"
+        "        count = 1\n"
+        "    return bump\n"
+    )
+    assert unused_locals(source) == [
+        (3, "a"), (4, "b"), (5, "c"), (12, "k"), (15, "n"),
     ]

@@ -31,7 +31,6 @@ class TestDurationTargeting:
         by_key: dict = {}
         for j in jobs:
             by_key.setdefault((j.model, j.batch_class), []).append(j.iterations)
-        cheap = by_key.get((ModelType.ALEXNET, list(by_key)[0][1]))
         # a big-batch GoogLeNet iteration costs ~100x an AlexNet-tiny one
         from repro.workload.job import BatchClass
 
