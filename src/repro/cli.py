@@ -88,9 +88,22 @@ def _usage_error_on(*errors: type[Exception]):
         raise _UsageError(exc) from None
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of a size flag: a whole number of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _add_cluster_flags(p, scheduler: str | None = None) -> None:
     """``--machines``, ``--machine`` and, given its default, ``--scheduler``."""
-    p.add_argument("--machines", type=int, default=5)
+    p.add_argument("--machines", type=_positive_int, default=5)
     p.add_argument("--machine", choices=MACHINE_CHOICES, default="power8-minsky")
     if scheduler is not None:
         p.add_argument("--scheduler", choices=SCHEDULER_CHOICES,
@@ -101,7 +114,7 @@ def _add_workload_flags(p, jobs: bool = True) -> None:
     """The generated fig10-style workload: ``--jobs`` (optionally),
     ``--seed`` and ``--arrival-rate``."""
     if jobs:
-        p.add_argument("--jobs", type=int, default=100,
+        p.add_argument("--jobs", type=_positive_int, default=100,
                        help="generated-workload size")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--arrival-rate", type=float, default=2.2,
@@ -187,9 +200,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="workload scale (fig10: 100 jobs/5 machines; "
                        "fig11: 300 jobs on the paper's 1000-machine "
                        "scenario-2 cluster)")
-    bench.add_argument("--jobs", type=int, default=None,
+    bench.add_argument("--jobs", type=_positive_int, default=None,
                        help="override the scale's job count")
-    bench.add_argument("--machines", type=int, default=None,
+    bench.add_argument("--machines", type=_positive_int, default=None,
                        help="override the scale's machine count")
     bench.add_argument("--repeats", type=int, default=3,
                        help="runs per scheduler (at least 3) and per "
@@ -423,12 +436,13 @@ def _daemon(url: str):
 
 def _cmd_run(args) -> int:
     from repro.analysis.tables import format_timeline
+    from repro.prototype.config import ConfigError
     from repro.prototype.system import PrototypeSystem
     from repro.sim.metrics import comparison_table
-    from repro.workload.manifest import load_manifest
 
-    jobs = load_manifest(args.manifest) if args.manifest else None
-    system = PrototypeSystem.from_config_dir(args.config_dir, jobs=jobs)
+    jobs = _load_manifest(args.manifest) if args.manifest else None
+    with _usage_error_on(OSError, ConfigError):
+        system = PrototypeSystem.from_config_dir(args.config_dir, jobs=jobs)
     runs = system.run()
     print(comparison_table([r.result for r in runs]))
     print()

@@ -101,15 +101,17 @@ class PinnedScheduler(Scheduler):
 
     def schedule(self, ctx) -> list:
         placed = []
-        co = dict(ctx.co_runners)
+        view = self._round_view(ctx)
         for job in list(self.queued_jobs()):
             gpus = self._pins.get(job.job_id)
             if gpus is None:
                 raise KeyError(f"no pinned GPUs for {job.job_id!r}")
             if not all(ctx.alloc.is_free(g) for g in gpus):
                 continue
-            solution = ctx.engine.score_allocation(job, tuple(gpus), co)
-            self._place(ctx, job, solution, co)
+            solution = ctx.engine.score_allocation(
+                job, tuple(gpus), view.current()
+            )
+            self._place(ctx, job, solution, view)
             self._remove(job.job_id)
             placed.append(solution)
         return placed

@@ -99,7 +99,7 @@ class PrototypeSystem:
         directory = Path(directory)
         sys_path = directory / "sys-config.ini"
         if not sys_path.exists():
-            raise FileNotFoundError(sys_path)
+            raise FileNotFoundError(f"{sys_path}: no such file")
         system_config = load_system_config(sys_path)
         algo_paths = sorted(
             p

@@ -74,7 +74,7 @@ class BackfillScheduler(Scheduler):
     # ------------------------------------------------------------------
     def schedule(self, ctx: SchedulingContext) -> list[PlacementSolution]:
         placed: list[PlacementSolution] = []
-        co = dict(ctx.co_runners)
+        view = self._round_view(ctx)
         # drop estimates of jobs that finished
         self._estimated_end = {
             job_id: end
@@ -83,8 +83,10 @@ class BackfillScheduler(Scheduler):
         }
 
         def place(job: Job, gpus) -> None:
-            solution = ctx.engine.score_allocation(job, tuple(gpus), co)
-            self._place(ctx, job, solution, co)
+            solution = ctx.engine.score_allocation(
+                job, tuple(gpus), view.current()
+            )
+            self._place(ctx, job, solution, view)
             self._remove(job.job_id)
             self._estimated_end[job.job_id] = ctx.now + self.estimated_duration(job)
             placed.append(solution)

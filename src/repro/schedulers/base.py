@@ -31,6 +31,9 @@ class SchedulingContext:
     topo: TopologyGraph
     alloc: AllocationState
     engine: PlacementEngine
+    #: running ``job_id -> (job, gpus)``; inside the simulation kernel
+    #: this is the cluster's live read-only view, so a policy proposes
+    #: through a :class:`RoundView` instead of writing to it
     co_runners: Mapping[str, tuple[Job, frozenset[str]]]
     now: float = 0.0
     #: full cluster view (running jobs, rates, health); None when a
@@ -47,6 +50,49 @@ class SchedulingContext:
     #: return a solution for the job in the same decision round.  None
     #: outside the kernel — preempting policies degrade to placement-only.
     evict: Callable[[str, str], None] | None = None
+
+
+class RoundView:
+    """The co-runner view one decision round proposes against.
+
+    It starts as the context's own ``co_runners`` and hands that object
+    to proposals as it is.  A placement made in the round is held back
+    until a later proposal asks for the view: only then is the view
+    copied, once per round, with the round's placements added in
+    order.  So every proposal sees the same entries as a copy made up
+    front, yet a round that proposes nothing, or places only its last
+    proposal, copies nothing.
+    """
+
+    __slots__ = ("_live", "_copy", "_pending")
+
+    def __init__(self, live: Mapping[str, tuple[Job, frozenset[str]]]) -> None:
+        self._live = live
+        self._copy: dict[str, tuple[Job, frozenset[str]]] | None = None
+        self._pending: list[tuple[str, tuple[Job, frozenset[str]]]] = []
+
+    def current(self) -> Mapping[str, tuple[Job, frozenset[str]]]:
+        """The running jobs plus this round's placements, read-only."""
+        if self._pending:
+            return self.private()
+        return self._live if self._copy is None else self._copy
+
+    def private(self) -> dict[str, tuple[Job, frozenset[str]]]:
+        """The round's own copy, for probes that pop an entry and put
+        it back; later :meth:`current` calls return the same dict."""
+        if self._copy is None:
+            self._copy = dict(self._live)
+        if self._pending:
+            self._copy.update(self._pending)
+            self._pending.clear()
+        return self._copy
+
+    def add(self, job: Job, gpus: frozenset[str]) -> None:
+        """Register a placement made in this round."""
+        if self._copy is None:
+            self._pending.append((job.job_id, (job, gpus)))
+        else:
+            self._copy[job.job_id] = (job, gpus)
 
 
 @dataclass(order=True)
@@ -125,25 +171,34 @@ class Scheduler(abc.ABC):
     def schedule(self, ctx: SchedulingContext) -> list[PlacementSolution]:
         """Decide placements for queued jobs given the current state.
 
-        Implementations remove each placed job from the queue, commit
-        its GPUs to ``ctx.alloc`` (via ``ctx.engine.enforce``) so that
-        later decisions in the same round see them, and return the
-        solutions; the caller starts the corresponding executions.
+        Implementations open one :meth:`_round_view` per call, propose
+        against its :meth:`RoundView.current` view, commit each placed
+        job through :meth:`_place` so that later decisions in the same
+        round see its GPUs and its co-runner entry, remove it from the
+        queue, and return the solutions; the caller starts the
+        corresponding executions.  ``ctx.co_runners`` itself is never
+        written.
         """
 
     # ------------------------------------------------------------------
     # helpers shared by policies
     # ------------------------------------------------------------------
+    def _round_view(self, ctx: SchedulingContext) -> RoundView:
+        """The co-runner view of one :meth:`schedule` call."""
+        return RoundView(ctx.co_runners)
+
     @staticmethod
     def _place(
         ctx: SchedulingContext,
         job: Job,
         solution: PlacementSolution,
-        co: dict[str, tuple[Job, frozenset[str]]],
+        view: RoundView,
     ) -> None:
-        """Commit a solution and register it as a co-runner."""
+        """Commit a solution to ``ctx.alloc`` and register it as a
+        co-runner of the round's later proposals; the view is copied
+        only if one follows."""
         ctx.engine.enforce(solution)
-        co[job.job_id] = (job, frozenset(solution.gpus))
+        view.add(job, frozenset(solution.gpus))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(queue={len(self._queue)})"

@@ -20,7 +20,7 @@ class BestFitScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> list[PlacementSolution]:
         placed: list[PlacementSolution] = []
-        co = dict(ctx.co_runners)
+        view = self._round_view(ctx)
         max_free = ctx.alloc.max_free_count()
         for entry in list(self._queue):
             job = entry.job
@@ -29,8 +29,8 @@ class BestFitScheduler(Scheduler):
             gpus = self._best_fit(ctx, job.num_gpus)
             if gpus is None:
                 continue  # try the next job (backfill)
-            solution = ctx.engine.score_allocation(job, tuple(gpus), co)
-            self._place(ctx, job, solution, co)
+            solution = ctx.engine.score_allocation(job, tuple(gpus), view.current())
+            self._place(ctx, job, solution, view)
             self._remove(job.job_id)
             placed.append(solution)
             max_free = ctx.alloc.max_free_count()

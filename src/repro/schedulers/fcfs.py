@@ -17,14 +17,14 @@ class FCFSScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> list[PlacementSolution]:
         placed: list[PlacementSolution] = []
-        co = dict(ctx.co_runners)
+        view = self._round_view(ctx)
         while self._queue:
             job = self._queue[0].job
             gpus = self._first_fit(ctx, job.num_gpus)
             if gpus is None:
                 break  # head blocks the queue
-            solution = ctx.engine.score_allocation(job, tuple(gpus), co)
-            self._place(ctx, job, solution, co)
+            solution = ctx.engine.score_allocation(job, tuple(gpus), view.current())
+            self._place(ctx, job, solution, view)
             self._remove(job.job_id)
             placed.append(solution)
         return placed

@@ -23,7 +23,7 @@ class RandomScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> list[PlacementSolution]:
         placed: list[PlacementSolution] = []
-        co = dict(ctx.co_runners)
+        view = self._round_view(ctx)
         for entry in list(self._queue):
             job = entry.job
             candidates = [
@@ -36,8 +36,8 @@ class RandomScheduler(Scheduler):
             machine = self._rng.choice(candidates)
             free = ctx.alloc.free_gpus(machine=machine)
             gpus = tuple(sorted(self._rng.sample(free, job.num_gpus)))
-            solution = ctx.engine.score_allocation(job, gpus, co)
-            self._place(ctx, job, solution, co)
+            solution = ctx.engine.score_allocation(job, gpus, view.current())
+            self._place(ctx, job, solution, view)
             self._remove(job.job_id)
             placed.append(solution)
         return placed

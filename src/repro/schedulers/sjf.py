@@ -30,7 +30,7 @@ class SJFScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> list[PlacementSolution]:
         placed: list[PlacementSolution] = []
-        co = dict(ctx.co_runners)
+        view = self._round_view(ctx)
         max_free = ctx.alloc.max_free_count()
         pending = sorted(
             self.queued_jobs(),
@@ -42,8 +42,8 @@ class SJFScheduler(Scheduler):
             gpus = FCFSScheduler._first_fit(ctx, job.num_gpus)
             if gpus is None:
                 continue
-            solution = ctx.engine.score_allocation(job, tuple(gpus), co)
-            self._place(ctx, job, solution, co)
+            solution = ctx.engine.score_allocation(job, tuple(gpus), view.current())
+            self._place(ctx, job, solution, view)
             self._remove(job.job_id)
             placed.append(solution)
             max_free = ctx.alloc.max_free_count()

@@ -34,10 +34,12 @@ postponement budget is exhausted.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.core.placement import PlacementSolution
 from repro.core.utility import SLO_EPS, migration_penalty, normalized_utility
 from repro.obs import trace as _trace
-from repro.schedulers.base import Scheduler, SchedulingContext
+from repro.schedulers.base import RoundView, Scheduler, SchedulingContext
 from repro.workload.job import Job
 
 
@@ -75,7 +77,7 @@ class TopoAwareScheduler(Scheduler):
 
     def schedule(self, ctx: SchedulingContext) -> list[PlacementSolution]:
         placed: list[PlacementSolution] = []
-        co = dict(ctx.co_runners)
+        view = self._round_view(ctx)
         rec = ctx.recorder
         max_free = ctx.alloc.max_free_count()
         total_free = ctx.alloc.total_free_count()
@@ -122,6 +124,7 @@ class TopoAwareScheduler(Scheduler):
                         )
                     continue
                 prov = {} if rec is not None else None
+                co = view.current()
                 solution = ctx.engine.propose(job, co, provenance=prov)
                 if solution is None:
                     # Algorithm 1 pops every queued job per iteration: a
@@ -165,7 +168,7 @@ class TopoAwareScheduler(Scheduler):
                             postponements=self.postponements.get(job.job_id, 0),
                         )
                     continue
-                self._place(ctx, job, solution, co)
+                self._place(ctx, job, solution, view)
                 self._remove(job.job_id)
                 placed.append(solution)
                 sp.set(outcome="placed", gpus=len(solution.gpus))
@@ -189,13 +192,13 @@ class TopoAwareScheduler(Scheduler):
         if self.preempt and ctx.cluster is not None and ctx.evict is not None:
             self._round += 1
             budget = self.max_evictions_per_round
-            budget -= self._preempt_pass(ctx, co, placed, budget)
+            budget -= self._preempt_pass(ctx, view, placed, budget)
             if (
                 budget > 0
                 and self.defrag_interval
                 and self._round % self.defrag_interval == 0
             ):
-                self._defrag_pass(ctx, co, placed, budget)
+                self._defrag_pass(ctx, view, placed, budget)
         return placed
 
     # ------------------------------------------------------------------
@@ -259,7 +262,7 @@ class TopoAwareScheduler(Scheduler):
     def _preempt_pass(
         self,
         ctx: SchedulingContext,
-        co: dict,
+        view: RoundView,
         placed: list[PlacementSolution],
         budget: int,
     ) -> int:
@@ -274,7 +277,9 @@ class TopoAwareScheduler(Scheduler):
         net of its cost, never just shuffle it.  A victim is not probed
         when the job could not fit even with its GPUs freed, or when a
         perfect placement would still fall short of the threshold.
-        Returns the number of evictions committed.
+        A probe pops the victim from the round's private copy of the
+        view and puts it back.  Returns the number of evictions
+        committed.
         """
         cluster = ctx.cluster
         rec = ctx.recorder
@@ -304,7 +309,7 @@ class TopoAwareScheduler(Scheduler):
                 # interference model skips the victim's own co-runner
                 # entry, so the full view scores it as-is)
                 u_victim = ctx.engine.score_allocation(
-                    run.job, tuple(sorted(run.gpus)), co
+                    run.job, tuple(sorted(run.gpus)), view.current()
                 ).utility
                 penalty = migration_penalty(
                     self._remaining_wall_s(run), cluster.params
@@ -315,6 +320,7 @@ class TopoAwareScheduler(Scheduler):
                     continue
                 # probe: what would the queued job get with the victim gone?
                 ctx.alloc.release(victim_id)
+                co = view.private()
                 saved_co = co.pop(victim_id, None)
                 prov = {} if rec is not None else None
                 solution = ctx.engine.propose(job, co, provenance=prov)
@@ -331,7 +337,7 @@ class TopoAwareScheduler(Scheduler):
                     continue
                 ctx.evict(victim_id, "preempt")
                 co.pop(victim_id, None)
-                self._place(ctx, job, solution, co)
+                self._place(ctx, job, solution, view)
                 self._remove(job.job_id)
                 placed.append(solution)
                 evictions += 1
@@ -364,7 +370,7 @@ class TopoAwareScheduler(Scheduler):
     def _defrag_pass(
         self,
         ctx: SchedulingContext,
-        co: dict,
+        view: RoundView,
         placed: list[PlacementSolution],
         budget: int,
     ) -> int:
@@ -375,12 +381,15 @@ class TopoAwareScheduler(Scheduler):
         ones when the best placement now available beats the current
         one by more than the migration penalty plus ``defrag_min_gain``.
         A job is not probed when even a perfect placement would fall
-        short of that.  Returns the number of migrations committed.
+        short of that; a probe works on the round's private copy of the
+        view, like the preemption pass.  Returns the number of
+        migrations committed.
         """
         cluster = ctx.cluster
         rec = ctx.recorder
         u_max = normalized_utility(0.0, 0.0, 0.0, ctx.engine.params)
         scored = []
+        co = view.current()
         for victim_id in sorted(cluster.running):
             run = cluster.running[victim_id]
             current = ctx.engine.score_allocation(
@@ -401,6 +410,7 @@ class TopoAwareScheduler(Scheduler):
                 continue
             # probe: best placement with the job's own GPUs freed
             ctx.alloc.release(victim_id)
+            co = view.private()
             saved_co = co.pop(victim_id, None)
             prov = {} if rec is not None else None
             solution = ctx.engine.propose(run.job, co, provenance=prov)
@@ -416,7 +426,7 @@ class TopoAwareScheduler(Scheduler):
             # new GPUs this same round with its progress checkpointed
             ctx.evict(victim_id, "migrate")
             co.pop(victim_id, None)
-            self._place(ctx, run.job, solution, co)
+            self._place(ctx, run.job, solution, view)
             placed.append(solution)
             moves += 1
             if rec is not None:
@@ -448,7 +458,7 @@ class TopoAwareScheduler(Scheduler):
         ctx: SchedulingContext,
         job: Job,
         solution: PlacementSolution,
-        co: dict,
+        co: Mapping,
         detail: dict | None = None,
     ) -> bool:
         """TOPO-AWARE-P's postponement test (False = postpone).

@@ -19,7 +19,8 @@ one vector operation, not one Python step per running job.
 
 from __future__ import annotations
 
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -234,6 +235,7 @@ class ClusterState:
             self.interference,
         )
         self.running = RunningTable()
+        self._co_runners = MappingProxyType(self.running.co_runners)
         self.now = 0.0
         self._ideal_cache: dict[tuple, float] = {}
         self._next_version = 0
@@ -245,16 +247,16 @@ class ClusterState:
     # ------------------------------------------------------------------
     # views
     # ------------------------------------------------------------------
-    def co_runners(self) -> dict[str, tuple[Job, frozenset[str]]]:
+    def co_runners(self) -> Mapping[str, tuple[Job, frozenset[str]]]:
         """The running-job view schedulers and models consume.
 
-        This is the live view the :class:`RunningTable` keeps in step
-        with :attr:`running` (same items, same order) on every
-        assignment and removal — not a copy.  Callers must not mutate
-        it; a scheduler that tracks its own tentative placements copies
-        it first.
+        A read-only proxy, built once, over the dict the
+        :class:`RunningTable` keeps in step with :attr:`running` (same
+        items, same order) on every assignment and removal — not a
+        copy.  Writing to it raises ``TypeError``; a scheduler adds its
+        tentative placements to a :class:`~repro.schedulers.base.RoundView`.
         """
-        return self.running.co_runners
+        return self._co_runners
 
     def machines_of(self, gpus: Iterable[str]) -> set[str]:
         return {self.topo.machine_of(g) for g in gpus}

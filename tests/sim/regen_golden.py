@@ -13,6 +13,9 @@ from repro.sim.runner import run_comparison
 from repro.topology.builders import cluster, power8_minsky
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+#: the policies outside ``run_comparison``'s default four, pinned on
+#: the Scenario-1 trace only
+EXTRA_POLICIES = ("SJF", "EASY-BACKFILL", "RANDOM", "TOPO-AWARE-PM")
 
 
 def dump(results, path: Path) -> None:
@@ -52,6 +55,14 @@ def main() -> None:
     dump(
         run_comparison(lambda: cluster(5), scenario1_jobs(100, seed=42)),
         GOLDEN_DIR / "scenario1_cluster5.json",
+    )
+    dump(
+        run_comparison(
+            lambda: cluster(5),
+            scenario1_jobs(100, seed=42),
+            EXTRA_POLICIES,
+        ),
+        GOLDEN_DIR / "scenario1_cluster5_extra.json",
     )
 
 

@@ -1,13 +1,19 @@
 """The live co-runner view stays in step with the running-job table.
 
-``ClusterState.co_runners()`` returns a dict maintained by every
+``ClusterState.co_runners()`` returns a view maintained by every
 lifecycle mutator instead of a per-round rebuild, so each path that
 adds or removes a running job — placement, finish, cancel, preemption,
 migration and machine failure — must update it in the same order as
-``ClusterState.running``.
+``ClusterState.running``.  The view is read-only, so a scheduler
+cannot break that invariant by writing to it.
 """
 
+from types import MappingProxyType
+
+import pytest
+
 from repro.analysis.scenarios import fragmentation_jobs
+from repro.schedulers.fcfs import FCFSScheduler
 from repro.schedulers.topo import TopoAwareScheduler
 from repro.sim.engine import Simulator
 from repro.sim.events import MachineFailure
@@ -67,3 +73,24 @@ def test_view_tracks_every_lifecycle_path():
     assert "migrate" in tally.evictions
     assert tally.failure_victims
     assert sim.cluster.co_runners() == {}
+
+
+class _WritesThroughView(FCFSScheduler):
+    """A policy that registers its placements in ``ctx.co_runners``
+    itself, as a scheduler that forgot the round view would."""
+
+    def schedule(self, ctx):
+        queued = {job.job_id: job for job in self.queued_jobs()}
+        placed = super().schedule(ctx)
+        for s in placed:
+            ctx.co_runners[s.job_id] = (queued[s.job_id], frozenset(s.gpus))
+        return placed
+
+
+def test_a_scheduler_cannot_write_to_the_view():
+    jobs = [Job("a", ModelType.ALEXNET, 1, 2, iterations=100)]
+    sim = Simulator(cluster(1), _WritesThroughView(), jobs)
+    with pytest.raises(TypeError):
+        sim.run()
+    assert sim.cluster.co_runners() == {}
+    assert isinstance(sim.cluster.co_runners(), MappingProxyType)

@@ -5,6 +5,8 @@ pre-refactor (seed) engine.  The layered kernel (typed events +
 ClusterState + observers) must reproduce every JobRecord field
 bit-for-bit on the Table 1 prototype scenario and a seeded 100-job
 Scenario-1 trace, for all four headline policies.
+``scenario1_cluster5_extra.json`` pins the remaining policies (SJF,
+EASY-BACKFILL, RANDOM, TOPO-AWARE-PM) on the same Scenario-1 trace.
 
 If an intentional behaviour change ever invalidates these files,
 regenerate them with ``python tests/sim/regen_golden.py`` and explain
@@ -17,10 +19,19 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.scenarios import scenario1_jobs, table1_jobs
+from repro.cli import SCHEDULER_CHOICES
+from repro.schedulers import make_scheduler
 from repro.sim.runner import run_comparison
 from repro.topology.builders import cluster, power8_minsky
 
+from tests.sim.regen_golden import EXTRA_POLICIES
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_FILES = (
+    "table1_power8.json",
+    "scenario1_cluster5.json",
+    "scenario1_cluster5_extra.json",
+)
 
 RECORD_FIELDS = (
     "arrival",
@@ -64,14 +75,30 @@ def test_scenario1_trace_matches_seed():
     _assert_matches_golden(results, "scenario1_cluster5.json")
 
 
-def test_golden_covers_all_four_policies():
-    golden = json.loads((GOLDEN_DIR / "table1_power8.json").read_text())
-    assert set(golden) == {"BF", "FCFS", "TOPO-AWARE", "TOPO-AWARE-P"}
+def test_scenario1_trace_matches_for_the_other_policies():
+    results = run_comparison(
+        lambda: cluster(5), scenario1_jobs(100, seed=42), EXTRA_POLICIES
+    )
+    _assert_matches_golden(results, "scenario1_cluster5_extra.json")
+
+
+def test_golden_covers_every_policy():
+    """Every policy the factory builds is pinned on the Scenario-1 trace."""
+    policies = {make_scheduler(name).name for name in SCHEDULER_CHOICES}
+    scenario1 = set()
+    for name in ("scenario1_cluster5.json", "scenario1_cluster5_extra.json"):
+        scenario1 |= set(json.loads((GOLDEN_DIR / name).read_text()))
+    assert scenario1 == policies
+    table1 = json.loads((GOLDEN_DIR / "table1_power8.json").read_text())
+    assert set(table1) == {"BF", "FCFS", "TOPO-AWARE", "TOPO-AWARE-P"}
 
 
 def test_golden_traces_exercise_waiting_and_postponement():
     """The pins are only meaningful if the scenarios stress the queue."""
     golden = json.loads((GOLDEN_DIR / "scenario1_cluster5.json").read_text())
+    golden |= json.loads(
+        (GOLDEN_DIR / "scenario1_cluster5_extra.json").read_text()
+    )
     for name, pinned in golden.items():
         waits = [
             r["placed_at"] - r["arrival"]
@@ -81,7 +108,7 @@ def test_golden_traces_exercise_waiting_and_postponement():
         assert any(w > 1e-9 for w in waits), f"{name} never queued a job"
 
 
-@pytest.mark.parametrize("golden_name", ["table1_power8.json", "scenario1_cluster5.json"])
+@pytest.mark.parametrize("golden_name", GOLDEN_FILES)
 def test_golden_files_are_wellformed(golden_name):
     golden = json.loads((GOLDEN_DIR / golden_name).read_text())
     for pinned in golden.values():

@@ -289,6 +289,27 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "TOPO-AWARE-P" in out and "job3" in out
 
+    def test_missing_system_config_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["run", "--config-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "sys-config.ini" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [None, "{"])
+    def test_unreadable_manifest_is_a_usage_error(
+        self, tmp_path, capsys, content
+    ):
+        write_sample_configs(tmp_path)
+        manifest = tmp_path / "jobs.json"
+        if content is not None:
+            manifest.write_text(content)
+        code = main(
+            ["run", "--config-dir", str(tmp_path), "--manifest", str(manifest)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+
 
 class TestFiguresCommand:
     def test_writes_result_files(self, tmp_path, capsys):
@@ -319,6 +340,42 @@ class TestParser:
         from repro.topology.builders import MACHINES
 
         assert MACHINE_CHOICES == tuple(MACHINES)
+
+
+class TestSizeFlags:
+    """``--jobs`` and ``--machines`` take a positive count on every verb
+    that has them; anything else is an argparse usage error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [verb, flag, value]
+            for verb, flags in (
+                ("simulate", ("--jobs", "--machines")),
+                ("compare", ("--jobs", "--machines")),
+                ("replay", ("--jobs",)),
+                ("serve", ("--machines",)),
+                ("soak", ("--machines",)),
+                ("bench", ("--jobs", "--machines")),
+            )
+            for flag in flags
+            for value in ("0", "-3", "x")
+        ],
+    )
+    def test_non_positive_size_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: expected a positive integer" in err
+
+    def test_positive_sizes_parse_as_ints(self):
+        from repro.cli import _build_parser
+
+        args = _build_parser().parse_args(
+            ["simulate", "--jobs", "1", "--machines", "007"]
+        )
+        assert (args.jobs, args.machines) == (1, 7)
 
 
 class TestObservabilityCLI:
