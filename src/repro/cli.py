@@ -840,8 +840,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    import select
     import signal
-    import threading
+    import socket
 
     from repro.service import SchedulerService, ServiceServer
 
@@ -864,11 +865,19 @@ def _cmd_serve(args) -> int:
             f"recovered {service.recovered_jobs} unfinished job(s) "
             f"from {args.store}"
         )
-    stop = threading.Event()
+    # SIGTERM/SIGINT only set a flag: a handler that took a lock (say,
+    # Event.set) could run while the main thread held that same lock
+    # and deadlock.  The signal's byte on the wake-up socket ends the
+    # select at once, whichever thread the signal was delivered to.
+    stopping = []
 
     def _on_signal(signum, frame):  # noqa: ARG001 - signal signature
-        stop.set()
+        stopping.append(signum)
 
+    wake_r, wake_w = socket.socketpair()
+    wake_r.setblocking(False)
+    wake_w.setblocking(False)
+    previous_wakeup = signal.set_wakeup_fd(wake_w.fileno())
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
     service.start()
@@ -882,11 +891,15 @@ def _cmd_serve(args) -> int:
     try:
         # a fail-stopped service exits on its own, non-zero, so a
         # supervisor restarts it from the journal
-        while not stop.is_set() and service.failure is None:
-            stop.wait(0.5)
+        while not stopping and service.failure is None:
+            if select.select([wake_r], [], [], 0.5)[0]:
+                wake_r.recv(64)
     finally:
         server.stop()
         service.stop()
+        signal.set_wakeup_fd(previous_wakeup)
+        wake_r.close()
+        wake_w.close()
     if args.decisions_out is not None:
         path = service.decision_recorder.write_journal(args.decisions_out)
         count = len(service.decision_recorder.journal or ())

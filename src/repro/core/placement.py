@@ -173,7 +173,6 @@ class PlacementEngine:
         #: machine -> (shape id, GPU name -> local index, local index
         #: -> GPU name), filled on first use
         self._machine_tables: dict[str, tuple[int, dict[str, int], tuple[str, ...]]] = {}
-        self._shape_ids: dict[tuple, int] = {}
         self.prefilter = CandidatePrefilter(self.max_pools, PrefilterStats())
 
     def _max_pair_bandwidth(self) -> float:
@@ -381,10 +380,12 @@ class PlacementEngine:
         """Shape id and local GPU index tables of ``machine``."""
         table = self._machine_tables.get(machine)
         if table is None:
-            shape = self.topo.machine_shape(machine)
-            shape_id = self._shape_ids.setdefault(shape, len(self._shape_ids))
             names = tuple(self.topo.gpus(machine=machine))
-            table = (shape_id, {g: i for i, g in enumerate(names)}, names)
+            table = (
+                self.topo.machine_shape_id(machine),
+                {g: i for i, g in enumerate(names)},
+                names,
+            )
             self._machine_tables[machine] = table
         return table
 
@@ -437,7 +438,7 @@ class PlacementEngine:
 
         The job's placement fields, the machine's shape id (equal
         shapes are identical up to the name prefix, see
-        :meth:`TopologyGraph.machine_shape`), its health, the local
+        :meth:`TopologyGraph.machine_shape_id`), its health, the local
         indices of the pool's GPUs, and the co-runners
         (:meth:`_residents`).  Spanning pools, pools short of the
         machine's whole free set and machines hosting a co-runner that

@@ -67,6 +67,8 @@ the connection after the response.
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import socketserver
 import threading
 import time
@@ -223,6 +225,11 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class _Server(socketserver.ThreadingTCPServer):
+    """The accept loop waits on the listening socket and on one end of
+    a socket pair; :meth:`shutdown` writes to the other end, so the
+    loop ends at once rather than at its next poll, and an idle server
+    never wakes."""
+
     daemon_threads = True
     allow_reuse_address = True
     # the owner's route tables, set by IntrospectionServer.start
@@ -230,6 +237,42 @@ class _Server(socketserver.ThreadingTCPServer):
     stream_table: dict[str, Callable]
     get_table: dict[str, Callable[[], Response]]
     post_table: dict[str, Callable[[dict], Response]]
+
+    def __init__(self, address, handler) -> None:
+        super().__init__(address, handler)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._stop_requested = False
+        self._loop_done = threading.Event()
+
+    def serve_forever(self, poll_interval: float | None = None) -> None:
+        """Accept connections until :meth:`shutdown`.  Nothing polls:
+        ``poll_interval`` is the base signature's and unused."""
+        self._loop_done.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_r, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    ready = selector.select()
+                    if self._stop_requested:
+                        break
+                    if any(key.fileobj is self for key, _ in ready):
+                        self._handle_request_noblock()
+        finally:
+            self._stop_requested = False
+            self._loop_done.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned;
+        call it from another thread while the loop runs."""
+        self._stop_requested = True
+        self._wake_w.send(b"\0")
+        self._loop_done.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_r.close()
+        self._wake_w.close()
 
 
 class IntrospectionServer:
@@ -362,11 +405,11 @@ class IntrospectionServer:
         # unblock SSE streamers first so their handler threads exit
         # their wait loops instead of holding sockets open
         self._stopping.set()
-        self._httpd.shutdown()
-        self._httpd.server_close()
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.server_close()
 
     def __enter__(self) -> "IntrospectionServer":
         return self.start()

@@ -129,6 +129,11 @@ class IterationBreakdown:
         return self.comm_s / total if total > 0 else 0.0
 
 
+#: bound on :meth:`PerformanceModel.iteration_breakdown`'s memo; the
+#: oldest entry goes first, which only ever forces a recompute
+SOLO_MEMO_MAX = 4096
+
+
 class PerformanceModel:
     """Solo execution-time model over a topology."""
 
@@ -141,7 +146,14 @@ class PerformanceModel:
         self.topo = topo
         self.calibration = calibration
         self._machine_kind_override = machine_kind
-        self._kind_cache: dict[str, MachineKind] = {}
+        #: machine kind per shape id: the kind reads only the machine's
+        #: GPU edges, so a mutation that changes them changes the id
+        self._kind_cache: dict[int, MachineKind] = {}
+        #: single-machine breakdowns keyed by (model, batch size,
+        #: communication pattern, shape id, relative GPU names in task
+        #: order); per instance, so models of different calibration or
+        #: machine kind never share an entry
+        self._solo: dict[tuple, IterationBreakdown] = {}
 
     # ------------------------------------------------------------------
     # machine classification
@@ -150,7 +162,8 @@ class PerformanceModel:
         """NVLink or PCIe machine, inferred from GPU uplink technology."""
         if self._machine_kind_override is not None:
             return self._machine_kind_override
-        cached = self._kind_cache.get(machine)
+        shape_id = self.topo.machine_shape_id(machine)
+        cached = self._kind_cache.get(shape_id)
         if cached is not None:
             return cached
         kind = MachineKind.PCIE_K80
@@ -161,7 +174,7 @@ class PerformanceModel:
                     break
             if kind is MachineKind.NVLINK_P100:
                 break
-        self._kind_cache[machine] = kind
+        self._kind_cache[shape_id] = kind
         return kind
 
     # ------------------------------------------------------------------
@@ -199,15 +212,32 @@ class PerformanceModel:
         mapping-aware collective models so the task order DRB chose
         actually matters.
         """
-        from repro.perf import collectives
-        from repro.workload.job import CommPattern
-        from repro.workload.jobgraph import MODEL_PARALLEL_WEIGHT_FACTOR
-
         gpus = list(gpus)
         if len(gpus) != job.num_gpus:
             raise ValueError(
                 f"{job.job_id}: allocation has {len(gpus)} GPUs, job wants {job.num_gpus}"
             )
+        # on one machine the answer depends on the job's fields and the
+        # GPUs' places in the machine's shape alone
+        local = self.topo.machine_relative(gpus)
+        if local is None:
+            return self._breakdown(job, gpus)
+        key = (job.model, job.batch_size, job.comm_pattern, *local)
+        memo = self._solo
+        cached = memo.get(key)
+        if cached is None:
+            cached = self._breakdown(job, gpus)
+            if len(memo) >= SOLO_MEMO_MAX:
+                del memo[next(iter(memo))]
+            memo[key] = cached
+        return cached
+
+    def _breakdown(self, job: Job, gpus: list[str]) -> IterationBreakdown:
+        """:meth:`iteration_breakdown` of a checked allocation, uncached."""
+        from repro.perf import collectives
+        from repro.workload.job import CommPattern
+        from repro.workload.jobgraph import MODEL_PARALLEL_WEIGHT_FACTOR
+
         machine = self.topo.machine_of(gpus[0])
         kind = self.machine_kind(machine)
         compute = self.calibration.compute_time(job.model, job.batch_size, kind)

@@ -10,10 +10,17 @@ for NVLink connections.  Every edge carries
 * ``spec`` -- a :class:`~repro.topology.links.LinkSpec` with the link
   technology and bandwidth, used by the performance/interference models.
 
-The graph is undirected.  Shortest-path distances and widest-path
-(bottleneck-bandwidth) queries are computed with Dijkstra variants and
-cached per source; any mutation invalidates the caches (once per build
-inside :meth:`TopologyGraph._building`).
+The graph is undirected.  Shortest-path distances, shortest paths and
+widest-path (bottleneck-bandwidth) queries are computed with Dijkstra
+variants.  A query between two nodes of one machine only searches that
+machine, so its answer is a function of the machine's shape
+(:meth:`TopologyGraph.machine_shape`): it is stored once per shape, in
+machine-relative names, and serves every machine of that shape (on a
+fleet of identical machines, one search serves them all).  Queries
+across machines are cached by node name.  Any mutation invalidates the
+name-keyed caches and the machine -> shape id map (once per build
+inside :meth:`TopologyGraph._building`); the per-shape tables stay,
+because a shape id names one shape for the life of the graph.
 """
 
 from __future__ import annotations
@@ -27,14 +34,16 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.topology.links import LinkSpec, LinkType
+from repro.topology.shapes import ShapeTables, absolute, describe, relative
 
 
 class TopologyError(ValueError):
     """Raised for malformed topology construction or queries."""
 
 
-#: bound on cached *unscoped* per-source Dijkstra results.  Every
-#: cross-machine distance query is served from these, and each one
+#: bound on each of the caches of *unscoped* per-source Dijkstra and
+#: widest-path results.  Every cross-machine distance or bandwidth
+#: query is served from these, and each one
 #: holds a distance for every node in the graph — on a 1k-machine fleet
 #: that is ~9k entries per source, so caching one per GPU would grow
 #: without limit.  Eviction is LRU and only ever forces a recompute,
@@ -86,9 +95,20 @@ class Edge:
 
 @dataclass
 class _Caches:
-    dist: dict[tuple[str, str | None], dict[str, float]] = field(default_factory=dict)
-    widest: dict[tuple[str, str | None], dict[str, float]] = field(default_factory=dict)
-    paths: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
+    #: unscoped (cross-machine) searches, keyed by node name; ``dist``
+    #: and ``widest`` are in LRU order (see :data:`DIST_UNSCOPED_CACHE_MAX`)
+    dist: "OrderedDict[str, dict[str, float]]" = field(default_factory=OrderedDict)
+    widest: "OrderedDict[str, dict[str, float]]" = field(default_factory=OrderedDict)
+    routes: dict[tuple[str, str], tuple[tuple[str, ...], bool]] = field(
+        default_factory=dict
+    )
+    #: machine -> shape id (see :meth:`TopologyGraph.machine_shape_id`)
+    shape_ids: dict[str, int] = field(default_factory=dict)
+    #: node -> (machine, shape id, relative name); see
+    #: :meth:`TopologyGraph._locate`
+    locations: dict[str, tuple] = field(default_factory=dict)
+    #: machine -> names of the machine node and every node it owns
+    members: dict[str | None, list[str]] | None = None
     machines: list[str] | None = None
     gpu_lists: dict[tuple[str | None, str | None], list[str]] = field(
         default_factory=dict
@@ -96,14 +116,9 @@ class _Caches:
     socket_lists: dict[str | None, list[str]] = field(default_factory=dict)
     machine_map: dict[str, str] = field(default_factory=dict)
     socket_map: dict[str, str] = field(default_factory=dict)
-    #: LRU order of unscoped entries in ``dist`` (see
-    #: :data:`DIST_UNSCOPED_CACHE_MAX`); values are unused.
-    dist_unscoped_lru: "OrderedDict[tuple[str, str | None], None]" = field(
-        default_factory=OrderedDict
-    )
-    #: :meth:`TopologyGraph.p2p_island_sizes` results per machine scope
-    #: (``None`` = the whole fleet), filled on first use.
-    p2p_islands: dict[str | None, tuple[int, ...]] = field(default_factory=dict)
+    #: the whole fleet's :meth:`TopologyGraph.p2p_island_sizes`,
+    #: filled on first use
+    p2p_islands: tuple[int, ...] | None = None
     #: whole-topology pack placements per GPU count, filled on first
     #: use by :meth:`repro.perf.model.PerformanceModel.placement_gpus`.
     pack: dict[int, tuple[str, ...]] = field(default_factory=dict)
@@ -115,19 +130,7 @@ class _Caches:
     comm_bounds: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def clear(self) -> None:
-        self.dist.clear()
-        self.widest.clear()
-        self.paths.clear()
-        self.machines = None
-        self.gpu_lists.clear()
-        self.socket_lists.clear()
-        self.machine_map.clear()
-        self.socket_map.clear()
-        self.dist_unscoped_lru.clear()
-        self.p2p_islands.clear()
-        self.pack.clear()
-        self.bus_capacity.clear()
-        self.comm_bounds.clear()
+        self.__init__()  # every field back to its default
 
 
 class _DeferredCaches:
@@ -164,6 +167,9 @@ class TopologyGraph:
         self._nodes: dict[str, Node] = {}
         self._adj: dict[str, dict[str, Edge]] = {}
         self._caches = _Caches()
+        #: shape ids and per-shape answers; never cleared (see
+        #: :meth:`machine_shape_id`)
+        self._shapes = ShapeTables()
 
     # ------------------------------------------------------------------
     # construction
@@ -380,53 +386,99 @@ class TopologyGraph:
         self._caches.socket_map[name] = result
         return result
 
+    def _members(self, machine: str) -> list[str]:
+        """``machine`` and every node whose ``machine`` it is, sorted.
+
+        One pass over the node table groups every machine's nodes, so
+        a sweep over the fleet does not rescan it per machine.
+        """
+        groups = self._caches.members
+        if groups is None:
+            groups = {}
+            for name, node in self._nodes.items():
+                groups.setdefault(node.machine, []).append(name)
+            self._caches.members = groups
+        return sorted([machine, *groups.get(machine, ())])
+
     def machine_shape(self, machine: str) -> tuple:
         """Hashable description of ``machine``'s local subgraph with
         machine-relative names.
 
-        Covers every node reachable from the machine node, its sockets
-        or its GPUs through nodes of the same machine: name, kind,
-        socket, GPU index and each neighbour in adjacency order with
-        the edge's weight and :class:`LinkSpec`.  Names under
+        Covers the machine node and every node whose ``machine`` it is,
+        in name order: relative name, kind, socket, GPU index, and each
+        neighbour in adjacency order with its kind and the edge's
+        weight and link-spec fields
+        (:func:`~repro.topology.shapes.describe`).  Names under
         ``"<machine>/"`` lose that prefix and the machine node becomes
-        ``""``; any other name (a neighbour outside the machine, or a
-        local node named without the prefix) is kept whole.  Two
-        machines with equal shapes are therefore identical up to the
+        ``None``; any other name (a neighbour outside the machine, or a
+        local node named without the prefix) is kept whole, so a shape
+        holding a local node of that kind is one machine's alone.
+
+        Two machines with equal shapes are therefore identical up to the
         prefix, down to the adjacency order that breaks shortest-path
         ties, and every scoped distance, path and sort of their names
-        corresponds.  Not cached: callers keep what they need.
+        corresponds.  Computed afresh on every call;
+        :meth:`machine_shape_id` interns it once per machine.
         """
-        prefix = machine + "/"
+        return describe(self._nodes, self._adj, machine, self._members(machine))
 
-        def rel(name: str | None):
-            if name == machine:
-                return ""
-            if name is not None and name.startswith(prefix):
-                return name[len(prefix):]
-            return ("=", name)
+    def machine_shape_id(self, machine: str) -> int:
+        """Small integer naming ``machine``'s :meth:`machine_shape`.
 
-        seen = {machine}
-        frontier = [machine, *self.sockets(machine), *self.gpus(machine)]
-        seen.update(frontier)
-        for u in frontier:  # grows while iterating: a breadth-first walk
-            for v in self._adj[u]:
-                if v not in seen and self._nodes[v].machine == machine:
-                    seen.add(v)
-                    frontier.append(v)
-        entries = []
-        for name in sorted(seen):
-            node = self._nodes[name]
-            entries.append((
-                rel(name),
-                node.kind,
-                rel(node.socket),
-                node.gpu_index,
-                tuple(
-                    (rel(v), self._nodes[v].kind, edge.weight, edge.spec)
-                    for v, edge in self._adj[name].items()
-                ),
-            ))
-        return tuple(entries)
+        Assigned on first use: the shape is interned in a table that is
+        never cleared, so an id names one shape for the life of the
+        graph, and machines of equal shape share it.  A mutation clears
+        only the machine -> id map; a changed machine then gets the id
+        of its new shape.
+        """
+        shape_id = self._caches.shape_ids.get(machine)
+        if shape_id is None:
+            if self.node(machine).kind is not NodeKind.MACHINE:
+                raise TopologyError(f"node {machine!r} is not a machine")
+            shape_id = self._shapes.intern(self.machine_shape(machine))
+            self._caches.shape_ids[machine] = shape_id
+        return shape_id
+
+    def _locate(self, name: str) -> tuple:
+        """``(machine, shape id, relative name)`` of node ``name``.
+
+        ``machine`` is the machine whose scoped searches cover the
+        node: its ``machine``, or the node itself for a machine node.
+        A node outside every machine (the network) gets
+        ``(None, None, name)``.  Raises :class:`TopologyError` for an
+        unknown name; cached by name until the next mutation.
+        """
+        loc = self._caches.locations.get(name)
+        if loc is None:
+            node = self.node(name)
+            machine = node.machine or (name if node.kind is NodeKind.MACHINE else None)
+            if machine is None:
+                loc = (None, None, name)
+            else:
+                loc = (
+                    machine,
+                    self.machine_shape_id(machine),
+                    relative(name, machine, machine + "/"),
+                )
+            self._caches.locations[name] = loc
+        return loc
+
+    def machine_relative(self, names: Iterable[str]) -> tuple[int, tuple] | None:
+        """``(shape id, machine-relative names)`` when every name is a
+        node of one machine (or the machine node), else ``None``.
+
+        Equal results name corresponding nodes of machines of equal
+        shape, so the pair keys any answer that depends only on the
+        machine's subgraph and the nodes' places in it.
+        """
+        locations = self._caches.locations
+        locs = [locations.get(n) or self._locate(n) for n in names]
+        if not locs:
+            return None
+        machine, shape_id, _ = locs[0]
+        if machine is None or any(loc[0] != machine for loc in locs):
+            return None
+        return shape_id, tuple([loc[2] for loc in locs])
 
     def gpu_index_of(self, name: str) -> int:
         node = self.node(name)
@@ -437,23 +489,21 @@ class TopologyGraph:
     # ------------------------------------------------------------------
     # shortest paths / widest paths
     # ------------------------------------------------------------------
-    def _dijkstra(self, source: str, scope_machine: str | None = None) -> dict[str, float]:
+    def _dijkstra(
+        self, source: str, scope_machine: str | None = None, prev: dict | None = None
+    ) -> dict[str, float]:
         """Single-source shortest paths, optionally restricted to one
         machine's component (hierarchical weights guarantee intra-machine
         paths never detour through the network, so the scoped search is
         exact for same-machine queries and much cheaper on clusters).
+        Each node's predecessor goes into ``prev`` when it is given.
+        Not cached: see :meth:`distance` and :meth:`shortest_path`.
 
         GPU nodes never *transit* traffic: a path may start or end at a
         GPU but cannot route through one (P100-class NVLink does not
         relay; non-adjacent GPU pairs go through switches/sockets, which
         is exactly what ``nvidia-smi topo`` reports as PIX/PHB/SYS).
         """
-        key = (source, scope_machine)
-        cached = self._caches.dist.get(key)
-        if cached is not None:
-            if scope_machine is None and key in self._caches.dist_unscoped_lru:
-                self._caches.dist_unscoped_lru.move_to_end(key)
-            return cached
         self.node(source)
         dist: dict[str, float] = {source: 0.0}
         heap: list[tuple[float, str]] = [(0.0, source)]
@@ -475,87 +525,116 @@ class TopologyGraph:
                 nd = d + edge.weight
                 if nd < dist.get(v, float("inf")):
                     dist[v] = nd
+                    if prev is not None:
+                        prev[v] = u
                     heapq.heappush(heap, (nd, v))
-        self._caches.dist[key] = dist
-        if scope_machine is None:
-            # unscoped rows are graph-sized; keep only the hottest few
-            # (see DIST_UNSCOPED_CACHE_MAX) so large fleets do not
-            # accumulate one full-graph dict per GPU.
-            lru = self._caches.dist_unscoped_lru
-            lru[key] = None
-            lru.move_to_end(key)
-            while len(lru) > DIST_UNSCOPED_CACHE_MAX:
-                old, _ = lru.popitem(last=False)
-                self._caches.dist.pop(old, None)
         return dist
 
-    def _scope_for(self, u: str, v: str) -> str | None:
-        """Common machine of two nodes, or None when they differ."""
-        mu = self._nodes[u].machine or (
-            u if self._nodes[u].kind is NodeKind.MACHINE else None
-        )
-        mv = self._nodes[v].machine or (
-            v if self._nodes[v].kind is NodeKind.MACHINE else None
-        )
-        return mu if (mu is not None and mu == mv) else None
+    def _unscoped(self, cache: OrderedDict, search, source: str) -> dict[str, float]:
+        """``search(source)`` over the whole graph, cached in ``cache``
+        by name.  Unscoped rows are graph-sized; only the hottest few
+        are kept (see :data:`DIST_UNSCOPED_CACHE_MAX`) so large fleets
+        do not accumulate one full-graph dict per GPU."""
+        row = cache.get(source)
+        if row is None:
+            row = cache[source] = search(source)
+            if len(cache) > DIST_UNSCOPED_CACHE_MAX:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(source)
+        return row
 
-    def distance(self, u: str, v: str) -> float:
-        """Shortest-path distance (sum of qualitative edge weights)."""
-        self.node(u)
-        self.node(v)
-        if u == v:
-            return 0.0
-        dist = self._dijkstra(u, self._scope_for(u, v))
+    def _fill_row(self, table: dict, key: tuple, search, source: str, machine: str) -> dict:
+        """``search(source, machine)`` with its keys made relative to
+        ``machine``, stored in ``table`` under ``key`` (the shape id and
+        the relative source)."""
+        prefix = machine + "/"
+        row = table[key] = {
+            relative(name, machine, prefix): value
+            for name, value in search(source, machine).items()
+        }
+        return row
+
+    def _lookup(self, u: str, v: str, table: dict, search, cache: OrderedDict) -> float:
+        """``search``'s answer from ``u`` at ``v != u``: from the
+        shape's ``table`` when both lie in one machine, else from the
+        name-keyed ``cache`` of unscoped rows."""
+        locations = self._caches.locations
+        mu, shape_id, ru = locations.get(u) or self._locate(u)
+        mv, _, rv = locations.get(v) or self._locate(v)
         try:
-            return dist[v]
+            if mu is None or mu != mv:
+                return self._unscoped(cache, search, u)[v]
+            key = (shape_id, ru)
+            row = table.get(key) or self._fill_row(table, key, search, u, mu)
+            return row[rv]
         except KeyError:
             raise TopologyError(f"{u!r} and {v!r} are disconnected") from None
 
-    def shortest_path(self, u: str, v: str) -> tuple[str, ...]:
-        """One shortest path from ``u`` to ``v`` as a node-name tuple."""
-        self.node(u)
-        self.node(v)
-        cached = self._caches.paths.get((u, v))
-        if cached is not None:
-            return cached
+    def distance(self, u: str, v: str) -> float:
+        """Shortest-path distance (sum of qualitative edge weights)."""
         if u == v:
-            return (u,)
-        scope = self._scope_for(u, v)
-        dist: dict[str, float] = {u: 0.0}
+            self.node(u)
+            return 0.0
+        return self._lookup(u, v, self._shapes.dist, self._dijkstra, self._caches.dist)
+
+    def _search_path(self, u: str, v: str, scope: str | None) -> tuple[str, ...]:
+        """One shortest path from ``u`` to ``v`` (``u != v``), searched
+        within machine ``scope`` unless it is ``None``.  Not cached."""
         prev: dict[str, str] = {}
-        heap: list[tuple[float, str]] = [(0.0, u)]
-        done: set[str] = set()
-        while heap:
-            d, a = heapq.heappop(heap)
-            if a in done:
-                continue
-            if a == v:
-                break
-            done.add(a)
-            if a != u and self._nodes[a].kind is NodeKind.GPU:
-                continue  # GPUs are endpoints, never relays
-            for b, edge in self._adj[a].items():
-                if scope is not None:
-                    node_b = self._nodes[b]
-                    if node_b.machine != scope and not (
-                        node_b.kind is NodeKind.MACHINE and b == scope
-                    ):
-                        continue
-                nd = d + edge.weight
-                if nd < dist.get(b, float("inf")):
-                    dist[b] = nd
-                    prev[b] = a
-                    heapq.heappush(heap, (nd, b))
-        if v not in dist:
+        if v not in self._dijkstra(u, scope, prev):
             raise TopologyError(f"{u!r} and {v!r} are disconnected")
         path = [v]
         while path[-1] != u:
             path.append(prev[path[-1]])
         path.reverse()
-        result = tuple(path)
-        self._caches.paths[(u, v)] = result
-        self._caches.paths[(v, u)] = tuple(reversed(result))
-        return result
+        return tuple(path)
+
+    def _p2p_along(self, path: tuple[str, ...]) -> bool:
+        """True when no node strictly inside ``path`` is a socket, a
+        machine or the network (see :meth:`p2p_connected`)."""
+        return all(
+            self._nodes[name].kind in (NodeKind.GPU, NodeKind.SWITCH)
+            for name in path[1:-1]
+        )
+
+    def _route(self, u: str, v: str) -> tuple[tuple, bool, str | None]:
+        """``(path, p2p, machine)`` for two nodes ``u != v``.
+
+        Within one machine the path is in names relative to
+        ``machine``, from the shape's table; across machines
+        ``machine`` is ``None`` and the path is in node names, from a
+        name-keyed cache.
+        """
+        locations = self._caches.locations
+        mu, shape_id, ru = locations.get(u) or self._locate(u)
+        mv, _, rv = locations.get(v) or self._locate(v)
+        if mu is None or mu != mv:
+            mu, table, key = None, self._caches.routes, (u, v)
+        else:
+            table, key = self._shapes.routes, (shape_id, ru, rv)
+        entry = table.get(key)
+        if entry is None:
+            path = self._search_path(u, v, mu)
+            entry = table[key] = (
+                path if mu is None else tuple([relative(n, mu, mu + "/") for n in path]),
+                self._p2p_along(path),
+            )
+        return (*entry, mu)
+
+    def shortest_path(self, u: str, v: str) -> tuple[str, ...]:
+        """One shortest path from ``u`` to ``v`` as a node-name tuple."""
+        if u == v:
+            self.node(u)
+            return (u,)
+        path, _, machine = self._route(u, v)
+        if machine is None:
+            return path
+        prefix = machine + "/"
+        return tuple([
+            prefix + rel if type(rel) is str else absolute(rel, machine, prefix)
+            for rel in path
+        ])
 
     def path_edges(self, u: str, v: str) -> list[Edge]:
         """Edges along one shortest path from ``u`` to ``v``."""
@@ -571,22 +650,15 @@ class TopologyGraph:
         the NVLink bandwidth, while cross-socket pairs are limited by
         the system bus.
         """
-        self.node(u)
-        self.node(v)
         if u == v:
+            self.node(u)
             return float("inf")
-        scope = self._scope_for(u, v)
-        key = (u, scope)
-        cached = self._caches.widest.get(key)
-        if cached is None:
-            cached = self._widest_from(u, scope)
-            self._caches.widest[key] = cached
-        try:
-            return cached[v]
-        except KeyError:
-            raise TopologyError(f"{u!r} and {v!r} are disconnected") from None
+        return self._lookup(u, v, self._shapes.widest, self._widest_from, self._caches.widest)
 
     def _widest_from(self, source: str, scope_machine: str | None = None) -> dict[str, float]:
+        """Widest-path bandwidth from ``source`` to every node it
+        reaches (within machine ``scope_machine`` unless ``None``).
+        Not cached: see :meth:`bottleneck_bandwidth`."""
         self.node(source)
         width: dict[str, float] = {source: float("inf")}
         # max-heap via negation
@@ -617,23 +689,27 @@ class TopologyGraph:
     # aggregates
     # ------------------------------------------------------------------
     def pairwise_distance_sum(self, names: Iterable[str]) -> float:
-        """Sum of pairwise shortest-path distances (Eq. 3's ``t``)."""
+        """Sum of pairwise shortest-path distances (Eq. 3's ``t``).
+        Names of one machine read their shape's rows directly."""
         names = list(names)
-        if len(names) < 2:
-            return 0.0
-        machines = {self._nodes[n].machine for n in names}
-        scope = machines.pop() if len(machines) == 1 else None
-        total = 0.0
-        for i, u in enumerate(names):
-            dist = self._dijkstra(u, scope)
-            for v in names[i + 1 :]:
-                try:
-                    total += dist[v]
-                except KeyError:
-                    raise TopologyError(
-                        f"{u!r} and {v!r} are disconnected"
-                    ) from None
-        return total
+        local = self.machine_relative(names) if len(names) > 1 else None
+        if local is not None:
+            shape_id, rels = local
+            machine, table = self._caches.locations[names[0]][0], self._shapes.dist
+            total = 0.0
+            try:
+                for i, u in enumerate(names):
+                    key = (shape_id, rels[i])
+                    row = table.get(key) or self._fill_row(table, key, self._dijkstra, u, machine)
+                    for rel in rels[i + 1:]:
+                        total += row[rel]
+                return total
+            except KeyError:
+                pass  # a disconnected pair: the sum below names it
+        return sum(
+            (self.distance(u, v) for i, u in enumerate(names) for v in names[i + 1:]),
+            0.0,
+        )
 
     # ------------------------------------------------------------------
     # validation / export
@@ -686,11 +762,7 @@ class TopologyGraph:
         """
         if gpu_a == gpu_b:
             return True
-        path = self.shortest_path(gpu_a, gpu_b)
-        return all(
-            self.node(name).kind in (NodeKind.GPU, NodeKind.SWITCH)
-            for name in path[1:-1]
-        )
+        return self._route(gpu_a, gpu_b)[1]
 
     def p2p_island_sizes(self, machine: str | None = None) -> list[int]:
         """Sizes of maximal GPU groups with all-pairs P2P connectivity.
@@ -699,15 +771,26 @@ class TopologyGraph:
         all on this hardware (TOPO-AWARE-P must not postpone forever
         waiting for an allocation the machine cannot provide).
         Computed greedily over P2P adjacency cliques per socket/switch
-        group; exact for the hierarchical machines modelled here.
-        Pure in the graph, so the result is cached per ``machine``
-        scope until the next mutation; callers get a fresh list.
+        group; exact for the hierarchical machines modelled here, where
+        every socket belongs to a machine and holds that machine's GPUs.
+        A machine's sizes are computed once per shape; the whole
+        fleet's (``machine=None``) are every machine's, largest first,
+        cached until the next mutation.  Callers get a fresh list.
         """
-        cached = self._caches.p2p_islands.get(machine)
-        if cached is None:
-            cached = tuple(self._scan_p2p_islands(machine))
-            self._caches.p2p_islands[machine] = cached
-        return list(cached)
+        if machine is not None:
+            shape_id = self.machine_shape_id(machine)
+            cached = self._shapes.islands.get(shape_id)
+            if cached is None:
+                cached = self._shapes.islands[shape_id] = tuple(
+                    self._scan_p2p_islands(machine)
+                )
+            return list(cached)
+        if self._caches.p2p_islands is None:
+            sizes = []
+            for m in self.machines():
+                sizes += self.p2p_island_sizes(m)
+            self._caches.p2p_islands = tuple(sorted(sizes, reverse=True))
+        return list(self._caches.p2p_islands)
 
     @property
     def pack_memo(self) -> dict[int, tuple[str, ...]]:

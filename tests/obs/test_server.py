@@ -3,6 +3,7 @@
 import json
 import math
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -101,6 +102,22 @@ class TestHTTP:
         with IntrospectionServer(publisher) as server:
             assert server.port > 0
             assert server.url == f"http://127.0.0.1:{server.port}"
+
+    def test_stop_wakes_the_accept_loop_at_once(self):
+        """``stop`` does not wait out a poll: the accept loop sleeps
+        until a connection or the stop arrives, and a served request
+        in between leaves that so."""
+        publisher = SnapshotPublisher()
+        server = IntrospectionServer(publisher).start()
+        assert healthy(server)
+        time.sleep(0.05)
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 0.1
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", server.port), timeout=1)
+        server.stop()  # a second stop, and a stop before any start, return
+        IntrospectionServer(publisher).stop()
 
     def test_route_tables_are_built_once_per_server(self):
         """The three route seams are read once, at start, however many

@@ -1,6 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -545,6 +551,37 @@ def refused_url() -> str:
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]
     return f"http://127.0.0.1:{port}"
+
+
+class TestServeSignals:
+    def test_idle_serve_exits_within_100ms_of_sigterm(self, tmp_path):
+        """An idle ``repro serve`` stops as soon as SIGTERM arrives: the
+        accept loop does not wait out a poll, and the signal handler
+        takes no lock the main thread may hold.  The daemon idles past
+        several of its main loop's 0.5 s waits first, so the signal
+        lands at an arbitrary point of one."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--machines", "2",
+             "--port", "0", "--store", str(tmp_path / "svc.db")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        try:
+            assert "listening on" in proc.stdout.readline()
+            time.sleep(1.2)
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            # poll finely: Popen.wait(timeout) sleeps up to 50 ms a turn
+            while proc.poll() is None and time.monotonic() - sent < 10:
+                time.sleep(0.001)
+            elapsed = time.monotonic() - sent
+            out, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, err
+        assert "scheduler service stopped" in out
+        assert elapsed < 0.1
 
 
 class TestDaemonClientVerbs:

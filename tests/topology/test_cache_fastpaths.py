@@ -1,6 +1,6 @@
 """Cache fast paths must be invisible: warm and cold graphs agree.
 
-Covers the tuple-keyed widest-path cache, validate-before-cache
+Covers the shape- and name-keyed widest-path caches, validate-before-cache
 lookups, the P2P island cache, and the AllocationState epoch counter /
 state digest / bounded links cache behind the placement memo.
 """
@@ -67,16 +67,16 @@ class TestPathCaches:
         topo = cluster(2)
         gpus0 = topo.gpus(machine=topo.machines()[0])
         gpus1 = topo.gpus(machine=topo.machines()[1])
-        # same source, one same-machine query (machine scope) and one
-        # cross-machine query (unscoped): distinct cache entries, no
-        # string-concatenation collision
+        # same source, one same-machine query (machine scope: the
+        # shape's table, keyed by shape id and relative name) and one
+        # cross-machine query (unscoped: keyed by name): distinct cache
+        # entries, no string-concatenation collision
         same = topo.bottleneck_bandwidth(gpus0[0], gpus0[1])
         cross = topo.bottleneck_bandwidth(gpus0[0], gpus1[0])
         assert same > 0 and cross > 0
-        keys = set(topo._caches.widest)
-        assert all(isinstance(k, tuple) and len(k) == 2 for k in keys)
-        assert (gpus0[0], topo.machines()[0]) in keys
-        assert (gpus0[0], None) in keys
+        assert set(topo._caches.widest) == {gpus0[0]}
+        shape_id = topo.machine_shape_id(topo.machines()[0])
+        assert set(topo._shapes.widest) == {(shape_id, "gpu0")}
         # cached answers replay identically
         assert topo.bottleneck_bandwidth(gpus0[0], gpus0[1]) == same
         assert topo.bottleneck_bandwidth(gpus0[0], gpus1[0]) == cross
