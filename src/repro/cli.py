@@ -874,10 +874,6 @@ def _cmd_serve(args) -> int:
     def _on_signal(signum, frame):  # noqa: ARG001 - signal signature
         stopping.append(signum)
 
-    wake_r, wake_w = socket.socketpair()
-    wake_r.setblocking(False)
-    wake_w.setblocking(False)
-    previous_wakeup = signal.set_wakeup_fd(wake_w.fileno())
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
     service.start()
@@ -888,6 +884,12 @@ def _cmd_serve(args) -> int:
         "GET /jobs /jobs/<id> /state /metrics /healthz /alerts "
         "/timeseries /cluster /decisions /explain/<id> /events"
     )
+    # made once the server is up, so a failed start leaves no wake-up
+    # fd installed; a signal before this point is already in the flag
+    wake_r, wake_w = socket.socketpair()
+    wake_r.setblocking(False)
+    wake_w.setblocking(False)
+    previous_wakeup = signal.set_wakeup_fd(wake_w.fileno())
     try:
         # a fail-stopped service exits on its own, non-zero, so a
         # supervisor restarts it from the journal

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.topology.links import LinkSpec, LinkType
-from repro.topology.shapes import ShapeTables, absolute, describe, relative
+from repro.topology.shapes import absolute, describe, relative
 
 
 class TopologyError(ValueError):
@@ -104,8 +104,7 @@ class _Caches:
     )
     #: machine -> shape id (see :meth:`TopologyGraph.machine_shape_id`)
     shape_ids: dict[str, int] = field(default_factory=dict)
-    #: node -> (machine, shape id, relative name); see
-    #: :meth:`TopologyGraph._locate`
+    #: node -> (machine, relative name); see :meth:`TopologyGraph._locate`
     locations: dict[str, tuple] = field(default_factory=dict)
     #: machine -> names of the machine node and every node it owns
     members: dict[str | None, list[str]] | None = None
@@ -114,7 +113,6 @@ class _Caches:
         default_factory=dict
     )
     socket_lists: dict[str | None, list[str]] = field(default_factory=dict)
-    machine_map: dict[str, str] = field(default_factory=dict)
     socket_map: dict[str, str] = field(default_factory=dict)
     #: the whole fleet's :meth:`TopologyGraph.p2p_island_sizes`,
     #: filled on first use
@@ -167,9 +165,20 @@ class TopologyGraph:
         self._nodes: dict[str, Node] = {}
         self._adj: dict[str, dict[str, Edge]] = {}
         self._caches = _Caches()
-        #: shape ids and per-shape answers; never cleared (see
-        #: :meth:`machine_shape_id`)
-        self._shapes = ShapeTables()
+        # Shape ids and the answers of machine-scoped searches, keyed by
+        # shape id and relative names.  Never cleared: an id names one
+        # shape for the life of the graph (see machine_shape_id), and a
+        # scoped answer depends only on the shape.
+        #: shape -> shape id
+        self._shape_ids: dict[tuple, int] = {}
+        #: (shape id, source) -> target -> shortest-path distance
+        self._shape_dist: dict[tuple, dict] = {}
+        #: (shape id, source) -> target -> widest-path bandwidth
+        self._shape_widest: dict[tuple, dict] = {}
+        #: (shape id, source, target) -> (shortest path, P2P along it)
+        self._shape_routes: dict[tuple, tuple[tuple, bool]] = {}
+        #: shape id -> the machine's P2P island sizes, largest first
+        self._shape_islands: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -359,18 +368,10 @@ class TopologyGraph:
         return list(names)
 
     def machine_of(self, name: str) -> str:
-        cached = self._caches.machine_map.get(name)
-        if cached is not None:
-            return cached
-        node = self.node(name)
-        if node.kind is NodeKind.MACHINE:
-            result = node.name
-        elif node.machine is None:
+        machine = (self._caches.locations.get(name) or self._locate(name))[0]
+        if machine is None:
             raise TopologyError(f"node {name!r} has no machine")
-        else:
-            result = node.machine
-        self._caches.machine_map[name] = result
-        return result
+        return machine
 
     def socket_of(self, name: str) -> str:
         cached = self._caches.socket_map.get(name)
@@ -435,31 +436,28 @@ class TopologyGraph:
         if shape_id is None:
             if self.node(machine).kind is not NodeKind.MACHINE:
                 raise TopologyError(f"node {machine!r} is not a machine")
-            shape_id = self._shapes.intern(self.machine_shape(machine))
+            shape = self.machine_shape(machine)
+            shape_id = self._shape_ids.setdefault(shape, len(self._shape_ids))
             self._caches.shape_ids[machine] = shape_id
         return shape_id
 
     def _locate(self, name: str) -> tuple:
-        """``(machine, shape id, relative name)`` of node ``name``.
+        """``(machine, relative name)`` of node ``name``.
 
-        ``machine`` is the machine whose scoped searches cover the
-        node: its ``machine``, or the node itself for a machine node.
-        A node outside every machine (the network) gets
-        ``(None, None, name)``.  Raises :class:`TopologyError` for an
-        unknown name; cached by name until the next mutation.
+        ``machine`` is :meth:`machine_of`: the node itself for a machine
+        node, else its ``machine``, whose scoped searches cover the node.
+        A node outside every machine (the network) gets ``(None, name)``.
+        Raises :class:`TopologyError` for an unknown name; cached by
+        name until the next mutation.
         """
         loc = self._caches.locations.get(name)
         if loc is None:
             node = self.node(name)
-            machine = node.machine or (name if node.kind is NodeKind.MACHINE else None)
+            machine = name if node.kind is NodeKind.MACHINE else node.machine
             if machine is None:
-                loc = (None, None, name)
+                loc = (None, name)
             else:
-                loc = (
-                    machine,
-                    self.machine_shape_id(machine),
-                    relative(name, machine, machine + "/"),
-                )
+                loc = (machine, relative(name, machine, machine + "/"))
             self._caches.locations[name] = loc
         return loc
 
@@ -475,10 +473,10 @@ class TopologyGraph:
         locs = [locations.get(n) or self._locate(n) for n in names]
         if not locs:
             return None
-        machine, shape_id, _ = locs[0]
+        machine = locs[0][0]
         if machine is None or any(loc[0] != machine for loc in locs):
             return None
-        return shape_id, tuple([loc[2] for loc in locs])
+        return self.machine_shape_id(machine), tuple([loc[1] for loc in locs])
 
     def gpu_index_of(self, name: str) -> int:
         node = self.node(name)
@@ -544,29 +542,24 @@ class TopologyGraph:
             cache.move_to_end(source)
         return row
 
-    def _fill_row(self, table: dict, key: tuple, search, source: str, machine: str) -> dict:
-        """``search(source, machine)`` with its keys made relative to
-        ``machine``, stored in ``table`` under ``key`` (the shape id and
-        the relative source)."""
-        prefix = machine + "/"
-        row = table[key] = {
-            relative(name, machine, prefix): value
-            for name, value in search(source, machine).items()
-        }
-        return row
-
     def _lookup(self, u: str, v: str, table: dict, search, cache: OrderedDict) -> float:
         """``search``'s answer from ``u`` at ``v != u``: from the
         shape's ``table`` when both lie in one machine, else from the
         name-keyed ``cache`` of unscoped rows."""
         locations = self._caches.locations
-        mu, shape_id, ru = locations.get(u) or self._locate(u)
-        mv, _, rv = locations.get(v) or self._locate(v)
+        mu, ru = locations.get(u) or self._locate(u)
+        mv, rv = locations.get(v) or self._locate(v)
         try:
             if mu is None or mu != mv:
                 return self._unscoped(cache, search, u)[v]
-            key = (shape_id, ru)
-            row = table.get(key) or self._fill_row(table, key, search, u, mu)
+            key = (self.machine_shape_id(mu), ru)
+            row = table.get(key)
+            if row is None:
+                prefix = mu + "/"
+                row = table[key] = {
+                    relative(name, mu, prefix): value
+                    for name, value in search(u, mu).items()
+                }
             return row[rv]
         except KeyError:
             raise TopologyError(f"{u!r} and {v!r} are disconnected") from None
@@ -576,7 +569,7 @@ class TopologyGraph:
         if u == v:
             self.node(u)
             return 0.0
-        return self._lookup(u, v, self._shapes.dist, self._dijkstra, self._caches.dist)
+        return self._lookup(u, v, self._shape_dist, self._dijkstra, self._caches.dist)
 
     def _search_path(self, u: str, v: str, scope: str | None) -> tuple[str, ...]:
         """One shortest path from ``u`` to ``v`` (``u != v``), searched
@@ -607,12 +600,12 @@ class TopologyGraph:
         name-keyed cache.
         """
         locations = self._caches.locations
-        mu, shape_id, ru = locations.get(u) or self._locate(u)
-        mv, _, rv = locations.get(v) or self._locate(v)
+        mu, ru = locations.get(u) or self._locate(u)
+        mv, rv = locations.get(v) or self._locate(v)
         if mu is None or mu != mv:
             mu, table, key = None, self._caches.routes, (u, v)
         else:
-            table, key = self._shapes.routes, (shape_id, ru, rv)
+            table, key = self._shape_routes, (self.machine_shape_id(mu), ru, rv)
         entry = table.get(key)
         if entry is None:
             path = self._search_path(u, v, mu)
@@ -653,7 +646,7 @@ class TopologyGraph:
         if u == v:
             self.node(u)
             return float("inf")
-        return self._lookup(u, v, self._shapes.widest, self._widest_from, self._caches.widest)
+        return self._lookup(u, v, self._shape_widest, self._widest_from, self._caches.widest)
 
     def _widest_from(self, source: str, scope_machine: str | None = None) -> dict[str, float]:
         """Widest-path bandwidth from ``source`` to every node it
@@ -689,23 +682,8 @@ class TopologyGraph:
     # aggregates
     # ------------------------------------------------------------------
     def pairwise_distance_sum(self, names: Iterable[str]) -> float:
-        """Sum of pairwise shortest-path distances (Eq. 3's ``t``).
-        Names of one machine read their shape's rows directly."""
+        """Sum of pairwise shortest-path distances (Eq. 3's ``t``)."""
         names = list(names)
-        local = self.machine_relative(names) if len(names) > 1 else None
-        if local is not None:
-            shape_id, rels = local
-            machine, table = self._caches.locations[names[0]][0], self._shapes.dist
-            total = 0.0
-            try:
-                for i, u in enumerate(names):
-                    key = (shape_id, rels[i])
-                    row = table.get(key) or self._fill_row(table, key, self._dijkstra, u, machine)
-                    for rel in rels[i + 1:]:
-                        total += row[rel]
-                return total
-            except KeyError:
-                pass  # a disconnected pair: the sum below names it
         return sum(
             (self.distance(u, v) for i, u in enumerate(names) for v in names[i + 1:]),
             0.0,
@@ -779,9 +757,9 @@ class TopologyGraph:
         """
         if machine is not None:
             shape_id = self.machine_shape_id(machine)
-            cached = self._shapes.islands.get(shape_id)
+            cached = self._shape_islands.get(shape_id)
             if cached is None:
-                cached = self._shapes.islands[shape_id] = tuple(
+                cached = self._shape_islands[shape_id] = tuple(
                     self._scan_p2p_islands(machine)
                 )
             return list(cached)

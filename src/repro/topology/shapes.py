@@ -4,8 +4,8 @@ A machine's shape (:func:`describe`) is its local subgraph with names
 made relative to the machine (:func:`relative`).  Two machines of equal
 shape give corresponding answers to every search scoped to one machine,
 so :class:`~repro.topology.graph.TopologyGraph` stores those answers
-once per shape, in a :class:`ShapeTables`, and translates them back
-with :func:`absolute`.  DESIGN.md §9 "Machine-shape tables" argues
+once per shape, keyed by shape id and relative names, and translates
+them back with :func:`absolute`.  DESIGN.md §9 "Machine-shape tables" argues
 exactness.
 """
 
@@ -61,26 +61,3 @@ def describe(nodes: dict, adj: dict, machine: str, members: list[str]) -> tuple:
         ))
     return tuple(entries)
 
-
-class ShapeTables:
-    """A graph's shape ids and the answers of its machine-scoped
-    searches, keyed by shape id and relative names.
-
-    Never cleared: :meth:`intern` gives an id to one shape for the life
-    of the table, and a scoped answer depends only on the shape.
-    """
-
-    def __init__(self) -> None:
-        #: shape -> shape id
-        self.ids: dict[tuple, int] = {}
-        #: (shape id, source) -> target -> shortest-path distance
-        self.dist: dict[tuple, dict] = {}
-        #: (shape id, source) -> target -> widest-path bandwidth
-        self.widest: dict[tuple, dict] = {}
-        #: (shape id, source, target) -> (shortest path, P2P along it)
-        self.routes: dict[tuple, tuple[tuple, bool]] = {}
-        #: shape id -> the machine's P2P island sizes, largest first
-        self.islands: dict[int, tuple[int, ...]] = {}
-
-    def intern(self, shape: tuple) -> int:
-        return self.ids.setdefault(shape, len(self.ids))

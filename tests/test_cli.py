@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -559,28 +560,32 @@ class TestServeSignals:
         accept loop does not wait out a poll, and the signal handler
         takes no lock the main thread may hold.  The daemon idles past
         several of its main loop's 0.5 s waits first, so the signal
-        lands at an arbitrary point of one."""
+        lands at an arbitrary point of one.  The clock stops at the
+        daemon's last line, before the interpreter's teardown."""
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--machines", "2",
+            [sys.executable, "-u", "-m", "repro", "serve", "--machines", "2",
              "--port", "0", "--store", str(tmp_path / "svc.db")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONPATH=str(src)),
         )
+        watchdog = threading.Timer(30, proc.kill)
+        watchdog.start()
         try:
             assert "listening on" in proc.stdout.readline()
             time.sleep(1.2)
             sent = time.monotonic()
             proc.send_signal(signal.SIGTERM)
-            # poll finely: Popen.wait(timeout) sleeps up to 50 ms a turn
-            while proc.poll() is None and time.monotonic() - sent < 10:
-                time.sleep(0.001)
+            stopped = any(
+                line.startswith("scheduler service stopped") for line in proc.stdout
+            )
             elapsed = time.monotonic() - sent
             out, err = proc.communicate(timeout=10)
         finally:
+            watchdog.cancel()
             proc.kill()
         assert proc.returncode == 0, err
-        assert "scheduler service stopped" in out
+        assert stopped, out
         assert elapsed < 0.1
 
 

@@ -76,7 +76,7 @@ class TestPathCaches:
         assert same > 0 and cross > 0
         assert set(topo._caches.widest) == {gpus0[0]}
         shape_id = topo.machine_shape_id(topo.machines()[0])
-        assert set(topo._shapes.widest) == {(shape_id, "gpu0")}
+        assert set(topo._shape_widest) == {(shape_id, "gpu0")}
         # cached answers replay identically
         assert topo.bottleneck_bandwidth(gpus0[0], gpus0[1]) == same
         assert topo.bottleneck_bandwidth(gpus0[0], gpus1[0]) == cross

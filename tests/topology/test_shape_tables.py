@@ -222,8 +222,8 @@ def test_divergent_twin():
     assert after[4] == before[4]  # islands are per socket: no change
     assert answers(a) == before
     # the id table only grows: ids name the shapes they were issued for
-    assert topo._shapes.ids[old_shape] == old_id
-    assert topo._shapes.ids[topo.machine_shape(b)] == new_id
+    assert topo._shape_ids[old_shape] == old_id
+    assert topo._shape_ids[topo.machine_shape(b)] == new_id
     # a third machine of the original shape is issued the old id
     topo.merge(power8_minsky("m2"))
     topo.add_edge("m2", "net", 100.0, LinkSpec.network())
