@@ -1,54 +1,21 @@
-"""Decision-round benchmarking (the ``repro bench`` subcommand).
+"""The record contract: which per-job outputs two runs must share.
 
-Times scheduler decision rounds at the paper's evaluation scales —
-Figure 10 (scenario 1: 100 jobs on a 5-machine cluster) and Figure 11
-(scenario 2: a large heavily-loaded cluster, scaled down by default so
-a laptop finishes in seconds) — and emits a ``BENCH_*.json`` artifact
-that forms the repository's performance trajectory: every point in the
-file can be regression-checked by CI against a committed baseline.
-
-The quantity tracked is ``mean_decision_time_s``, the wall clock spent
-inside ``scheduler.schedule`` per decision round (the paper's §5.5.3
-overhead metric: TOPO-AWARE ≈3 s vs FCFS ≈0.45 s per round at 10k-job
-scale).  Placement-memo and candidate-prefilter counters ride along so
-a speedup can be attributed (cache hits vs raw prefilter gains), and
-every bench run re-verifies bit-identical placements — memo disabled,
-exhaustive host scan, recorder attached — before reporting numbers.
-
-The ``fastpath`` section times TOPO-AWARE with the top-k candidate
-prefilter against :class:`ExhaustiveHostEngine`, the same engine
-scanning every host (interleaved repeats, so machine-load drift hits
-both sides equally), and reports the speedup; ``--seed-baseline`` lets
-the artifact additionally record an externally measured pre-fast-path
-engine time (e.g. from a checkout of the commit before the fast paths
-landed) for the full seed-vs-current trajectory.
+Every bit-identity check of the repository — the fast-path A/B tests,
+the daemon-replay equivalence, the oracle tests, the decision-round
+gates in ``benchmarks/perf/test_decision_rounds.py`` and the pinned
+record digests of ``perfbench`` — compares :data:`RECORD_FIELDS` with
+``==``: bit-identical floats, no tolerance.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING
 
-from repro.core.constraints import (
-    CandidatePool,
-    CandidatePrefilter,
-    filter_hosts,
-)
-from repro.core.placement import PlacementEngine
-from repro.schedulers import make_scheduler
-from repro.sim.cluster import ClusterState
-from repro.sim.engine import Simulator
-from repro.sim.records import SimulationResult
-from repro.topology.builders import cluster
-from repro.workload.job import Job
+if TYPE_CHECKING:
+    from repro.sim.records import SimulationResult
 
-#: record fields compared by the equivalence check (mirrors the golden
-#: equivalence tests: every measured output of a run, compared with
-#: ``==`` — bit-identical floats, no tolerance).
+#: every measured per-job output of a run (``perfbench`` builds its
+#: pinned digests from exactly these, in this order)
 RECORD_FIELDS = (
     "arrival",
     "placed_at",
@@ -63,444 +30,24 @@ RECORD_FIELDS = (
     "restarts",
 )
 
-#: benchmark scales: name -> (n_jobs, n_machines).  ``fig11`` runs the
-#: paper's full 1000-machine scenario-2 cluster (the prefilter and
-#: the pool-solve cache keep a 300-job run in CI-friendly seconds; the
-#: paper's full 10k-job trace is still a multi-minute affair — pass
-#: explicit ``--jobs`` for it).
-SCALES = {
-    "fig10": (100, 5),
-    "fig11": (300, 1000),
-}
-
-DEFAULT_SCHEDULERS = ("FCFS", "BF", "TOPO-AWARE", "TOPO-AWARE-P")
-
-#: fewest timed runs per scheduler: a quick bench's mean round is tens
-#: of microseconds, which one scheduler hiccup can multiply, so even a
-#: one-repeat bench keeps the best of this many
-MIN_TIMING_RUNS = 3
+#: the fields :func:`first_record_difference` compares: the contract
+#: plus what cancellation, preemption and migration leave on a record
+COMPARED_FIELDS = RECORD_FIELDS + ("cancelled_at", "preemptions", "migrations")
 
 
-@dataclass
-class BenchResult:
-    """Everything one bench invocation measured."""
-
-    scale: str
-    n_jobs: int
-    n_machines: int
-    repeats: int
-    schedulers: dict[str, dict] = field(default_factory=dict)
-    equivalence: dict | None = None
-    fastpath: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "bench": self.scale,
-            "n_jobs": self.n_jobs,
-            "n_machines": self.n_machines,
-            "repeats": self.repeats,
-            "platform": {
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-                "system": platform.system(),
-            },
-            "schedulers": self.schedulers,
-        }
-        if self.equivalence is not None:
-            out["equivalence"] = self.equivalence
-        if self.fastpath is not None:
-            out["fastpath"] = self.fastpath
-        return out
-
-
-def _jobs_for(scale: str, n_jobs: int, n_machines: int) -> list[Job]:
-    from repro.analysis.scenarios import scenario1_jobs, scenario2_jobs
-
-    if scale == "fig10":
-        return scenario1_jobs(n_jobs, seed=42)
-    return scenario2_jobs(n_jobs, n_machines, seed=7)
-
-
-class ExhaustiveHostEngine(PlacementEngine):
-    """:class:`PlacementEngine` scanning every host, without the top-k
-    prefilter: the reference the prefilter is checked and timed
-    against.  Everything else — memo, pool-solve cache, DRB — is the
-    production engine's."""
-
-    def _candidate_pools(
-        self,
-        job: Job,
-        co_runners: Mapping[str, tuple[Job, frozenset[str]]],
-        report: dict | None,
-        prefilter: CandidatePrefilter,
-    ) -> list[CandidatePool]:
-        return filter_hosts(
-            self.topo, self.alloc, job, co_runners, self.profiles,
-            report=report,
-        )
-
-
-def exhaustive_cluster(topo) -> ClusterState:
-    """A :class:`ClusterState` whose engine is an
-    :class:`ExhaustiveHostEngine`."""
-    state = ClusterState(topo)
-    state.engine = ExhaustiveHostEngine(
-        topo, state.alloc, state.params, state.engine.profiles,
-        state.interference,
-    )
-    return state
-
-
-def _run_once(
-    jobs: Sequence[Job],
-    n_machines: int,
-    scheduler_name: str,
-    *,
-    memo_size: int | None = None,
-    recorder=None,
-    exhaustive: bool = False,
-) -> tuple[SimulationResult, float]:
-    """One simulation on a fresh topology; returns (result, wall s).
-    ``exhaustive`` runs the :class:`ExhaustiveHostEngine` reference."""
-    topo = cluster(n_machines)
-    state = exhaustive_cluster(topo) if exhaustive else ClusterState(topo)
-    if memo_size is not None:
-        state.engine.memo_size = memo_size
-    sim = Simulator(
-        topo,
-        make_scheduler(scheduler_name),
-        list(jobs),
-        cluster=state,
-        observers=[recorder] if recorder is not None else (),
-    )
-    t0 = time.perf_counter()
-    result = sim.run()
-    wall = time.perf_counter() - t0
-    return result, wall
-
-
-def _records_identical(a: SimulationResult, b: SimulationResult) -> bool:
+def first_record_difference(
+    a: SimulationResult, b: SimulationResult
+) -> str | None:
+    """The first way the records of two runs differ, or ``None`` when
+    they match: their number, then their job order, then each record's
+    :data:`COMPARED_FIELDS` compared with ``==``."""
     if len(a.records) != len(b.records):
-        return False
+        return f"{len(a.records)} records against {len(b.records)}"
     for ra, rb in zip(a.records, b.records):
         if ra.job.job_id != rb.job.job_id:
-            return False
-        for name in RECORD_FIELDS:
-            if getattr(ra, name) != getattr(rb, name):
-                return False
-    return True
-
-
-def check_equivalence(
-    jobs: Sequence[Job], n_machines: int, scheduler_name: str = "TOPO-AWARE"
-) -> dict:
-    """Every engine fast path vs a reference: placements must match.
-
-    Complements the golden tests (which pin the fast path against
-    committed seed-engine outputs at fixed scales) by re-proving, at
-    whatever scale the bench runs, that no fast path changes a
-    decision:
-
-    * ``identical`` — placement memo on vs memo disabled;
-    * ``fastpath_off_identical`` — the candidate prefilter vs the
-      :class:`ExhaustiveHostEngine` reference;
-    * ``recorder_identical`` — the decision-provenance recorder
-      attached (pure-tap proof), with its recorded/dropped counters.
-    """
-    from repro.obs.provenance import DecisionRecorder
-
-    memo, _ = _run_once(jobs, n_machines, scheduler_name)
-    cold, _ = _run_once(jobs, n_machines, scheduler_name, memo_size=0)
-    off, _ = _run_once(jobs, n_machines, scheduler_name, exhaustive=True)
-    recorder = DecisionRecorder(journal=True)
-    recorded, _ = _run_once(
-        jobs, n_machines, scheduler_name, recorder=recorder
-    )
-    return {
-        "scheduler": scheduler_name,
-        "identical": _records_identical(memo, cold),
-        "fastpath_off_identical": _records_identical(memo, off),
-        "recorder_identical": _records_identical(memo, recorded),
-        "memo_stats": memo.placement_stats,
-        "decision_stats": recorder.counts(),
-    }
-
-
-def measure_fastpath(
-    jobs: Sequence[Job],
-    n_machines: int,
-    scheduler_name: str = "TOPO-AWARE",
-    *,
-    repeats: int = 3,
-    seed_baseline_s: float | None = None,
-) -> dict:
-    """Time the candidate prefilter against the exhaustive host scan
-    (:class:`ExhaustiveHostEngine`) for one scheduler.
-
-    The on/off runs are *interleaved* across repeats so machine-load
-    drift hits both sides equally, and the best (minimum) decision
-    time per side is compared.  ``seed_baseline_s`` (optional) is an
-    externally measured mean decision time of the engine *before* the
-    fast paths existed — e.g. from a checkout of the seed commit run
-    on the same machine — recorded verbatim with the derived speedup
-    so the artifact carries the full trajectory, not just the
-    flag-gated share of it.
-    """
-    best_fast: dict | None = None
-    best_off = float("inf")
-    for _ in range(max(1, repeats)):
-        fast, _ = _run_once(jobs, n_machines, scheduler_name)
-        off, _ = _run_once(jobs, n_machines, scheduler_name, exhaustive=True)
-        if best_fast is None or (
-            fast.mean_decision_time_s < best_fast["mean_decision_time_s"]
-        ):
-            best_fast = {
-                "mean_decision_time_s": fast.mean_decision_time_s,
-                "prefilter_stats": fast.prefilter_stats,
-            }
-        best_off = min(best_off, off.mean_decision_time_s)
-    out = {
-        "scheduler": scheduler_name,
-        "fast_mean_decision_time_s": best_fast["mean_decision_time_s"],
-        "off_mean_decision_time_s": best_off,
-        "speedup_vs_off": (
-            best_off / best_fast["mean_decision_time_s"]
-            if best_fast["mean_decision_time_s"] > 0
-            else 0.0
-        ),
-        "prefilter_stats": best_fast["prefilter_stats"],
-    }
-    if seed_baseline_s is not None:
-        out["seed_mean_decision_time_s"] = seed_baseline_s
-        out["speedup_vs_seed"] = (
-            seed_baseline_s / best_fast["mean_decision_time_s"]
-            if best_fast["mean_decision_time_s"] > 0
-            else 0.0
-        )
-    return out
-
-
-def run_bench(
-    scale: str = "fig10",
-    *,
-    n_jobs: int | None = None,
-    n_machines: int | None = None,
-    schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
-    repeats: int = 3,
-    verify: bool = True,
-    fastpath: bool = True,
-    seed_baseline_s: float | None = None,
-) -> BenchResult:
-    """Time decision rounds for each scheduler at one scale.
-
-    Each scheduler runs ``max(repeats, MIN_TIMING_RUNS)`` times on fresh
-    topologies; the reported row is the run with the *minimum* mean
-    decision time (the usual benchmarking convention: least-noise
-    estimate of the true cost), as the ``fastpath`` section keeps its
-    best run.  ``repeats`` alone sets the ``fastpath`` runs.
-    With ``fastpath=True`` (default) a TOPO-AWARE comparison of the
-    candidate prefilter against the exhaustive host scan is measured
-    and attached as the ``fastpath`` section.
-    """
-    if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    default_jobs, default_machines = SCALES[scale]
-    n_jobs = n_jobs if n_jobs is not None else default_jobs
-    n_machines = n_machines if n_machines is not None else default_machines
-    jobs = _jobs_for(scale, n_jobs, n_machines)
-
-    timing_runs = max(repeats, MIN_TIMING_RUNS)
-    bench = BenchResult(
-        scale=scale, n_jobs=n_jobs, n_machines=n_machines,
-        repeats=timing_runs,
-    )
-    for name in schedulers:
-        best: dict | None = None
-        for _ in range(timing_runs):
-            result, wall = _run_once(jobs, n_machines, name)
-            row = {
-                "wall_s": wall,
-                "decision_time_s": result.decision_time_s,
-                "decision_rounds": result.decision_rounds,
-                "mean_decision_time_s": result.mean_decision_time_s,
-                "makespan_s": result.makespan,
-                "placement_stats": result.placement_stats,
-                "prefilter_stats": result.prefilter_stats,
-            }
-            if best is None or (
-                row["mean_decision_time_s"] < best["mean_decision_time_s"]
-            ):
-                best = row
-        bench.schedulers[name] = best
-    if fastpath:
-        bench.fastpath = measure_fastpath(
-            jobs,
-            n_machines,
-            repeats=repeats,
-            seed_baseline_s=seed_baseline_s,
-        )
-    if verify:
-        bench.equivalence = check_equivalence(jobs, n_machines)
-    return bench
-
-
-def write_bench(bench: BenchResult, path: Path) -> Path:
-    """Serialise a bench result as a ``BENCH_*.json`` artifact."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(bench.as_dict(), indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def compare_to_baseline(
-    bench: BenchResult,
-    baseline_path: Path,
-    threshold: float = 3.0,
-    min_speedup: float | None = None,
-) -> list[str]:
-    """Regression check against a committed ``BENCH_*.json``.
-
-    Returns human-readable failure lines; empty = within budget.  A
-    scheduler regresses when its mean decision time exceeds the
-    baseline's by more than ``threshold``x — generous by design, since
-    CI machines differ from the one that wrote the baseline.
-
-    ``min_speedup`` (optional) additionally gates the measured
-    prefilter speedup: the run fails when the exhaustive/prefilter
-    ratio in the ``fastpath`` section falls below it.  The ratio is computed from
-    interleaved same-machine runs, so unlike absolute times it is
-    largely load-independent — CI can hold it to a floor.
-
-    Raises :class:`OSError` when the baseline file is missing or
-    unreadable and :class:`ValueError` when its contents are not a
-    bench artifact — callers (``repro bench --check-against``) turn
-    both into a one-line error and exit code 2.
-    """
-    baseline_path = Path(baseline_path)
-    try:
-        baseline = json.loads(baseline_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed baseline {baseline_path}: {exc}") from exc
-    if not isinstance(baseline, dict) or not isinstance(
-        baseline.get("schedulers", {}), dict
-    ):
-        raise ValueError(
-            f"malformed baseline {baseline_path}: expected a BENCH_*.json "
-            'object with a "schedulers" table'
-        )
-    failures: list[str] = []
-    for name, row in bench.schedulers.items():
-        base_row = baseline.get("schedulers", {}).get(name)
-        if base_row is None:
-            continue
-        if not isinstance(base_row, dict) or not isinstance(
-            base_row.get("mean_decision_time_s"), (int, float)
-        ):
-            raise ValueError(
-                f"malformed baseline {baseline_path}: scheduler {name!r} "
-                'row lacks a numeric "mean_decision_time_s"'
-            )
-        base = base_row["mean_decision_time_s"]
-        cur = row["mean_decision_time_s"]
-        if base > 0 and cur > base * threshold:
-            failures.append(
-                f"{name}: mean decision round {cur:.6f}s exceeds "
-                f"{threshold:.1f}x the committed baseline {base:.6f}s"
-            )
-    if bench.equivalence is not None and not bench.equivalence["identical"]:
-        failures.append(
-            "fast-path equivalence check failed: memoised and cold engines "
-            "produced different placements"
-        )
-    if bench.equivalence is not None and not bench.equivalence.get(
-        "fastpath_off_identical", True
-    ):
-        failures.append(
-            "fast-path equivalence check failed: the exhaustive host scan "
-            "and the candidate prefilter produced different placements"
-        )
-    if bench.equivalence is not None and not bench.equivalence.get(
-        "recorder_identical", True
-    ):
-        failures.append(
-            "provenance equivalence check failed: attaching the decision "
-            "recorder changed placements"
-        )
-    if min_speedup is not None and bench.fastpath is not None:
-        measured = bench.fastpath.get("speedup_vs_off", 0.0)
-        if measured < min_speedup:
-            failures.append(
-                f"fast-path speedup {measured:.2f}x below the required "
-                f"{min_speedup:.2f}x (exhaustive/prefilter, interleaved)"
-            )
-    return failures
-
-
-def format_bench(bench: BenchResult) -> str:
-    """Terminal table for one bench run."""
-    lines = [
-        f"bench {bench.scale}: {bench.n_jobs} jobs / {bench.n_machines} "
-        f"machines (best of {bench.repeats})",
-        f"{'scheduler':<14}{'mean-round':>12}{'rounds':>8}{'total':>10}"
-        f"{'memo-hit%':>10}",
-    ]
-    for name, row in bench.schedulers.items():
-        stats = row.get("placement_stats") or {}
-        hit_rate = stats.get("hit_rate")
-        hit = f"{hit_rate * 100.0:9.1f}%" if hit_rate is not None else f"{'-':>10}"
-        lines.append(
-            f"{name:<14}{row['mean_decision_time_s'] * 1e3:>10.3f}ms"
-            f"{row['decision_rounds']:>8d}{row['decision_time_s']:>9.3f}s"
-            f"{hit}"
-        )
-    if bench.fastpath is not None:
-        fp = bench.fastpath
-        line = (
-            f"fastpath ({fp['scheduler']}): "
-            f"{fp['fast_mean_decision_time_s'] * 1e3:.3f}ms prefilter vs "
-            f"{fp['off_mean_decision_time_s'] * 1e3:.3f}ms exhaustive "
-            f"-> {fp['speedup_vs_off']:.2f}x"
-        )
-        if "speedup_vs_seed" in fp:
-            line += (
-                f" ({fp['speedup_vs_seed']:.2f}x vs seed engine "
-                f"{fp['seed_mean_decision_time_s'] * 1e3:.3f}ms)"
-            )
-        lines.append(line)
-        pf = fp.get("prefilter_stats") or {}
-        if pf:
-            lines.append(
-                "  prefilter: "
-                f"{pf.get('considered', 0)} hosts probed / "
-                f"{pf.get('pruned', 0)} skipped "
-                f"(prune {pf.get('prune_rate', 0.0) * 100.0:.1f}%)"
-            )
-    if bench.equivalence is not None:
-        verdict = "OK" if bench.equivalence["identical"] else "MISMATCH"
-        lines.append(
-            f"equivalence ({bench.equivalence['scheduler']}, memo vs cold): "
-            f"{verdict}"
-        )
-        if "fastpath_off_identical" in bench.equivalence:
-            off_verdict = (
-                "OK" if bench.equivalence["fastpath_off_identical"]
-                else "MISMATCH"
-            )
-            lines.append(
-                f"equivalence ({bench.equivalence['scheduler']}, prefilter "
-                f"vs exhaustive hosts): {off_verdict}"
-            )
-        if "recorder_identical" in bench.equivalence:
-            rec_verdict = (
-                "OK" if bench.equivalence["recorder_identical"] else "MISMATCH"
-            )
-            stats = bench.equivalence.get("decision_stats") or {}
-            lines.append(
-                f"equivalence ({bench.equivalence['scheduler']}, recorder "
-                f"attached): {rec_verdict} "
-                f"({stats.get('recorded', 0)} decisions recorded, "
-                f"{stats.get('dropped', 0)} dropped)"
-            )
-    return "\n".join(lines)
+            return f"record order diverges at {ra.job.job_id}/{rb.job.job_id}"
+        for name in COMPARED_FIELDS:
+            va, vb = getattr(ra, name), getattr(rb, name)
+            if va != vb:
+                return f"{ra.job.job_id}.{name}: {va!r} != {vb!r}"
+    return None

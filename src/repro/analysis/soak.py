@@ -14,10 +14,9 @@ observation *window* every ``window_s`` seconds.  Each window polls
 alert is active and none fired inside the window, **violations**
 otherwise.  The run's verdict is clean iff every window is.
 
-The artifact is a schema-versioned ``SOAK_*.json`` through the same
-pattern the bench artifacts use (:mod:`repro.analysis.bench`): a
-dataclass ``as_dict()`` with platform info, written by
-:func:`write_soak`, asserted by ``scripts/soak_smoke.py`` in CI.
+The artifact is a schema-versioned ``SOAK_*.json``: a dataclass
+``as_dict()`` with platform info, written by :func:`write_soak`,
+asserted by ``scripts/soak_smoke.py`` in CI.
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ over :mod:`repro.prototype`, :mod:`repro.sim`, :mod:`repro.obs` and
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import closing, contextmanager
 from pathlib import Path
@@ -101,6 +102,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_rate(text: str) -> float:
+    """The argparse type of a rate flag: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {text!r}"
+        )
+    return value
+
+
 def _add_cluster_flags(p, scheduler: str | None = None) -> None:
     """``--machines``, ``--machine`` and, given its default, ``--scheduler``."""
     p.add_argument("--machines", type=_positive_int, default=5)
@@ -117,7 +131,7 @@ def _add_workload_flags(p, jobs: bool = True) -> None:
         p.add_argument("--jobs", type=_positive_int, default=100,
                        help="generated-workload size")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--arrival-rate", type=float, default=2.2,
+    p.add_argument("--arrival-rate", type=_positive_rate, default=2.2,
                    help="jobs per minute (Poisson lambda)")
 
 
@@ -192,50 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="directory for result text files")
     figures.add_argument("--svg", type=Path, default=None,
                          help="also render figures 4/5/6 as SVG here")
-
-    bench = sub.add_parser(
-        "bench", help="time scheduler decision rounds (perf trajectory)"
-    )
-    bench.add_argument("--scale", choices=("fig10", "fig11"), default="fig10",
-                       help="workload scale (fig10: 100 jobs/5 machines; "
-                       "fig11: 300 jobs on the paper's 1000-machine "
-                       "scenario-2 cluster)")
-    bench.add_argument("--jobs", type=_positive_int, default=None,
-                       help="override the scale's job count")
-    bench.add_argument("--machines", type=_positive_int, default=None,
-                       help="override the scale's machine count")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="runs per scheduler (at least 3) and per "
-                       "fast-path side; best is reported")
-    bench.add_argument("--schedulers", default=None, metavar="A,B,...",
-                       help="comma-separated policies (default: FCFS,BF,"
-                       "TOPO-AWARE,TOPO-AWARE-P)")
-    bench.add_argument("--quick", action="store_true",
-                       help="CI mode: one fast-path repeat, TOPO-AWARE + "
-                       "FCFS only")
-    bench.add_argument("--no-verify", action="store_true",
-                       help="skip the fast-path equivalence check")
-    bench.add_argument("--out", type=Path, default=None, metavar="FILE",
-                       help="write the BENCH_*.json artifact here")
-    bench.add_argument("--check-against", type=Path, default=None,
-                       metavar="BENCH.json",
-                       help="fail when slower than this committed baseline")
-    bench.add_argument("--threshold", type=float, default=3.0,
-                       help="allowed slowdown vs the baseline (default 3.0x)")
-    bench.add_argument("--no-fastpath", action="store_true",
-                       help="skip the prefilter vs exhaustive-host "
-                       "timing section")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       metavar="X",
-                       help="with --check-against: fail when the measured "
-                       "prefilter speedup over the exhaustive-host "
-                       "reference falls below X "
-                       "(load-independent interleaved ratio)")
-    bench.add_argument("--seed-baseline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="externally measured mean decision time of the "
-                       "pre-fast-path engine, recorded in the artifact "
-                       "with the derived speedup-vs-seed")
 
     serve = sub.add_parser(
         "serve", help="run the scheduler service daemon (submission API)"
@@ -797,48 +767,6 @@ def _cmd_figures(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.analysis.bench import (
-        compare_to_baseline,
-        format_bench,
-        run_bench,
-        write_bench,
-    )
-
-    if args.schedulers is not None:
-        schedulers = tuple(s.strip().upper() for s in args.schedulers.split(","))
-    elif args.quick:
-        schedulers = ("FCFS", "TOPO-AWARE")
-    else:
-        schedulers = ("FCFS", "BF", "TOPO-AWARE", "TOPO-AWARE-P")
-    bench = run_bench(
-        args.scale,
-        n_jobs=args.jobs,
-        n_machines=args.machines,
-        schedulers=schedulers,
-        repeats=1 if args.quick else args.repeats,
-        verify=not args.no_verify,
-        fastpath=not args.no_fastpath,
-        seed_baseline_s=args.seed_baseline,
-    )
-    print(format_bench(bench))
-    if args.out is not None:
-        path = write_bench(bench, args.out)
-        print(f"bench artifact written to {path}")
-    if args.check_against is not None:
-        with _usage_error_on(OSError, ValueError):
-            failures = compare_to_baseline(
-                bench, args.check_against, args.threshold,
-                min_speedup=args.min_speedup,
-            )
-        if failures:
-            for line in failures:
-                print(f"REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"within {args.threshold:.1f}x of {args.check_against}")
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import select
     import signal
@@ -1062,7 +990,6 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "topo": _cmd_topo,
         "figures": _cmd_figures,
-        "bench": _cmd_bench,
         "serve": _cmd_serve,
         "top": _cmd_top,
         "soak": _cmd_soak,

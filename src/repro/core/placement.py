@@ -133,8 +133,8 @@ class PlacementEngine:
     and stops probing once :attr:`max_pools` machines survived every
     constraint, instead of scanning the whole fleet per proposal.  It
     returns exactly the pools the exhaustive scan would hand the pool
-    loop (see DESIGN.md §9; ``repro.analysis.bench`` keeps the
-    exhaustive reference engine that proves it).
+    loop (see DESIGN.md §9; the exhaustive reference engine that
+    proves it lives with its tests, in ``tests/core/exhaustive.py``).
 
     Inside a proposal, every single-machine pool is solved through a
     bounded LRU pool-solve cache keyed on a machine-canonical

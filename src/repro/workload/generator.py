@@ -17,6 +17,7 @@ jobs, 0.5 for multi-GPU jobs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class GeneratorConfig:
     burst_fraction: float = 0.3  # fraction of arrivals landing in bursts
 
     def __post_init__(self) -> None:
-        if self.arrival_rate_per_min <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not 0.0 < self.arrival_rate_per_min < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
         if not 0.0 <= self.batch_binomial_p <= 1.0:
             raise ValueError("batch_binomial_p must be in [0, 1]")
         if not 0.0 <= self.model_binomial_p <= 1.0:

@@ -158,7 +158,7 @@ class TestPrefilter:
         """Adaptive k (= the engine's ``max_pools``): the host the
         exhaustive scan would hand the engine is always in the
         prefiltered set, so the proposal is bit-identical."""
-        from repro.analysis.bench import ExhaustiveHostEngine
+        from tests.core.exhaustive import ExhaustiveHostEngine
         from repro.core.placement import PlacementEngine
 
         topo = cluster(12)

@@ -25,7 +25,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.bench import RECORD_FIELDS
+from repro.analysis.bench import first_record_difference
 from repro.analysis.scenarios import fragmentation_jobs, scenario2_jobs
 from repro.core.constraints import CandidatePool
 from repro.core.placement import PlacementEngine
@@ -123,16 +123,9 @@ def _run(name: str, engine_cls=PlacementEngine, traces=TRACES):
 
 
 def _same(a, a_journal, b, b_journal) -> bool:
-    if len(a.records) != len(b.records):
-        return False
-    for x, y in zip(a.records, b.records):
-        if x.job.job_id != y.job.job_id:
-            return False
-        for field in RECORD_FIELDS + ("preemptions", "migrations"):
-            if getattr(x, field) != getattr(y, field):
-                return False
     return (
-        a.makespan == b.makespan
+        first_record_difference(a, b) is None
+        and a.makespan == b.makespan
         and a.decision_rounds == b.decision_rounds
         and a_journal == b_journal
     )
@@ -147,11 +140,7 @@ def oracle_runs():
 def test_cached_engine_matches_the_solve_everything_oracle(name, oracle_runs):
     fast, fast_journal, engine = _run(name)
     slow, slow_journal, _ = oracle_runs[name]
-    assert len(fast.records) == len(slow.records)
-    for a, b in zip(fast.records, slow.records):
-        assert a.job.job_id == b.job.job_id
-        for field in RECORD_FIELDS + ("preemptions", "migrations"):
-            assert getattr(a, field) == getattr(b, field), (a.job.job_id, field)
+    assert first_record_difference(fast, slow) is None
     assert fast.makespan == slow.makespan
     assert fast.decision_rounds == slow.decision_rounds
     assert fast_journal == slow_journal

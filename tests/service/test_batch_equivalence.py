@@ -10,7 +10,7 @@ tolerance.
 
 import pytest
 
-from repro.analysis.bench import RECORD_FIELDS, _records_identical
+from repro.analysis.bench import first_record_difference
 from repro.analysis.scenarios import scenario1_jobs
 from repro.schedulers import make_scheduler
 from repro.service import SchedulerService, ServiceServer, replay_trace
@@ -36,9 +36,7 @@ def test_daemon_replay_matches_one_shot_bit_identically(scheduler_name):
         daemon = service.result()
 
     assert len(daemon.records) == len(one_shot.records)
-    assert _records_identical(daemon, one_shot), _first_diff(
-        daemon, one_shot
-    )
+    assert first_record_difference(daemon, one_shot) is None
 
 
 def test_live_mode_completes_the_whole_trace():
@@ -56,13 +54,3 @@ def test_live_mode_completes_the_whole_trace():
             "FAILED",
         }
 
-
-def _first_diff(a, b) -> str:
-    for ra, rb in zip(a.records, b.records):
-        if ra.job.job_id != rb.job.job_id:
-            return f"record order diverges at {ra.job.job_id}/{rb.job.job_id}"
-        for name in RECORD_FIELDS:
-            va, vb = getattr(ra, name), getattr(rb, name)
-            if va != vb:
-                return f"{ra.job.job_id}.{name}: daemon={va!r} one-shot={vb!r}"
-    return "lengths differ"

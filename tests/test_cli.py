@@ -339,6 +339,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_bench_is_an_unknown_verb(self, capsys):
+        # decision rounds are timed by perfbench and gated by
+        # benchmarks/perf/test_decision_rounds.py
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_module_entry_point_exists(self):
         import repro.__main__  # noqa: F401  -- imports (and exits) only under -m
 
@@ -350,23 +358,27 @@ class TestParser:
 
 
 class TestSizeFlags:
-    """``--jobs`` and ``--machines`` take a positive count on every verb
-    that has them; anything else is an argparse usage error (exit 2)."""
+    """``--jobs`` and ``--machines`` take a positive count, and
+    ``--arrival-rate`` a positive finite rate, on every verb that has
+    them; anything else is an argparse usage error (exit 2)."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             [verb, flag, value]
-            for verb, flags in (
-                ("simulate", ("--jobs", "--machines")),
-                ("compare", ("--jobs", "--machines")),
-                ("replay", ("--jobs",)),
-                ("serve", ("--machines",)),
-                ("soak", ("--machines",)),
-                ("bench", ("--jobs", "--machines")),
+            for verb, flags, values in (
+                ("simulate", ("--jobs", "--machines"), ("0", "-3", "x")),
+                ("compare", ("--jobs", "--machines"), ("0", "-3", "x")),
+                ("replay", ("--jobs",), ("0", "-3", "x")),
+                ("serve", ("--machines",), ("0", "-3", "x")),
+                ("soak", ("--machines",), ("0", "-3", "x")),
+                *(
+                    (verb, ("--arrival-rate",), ("0", "-1", "nan", "inf", "x"))
+                    for verb in ("simulate", "compare", "replay", "soak")
+                ),
             )
             for flag in flags
-            for value in ("0", "-3", "x")
+            for value in values
         ],
     )
     def test_non_positive_size_exits_2(self, capsys, argv):
@@ -374,7 +386,8 @@ class TestSizeFlags:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {argv[1]}: expected a positive integer" in err
+        kind = "finite number" if argv[1] == "--arrival-rate" else "integer"
+        assert f"argument {argv[1]}: expected a positive {kind}" in err
 
     def test_positive_sizes_parse_as_ints(self):
         from repro.cli import _build_parser

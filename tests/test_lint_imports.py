@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
+import functools
 import os
 import re
 from pathlib import Path
@@ -101,9 +102,11 @@ def names_read(tree: ast.AST) -> set[str]:
     return read
 
 
-def unused_imports(source: str) -> list[tuple[int, str]]:
-    """``(line, imported name)`` of every unused import in ``source``."""
-    tree = ast.parse(source)
+def unused_imports(source: str, tree: ast.AST | None = None) -> list[tuple[int, str]]:
+    """``(line, imported name)`` of every unused import in ``source``
+    (``tree``, when given, is its parse)."""
+    if tree is None:
+        tree = ast.parse(source)
     lines = source.splitlines()
     read = names_read(tree)
     unused = []
@@ -137,9 +140,11 @@ def own_nodes(func: ast.AST):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def unused_locals(source: str) -> list[tuple[int, str]]:
-    """``(line, name)`` of every local assigned and never read."""
-    tree = ast.parse(source)
+def unused_locals(source: str, tree: ast.AST | None = None) -> list[tuple[int, str]]:
+    """``(line, name)`` of every local assigned and never read
+    (``tree``, when given, is the parse of ``source``)."""
+    if tree is None:
+        tree = ast.parse(source)
     lines = source.splitlines()
     unused = []
     for func in ast.walk(tree):
@@ -168,28 +173,36 @@ def unused_locals(source: str) -> list[tuple[int, str]]:
     return sorted(unused)
 
 
-def lint(code: str, check) -> list[str]:
-    """``path:line: name`` of each finding of ``check`` over the tree,
-    minus the files ``per-file-ignores`` exempt from ``code``."""
+RULES = {"F401": unused_imports, "F841": unused_locals}
+
+
+@functools.cache
+def lint() -> dict[str, list[str]]:
+    """``path:line: name`` of each finding of each rule over the tree,
+    minus the files ``per-file-ignores`` exempt from that rule.  Each
+    file is parsed once for all the rules."""
     ignores = per_file_ignores()
-    found = []
+    found: dict[str, list[str]] = {code: [] for code in RULES}
     for path in python_files():
         rel = path.relative_to(ROOT).as_posix()
-        if any(fnmatch.fnmatch(rel, pattern) and code in codes
-               for pattern, codes in ignores.items()):
-            continue
-        found += [f"{rel}:{line}: {name}"
-                  for line, name in check(path.read_text())]
+        source = path.read_text()
+        tree = ast.parse(source)
+        for code, check in RULES.items():
+            if any(fnmatch.fnmatch(rel, pattern) and code in codes
+                   for pattern, codes in ignores.items()):
+                continue
+            found[code] += [f"{rel}:{line}: {name}"
+                            for line, name in check(source, tree)]
     return found
 
 
 def test_no_unused_imports():
-    found = lint("F401", unused_imports)
+    found = lint()["F401"]
     assert not found, "unused imports (F401):\n" + "\n".join(found)
 
 
 def test_no_unused_locals():
-    found = lint("F841", unused_locals)
+    found = lint()["F841"]
     assert not found, "unused local variables (F841):\n" + "\n".join(found)
 
 

@@ -20,6 +20,10 @@ class TestConfigValidation:
             dict(gpu_counts=(1, 2), gpu_count_probs=(1.0,)),
             dict(gpu_count_probs=(0.5, 0.4, 0.2)),
             dict(gpu_counts=(0, 2, 4)),
+            # a NaN rate passes a ``<= 0`` check and never ends the
+            # arrival loop
+            dict(arrival_rate_per_min=float("nan")),
+            dict(arrival_rate_per_min=float("inf")),
         ],
     )
     def test_invalid_rejected(self, kwargs):
