@@ -239,7 +239,7 @@ def test_fully_instrumented_run_identical_to_bare(scheduler_name):
     assert recorder.counts()["dropped"] == 0
 
 
-def test_memo_exhaustive_and_recorder_runs_identical():
+def test_check_equivalence_reports_identical():
     """The three references of the decision-round gates at a small
     scale: the memo disabled, the exhaustive host scan and the decision
     recorder attached each reproduce the production run."""
@@ -261,9 +261,5 @@ def test_memo_exhaustive_and_recorder_runs_identical():
         "invalidations",
         "hit_rate",
     }
-    assert memo.decision_rounds > 0
-    assert 0.0 <= memo.mean_decision_time_s <= memo.decision_time_s
-    assert memo.prefilter_stats["calls"] > 0
-    assert off.prefilter_stats["calls"] == 0
     assert recorder.counts()["recorded"] > 0
     assert recorder.counts()["dropped"] == 0
