@@ -5,8 +5,10 @@ Three gates, at the bounds CI has held since the fast paths landed:
 * **bit-identity** — at each scale the production TOPO-AWARE run
   matches, record for record with ``==``, the run with the placement
   memo off (``memo_size=0``), the run on the exhaustive host scan
-  (:class:`ExhaustiveHostEngine`) and the run with the decision
-  recorder attached;
+  (:class:`ExhaustiveHostEngine`), the run with the decision recorder
+  attached and the run on the same fleet without the shape ids
+  :func:`cluster` enters at build time (every machine's shape then
+  described lazily);
 * **speedup floor** — at Fig. 11 scale the exhaustive scan's best
   mean round is at least 2x the prefilter's (about 12x on a 2-vCPU
   host). The pairs are interleaved, so load drift hits both sides and
@@ -73,10 +75,12 @@ RUNS = 3
 
 def _run(
     scale: str, policy: str, *, exhaustive: bool = False,
-    memo_size: int | None = None, observers=(),
+    memo_size: int | None = None, observers=(), lazy_shapes: bool = False,
 ) -> SimulationResult:
     make_topo, make_jobs = SCALES[scale]
     topo = make_topo()
+    if lazy_shapes:
+        topo._caches.shape_ids.clear()
     state = exhaustive_cluster(topo) if exhaustive else ClusterState(topo)
     if memo_size is not None:
         state.engine.memo_size = memo_size
@@ -113,6 +117,7 @@ def test_fast_paths_and_recorder_change_no_decision(scale):
         "memo_size=0": _run(scale, "TOPO-AWARE", memo_size=0),
         "exhaustive": timed["exhaustive"][0],
         "recorder": _run(scale, "TOPO-AWARE", observers=[recorder]),
+        "lazy shape ids": _run(scale, "TOPO-AWARE", lazy_shapes=True),
     }
     production = timed["TOPO-AWARE"][0]
     for label, reference in references.items():

@@ -203,12 +203,14 @@ class PlacementEngine:
     @staticmethod
     def _job_fields(job: Job) -> tuple:
         """Every job field a proposal reads besides ``job_id`` (see
-        :meth:`_memo_key`); shared by both cache keys."""
+        :meth:`_memo_key`); shared by both cache keys.  Enums enter by
+        value, as in every key here: a value tells the members of one
+        enum apart as the member does, and hashes in C."""
         return (
-            job.model,
+            job.model._value_,
             job.batch_size,
             job.num_gpus,
-            job.comm_pattern,
+            job.comm_pattern._value_,
             job.anti_collocation,
             job.single_node,
             job.p2p,
@@ -422,7 +424,7 @@ class PlacementEngine:
                     return None
                 local |= 1 << i
             residents.append(
-                (local, other.model, other.batch_size, other.num_gpus)
+                (local, other.model._value_, other.batch_size, other.num_gpus)
             )
         return tuple(residents)
 
@@ -501,7 +503,7 @@ class PlacementEngine:
                 busy |= 1 << i
         return (
             _SCORE,
-            job.model,
+            job.model._value_,
             job.batch_size,
             shape_id,
             alloc.is_machine_up(machine),

@@ -121,7 +121,10 @@ def _pair_distance_bounds(topo: TopologyGraph) -> tuple[float, float]:
 
     The minimum comes from the densest machine-local pair; the maximum
     is a cross-machine pair when the topology has several machines,
-    else the machine diameter.
+    else the machine diameter.  The machine-local distances come from
+    the first machine's shape tables, and the cross-machine one from a
+    point-to-point search between the first two machines
+    (:meth:`TopologyGraph.point_distance`), so neither walks the fleet.
     """
     machines = topo.machines()
     first = topo.gpus(machine=machines[0])
@@ -137,7 +140,7 @@ def _pair_distance_bounds(topo: TopologyGraph) -> tuple[float, float]:
     if len(machines) > 1:
         other = topo.gpus(machine=machines[1])
         if other:
-            dmax = max(dmax, topo.distance(first[0], other[0]))
+            dmax = max(dmax, topo.point_distance(first[0], other[0]))
     return dmin, dmax
 
 

@@ -67,13 +67,14 @@ def _coefficients(
     every co-runner pair on every interference query, so the memo is
     attached to the (frozen, unhashable) :class:`Calibration` instance
     itself via ``object.__setattr__`` — the cached floats are the very
-    values the direct computation produces.
+    values the direct computation produces.  The key holds the enum
+    values, which hash in C (an ``Enum`` member hashes in Python).
     """
     cache = getattr(cal, "_coefficient_cache", None)
     if cache is None:
         cache = {}
         object.__setattr__(cal, "_coefficient_cache", cache)
-    key = (model, batch_class)
+    key = (model._value_, batch_class._value_)
     out = cache.get(key)
     if out is None:
         s_rel = _comm_fraction(cal, model, batch_class) / _comm_fraction(

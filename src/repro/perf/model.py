@@ -52,16 +52,22 @@ def pack_gpus(
 
     Greedy: group candidates by socket, fill whole sockets of the same
     machine first (machines ordered by how completely they can host the
-    job), then spill to the nearest sockets.
+    job), then spill to the nearest sockets.  Without ``free`` the
+    groups are the graph's per-machine GPU lists (each in GPU-index
+    order, as grouping the whole list would give), read once per
+    machine.
     """
-    candidates = list(free) if free is not None else topo.gpus()
     if n < 1:
         raise ValueError("n must be >= 1")
-    if len(candidates) < n:
-        raise ValueError(f"need {n} GPUs, only {len(candidates)} available")
-    by_machine: dict[str, list[str]] = {}
-    for g in candidates:
-        by_machine.setdefault(topo.machine_of(g), []).append(g)
+    if free is None:
+        by_machine = {m: topo.gpus(machine=m) for m in topo.machines()}
+    else:
+        by_machine = {}
+        for g in free:
+            by_machine.setdefault(topo.machine_of(g), []).append(g)
+    available = sum(map(len, by_machine.values()))
+    if available < n:
+        raise ValueError(f"need {n} GPUs, only {available} available")
     # prefer machines that can host the whole job, then larger pools
     machines = sorted(
         by_machine,

@@ -104,6 +104,9 @@ class _Caches:
     )
     #: machine -> shape id (see :meth:`TopologyGraph.machine_shape_id`)
     shape_ids: dict[str, int] = field(default_factory=dict)
+    #: (template, machine) of a renamed template copy until its first
+    #: mutation (see :func:`repro.topology.builders.cluster`)
+    template: tuple | None = None
     #: node -> (machine, relative name); see :meth:`TopologyGraph._locate`
     locations: dict[str, tuple] = field(default_factory=dict)
     #: machine -> names of the machine node and every node it owns
@@ -419,7 +422,9 @@ class TopologyGraph:
         prefix, down to the adjacency order that breaks shortest-path
         ties, and every scoped distance, path and sort of their names
         corresponds.  Computed afresh on every call;
-        :meth:`machine_shape_id` interns it once per machine.
+        :meth:`machine_shape_id` interns it once per machine, or once
+        per template for the machine-model copies of a
+        :func:`~repro.topology.builders.cluster`.
         """
         return describe(self._nodes, self._adj, machine, self._members(machine))
 
@@ -428,7 +433,9 @@ class TopologyGraph:
 
         Assigned on first use: the shape is interned in a table that is
         never cleared, so an id names one shape for the life of the
-        graph, and machines of equal shape share it.  A mutation clears
+        graph, and machines of equal shape share it.
+        :func:`~repro.topology.builders.cluster` enters the ids of
+        template copies when it builds the fleet.  A mutation clears
         only the machine -> id map; a changed machine then gets the id
         of its new shape.
         """
@@ -570,6 +577,46 @@ class TopologyGraph:
             self.node(u)
             return 0.0
         return self._lookup(u, v, self._shape_dist, self._dijkstra, self._caches.dist)
+
+    def point_distance(self, u: str, v: str) -> float:
+        """:meth:`distance` from ``u`` to ``v`` by one point-to-point
+        search, not cached.
+
+        The search stops once ``v`` is settled and never enters a
+        third machine (a machine node, or a node it owns, of neither
+        endpoint's machine).  Where each machine meets the rest of the
+        graph at one node, as in :func:`~repro.topology.builders.cluster`,
+        no simple path between two other machines passes through it, so
+        the answer is the whole-graph search's float: both sum edge
+        weights in path order (DESIGN.md §9 "Set-up").
+        """
+        if u == v:
+            self.node(u)
+            return 0.0
+        nodes, adj = self._nodes, self._adj
+        machine_kind, gpu_kind = NodeKind.MACHINE, NodeKind.GPU
+        ends = {self._locate(u)[0], self._locate(v)[0], None}
+        dist: dict[str, float] = {u: 0.0}
+        heap: list[tuple[float, str]] = [(0.0, u)]
+        done: set[str] = set()
+        while heap:
+            d, x = heapq.heappop(heap)
+            if x == v:
+                return d
+            if x in done:
+                continue
+            done.add(x)
+            if x != u and nodes[x].kind is gpu_kind:
+                continue  # GPUs are endpoints, never relays
+            for y, edge in adj[x].items():
+                node = nodes[y]
+                if (y if node.kind is machine_kind else node.machine) not in ends:
+                    continue
+                nd = d + edge.weight
+                if nd < dist.get(y, float("inf")):
+                    dist[y] = nd
+                    heapq.heappush(heap, (nd, y))
+        raise TopologyError(f"{u!r} and {v!r} are disconnected")
 
     def _search_path(self, u: str, v: str, scope: str | None) -> tuple[str, ...]:
         """One shortest path from ``u`` to ``v`` (``u != v``), searched
@@ -751,9 +798,12 @@ class TopologyGraph:
         Computed greedily over P2P adjacency cliques per socket/switch
         group; exact for the hierarchical machines modelled here, where
         every socket belongs to a machine and holds that machine's GPUs.
-        A machine's sizes are computed once per shape; the whole
-        fleet's (``machine=None``) are every machine's, largest first,
-        cached until the next mutation.  Callers get a fresh list.
+        A machine's sizes are computed once per shape.  The whole
+        fleet's (``machine=None``) are every machine's, largest first:
+        each shape's list repeated once per machine of that shape, so
+        a fleet whose shape ids :func:`~repro.topology.builders.cluster`
+        entered computes one list per shape; cached until the next
+        mutation.  Callers get a fresh list.
         """
         if machine is not None:
             shape_id = self.machine_shape_id(machine)
@@ -764,9 +814,12 @@ class TopologyGraph:
                 )
             return list(cached)
         if self._caches.p2p_islands is None:
-            sizes = []
+            shapes: dict[int, list] = {}  # shape id -> [a machine, count]
             for m in self.machines():
-                sizes += self.p2p_island_sizes(m)
+                shapes.setdefault(self.machine_shape_id(m), [m, 0])[1] += 1
+            sizes = []
+            for m, count in shapes.values():
+                sizes += self.p2p_island_sizes(m) * count
             self._caches.p2p_islands = tuple(sorted(sizes, reverse=True))
         return list(self._caches.p2p_islands)
 

@@ -206,7 +206,7 @@ def test_self_marker_differs_from_a_same_shaped_co_runner():
     k0 = engine._pool_key(job, _whole_machine_pool(alloc, "m0"), co)
     k1 = engine._pool_key(job, _whole_machine_pool(alloc, "m1"), co)
     assert k0[4] == ("self",)
-    assert k1[4] == ((0b1, ModelType.ALEXNET, 16, 1),)
+    assert k1[4] == ((0b1, ModelType.ALEXNET.value, 16, 1),)
     assert k0 != k1
 
 

@@ -14,7 +14,14 @@ import pytest
 import repro.perf.model as model_module
 from repro.perf.model import PerformanceModel, Placement, pack_gpus
 from repro.sim.cluster import ClusterState
-from repro.topology.builders import cluster, power8_minsky
+from repro.topology.builders import (
+    cluster,
+    dgx1,
+    dgx2,
+    power8_minsky,
+    power8_pcie_k80,
+    power9_ac922,
+)
 from repro.topology.graph import NodeKind
 from repro.topology.links import LinkSpec
 from repro.workload.job import ModelType
@@ -103,3 +110,22 @@ def test_a_grown_graph_packs_the_new_gpus():
     topo.merge(power8_minsky("m1"))
     gpus = perf.placement_gpus(job, Placement.PACK)
     assert sorted(gpus) == sorted(topo.gpus())
+
+
+def _mixed(machine_id: str):
+    """Minsky, DGX-1, DGX-2, PCIe-K80 and AC922 machines in turn."""
+    builders = (power8_minsky, dgx1, dgx2, power8_pcie_k80, power9_ac922)
+    return builders[int(machine_id[1:]) % len(builders)](machine_id)
+
+
+@pytest.mark.parametrize("n_machines", [1, 7])
+def test_whole_topology_pack_reads_machine_lists_as_grouping_would(n_machines):
+    """Without a free list, ``pack_gpus`` reads each machine's GPU list;
+    grouping the whole GPU list, as a free list of every GPU makes it
+    do, picks the same GPUs in the same order for every count."""
+    topo = cluster(n_machines, _mixed)
+    everything = topo.gpus()
+    for n in range(1, len(everything) + 1):
+        assert pack_gpus(topo, n) == pack_gpus(topo, n, free=everything), n
+    with pytest.raises(ValueError):
+        pack_gpus(topo, len(everything) + 1)

@@ -129,47 +129,57 @@ def unused_imports(source: str, tree: ast.AST | None = None) -> list[tuple[int, 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
-def own_nodes(func: ast.AST):
-    """The nodes of ``func``'s body outside its nested functions and
-    classes (whose names are not ``func``'s locals)."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
 def unused_locals(source: str, tree: ast.AST | None = None) -> list[tuple[int, str]]:
     """``(line, name)`` of every local assigned and never read
-    (``tree``, when given, is the parse of ``source``)."""
+    (``tree``, when given, is the parse of ``source``).
+
+    One walk over the tree gives each function the names read in it
+    outside its nested functions, and the plain-name targets it assigns
+    outside its nested functions and classes (whose names are not its
+    locals); a second pass, innermost functions first, adds each nested
+    function's reads to its parent's, so each node is visited once.
+    """
     if tree is None:
         tree = ast.parse(source)
     lines = source.splitlines()
-    unused = []
-    for func in ast.walk(tree):
-        if not isinstance(func, FUNCTIONS):
-            continue
-        read = set()
-        for node in ast.walk(func):
+    reads: dict[ast.AST, set[str]] = {}
+    targets: dict[ast.AST, list[ast.Name]] = {}
+    parents: list[tuple[ast.AST, ast.AST | None]] = []  # functions, outer first
+    # (node, innermost enclosing function, function whose locals it assigns)
+    stack = [(tree, None, None)]
+    while stack:
+        node, func, owner = stack.pop()
+        if isinstance(node, FUNCTIONS):
+            parents.append((node, func))
+            reads[node], targets[node] = set(), []
+            func = owner = node
+        elif isinstance(node, ast.ClassDef):
+            owner = None
+        elif func is not None:
+            read = reads[func]
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
                 read.add(node.target.id)  # ``x += 1`` reads x
             elif isinstance(node, (ast.Global, ast.Nonlocal)):
                 read.update(node.names)
-        for node in own_nodes(func):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-            else:
-                continue
-            for target in targets:
-                if (isinstance(target, ast.Name) and target.id not in read
-                        and not target.id.startswith("_")
-                        and not noqa_silences(lines[target.lineno - 1], "F841")):
-                    unused.append((target.lineno, target.id))
+            if owner is not None:
+                if isinstance(node, ast.Assign):
+                    targets[owner] += node.targets
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets[owner].append(node.target)
+        stack.extend((child, func, owner) for child in ast.iter_child_nodes(node))
+    for func, parent in reversed(parents):
+        if parent is not None:
+            reads[parent] |= reads[func]
+    unused = [
+        (target.lineno, target.id)
+        for func, names in targets.items()
+        for target in names
+        if isinstance(target, ast.Name) and target.id not in reads[func]
+        and not target.id.startswith("_")
+        and not noqa_silences(lines[target.lineno - 1], "F841")
+    ]
     return sorted(unused)
 
 

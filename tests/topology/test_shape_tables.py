@@ -1,12 +1,18 @@
 """Machine-shape tables: a scoped answer is stored once per shape and
 must equal the search on the machine that asks, whichever machine of
-that shape filled the table."""
+that shape filled the table.  The shape ids :func:`cluster` enters at
+build time must be the ids a lazy description gives, and the fleet-wide
+facts read from shapes must equal the whole-fleet walks they replace."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.scenarios import scenario2_jobs
+from repro.core.utility import _pair_distance_bounds
+from repro.schedulers import make_scheduler
+from repro.sim.engine import Simulator
 from repro.topology.builders import (
     cluster,
     dgx1,
@@ -59,8 +65,21 @@ MACHINE_KINDS = st.one_of(
 )
 
 
-def build(kinds):
-    return cluster(len(kinds), lambda mid: kinds[int(mid[1:])](mid))
+#: MACHINE_KINDS plus machines with fractional uplink weights, whose
+#: path sums round differently in different orders
+WEIGHTED_KINDS = st.one_of(
+    MACHINE_KINDS,
+    st.builds(tuned, st.sampled_from([0.1, 0.7, 2.9]), st.sampled_from([16.0, 8.0])),
+)
+
+#: the builders whose machines are template copies
+TEMPLATED = (power8_minsky, dgx1, power8_pcie_k80)
+
+
+def build(kinds, network_name="net"):
+    return cluster(
+        len(kinds), lambda mid: kinds[int(mid[1:])](mid), network_name=network_name
+    )
 
 
 def uncached(topo, m, u, v):
@@ -178,7 +197,8 @@ def test_a_fleet_of_twins_searches_once_per_shape(monkeypatch):
     assert sorted(searches) == sorted(
         ["_dijkstra"] * (4 + 12) + ["_widest_from"] * 4 + ["_search_path"] * 12
     )
-    assert sorted(shapes) == topo.machines()  # once per machine
+    # cluster() entered every twin's shape id when it built the fleet
+    assert shapes == []
 
 
 def test_divergent_twin():
@@ -241,3 +261,87 @@ def test_shape_id_is_only_for_machines():
     assert topo.machine_relative(["m0/gpu1", "m0/gpu0"]) == (
         topo.machine_shape_id("m0"), ("gpu1", "gpu0")
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(MACHINE_KINDS, min_size=1, max_size=6),
+    st.sampled_from(["net", "m1/net", "m0/gpu0x"]),
+)
+def test_build_time_ids_equal_lazily_described_ids(kinds, network_name):
+    """On fleets mixing template copies and custom machines, the build
+    enters an id for every copy but one whose prefix holds the network
+    name, and each entered id is the one a description gives; the
+    fleet-wide island list read per shape is the concatenation of every
+    machine's."""
+    topo = build(kinds, network_name)
+    entered = dict(topo._caches.shape_ids)
+    assert sorted(entered) == sorted(
+        f"m{i}" for i, kind in enumerate(kinds)
+        if kind in TEMPLATED and not network_name.startswith(f"m{i}/")
+    )
+    fleet = topo.p2p_island_sizes()
+    topo._caches.shape_ids.clear()
+    shapes = {m: topo.machine_shape(m) for m in topo.machines()}
+    for m, shape_id in entered.items():
+        assert topo.machine_shape_id(m) == shape_id
+        assert all(
+            (shapes[m] == shapes[other]) == (shape_id == topo.machine_shape_id(other))
+            for other in shapes
+        )
+    assert fleet == sorted(
+        (s for m in topo.machines() for s in reference_islands(topo, m)),
+        reverse=True,
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(WEIGHTED_KINDS, min_size=2, max_size=5))
+def test_point_distance_equals_the_whole_graph_search(kinds):
+    """Between any two nodes, in one machine or two, the point-to-point
+    search gives the whole-graph search's float (compared with ``==``),
+    and ``_pair_distance_bounds`` with it the bounds it gave with the
+    whole-graph search."""
+    topo = build(kinds)
+    names = [n.name for n in topo.nodes()]
+    for u in names:
+        row = topo._dijkstra(u)
+        for v in names:
+            try:
+                got = topo.point_distance(u, v)
+            except TopologyError:
+                got = "disconnected"
+            assert got == row.get(v, "disconnected"), (u, v)
+    bounds = _pair_distance_bounds(topo)
+    topo.point_distance = lambda u, v: topo._dijkstra(u)[v]
+    assert bounds == _pair_distance_bounds(topo)
+
+
+def test_a_fleet_simulation_describes_each_shape_once(monkeypatch):
+    """A TOPO-AWARE-P simulation on ``cluster(64)`` describes the fleet's
+    one shape once, at build time, and runs no whole-graph search.  The
+    only other graph described is the profile database's own Minsky
+    machine, when this process has not built the database yet."""
+    described, unscoped = [], []
+    real_shape, real_dijkstra = TopologyGraph.machine_shape, TopologyGraph._dijkstra
+
+    def machine_shape(self, machine):
+        described.append(self)
+        return real_shape(self, machine)
+
+    def dijkstra(self, source, scope_machine=None, prev=None):
+        if scope_machine is None:
+            unscoped.append(source)
+        return real_dijkstra(self, source, scope_machine, prev)
+
+    monkeypatch.setattr(TopologyGraph, "machine_shape", machine_shape)
+    monkeypatch.setattr(TopologyGraph, "_dijkstra", dijkstra)
+    topo = cluster(64)
+    assert described == [topo]
+    jobs = scenario2_jobs(150, 64, seed=5)
+    assert any(job.requires_p2p for job in jobs)
+    result = Simulator(topo, make_scheduler("TOPO-AWARE-P"), jobs).run()
+    assert all(record.terminal for record in result.records)
+    assert described.count(topo) == 1
+    assert len(described) <= 2
+    assert unscoped == []
