@@ -16,11 +16,9 @@
   builder of a cluster of one of them; the command line and the
   prototype's ``sys-config.ini`` both select machines through these.
 
-Each named model builds its first machine with the code below and every
-later one as a renamed copy of that build (its template), which skips
-the per-add checks; a copy records its template until its first
-mutation, so :func:`cluster` knows which machines share a shape without
-describing each one (DESIGN.md §9 "Set-up").
+Each named model builds the same machine under every id, so
+:func:`cluster` knows that a fleet of one of them shares one shape
+without describing each machine (DESIGN.md §9 "Set-up").
 
 Node naming is hierarchical and stable: machine ``m0``, socket
 ``m0/s1``, switch ``m0/s1/sw0``, GPU ``m0/gpu3``.  GPU indices are
@@ -30,13 +28,10 @@ machine-local and match ``CUDA_VISIBLE_DEVICES`` ordering under
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from typing import Callable
 
-from repro.topology.graph import Edge, Node, NodeKind, TopologyGraph
+from repro.topology.graph import NodeKind, TopologyGraph
 from repro.topology.links import DEFAULT_LEVEL_WEIGHTS, LinkSpec, LinkType
-from repro.topology.shapes import absolute, relative
 
 _W_GPU = DEFAULT_LEVEL_WEIGHTS["gpu"]
 _W_SWITCH = DEFAULT_LEVEL_WEIGHTS["switch"]
@@ -44,114 +39,6 @@ _W_SOCKET = DEFAULT_LEVEL_WEIGHTS["socket"]
 _W_MACHINE = DEFAULT_LEVEL_WEIGHTS["machine"]
 
 
-@dataclass(frozen=True, eq=False)
-class _Template:
-    """One machine's graph in names relative to the machine
-    (:func:`~repro.topology.shapes.relative`), copied under any machine
-    id with every node, edge and adjacency order of the original."""
-
-    #: the graph's name without ``"[<machine id>]"``
-    head: str
-    #: per node: relative name, kind, relative owner and socket, GPU index
-    nodes: list[tuple]
-    #: per edge: endpoint indices, weight and link spec
-    edges: list[tuple]
-    #: per node: (neighbour index, edge index) in adjacency order
-    adjacency: list[list[tuple[int, int]]]
-
-    @classmethod
-    def of(cls, topo: TopologyGraph, machine_id: str) -> "_Template | None":
-        """The template of ``topo``, machine ``machine_id`` built by a
-        builder that names its graph ``"<head>[<machine_id>]"``;
-        ``None`` unless every node is that machine or one it owns under
-        its prefix, in a socket under its prefix or none."""
-        suffix = f"[{machine_id}]"
-        if not topo.name.endswith(suffix):
-            return None
-        prefix = machine_id + "/"
-        nodes = []
-        for name, node in topo._nodes.items():
-            if name != machine_id and not name.startswith(prefix):
-                return None
-            if node.machine != (None if name == machine_id else machine_id):
-                return None
-            if node.socket is not None and not node.socket.startswith(prefix):
-                return None
-            nodes.append((
-                relative(name, machine_id, prefix),
-                node.kind,
-                relative(node.machine, machine_id, prefix),
-                relative(node.socket, machine_id, prefix),
-                node.gpu_index,
-            ))
-        index = {name: i for i, name in enumerate(topo._nodes)}
-        edges: dict[Edge, int] = {}
-        adjacency = []
-        for nbrs in topo._adj.values():
-            row = []
-            for v, edge in nbrs.items():
-                if edge not in edges:
-                    edges[edge] = len(edges)
-                row.append((index[v], edges[edge]))
-            adjacency.append(row)
-        return cls(
-            topo.name[: -len(suffix)],
-            nodes,
-            [(index[e.u], index[e.v], e.weight, e.spec) for e in edges],
-            adjacency,
-        )
-
-    def copy(self, machine_id: str) -> TopologyGraph:
-        """The template's machine renamed to ``machine_id``, built in
-        one build scope and validated, as a builder builds it."""
-        prefix = machine_id + "/"
-        names = [absolute(node[0], machine_id, prefix) for node in self.nodes]
-        topo = TopologyGraph(name=f"{self.head}[{machine_id}]")
-        with topo._building():
-            topo._nodes = {
-                name: Node(
-                    name,
-                    kind,
-                    machine=absolute(owner, machine_id, prefix),
-                    socket=absolute(socket, machine_id, prefix),
-                    gpu_index=gpu_index,
-                )
-                for name, (_, kind, owner, socket, gpu_index) in zip(names, self.nodes)
-            }
-            edges = [Edge(names[u], names[v], w, spec) for u, v, w, spec in self.edges]
-            topo._adj = {
-                name: {names[v]: edges[e] for v, e in row}
-                for name, row in zip(names, self.adjacency)
-            }
-        topo.validate()
-        topo._caches.template = (self, machine_id)
-        return topo
-
-
-#: machine builder body -> its template, or ``None`` when its build
-#: cannot be one; see :func:`_templated`
-_TEMPLATES: dict[Callable, _Template | None] = {}
-
-
-def _templated(build: Callable[[str], TopologyGraph]) -> Callable[[str], TopologyGraph]:
-    """A builder that runs ``build`` once and returns renamed copies of
-    that first machine afterwards."""
-
-    @functools.wraps(build)
-    def builder(machine_id: str = "m0") -> TopologyGraph:
-        template = _TEMPLATES.get(build)
-        if template is not None:
-            return template.copy(machine_id)
-        topo = build(machine_id)
-        template = _TEMPLATES[build] = _Template.of(topo, machine_id)
-        if template is not None:
-            topo._caches.template = (template, machine_id)
-        return topo
-
-    return builder
-
-
-@_templated
 def power8_minsky(machine_id: str = "m0") -> TopologyGraph:
     """IBM Power8 S822LC with 4x P100 and dual-lane NVLink (the paper's testbed)."""
     topo = TopologyGraph(name=f"power8-minsky[{machine_id}]")
@@ -204,7 +91,6 @@ DGX1_NVLINK_PAIRS: tuple[tuple[int, int], ...] = (
 )
 
 
-@_templated
 def dgx1(machine_id: str = "m0") -> TopologyGraph:
     """NVIDIA DGX-1: 8 GPUs, hybrid cube-mesh NVLink + PCIe switches."""
     topo = TopologyGraph(name=f"dgx1[{machine_id}]")
@@ -237,7 +123,6 @@ def dgx1(machine_id: str = "m0") -> TopologyGraph:
     return topo
 
 
-@_templated
 def power8_pcie_k80(machine_id: str = "m0") -> TopologyGraph:
     """Power8 machine with PCIe gen3 and K80 GPUs (Section 3.2 comparison).
 
@@ -266,7 +151,6 @@ def power8_pcie_k80(machine_id: str = "m0") -> TopologyGraph:
     return topo
 
 
-@_templated
 def power9_ac922(machine_id: str = "m0") -> TopologyGraph:
     """IBM Power9 AC922 (Summit node): 2 sockets x 3 V100, NVLink 2.0.
 
@@ -300,7 +184,6 @@ def power9_ac922(machine_id: str = "m0") -> TopologyGraph:
     return topo
 
 
-@_templated
 def dgx2(machine_id: str = "m0") -> TopologyGraph:
     """NVIDIA DGX-2: 16 GPUs behind a full-bandwidth NVSwitch fabric.
 
@@ -393,10 +276,10 @@ def cluster(
     homogeneous clusters of the Minsky machine; ``builder`` may be any
     per-machine constructor taking a machine id.
 
-    Machines that are unmutated copies of one template (the named
-    models, see :class:`_Template`) have equal shapes once each has its
-    uplink, so the first of them is described and its shape id entered
-    for the others; every other machine's id stays lazy
+    When ``builder`` is one of the named models (:data:`MACHINES`),
+    every machine is the same build under its own id with the same
+    uplink, so one machine is described and its shape id entered for
+    the others; any other builder's machines keep lazy ids
     (:meth:`TopologyGraph.machine_shape_id`).  DESIGN.md §9 "Set-up"
     argues exactness.
     """
@@ -404,28 +287,19 @@ def cluster(
         raise ValueError("n_machines must be >= 1")
     network_link = network_link or LinkSpec.network()
     topo = TopologyGraph(name=f"cluster[{n_machines}x]")
-    copies: dict[_Template, list[str]] = {}
-    owners: set[str | None] = set()  # machines that untemplated parts claim
+    machines = [f"m{i}" for i in range(n_machines)]
     with topo._building():
         topo.add_node(network_name, NodeKind.NETWORK)
-        for i in range(n_machines):
-            mid = f"m{i}"
-            part = builder(mid)
-            origin = part._caches.template
-            # a network named under the prefix is one machine's local node
-            if (origin is not None and origin[1] == mid
-                    and not network_name.startswith(mid + "/")):
-                copies.setdefault(origin[0], []).append(mid)
-            else:
-                owners.update(node.machine for node in part._nodes.values())
-            topo.merge(part)
+        for mid in machines:
+            topo.merge(builder(mid))
             topo.add_edge(mid, network_name, _W_MACHINE, network_link)
     topo.validate()
-    shape_ids = topo._caches.shape_ids
-    for machines in copies.values():
-        machines = [m for m in machines if m not in owners]
-        if machines:
-            shape_ids.update(dict.fromkeys(machines, topo.machine_shape_id(machines[0])))
+    if any(builder is named for named in MACHINES.values()):
+        # a network named under a machine's prefix is that machine's own node
+        twins = [m for m in machines if not network_name.startswith(m + "/")]
+        if twins:
+            shape_id = topo.machine_shape_id(twins[0])
+            topo._caches.shape_ids.update(dict.fromkeys(twins, shape_id))
     return topo
 
 

@@ -104,9 +104,6 @@ class _Caches:
     )
     #: machine -> shape id (see :meth:`TopologyGraph.machine_shape_id`)
     shape_ids: dict[str, int] = field(default_factory=dict)
-    #: (template, machine) of a renamed template copy until its first
-    #: mutation (see :func:`repro.topology.builders.cluster`)
-    template: tuple | None = None
     #: node -> (machine, relative name); see :meth:`TopologyGraph._locate`
     locations: dict[str, tuple] = field(default_factory=dict)
     #: machine -> names of the machine node and every node it owns
@@ -423,8 +420,8 @@ class TopologyGraph:
         ties, and every scoped distance, path and sort of their names
         corresponds.  Computed afresh on every call;
         :meth:`machine_shape_id` interns it once per machine, or once
-        per template for the machine-model copies of a
-        :func:`~repro.topology.builders.cluster`.
+        per fleet for a :func:`~repro.topology.builders.cluster` of a
+        named machine model.
         """
         return describe(self._nodes, self._adj, machine, self._members(machine))
 
@@ -434,8 +431,8 @@ class TopologyGraph:
         Assigned on first use: the shape is interned in a table that is
         never cleared, so an id names one shape for the life of the
         graph, and machines of equal shape share it.
-        :func:`~repro.topology.builders.cluster` enters the ids of
-        template copies when it builds the fleet.  A mutation clears
+        :func:`~repro.topology.builders.cluster` enters the ids of a
+        named machine model's fleet when it builds it.  A mutation clears
         only the machine -> id map; a changed machine then gets the id
         of its new shape.
         """

@@ -2,15 +2,14 @@
 
 The machine builders and :func:`cluster` build inside the graph's build
 scope (one cache invalidation per graph), share the factories' link
-specs and merge machines in one pass; the named machine models copy
-their first build under each later machine id.  The reference here is
-the per-mutation build kept test-only: every ``add_node`` /
-``add_edge`` / ``merge`` clears the caches at once, ``merge`` copies
-edge by edge as :meth:`TopologyGraph.edges` yields them, every link
-spec is a fresh object, and every machine runs its builder's code.
-Both must give the same nodes in the same order, the same adjacency
-order at every node (it breaks shortest-path ties), the same edges,
-weights and specs, and the same ``machine_shape`` per machine.
+specs and merge machines in one pass; a fleet of a named machine model
+gets its shape ids at build time.  The reference here is the
+per-mutation build kept test-only: every ``add_node`` / ``add_edge`` /
+``merge`` clears the caches at once, ``merge`` copies edge by edge as
+:meth:`TopologyGraph.edges` yields them, and every link spec is a fresh
+object.  Both must give the same nodes in the same order, the same
+adjacency order at every node (it breaks shortest-path ties), the same
+edges, weights and specs, and the same ``machine_shape`` per machine.
 """
 
 from __future__ import annotations
@@ -64,9 +63,6 @@ def reference(make):
     }
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(builders, "TopologyGraph", ReferenceGraph)
-        # every machine runs its builder's code: no template is kept
-        patch.setattr(builders, "_TEMPLATES", {})
-        patch.setattr(builders._Template, "of", classmethod(lambda *args: None))
         for name, factory in fresh.items():
             patch.setattr(LinkSpec, name, staticmethod(factory))
         topo = make()
@@ -127,31 +123,42 @@ def test_build_matches_the_per_mutation_reference(name):
     }
 
 
+def entered_ids_are_lazy_ids(topo: TopologyGraph) -> dict[str, int]:
+    """The ids the build entered, after checking each equals the id a
+    lazy description gives (the intern table outlives the clear)."""
+    entered = dict(topo._caches.shape_ids)
+    topo._caches.shape_ids.clear()
+    for machine, shape_id in entered.items():
+        assert topo.machine_shape_id(machine) == shape_id, machine
+    return entered
+
+
 @pytest.mark.parametrize("model", sorted(MACHINES))
-def test_every_named_model_copies_its_template_exactly(model):
-    """A cluster of template copies equals the reference, in which
-    every machine runs the builder's code; and the build entered every
-    machine's shape id, which the reference, with no templates, did
-    not."""
+def test_every_named_model_fleet_has_every_id_entered(model, monkeypatch):
+    """A cluster of a named model equals the per-mutation reference,
+    and its build entered every machine's shape id, describing one
+    machine; each entered id is the one a description gives."""
     builder = MACHINES[model]
-    builder("m0")  # the template exists, so every machine below is a copy
+    described = []
+    real = TopologyGraph.machine_shape
+    monkeypatch.setattr(
+        TopologyGraph, "machine_shape", lambda g, m: (described.append(m), real(g, m))[1]
+    )
     fast = cluster(7, builder)
+    assert described == ["m0"]
+    monkeypatch.setattr(TopologyGraph, "machine_shape", real)
     slow = reference(lambda: cluster(7, builder))
-    assert slow._caches.shape_ids == {}
-    assert sorted(fast._caches.shape_ids) == fast.machines()
     # (each node's adjacency is a list, so its order is compared)
     assert layout(fast) == layout(slow)
     assert fast.name == slow.name
-    # a lone copy is its builder's machine too
-    alone, expected_alone = builder("m12"), reference(lambda: builder("m12"))
-    assert type(alone) is TopologyGraph and alone.name == expected_alone.name
-    assert layout(alone) == layout(expected_alone)
+    assert sorted(entered_ids_are_lazy_ids(fast)) == fast.machines()
+    assert len(set(fast._caches.shape_ids.values())) == 1
 
 
-def test_a_copy_mutated_before_the_merge_is_described_afresh(monkeypatch):
-    """A mutation drops a copy's template, inside a build scope or not:
-    such a machine gets no entered id, and its shape is described when
-    first asked for."""
+def test_other_builders_keep_every_machine_lazy(monkeypatch):
+    """A builder that is not a named model, even one wrapping a named
+    model, gets no entered id: a machine it changed is described
+    afresh, as is every other."""
 
     def builder(mid):
         topo = power8_minsky(mid)
@@ -163,9 +170,9 @@ def test_a_copy_mutated_before_the_merge_is_described_afresh(monkeypatch):
                 topo.add_edge("m2/s2", "m2", 20.0, LinkSpec.xbus())
         return topo
 
-    power8_minsky("m0")
+    assert cluster(3, lambda mid: power8_minsky(mid))._caches.shape_ids == {}
     topo = cluster(4, builder)
-    assert sorted(topo._caches.shape_ids) == ["m0", "m3"]
+    assert topo._caches.shape_ids == {}
     described = []
     real = topo.machine_shape
     monkeypatch.setattr(
@@ -175,55 +182,11 @@ def test_a_copy_mutated_before_the_merge_is_described_afresh(monkeypatch):
     assert topo.machine_shape_id("m0") == twin
     assert topo.machine_shape_id("m1") != twin
     assert topo.machine_shape_id("m2") not in (twin, topo.machine_shape_id("m1"))
-    assert described == ["m1", "m2"]
+    assert described == ["m3", "m0", "m1", "m2"]
     slow = reference(lambda: cluster(4, builder))
     assert layout(topo)["shapes"] == layout(slow)["shapes"]
     assert topo.distance("m1/gpu0", "m1/gpu2") == 1.0
     assert topo.distance("m0/gpu0", "m0/gpu2") == slow.distance("m0/gpu0", "m0/gpu2") > 1.0
-
-
-def misnamed(machine_id: str) -> TopologyGraph:
-    topo = bare_machine(machine_id)
-    topo.name = "bare"  # no "[<machine id>]" to rename
-    return topo
-
-
-def outside_node(machine_id: str) -> TopologyGraph:
-    topo = bare_machine(machine_id)
-    topo.name = f"bare[{machine_id}]"
-    topo.add_node(f"{machine_id}-disk", NodeKind.SWITCH, machine=machine_id)
-    topo.add_edge(f"{machine_id}-disk", machine_id, 1.0, LinkSpec.pcie())
-    return topo
-
-
-def outside_socket(machine_id: str) -> TopologyGraph:
-    topo = bare_machine(machine_id)
-    topo.name = f"bare[{machine_id}]"
-    topo.add_node(f"{machine_id}/gpu1", NodeKind.GPU, machine=machine_id,
-                  socket="shared", gpu_index=1)
-    topo.add_edge(f"{machine_id}/gpu1", f"{machine_id}/s0", 1.0, LinkSpec.pcie())
-    return topo
-
-
-@pytest.mark.parametrize("body", [misnamed, outside_node, outside_socket])
-def test_a_build_that_names_outside_its_machine_is_never_copied(body, monkeypatch):
-    monkeypatch.setattr(builders, "_TEMPLATES", {})
-    calls = []
-    build = builders._templated(lambda mid: (calls.append(mid), body(mid))[1])
-    for mid in ("m0", "m1"):
-        assert layout(build(mid)) == layout(body(mid))
-        assert build(mid)._caches.template is None
-    assert calls == ["m0", "m0", "m1", "m1"]
-
-
-def entered_ids_are_lazy_ids(topo: TopologyGraph) -> dict[str, int]:
-    """The ids the build entered, after checking each equals the id a
-    lazy description gives (the intern table outlives the clear)."""
-    entered = dict(topo._caches.shape_ids)
-    topo._caches.shape_ids.clear()
-    for machine, shape_id in entered.items():
-        assert topo.machine_shape_id(machine) == shape_id, machine
-    return entered
 
 
 def test_a_network_named_inside_a_machine_keeps_that_machine_lazy():
@@ -233,24 +196,6 @@ def test_a_network_named_inside_a_machine_keeps_that_machine_lazy():
     entered = entered_ids_are_lazy_ids(topo)
     assert sorted(entered) == ["m0", "m2"]
     assert topo.machine_shape_id("m1") != entered["m0"]
-
-
-def test_a_copy_that_another_part_claims_a_node_of_stays_lazy():
-    """A part that owns a node in the name of a copy's machine joins
-    that machine's shape, so the copy's id is not entered."""
-
-    def builder(mid):
-        if mid != "m2":
-            return power8_minsky(mid)
-        topo = bare_machine(mid)
-        topo.add_node("stray", NodeKind.SWITCH, machine="m0")
-        topo.add_edge("stray", "m2/s0", 1.0, LinkSpec.pcie())
-        return topo
-
-    topo = cluster(4, builder)
-    entered = entered_ids_are_lazy_ids(topo)
-    assert sorted(entered) == ["m1", "m3"]
-    assert topo.machine_shape_id("m0") != entered["m1"]
 
 
 def test_distances_and_paths_match_the_reference():

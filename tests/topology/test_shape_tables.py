@@ -14,6 +14,7 @@ from repro.core.utility import _pair_distance_bounds
 from repro.schedulers import make_scheduler
 from repro.sim.engine import Simulator
 from repro.topology.builders import (
+    MACHINES,
     cluster,
     dgx1,
     machine,
@@ -71,9 +72,6 @@ WEIGHTED_KINDS = st.one_of(
     MACHINE_KINDS,
     st.builds(tuned, st.sampled_from([0.1, 0.7, 2.9]), st.sampled_from([16.0, 8.0])),
 )
-
-#: the builders whose machines are template copies
-TEMPLATED = (power8_minsky, dgx1, power8_pcie_k80)
 
 
 def build(kinds, network_name="net"):
@@ -265,34 +263,37 @@ def test_shape_id_is_only_for_machines():
 
 @settings(max_examples=25, deadline=None)
 @given(
+    st.sampled_from(sorted(MACHINES)),
     st.lists(MACHINE_KINDS, min_size=1, max_size=6),
     st.sampled_from(["net", "m1/net", "m0/gpu0x"]),
 )
-def test_build_time_ids_equal_lazily_described_ids(kinds, network_name):
-    """On fleets mixing template copies and custom machines, the build
-    enters an id for every copy but one whose prefix holds the network
-    name, and each entered id is the one a description gives; the
-    fleet-wide island list read per shape is the concatenation of every
-    machine's."""
-    topo = build(kinds, network_name)
-    entered = dict(topo._caches.shape_ids)
-    assert sorted(entered) == sorted(
-        f"m{i}" for i, kind in enumerate(kinds)
-        if kind in TEMPLATED and not network_name.startswith(f"m{i}/")
+def test_build_time_ids_equal_lazily_described_ids(model, kinds, network_name):
+    """A fleet of a named model gets an id entered for every machine
+    but one whose prefix holds the network name; a fleet whose builder
+    mixes named models and custom machines gets none.  Each entered id
+    is the one a description gives, and the fleet-wide island list
+    read per shape is the concatenation of every machine's."""
+    named = cluster(len(kinds), MACHINES[model], network_name=network_name)
+    assert sorted(named._caches.shape_ids) == sorted(
+        f"m{i}" for i in range(len(kinds)) if not network_name.startswith(f"m{i}/")
     )
-    fleet = topo.p2p_island_sizes()
-    topo._caches.shape_ids.clear()
-    shapes = {m: topo.machine_shape(m) for m in topo.machines()}
-    for m, shape_id in entered.items():
-        assert topo.machine_shape_id(m) == shape_id
-        assert all(
-            (shapes[m] == shapes[other]) == (shape_id == topo.machine_shape_id(other))
-            for other in shapes
+    mixed = build(kinds, network_name)
+    assert mixed._caches.shape_ids == {}
+    for topo in (named, mixed):
+        entered = dict(topo._caches.shape_ids)
+        fleet = topo.p2p_island_sizes()
+        topo._caches.shape_ids.clear()
+        shapes = {m: topo.machine_shape(m) for m in topo.machines()}
+        for m, shape_id in entered.items():
+            assert topo.machine_shape_id(m) == shape_id
+            assert all(
+                (shapes[m] == shapes[other]) == (shape_id == topo.machine_shape_id(other))
+                for other in shapes
+            )
+        assert fleet == sorted(
+            (s for m in topo.machines() for s in reference_islands(topo, m)),
+            reverse=True,
         )
-    assert fleet == sorted(
-        (s for m in topo.machines() for s in reference_islands(topo, m)),
-        reverse=True,
-    )
 
 
 @settings(max_examples=15, deadline=None)
