@@ -52,8 +52,10 @@ class PlacementSolution:
         return self.metrics.utility
 
     def satisfies(self, job: Job) -> bool:
-        """SLO check used by TOPO-AWARE-P: utility above the job's
-        threshold, and P2P available when the job requires it."""
+        """The job's SLO taken literally: utility above its threshold,
+        and P2P when the job requires it.  TOPO-AWARE-P's predicate
+        (``TopoAwareScheduler._slo_checks``) also accepts a solution
+        without P2P when no allocation on the hardware could give it."""
         if self.utility < job.min_utility - SLO_EPS:
             return False
         if job.requires_p2p and not self.p2p:
@@ -90,17 +92,6 @@ class PlacementStats:
             "invalidations": self.invalidations,
             "hit_rate": self.hit_rate,
         }
-
-
-@dataclass
-class PoolSolveStats:
-    """Pool-solve cache hits on a pool already solved in the same
-    proposal or in an earlier one, and on an allocation already scored
-    by :meth:`PlacementEngine.score_allocation`."""
-
-    hits_in_proposal: int = 0
-    hits_across: int = 0
-    score_hits: int = 0
 
 
 #: co-runner entry of the job being placed in a pool-solve key: the
@@ -167,9 +158,7 @@ class PlacementEngine:
         #: key -> [solution or None, pool report or None]
         self._memo: OrderedDict[tuple, list] = OrderedDict()
         self._memo_version = -1
-        self.pool_stats = PoolSolveStats()
         self._pool_solves: OrderedDict[tuple, tuple] = OrderedDict()
-        self._proposals = 0
         #: machine -> (shape id, GPU name -> local index, local index
         #: -> GPU name), filled on first use
         self._machine_tables: dict[str, tuple[int, dict[str, int], tuple[str, ...]]] = {}
@@ -326,7 +315,6 @@ class PlacementEngine:
         co_runners: Mapping[str, tuple[Job, frozenset[str]]],
         provenance: dict | None = None,
     ) -> PlacementSolution | None:
-        self._proposals += 1
         # k tracks the engine's pool budget: probing may stop only once
         # the budget the loop below consumes is full
         self.prefilter.top_k = self.max_pools
@@ -522,15 +510,15 @@ class PlacementEngine:
         """:meth:`_solve_pool` through the pool-solve cache.
 
         Entries hold the mapping as ``(task, local index)`` pairs plus
-        the metrics and P2P flag; a hit rebuilds the solution on this
-        pool's machine.  Keys name the whole input (see
-        :meth:`_pool_key`), so entries never go stale.
+        the metrics and P2P flag, or ``None`` for no solution, in a
+        1-tuple that tells a cached ``None`` from a miss; a hit rebuilds
+        the solution on this pool's machine.  Keys name the whole input
+        (see :meth:`_pool_key`), so entries never go stale.
         """
         key = self._pool_key(job, pool, co_runners)
         if key is None:
             return self._solve_pool(job, jobgraph, pool, co_runners)
-        cache = self._pool_solves
-        entry = cache.get(key)
+        entry = self._pool_solves.get(key)
         if entry is None:
             solution = self._solve_pool(job, jobgraph, pool, co_runners)
             value = None
@@ -542,17 +530,10 @@ class PlacementEngine:
                     solution.metrics,
                     solution.p2p,
                 )
-            cache[key] = (self._proposals, value)
-            if len(cache) > self.POOL_SOLVES_MAX:
-                cache.popitem(last=False)
+            self._remember(key, (value,))
             return solution
-        stamp, value = entry
-        if stamp == self._proposals:
-            self.pool_stats.hits_in_proposal += 1
-        else:
-            self.pool_stats.hits_across += 1
-            cache[key] = (self._proposals, value)
-        cache.move_to_end(key)
+        self._pool_solves.move_to_end(key)
+        value = entry[0]
         if value is None:
             return None
         pairs, gpus, metrics, p2p = value
@@ -565,6 +546,38 @@ class PlacementEngine:
             pool=pool,
             p2p=p2p,
         )
+
+    def _remember(self, key: tuple, entry: tuple) -> None:
+        """Insert ``entry`` into the pool-solve LRU; eviction only
+        forces a re-solve."""
+        cache = self._pool_solves
+        cache[key] = entry
+        if len(cache) > self.POOL_SOLVES_MAX:
+            cache.popitem(last=False)
+
+    def _evaluate(
+        self,
+        job: Job,
+        gpus: tuple[str, ...],
+        co_runners: Mapping[str, tuple[Job, frozenset[str]]],
+    ) -> tuple[SolutionMetrics, bool]:
+        """Eq. 1–5 metrics of ``gpus`` (sorted) for ``job``, and whether
+        every pair of them can exchange P2P."""
+        p2p = all(
+            self.topo.p2p_connected(a, b)
+            for i, a in enumerate(gpus)
+            for b in gpus[i + 1 :]
+        )
+        metrics = evaluate_solution(
+            self.topo,
+            self.alloc,
+            job,
+            gpus,
+            co_runners,
+            self.params,
+            self.interference,
+        )
+        return metrics, p2p
 
     def _solve_pool(
         self,
@@ -592,20 +605,7 @@ class PlacementEngine:
             except ValueError:
                 return None
         gpus = tuple(sorted(mapping.values()))
-        p2p = all(
-            self.topo.p2p_connected(a, b)
-            for i, a in enumerate(gpus)
-            for b in gpus[i + 1 :]
-        )
-        metrics = evaluate_solution(
-            self.topo,
-            self.alloc,
-            job,
-            gpus,
-            co_runners,
-            self.params,
-            self.interference,
-        )
+        metrics, p2p = self._evaluate(job, gpus, co_runners)
         return PlacementSolution(
             job_id=job.job_id,
             gpus=gpus,
@@ -652,31 +652,14 @@ class PlacementEngine:
         gpus = tuple(sorted(gpus))
         machines = tuple(sorted({self.topo.machine_of(g) for g in gpus}))
         key = self._score_key(job, machines, gpus, co_runners)
-        cache = self._pool_solves
-        entry = None if key is None else cache.get(key)
+        entry = None if key is None else self._pool_solves.get(key)
         if entry is None:
-            p2p = all(
-                self.topo.p2p_connected(a, b)
-                for i, a in enumerate(gpus)
-                for b in gpus[i + 1 :]
-            )
-            metrics = evaluate_solution(
-                self.topo,
-                self.alloc,
-                job,
-                gpus,
-                co_runners,
-                self.params,
-                self.interference,
-            )
+            entry = self._evaluate(job, gpus, co_runners)
             if key is not None:
-                cache[key] = (metrics, p2p)
-                if len(cache) > self.POOL_SOLVES_MAX:
-                    cache.popitem(last=False)
+                self._remember(key, entry)
         else:
-            self.pool_stats.score_hits += 1
-            cache.move_to_end(key)
-            metrics, p2p = entry
+            self._pool_solves.move_to_end(key)
+        metrics, p2p = entry
         return PlacementSolution(
             job_id=job.job_id,
             gpus=gpus,

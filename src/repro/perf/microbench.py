@@ -111,9 +111,7 @@ class PinnedScheduler(Scheduler):
             solution = ctx.engine.score_allocation(
                 job, tuple(gpus), view.current()
             )
-            self._place(ctx, job, solution, view)
-            self._remove(job.job_id)
-            placed.append(solution)
+            self._commit(ctx, view, placed, job, solution)
         return placed
 
 

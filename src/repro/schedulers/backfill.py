@@ -86,10 +86,8 @@ class BackfillScheduler(Scheduler):
             solution = ctx.engine.score_allocation(
                 job, tuple(gpus), view.current()
             )
-            self._place(ctx, job, solution, view)
-            self._remove(job.job_id)
+            self._commit(ctx, view, placed, job, solution)
             self._estimated_end[job.job_id] = ctx.now + self.estimated_duration(job)
-            placed.append(solution)
 
         # 1. place leading jobs FIFO while they fit
         while self._queue:

@@ -151,7 +151,8 @@ class Scheduler(abc.ABC):
         self._queue = [e for e in self._queue if e.job_id != job_id]
 
     def withdraw(self, job_id: str) -> bool:
-        """Drop a waiting job from the queue (the service cancel verb).
+        """Drop a waiting job from the queue (a cancel, or a job nothing
+        can unblock).
 
         Returns whether the job was queued; postponement bookkeeping is
         cleared so a resubmission under the same id starts fresh.
@@ -173,11 +174,10 @@ class Scheduler(abc.ABC):
 
         Implementations open one :meth:`_round_view` per call, propose
         against its :meth:`RoundView.current` view, commit each placed
-        job through :meth:`_place` so that later decisions in the same
-        round see its GPUs and its co-runner entry, remove it from the
-        queue, and return the solutions; the caller starts the
-        corresponding executions.  ``ctx.co_runners`` itself is never
-        written.
+        job through :meth:`_commit` so that later decisions in the same
+        round see its GPUs and its co-runner entry, and return the
+        solutions; the caller starts the corresponding executions.
+        ``ctx.co_runners`` itself is never written.
         """
 
     # ------------------------------------------------------------------
@@ -187,18 +187,22 @@ class Scheduler(abc.ABC):
         """The co-runner view of one :meth:`schedule` call."""
         return RoundView(ctx.co_runners)
 
-    @staticmethod
-    def _place(
+    def _commit(
+        self,
         ctx: SchedulingContext,
+        view: RoundView,
+        placed: list[PlacementSolution],
         job: Job,
         solution: PlacementSolution,
-        view: RoundView,
     ) -> None:
-        """Commit a solution to ``ctx.alloc`` and register it as a
-        co-runner of the round's later proposals; the view is copied
-        only if one follows."""
+        """Commit a placement: enforce it on ``ctx.alloc``, register it
+        as a co-runner of the round's later proposals (the view is
+        copied only if one follows), take the job off the queue and add
+        the solution to the round's ``placed`` list."""
         ctx.engine.enforce(solution)
         view.add(job, frozenset(solution.gpus))
+        self._remove(job.job_id)
+        placed.append(solution)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(queue={len(self._queue)})"

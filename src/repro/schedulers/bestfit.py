@@ -30,9 +30,7 @@ class BestFitScheduler(Scheduler):
             if gpus is None:
                 continue  # try the next job (backfill)
             solution = ctx.engine.score_allocation(job, tuple(gpus), view.current())
-            self._place(ctx, job, solution, view)
-            self._remove(job.job_id)
-            placed.append(solution)
+            self._commit(ctx, view, placed, job, solution)
             max_free = ctx.alloc.max_free_count()
             if max_free == 0:
                 break

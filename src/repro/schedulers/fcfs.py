@@ -24,9 +24,7 @@ class FCFSScheduler(Scheduler):
             if gpus is None:
                 break  # head blocks the queue
             solution = ctx.engine.score_allocation(job, tuple(gpus), view.current())
-            self._place(ctx, job, solution, view)
-            self._remove(job.job_id)
-            placed.append(solution)
+            self._commit(ctx, view, placed, job, solution)
         return placed
 
     @staticmethod

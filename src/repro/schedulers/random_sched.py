@@ -37,7 +37,5 @@ class RandomScheduler(Scheduler):
             free = ctx.alloc.free_gpus(machine=machine)
             gpus = tuple(sorted(self._rng.sample(free, job.num_gpus)))
             solution = ctx.engine.score_allocation(job, gpus, view.current())
-            self._place(ctx, job, solution, view)
-            self._remove(job.job_id)
-            placed.append(solution)
+            self._commit(ctx, view, placed, job, solution)
         return placed

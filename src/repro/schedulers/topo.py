@@ -94,20 +94,15 @@ class TopoAwareScheduler(Scheduler):
                 # before DRB runs.  Same no-fit answer (filter_hosts
                 # would return no pool), at O(1) per job — the aggregates
                 # come from the allocator's maintained capacity-bucket
-                # index — and unlike the old silent skip it still emits
-                # the span and the no-fit outcome Algorithm 1's
-                # per-iteration pop implies.
+                # index — with the span and the no-fit outcome Algorithm
+                # 1's per-iteration pop implies.
                 if (job.single_node and job.num_gpus > max_free) or (
                     not job.single_node and job.num_gpus > total_free
                 ):
                     sp.set(outcome="no-fit", reason="capacity")
                     if rec is not None:
-                        rec.decision(
-                            t=ctx.now,
-                            scheduler=self.name,
-                            job=job,
-                            queued=len(self._queue),
-                            verdict="no-fit",
+                        self._record(
+                            ctx, job, "no-fit",
                             reason="capacity",
                             capacity={
                                 "max_free": max_free,
@@ -133,12 +128,8 @@ class TopoAwareScheduler(Scheduler):
                     # later jobs).
                     sp.set(outcome="no-fit")
                     if rec is not None:
-                        rec.decision(
-                            t=ctx.now,
-                            scheduler=self.name,
-                            job=job,
-                            queued=len(self._queue),
-                            verdict="no-fit",
+                        self._record(
+                            ctx, job, "no-fit",
                             reason=prov.pop("reason", "no-feasible-pool"),
                             propose=prov,
                         )
@@ -154,37 +145,25 @@ class TopoAwareScheduler(Scheduler):
                         postponements=self.postponements.get(job.job_id, 0),
                     )
                     if rec is not None:
-                        rec.decision(
-                            t=ctx.now,
-                            scheduler=self.name,
-                            job=job,
-                            queued=len(self._queue),
-                            verdict="postponed",
+                        self._record(
+                            ctx, job, "postponed",
                             reason=(detail or {}).get("failed"),
                             solution=solution,
                             engine=ctx.engine,
                             propose=prov,
                             slo=detail,
-                            postponements=self.postponements.get(job.job_id, 0),
                         )
                     continue
-                self._place(ctx, job, solution, view)
-                self._remove(job.job_id)
-                placed.append(solution)
                 sp.set(outcome="placed", gpus=len(solution.gpus))
                 if rec is not None:
-                    rec.decision(
-                        t=ctx.now,
-                        scheduler=self.name,
-                        job=job,
-                        queued=len(self._queue) + 1,
-                        verdict="placed",
+                    self._record(
+                        ctx, job, "placed",
                         solution=solution,
                         engine=ctx.engine,
                         propose=prov,
                         slo=detail,
-                        postponements=self.postponements.get(job.job_id, 0),
                     )
+                self._commit(ctx, view, placed, job, solution)
             max_free = ctx.alloc.max_free_count()
             total_free = ctx.alloc.total_free_count()
             if max_free == 0:
@@ -201,19 +180,40 @@ class TopoAwareScheduler(Scheduler):
                 self._defrag_pass(ctx, view, placed, budget)
         return placed
 
-    # ------------------------------------------------------------------
-    # preemption & migration (TOPO-AWARE-PM)
-    # ------------------------------------------------------------------
-    def _slo_ok(self, ctx: SchedulingContext, job: Job, solution) -> bool:
-        """The postponement SLO predicate, reused for eviction probes."""
-        if solution.utility < job.min_utility - SLO_EPS:
-            return False
-        return (
+    def _record(
+        self, ctx: SchedulingContext, job: Job, verdict: str, **fields
+    ) -> None:
+        """Write one decision about ``job`` to ``ctx.recorder`` with the
+        fields every verdict carries: the round's time, this policy,
+        the queue length (``job`` counted while it is queued) and the
+        job's postponement count so far."""
+        ctx.recorder.decision(
+            t=ctx.now,
+            scheduler=self.name,
+            job=job,
+            queued=len(self._queue),
+            verdict=verdict,
+            postponements=self.postponements.get(job.job_id, 0),
+            **fields,
+        )
+
+    def _slo_checks(
+        self, ctx: SchedulingContext, job: Job, solution: PlacementSolution
+    ) -> tuple[bool, bool]:
+        """TOPO-AWARE-P's SLO predicate as ``(utility ok, P2P ok)``:
+        utility at the job's threshold, and P2P when the job requires
+        it and some allocation on this hardware could give it."""
+        utility_ok = solution.utility >= job.min_utility - SLO_EPS
+        p2p_ok = (
             not job.requires_p2p
             or solution.p2p
             or not ctx.engine.p2p_attainable(job)
         )
+        return utility_ok, p2p_ok
 
+    # ------------------------------------------------------------------
+    # preemption & migration (TOPO-AWARE-PM)
+    # ------------------------------------------------------------------
     def _remaining_wall_s(self, run) -> float:
         """A running job's projected wall-clock seconds to completion."""
         rate = run.rate
@@ -259,6 +259,60 @@ class TopoAwareScheduler(Scheduler):
         here means the probe's gain cannot clear it either."""
         return u_max - u_now - penalty > min_gain
 
+    def _probe(
+        self, ctx: SchedulingContext, view: RoundView, job: Job, run
+    ) -> tuple[PlacementSolution | None, dict | None]:
+        """The placement ``job`` would get with running job ``run``'s
+        GPUs freed, and its provenance.
+
+        Releases the GPUs and pops ``run`` from the round's private
+        view, proposes, then puts both back before returning.  After a
+        committed eviction the free pool is the probe's, so the
+        solution can be enforced as-is (DESIGN.md §11).
+        """
+        victim_id = run.job.job_id
+        ctx.alloc.release(victim_id)
+        co = view.private()
+        saved_co = co.pop(victim_id, None)
+        prov = {} if ctx.recorder is not None else None
+        solution = ctx.engine.propose(job, co, provenance=prov)
+        ctx.alloc.allocate(victim_id, run.gpus)
+        if saved_co is not None:
+            co[victim_id] = saved_co
+        return solution, prov
+
+    def _evict_and_place(
+        self,
+        ctx: SchedulingContext,
+        view: RoundView,
+        placed: list[PlacementSolution],
+        job: Job,
+        solution: PlacementSolution,
+        prov: dict | None,
+        reason: str,
+        evict: dict,
+    ) -> None:
+        """Evict ``evict["victim"]`` the ``evict["kind"]`` way, record
+        the decision and commit ``solution`` for ``job``.
+
+        A ``"preempt"`` victim goes back to the queue; a ``"migrate"``
+        victim is ``job`` itself, re-placed here in the same round with
+        its progress checkpointed.
+        """
+        victim_id = evict["victim"]
+        ctx.evict(victim_id, evict["kind"])
+        view.private().pop(victim_id, None)
+        if ctx.recorder is not None:
+            self._record(
+                ctx, job, "evict",
+                reason=reason,
+                solution=solution,
+                engine=ctx.engine,
+                propose=prov,
+                evict=evict,
+            )
+        self._commit(ctx, view, placed, job, solution)
+
     def _preempt_pass(
         self,
         ctx: SchedulingContext,
@@ -277,12 +331,9 @@ class TopoAwareScheduler(Scheduler):
         net of its cost, never just shuffle it.  A victim is not probed
         when the job could not fit even with its GPUs freed, or when a
         perfect placement would still fall short of the threshold.
-        A probe pops the victim from the round's private copy of the
-        view and puts it back.  Returns the number of evictions
-        committed.
+        Returns the number of evictions committed.
         """
         cluster = ctx.cluster
-        rec = ctx.recorder
         u_max = normalized_utility(0.0, 0.0, 0.0, ctx.engine.params)
         evictions = 0
         for entry in list(self._queue):
@@ -302,7 +353,6 @@ class TopoAwareScheduler(Scheduler):
                 ),
             )
             for run in candidates:
-                victim_id = run.job.job_id
                 if not self._could_fit(ctx, job, run.gpus):
                     continue
                 # victim's utility under its current placement (the
@@ -318,52 +368,29 @@ class TopoAwareScheduler(Scheduler):
                     u_max, u_victim, penalty, self.preempt_min_gain
                 ):
                     continue
-                # probe: what would the queued job get with the victim gone?
-                ctx.alloc.release(victim_id)
-                co = view.private()
-                saved_co = co.pop(victim_id, None)
-                prov = {} if rec is not None else None
-                solution = ctx.engine.propose(job, co, provenance=prov)
-                # revert the probe before deciding; after a committed
-                # ctx.evict the free pool is identical, so the probe's
-                # solution can be enforced as-is
-                ctx.alloc.allocate(victim_id, run.gpus)
-                if saved_co is not None:
-                    co[victim_id] = saved_co
-                if solution is None or not self._slo_ok(ctx, job, solution):
+                solution, prov = self._probe(ctx, view, job, run)
+                if solution is None or not all(
+                    self._slo_checks(ctx, job, solution)
+                ):
                     continue
                 gain = solution.utility - u_victim - penalty
                 if gain <= self.preempt_min_gain:
                     continue
-                ctx.evict(victim_id, "preempt")
-                co.pop(victim_id, None)
-                self._place(ctx, job, solution, view)
-                self._remove(job.job_id)
-                placed.append(solution)
+                self._evict_and_place(
+                    ctx, view, placed, job, solution, prov, "preempt",
+                    {
+                        "kind": "preempt",
+                        "victim": run.job.job_id,
+                        "victim_priority": run.job.priority,
+                        "job_priority": job.priority,
+                        "victim_utility": u_victim,
+                        "job_utility": solution.utility,
+                        "migration_penalty": penalty,
+                        "gain": gain,
+                        "min_gain": self.preempt_min_gain,
+                    },
+                )
                 evictions += 1
-                if rec is not None:
-                    rec.decision(
-                        t=ctx.now,
-                        scheduler=self.name,
-                        job=job,
-                        queued=len(self._queue) + 1,
-                        verdict="evict",
-                        reason="preempt",
-                        solution=solution,
-                        engine=ctx.engine,
-                        propose=prov,
-                        evict={
-                            "kind": "preempt",
-                            "victim": victim_id,
-                            "victim_priority": run.job.priority,
-                            "job_priority": job.priority,
-                            "victim_utility": u_victim,
-                            "job_utility": solution.utility,
-                            "migration_penalty": penalty,
-                            "gain": gain,
-                            "min_gain": self.preempt_min_gain,
-                        },
-                    )
                 break
         return evictions
 
@@ -381,12 +408,9 @@ class TopoAwareScheduler(Scheduler):
         ones when the best placement now available beats the current
         one by more than the migration penalty plus ``defrag_min_gain``.
         A job is not probed when even a perfect placement would fall
-        short of that; a probe works on the round's private copy of the
-        view, like the preemption pass.  Returns the number of
-        migrations committed.
+        short of that.  Returns the number of migrations committed.
         """
         cluster = ctx.cluster
-        rec = ctx.recorder
         u_max = normalized_utility(0.0, 0.0, 0.0, ctx.engine.params)
         scored = []
         co = view.current()
@@ -408,48 +432,25 @@ class TopoAwareScheduler(Scheduler):
                 u_max, u_current, penalty, self.defrag_min_gain
             ):
                 continue
-            # probe: best placement with the job's own GPUs freed
-            ctx.alloc.release(victim_id)
-            co = view.private()
-            saved_co = co.pop(victim_id, None)
-            prov = {} if rec is not None else None
-            solution = ctx.engine.propose(run.job, co, provenance=prov)
-            ctx.alloc.allocate(victim_id, run.gpus)
-            if saved_co is not None:
-                co[victim_id] = saved_co
+            solution, prov = self._probe(ctx, view, run.job, run)
             if solution is None or frozenset(solution.gpus) == run.gpus:
                 continue
             gain = solution.utility - u_current - penalty
             if gain <= self.defrag_min_gain:
                 continue
-            # commit: evict without re-queueing; the job restarts on the
-            # new GPUs this same round with its progress checkpointed
-            ctx.evict(victim_id, "migrate")
-            co.pop(victim_id, None)
-            self._place(ctx, run.job, solution, view)
-            placed.append(solution)
+            self._evict_and_place(
+                ctx, view, placed, run.job, solution, prov, "defrag",
+                {
+                    "kind": "migrate",
+                    "victim": victim_id,
+                    "victim_utility": u_current,
+                    "job_utility": solution.utility,
+                    "migration_penalty": penalty,
+                    "gain": gain,
+                    "min_gain": self.defrag_min_gain,
+                },
+            )
             moves += 1
-            if rec is not None:
-                rec.decision(
-                    t=ctx.now,
-                    scheduler=self.name,
-                    job=run.job,
-                    queued=len(self._queue),
-                    verdict="evict",
-                    reason="defrag",
-                    solution=solution,
-                    engine=ctx.engine,
-                    propose=prov,
-                    evict={
-                        "kind": "migrate",
-                        "victim": victim_id,
-                        "victim_utility": u_current,
-                        "job_utility": solution.utility,
-                        "migration_penalty": penalty,
-                        "gain": gain,
-                        "min_gain": self.defrag_min_gain,
-                    },
-                )
         return moves
 
     # ------------------------------------------------------------------
@@ -469,12 +470,7 @@ class TopoAwareScheduler(Scheduler):
         bookkeeping that preserves the predicate evaluation order, so
         attaching it changes no decision.
         """
-        utility_ok = solution.utility >= job.min_utility - SLO_EPS
-        p2p_ok = (
-            not job.requires_p2p
-            or solution.p2p
-            or not ctx.engine.p2p_attainable(job)
-        )
+        utility_ok, p2p_ok = self._slo_checks(ctx, job, solution)
         if detail is not None:
             detail.update(
                 min_utility=job.min_utility,

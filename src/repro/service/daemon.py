@@ -688,7 +688,6 @@ class SchedulerService:
         stuck = [job.job_id for job in scheduler.queued_jobs()]
         self.sim.mark_unplaceable(stuck)
         for job_id in stuck:
-            self.sim.cancel_job(job_id)  # withdraw from the engine
             self.lifecycle.advance(job_id, JobState.FAILED)
 
     def _refresh_gauges(self) -> None:

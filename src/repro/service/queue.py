@@ -3,8 +3,8 @@
 HTTP handler threads never touch the simulation engine directly — one
 scheduler-loop thread owns all engine mutation (see
 :mod:`repro.service.daemon`).  The :class:`QueueManager` sits between
-them: handler threads call :meth:`admit` (pure checks) and
-:meth:`push`; the loop thread drains with :meth:`pop_batch`.
+them: handler threads call :meth:`admit_and_reserve` and then
+:meth:`enqueue`; the loop thread drains with :meth:`pop_batch`.
 
 Admission rejects, with a stable machine-readable reason:
 
@@ -66,11 +66,6 @@ class QueueManager:
         self._live = 0  # admitted minus retired
 
     # ------------------------------------------------------------------
-    def admit(self, job: Job) -> AdmissionDecision:
-        """Pure admission ruling; does not enqueue."""
-        with self._lock:
-            return self._admit_locked(job)
-
     def _admit_locked(self, job: Job) -> AdmissionDecision:
         if job.job_id in self._accepted:
             return AdmissionDecision(False, "duplicate")
@@ -79,16 +74,6 @@ class QueueManager:
         if self._live >= self.max_depth:
             return AdmissionDecision(False, "queue-full")
         return AdmissionDecision(True, "admitted")
-
-    def push(self, job: Job, priority: int = 0) -> AdmissionDecision:
-        """Admit-and-enqueue in one critical section."""
-        with self._lock:
-            decision = self._admit_locked(job)
-            if decision.admitted:
-                self._accepted.add(job.job_id)
-                self._live += 1
-                self._enqueue_locked(job, priority)
-        return decision
 
     def admit_and_reserve(self, job: Job) -> AdmissionDecision:
         """Rule on a submission and claim its id/depth budget — without

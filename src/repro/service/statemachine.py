@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import Callable, Iterable
+from typing import Callable
 
 
 class JobState(str, enum.Enum):
@@ -211,13 +211,6 @@ class LifecycleTable:
     def __contains__(self, job_id: str) -> bool:
         with self._lock:
             return job_id in self._states
-
-    def jobs_in(self, states: Iterable[JobState]) -> list[str]:
-        wanted = set(states)
-        with self._lock:
-            return sorted(
-                j for j, s in self._states.items() if s in wanted
-            )
 
     def counts(self) -> dict[str, int]:
         """Jobs per state (every state present, zeros included).

@@ -407,8 +407,12 @@ class Simulator:
 
     def mark_unplaceable(self, job_ids: Iterable[str]) -> None:
         """Flag queued jobs nothing can unblock (drained loop, idle
-        cluster) — the service daemon's analogue of :meth:`run`'s
-        stuck-queue exit."""
+        cluster) and withdraw them from the scheduler queue — the
+        stuck-queue exit of :meth:`run` and of the service daemon.  No
+        observer hears of it: the jobs end unplaceable, not cancelled."""
+        job_ids = list(job_ids)
+        for job_id in job_ids:
+            self.scheduler.withdraw(job_id)
         self._records.mark_unplaceable(job_ids)
 
     def run(self) -> SimulationResult:

@@ -42,25 +42,24 @@ _W_MACHINE = DEFAULT_LEVEL_WEIGHTS["machine"]
 def power8_minsky(machine_id: str = "m0") -> TopologyGraph:
     """IBM Power8 S822LC with 4x P100 and dual-lane NVLink (the paper's testbed)."""
     topo = TopologyGraph(name=f"power8-minsky[{machine_id}]")
-    with topo._building():
-        topo.add_node(machine_id, NodeKind.MACHINE)
-        gpu = 0
-        for s in range(2):
-            sock = f"{machine_id}/s{s}"
-            topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
-            topo.add_edge(sock, machine_id, _W_SOCKET, LinkSpec.xbus())
-            socket_gpus = []
-            for _ in range(2):
-                name = f"{machine_id}/gpu{gpu}"
-                topo.add_node(
-                    name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
-                )
-                # CPU-to-GPU dual-lane NVLink (40 GB/s unidirectional)
-                topo.add_edge(name, sock, _W_GPU, LinkSpec.nvlink(2))
-                socket_gpus.append(name)
-                gpu += 1
-            # GPU-to-GPU dual-lane NVLink within the socket
-            topo.add_edge(socket_gpus[0], socket_gpus[1], _W_GPU, LinkSpec.nvlink(2))
+    topo.add_node(machine_id, NodeKind.MACHINE)
+    gpu = 0
+    for s in range(2):
+        sock = f"{machine_id}/s{s}"
+        topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
+        topo.add_edge(sock, machine_id, _W_SOCKET, LinkSpec.xbus())
+        socket_gpus = []
+        for _ in range(2):
+            name = f"{machine_id}/gpu{gpu}"
+            topo.add_node(
+                name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
+            )
+            # CPU-to-GPU dual-lane NVLink (40 GB/s unidirectional)
+            topo.add_edge(name, sock, _W_GPU, LinkSpec.nvlink(2))
+            socket_gpus.append(name)
+            gpu += 1
+        # GPU-to-GPU dual-lane NVLink within the socket
+        topo.add_edge(socket_gpus[0], socket_gpus[1], _W_GPU, LinkSpec.nvlink(2))
     topo.validate()
     return topo
 
@@ -94,31 +93,30 @@ DGX1_NVLINK_PAIRS: tuple[tuple[int, int], ...] = (
 def dgx1(machine_id: str = "m0") -> TopologyGraph:
     """NVIDIA DGX-1: 8 GPUs, hybrid cube-mesh NVLink + PCIe switches."""
     topo = TopologyGraph(name=f"dgx1[{machine_id}]")
-    with topo._building():
-        topo.add_node(machine_id, NodeKind.MACHINE)
-        gpu_names: list[str] = []
-        gpu = 0
-        for s in range(2):
-            sock = f"{machine_id}/s{s}"
-            topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
-            # inter-socket bus on x86 DGX-1 is QPI (~19.2 GB/s)
-            topo.add_edge(
-                sock, machine_id, _W_SOCKET, LinkSpec(LinkType.XBUS, bandwidth_gbs=19.2)
-            )
-            for sw in range(2):
-                switch = f"{sock}/sw{sw}"
-                topo.add_node(switch, NodeKind.SWITCH, machine=machine_id, socket=sock)
-                topo.add_edge(switch, sock, _W_SWITCH, LinkSpec.pcie())
-                for _ in range(2):
-                    name = f"{machine_id}/gpu{gpu}"
-                    topo.add_node(
-                        name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
-                    )
-                    topo.add_edge(name, switch, _W_GPU, LinkSpec.pcie())
-                    gpu_names.append(name)
-                    gpu += 1
-        for a, b in DGX1_NVLINK_PAIRS:
-            topo.add_edge(gpu_names[a], gpu_names[b], _W_GPU, LinkSpec.nvlink(1))
+    topo.add_node(machine_id, NodeKind.MACHINE)
+    gpu_names: list[str] = []
+    gpu = 0
+    for s in range(2):
+        sock = f"{machine_id}/s{s}"
+        topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
+        # inter-socket bus on x86 DGX-1 is QPI (~19.2 GB/s)
+        topo.add_edge(
+            sock, machine_id, _W_SOCKET, LinkSpec(LinkType.XBUS, bandwidth_gbs=19.2)
+        )
+        for sw in range(2):
+            switch = f"{sock}/sw{sw}"
+            topo.add_node(switch, NodeKind.SWITCH, machine=machine_id, socket=sock)
+            topo.add_edge(switch, sock, _W_SWITCH, LinkSpec.pcie())
+            for _ in range(2):
+                name = f"{machine_id}/gpu{gpu}"
+                topo.add_node(
+                    name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
+                )
+                topo.add_edge(name, switch, _W_GPU, LinkSpec.pcie())
+                gpu_names.append(name)
+                gpu += 1
+    for a, b in DGX1_NVLINK_PAIRS:
+        topo.add_edge(gpu_names[a], gpu_names[b], _W_GPU, LinkSpec.nvlink(1))
     topo.validate()
     return topo
 
@@ -130,23 +128,22 @@ def power8_pcie_k80(machine_id: str = "m0") -> TopologyGraph:
     intra-socket peer-to-peer exists but runs at PCIe speed.
     """
     topo = TopologyGraph(name=f"power8-pcie-k80[{machine_id}]")
-    with topo._building():
-        topo.add_node(machine_id, NodeKind.MACHINE)
-        gpu = 0
-        for s in range(2):
-            sock = f"{machine_id}/s{s}"
-            topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
-            topo.add_edge(sock, machine_id, _W_SOCKET, LinkSpec.xbus())
-            switch = f"{sock}/sw0"
-            topo.add_node(switch, NodeKind.SWITCH, machine=machine_id, socket=sock)
-            topo.add_edge(switch, sock, _W_SWITCH, LinkSpec.pcie())
-            for _ in range(2):
-                name = f"{machine_id}/gpu{gpu}"
-                topo.add_node(
-                    name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
-                )
-                topo.add_edge(name, switch, _W_GPU, LinkSpec.pcie())
-                gpu += 1
+    topo.add_node(machine_id, NodeKind.MACHINE)
+    gpu = 0
+    for s in range(2):
+        sock = f"{machine_id}/s{s}"
+        topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
+        topo.add_edge(sock, machine_id, _W_SOCKET, LinkSpec.xbus())
+        switch = f"{sock}/sw0"
+        topo.add_node(switch, NodeKind.SWITCH, machine=machine_id, socket=sock)
+        topo.add_edge(switch, sock, _W_SWITCH, LinkSpec.pcie())
+        for _ in range(2):
+            name = f"{machine_id}/gpu{gpu}"
+            topo.add_node(
+                name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
+            )
+            topo.add_edge(name, switch, _W_GPU, LinkSpec.pcie())
+            gpu += 1
     topo.validate()
     return topo
 
@@ -160,26 +157,25 @@ def power9_ac922(machine_id: str = "m0") -> TopologyGraph:
     """
     nvlink2_triple = LinkSpec(LinkType.NVLINK, lanes=3, bandwidth_gbs=75.0)
     topo = TopologyGraph(name=f"power9-ac922[{machine_id}]")
-    with topo._building():
-        topo.add_node(machine_id, NodeKind.MACHINE)
-        gpu = 0
-        for s in range(2):
-            sock = f"{machine_id}/s{s}"
-            topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
-            topo.add_edge(sock, machine_id, _W_SOCKET, LinkSpec(LinkType.XBUS, bandwidth_gbs=64.0))
-            names = []
-            for _ in range(3):
-                name = f"{machine_id}/gpu{gpu}"
-                topo.add_node(
-                    name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
-                )
-                topo.add_edge(name, sock, _W_GPU, nvlink2_triple)
-                names.append(name)
-                gpu += 1
-            # the three socket-local GPUs form an NVLink triangle
-            for i, a in enumerate(names):
-                for b in names[i + 1 :]:
-                    topo.add_edge(a, b, _W_GPU, nvlink2_triple)
+    topo.add_node(machine_id, NodeKind.MACHINE)
+    gpu = 0
+    for s in range(2):
+        sock = f"{machine_id}/s{s}"
+        topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
+        topo.add_edge(sock, machine_id, _W_SOCKET, LinkSpec(LinkType.XBUS, bandwidth_gbs=64.0))
+        names = []
+        for _ in range(3):
+            name = f"{machine_id}/gpu{gpu}"
+            topo.add_node(
+                name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
+            )
+            topo.add_edge(name, sock, _W_GPU, nvlink2_triple)
+            names.append(name)
+            gpu += 1
+        # the three socket-local GPUs form an NVLink triangle
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                topo.add_edge(a, b, _W_GPU, nvlink2_triple)
     topo.validate()
     return topo
 
@@ -194,29 +190,28 @@ def dgx2(machine_id: str = "m0") -> TopologyGraph:
     """
     nvswitch_port = LinkSpec(LinkType.NVLINK, lanes=6, bandwidth_gbs=150.0)
     topo = TopologyGraph(name=f"dgx2[{machine_id}]")
-    with topo._building():
-        topo.add_node(machine_id, NodeKind.MACHINE)
-        fabric = f"{machine_id}/nvswitch"
-        topo.add_node(fabric, NodeKind.SWITCH, machine=machine_id)
-        # baseboard attachment: high weight so no GPU<->host path ever
-        # shortcuts through the fabric (host traffic uses the PCIe uplinks)
-        topo.add_edge(fabric, machine_id, _W_MACHINE, LinkSpec.onboard())
-        gpu = 0
-        for s in range(2):
-            sock = f"{machine_id}/s{s}"
-            topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
-            topo.add_edge(
-                sock, machine_id, _W_SOCKET, LinkSpec(LinkType.XBUS, bandwidth_gbs=20.8)
+    topo.add_node(machine_id, NodeKind.MACHINE)
+    fabric = f"{machine_id}/nvswitch"
+    topo.add_node(fabric, NodeKind.SWITCH, machine=machine_id)
+    # baseboard attachment: high weight so no GPU<->host path ever
+    # shortcuts through the fabric (host traffic uses the PCIe uplinks)
+    topo.add_edge(fabric, machine_id, _W_MACHINE, LinkSpec.onboard())
+    gpu = 0
+    for s in range(2):
+        sock = f"{machine_id}/s{s}"
+        topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
+        topo.add_edge(
+            sock, machine_id, _W_SOCKET, LinkSpec(LinkType.XBUS, bandwidth_gbs=20.8)
+        )
+        for _ in range(8):
+            name = f"{machine_id}/gpu{gpu}"
+            topo.add_node(
+                name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
             )
-            for _ in range(8):
-                name = f"{machine_id}/gpu{gpu}"
-                topo.add_node(
-                    name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
-                )
-                topo.add_edge(name, fabric, _W_GPU, nvswitch_port)
-                # host traffic goes over PCIe to the owning socket
-                topo.add_edge(name, sock, _W_SWITCH, LinkSpec.pcie())
-                gpu += 1
+            topo.add_edge(name, fabric, _W_GPU, nvswitch_port)
+            # host traffic goes over PCIe to the owning socket
+            topo.add_edge(name, sock, _W_SWITCH, LinkSpec.pcie())
+            gpu += 1
     topo.validate()
     return topo
 
@@ -239,26 +234,25 @@ def machine(
         raise ValueError("sockets and gpus_per_socket must be >= 1")
     gpu_link = gpu_link or LinkSpec.nvlink(2)
     topo = TopologyGraph(name=f"machine[{machine_id}]")
-    with topo._building():
-        topo.add_node(machine_id, NodeKind.MACHINE)
-        gpu = 0
-        for s in range(sockets):
-            sock = f"{machine_id}/s{s}"
-            topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
-            topo.add_edge(sock, machine_id, _W_SOCKET, LinkSpec.xbus())
-            names = []
-            for _ in range(gpus_per_socket):
-                name = f"{machine_id}/gpu{gpu}"
-                topo.add_node(
-                    name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
-                )
-                topo.add_edge(name, sock, _W_GPU, gpu_link)
-                names.append(name)
-                gpu += 1
-            if peer_link is not None:
-                for i, a in enumerate(names):
-                    for b in names[i + 1 :]:
-                        topo.add_edge(a, b, _W_GPU, peer_link)
+    topo.add_node(machine_id, NodeKind.MACHINE)
+    gpu = 0
+    for s in range(sockets):
+        sock = f"{machine_id}/s{s}"
+        topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
+        topo.add_edge(sock, machine_id, _W_SOCKET, LinkSpec.xbus())
+        names = []
+        for _ in range(gpus_per_socket):
+            name = f"{machine_id}/gpu{gpu}"
+            topo.add_node(
+                name, NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=gpu
+            )
+            topo.add_edge(name, sock, _W_GPU, gpu_link)
+            names.append(name)
+            gpu += 1
+        if peer_link is not None:
+            for i, a in enumerate(names):
+                for b in names[i + 1 :]:
+                    topo.add_edge(a, b, _W_GPU, peer_link)
     topo.validate()
     return topo
 
@@ -288,11 +282,10 @@ def cluster(
     network_link = network_link or LinkSpec.network()
     topo = TopologyGraph(name=f"cluster[{n_machines}x]")
     machines = [f"m{i}" for i in range(n_machines)]
-    with topo._building():
-        topo.add_node(network_name, NodeKind.NETWORK)
-        for mid in machines:
-            topo.merge(builder(mid))
-            topo.add_edge(mid, network_name, _W_MACHINE, network_link)
+    topo.add_node(network_name, NodeKind.NETWORK)
+    for mid in machines:
+        topo.merge(builder(mid))
+        topo.add_edge(mid, network_name, _W_MACHINE, network_link)
     topo.validate()
     if any(builder is named for named in MACHINES.values()):
         # a network named under a machine's prefix is that machine's own node

@@ -161,54 +161,53 @@ def topology_from_matrix(
         socket_members.sort()
 
     topo = TopologyGraph(name=f"discovered[{machine_id}]")
-    with topo._building():
-        topo.add_node(machine_id, NodeKind.MACHINE)
-        w_gpu = DEFAULT_LEVEL_WEIGHTS["gpu"]
-        w_switch = DEFAULT_LEVEL_WEIGHTS["switch"]
-        w_socket = DEFAULT_LEVEL_WEIGHTS["socket"]
+    topo.add_node(machine_id, NodeKind.MACHINE)
+    w_gpu = DEFAULT_LEVEL_WEIGHTS["gpu"]
+    w_switch = DEFAULT_LEVEL_WEIGHTS["switch"]
+    w_socket = DEFAULT_LEVEL_WEIGHTS["socket"]
 
-        gpu_name = {i: f"{machine_id}/gpu{i}" for i in range(n)}
-        for s, members in enumerate(socket_members):
-            sock = f"{machine_id}/s{s}"
-            topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
-            topo.add_edge(sock, machine_id, w_socket, LinkSpec.xbus())
-            # PIX pairs share a switch: union-find within the socket
-            parent = {i: i for i in members}
+    gpu_name = {i: f"{machine_id}/gpu{i}" for i in range(n)}
+    for s, members in enumerate(socket_members):
+        sock = f"{machine_id}/s{s}"
+        topo.add_node(sock, NodeKind.SOCKET, machine=machine_id)
+        topo.add_edge(sock, machine_id, w_socket, LinkSpec.xbus())
+        # PIX pairs share a switch: union-find within the socket
+        parent = {i: i for i in members}
 
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-            for i in members:
-                for j in members:
-                    if i < j and matrix.get((i, j)) == "PIX":
-                        parent[find(i)] = find(j)
-            clusters: dict[int, list[int]] = {}
-            for i in members:
-                clusters.setdefault(find(i), []).append(i)
-            sw_idx = 0
-            for _, cluster_members in sorted(clusters.items(), key=lambda kv: min(kv[1])):
-                if len(cluster_members) > 1:
-                    switch = f"{sock}/sw{sw_idx}"
-                    sw_idx += 1
-                    topo.add_node(switch, NodeKind.SWITCH, machine=machine_id, socket=sock)
-                    topo.add_edge(switch, sock, w_switch, LinkSpec.pcie())
-                    attach = switch
-                else:
-                    attach = sock
-                for i in sorted(cluster_members):
-                    topo.add_node(
-                        gpu_name[i], NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=i
-                    )
-                    topo.add_edge(gpu_name[i], attach, w_gpu, cpu_link)
+        for i in members:
+            for j in members:
+                if i < j and matrix.get((i, j)) == "PIX":
+                    parent[find(i)] = find(j)
+        clusters: dict[int, list[int]] = {}
+        for i in members:
+            clusters.setdefault(find(i), []).append(i)
+        sw_idx = 0
+        for _, cluster_members in sorted(clusters.items(), key=lambda kv: min(kv[1])):
+            if len(cluster_members) > 1:
+                switch = f"{sock}/sw{sw_idx}"
+                sw_idx += 1
+                topo.add_node(switch, NodeKind.SWITCH, machine=machine_id, socket=sock)
+                topo.add_edge(switch, sock, w_switch, LinkSpec.pcie())
+                attach = switch
+            else:
+                attach = sock
+            for i in sorted(cluster_members):
+                topo.add_node(
+                    gpu_name[i], NodeKind.GPU, machine=machine_id, socket=sock, gpu_index=i
+                )
+                topo.add_edge(gpu_name[i], attach, w_gpu, cpu_link)
 
-        # --- NVLink edges ----------------------------------------------------
-        for (i, j), code in matrix.items():
-            if i < j and code.startswith("NV"):
-                lanes = int(code[2:]) if code[2:] else 1
-                topo.add_edge(gpu_name[i], gpu_name[j], w_gpu, LinkSpec.nvlink(lanes))
+    # --- NVLink edges ----------------------------------------------------
+    for (i, j), code in matrix.items():
+        if i < j and code.startswith("NV"):
+            lanes = int(code[2:]) if code[2:] else 1
+            topo.add_edge(gpu_name[i], gpu_name[j], w_gpu, LinkSpec.nvlink(lanes))
     topo.validate()
     return topo
 

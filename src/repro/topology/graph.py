@@ -17,10 +17,11 @@ machine, so its answer is a function of the machine's shape
 (:meth:`TopologyGraph.machine_shape`): it is stored once per shape, in
 machine-relative names, and serves every machine of that shape (on a
 fleet of identical machines, one search serves them all).  Queries
-across machines are cached by node name.  Any mutation invalidates the
-name-keyed caches and the machine -> shape id map (once per build
-inside :meth:`TopologyGraph._building`); the per-shape tables stay,
-because a shape id names one shape for the life of the graph.
+across machines are cached by node name.  A mutation invalidates the
+name-keyed caches and the machine -> shape id map: the next query
+clears them, so a build's run of mutations clears once.  The per-shape
+tables stay, because a shape id names one shape for the life of the
+graph.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ import enum
 import heapq
 import itertools
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from repro.topology.links import LinkSpec, LinkType
 from repro.topology.shapes import absolute, describe, relative
@@ -131,30 +131,20 @@ class _Caches:
         self.__init__()  # every field back to its default
 
 
-class _DeferredCaches:
-    """Stands in for a graph's caches inside its build scope.
+class _StaleCaches(_Caches):
+    """A graph's caches after a mutation.
 
-    A mutation's ``clear()`` costs nothing here; the scope clears the
-    real caches once on exit.  The first query inside the scope (any
-    other attribute read) puts the real caches back, emptied, so every
-    later mutation clears at once again and nothing cached mid-build
-    outlives a mutation.
+    A mutation only switches the caches to this class; the first query
+    after it (any attribute read) switches them back and clears them,
+    so a run of mutations clears once and nothing cached before a
+    mutation outlives it.  Reads of live caches never pass through
+    here.
     """
 
-    __slots__ = ("_graph", "_caches")
-
-    def __init__(self, graph: "TopologyGraph", caches: _Caches) -> None:
-        self._graph = graph
-        self._caches = caches
-
-    def clear(self) -> None:
-        pass
-
-    def __getattr__(self, name: str):
-        caches = self._caches
-        caches.clear()
-        self._graph._caches = caches
-        return getattr(caches, name)
+    def __getattribute__(self, name: str):
+        self.__class__ = _Caches
+        self.clear()
+        return getattr(self, name)
 
 
 class TopologyGraph:
@@ -183,22 +173,6 @@ class TopologyGraph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @contextmanager
-    def _building(self) -> Iterator[None]:
-        """Build scope: mutations inside it skip their cache clear and
-        the scope clears once on exit.  Every per-add check still runs.
-        Nested scopes are part of the outermost one."""
-        caches = self._caches
-        if type(caches) is _DeferredCaches:
-            yield
-            return
-        self._caches = _DeferredCaches(self, caches)
-        try:
-            yield
-        finally:
-            self._caches = caches
-            caches.clear()
-
     def add_node(
         self,
         name: str,
@@ -215,7 +189,8 @@ class TopologyGraph:
         node = Node(name, kind, machine=machine, socket=socket, gpu_index=gpu_index)
         self._nodes[name] = node
         self._adj[name] = {}
-        self._caches.clear()
+        if type(self._caches) is _Caches:
+            self._caches.__class__ = _StaleCaches
         return node
 
     def add_edge(self, u: str, v: str, weight: float, spec: LinkSpec) -> Edge:
@@ -231,7 +206,8 @@ class TopologyGraph:
         edge = Edge(u, v, float(weight), spec)
         self._adj[u][v] = edge
         self._adj[v][u] = edge
-        self._caches.clear()
+        if type(self._caches) is _Caches:
+            self._caches.__class__ = _StaleCaches
         return edge
 
     def merge(self, other: "TopologyGraph") -> None:
@@ -255,7 +231,8 @@ class TopologyGraph:
                 if v not in mine:
                     mine[v] = edge
                     adj[v][u] = edge
-        self._caches.clear()
+        if type(self._caches) is _Caches:
+            self._caches.__class__ = _StaleCaches
 
     # ------------------------------------------------------------------
     # queries
@@ -492,13 +469,21 @@ class TopologyGraph:
     # shortest paths / widest paths
     # ------------------------------------------------------------------
     def _dijkstra(
-        self, source: str, scope_machine: str | None = None, prev: dict | None = None
+        self,
+        source: str,
+        machines: AbstractSet[str | None] | None = None,
+        prev: dict | None = None,
+        target: str | None = None,
     ) -> dict[str, float]:
-        """Single-source shortest paths, optionally restricted to one
-        machine's component (hierarchical weights guarantee intra-machine
-        paths never detour through the network, so the scoped search is
-        exact for same-machine queries and much cheaper on clusters).
-        Each node's predecessor goes into ``prev`` when it is given.
+        """Single-source shortest paths over the nodes of ``machines``.
+
+        A search enters a node only when its machine (the node itself
+        for a machine node, ``None`` for a node outside every machine)
+        is in ``machines``; ``None`` searches the whole graph.
+        Hierarchical weights keep intra-machine paths inside their
+        machine, so ``{m}`` is exact for same-machine queries and much
+        cheaper on clusters.  Each node's predecessor goes into ``prev``
+        when it is given; the search stops once ``target`` is settled.
         Not cached: see :meth:`distance` and :meth:`shortest_path`.
 
         GPU nodes never *transit* traffic: a path may start or end at a
@@ -507,6 +492,8 @@ class TopologyGraph:
         is exactly what ``nvidia-smi topo`` reports as PIX/PHB/SYS).
         """
         self.node(source)
+        nodes, adj = self._nodes, self._adj
+        machine_kind, gpu_kind = NodeKind.MACHINE, NodeKind.GPU
         dist: dict[str, float] = {source: 0.0}
         heap: list[tuple[float, str]] = [(0.0, source)]
         done: set[str] = set()
@@ -514,15 +501,15 @@ class TopologyGraph:
             d, u = heapq.heappop(heap)
             if u in done:
                 continue
+            if u == target:
+                break
             done.add(u)
-            if u != source and self._nodes[u].kind is NodeKind.GPU:
+            if u != source and nodes[u].kind is gpu_kind:
                 continue  # GPUs are endpoints, never relays
-            for v, edge in self._adj[u].items():
-                if scope_machine is not None:
-                    node_v = self._nodes[v]
-                    if node_v.machine != scope_machine and node_v.kind is not NodeKind.MACHINE:
-                        continue
-                    if node_v.kind is NodeKind.MACHINE and v != scope_machine:
+            for v, edge in adj[u].items():
+                if machines is not None:
+                    node = nodes[v]
+                    if (v if node.kind is machine_kind else node.machine) not in machines:
                         continue
                 nd = d + edge.weight
                 if nd < dist.get(v, float("inf")):
@@ -562,7 +549,7 @@ class TopologyGraph:
                 prefix = mu + "/"
                 row = table[key] = {
                     relative(name, mu, prefix): value
-                    for name, value in search(u, mu).items()
+                    for name, value in search(u, {mu}).items()
                 }
             return row[rv]
         except KeyError:
@@ -579,47 +566,30 @@ class TopologyGraph:
         """:meth:`distance` from ``u`` to ``v`` by one point-to-point
         search, not cached.
 
-        The search stops once ``v`` is settled and never enters a
-        third machine (a machine node, or a node it owns, of neither
-        endpoint's machine).  Where each machine meets the rest of the
-        graph at one node, as in :func:`~repro.topology.builders.cluster`,
-        no simple path between two other machines passes through it, so
-        the answer is the whole-graph search's float: both sum edge
-        weights in path order (DESIGN.md §9 "Set-up").
+        The search stops once ``v`` is settled and enters only the
+        endpoints' machines and the nodes outside every machine.  Where
+        each machine meets the rest of the graph at one node, as in
+        :func:`~repro.topology.builders.cluster`, no simple path between
+        two other machines passes through a third, so the answer is the
+        whole-graph search's float: the same loop relaxes the same edges
+        in the same order (DESIGN.md §9 "Set-up").
         """
         if u == v:
             self.node(u)
             return 0.0
-        nodes, adj = self._nodes, self._adj
-        machine_kind, gpu_kind = NodeKind.MACHINE, NodeKind.GPU
         ends = {self._locate(u)[0], self._locate(v)[0], None}
-        dist: dict[str, float] = {u: 0.0}
-        heap: list[tuple[float, str]] = [(0.0, u)]
-        done: set[str] = set()
-        while heap:
-            d, x = heapq.heappop(heap)
-            if x == v:
-                return d
-            if x in done:
-                continue
-            done.add(x)
-            if x != u and nodes[x].kind is gpu_kind:
-                continue  # GPUs are endpoints, never relays
-            for y, edge in adj[x].items():
-                node = nodes[y]
-                if (y if node.kind is machine_kind else node.machine) not in ends:
-                    continue
-                nd = d + edge.weight
-                if nd < dist.get(y, float("inf")):
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
-        raise TopologyError(f"{u!r} and {v!r} are disconnected")
+        dist = self._dijkstra(u, ends, target=v)
+        if v not in dist:
+            raise TopologyError(f"{u!r} and {v!r} are disconnected")
+        return dist[v]
 
-    def _search_path(self, u: str, v: str, scope: str | None) -> tuple[str, ...]:
+    def _search_path(
+        self, u: str, v: str, machines: AbstractSet[str] | None
+    ) -> tuple[str, ...]:
         """One shortest path from ``u`` to ``v`` (``u != v``), searched
-        within machine ``scope`` unless it is ``None``.  Not cached."""
+        over ``machines`` as in :meth:`_dijkstra`.  Not cached."""
         prev: dict[str, str] = {}
-        if v not in self._dijkstra(u, scope, prev):
+        if v not in self._dijkstra(u, machines, prev):
             raise TopologyError(f"{u!r} and {v!r} are disconnected")
         path = [v]
         while path[-1] != u:
@@ -652,7 +622,7 @@ class TopologyGraph:
             table, key = self._shape_routes, (self.machine_shape_id(mu), ru, rv)
         entry = table.get(key)
         if entry is None:
-            path = self._search_path(u, v, mu)
+            path = self._search_path(u, v, None if mu is None else {mu})
             entry = table[key] = (
                 path if mu is None else tuple([relative(n, mu, mu + "/") for n in path]),
                 self._p2p_along(path),
@@ -692,11 +662,15 @@ class TopologyGraph:
             return float("inf")
         return self._lookup(u, v, self._shape_widest, self._widest_from, self._caches.widest)
 
-    def _widest_from(self, source: str, scope_machine: str | None = None) -> dict[str, float]:
+    def _widest_from(
+        self, source: str, machines: AbstractSet[str] | None = None
+    ) -> dict[str, float]:
         """Widest-path bandwidth from ``source`` to every node it
-        reaches (within machine ``scope_machine`` unless ``None``).
-        Not cached: see :meth:`bottleneck_bandwidth`."""
+        reaches over ``machines``, as in :meth:`_dijkstra`.  Not
+        cached: see :meth:`bottleneck_bandwidth`."""
         self.node(source)
+        nodes, adj = self._nodes, self._adj
+        machine_kind, gpu_kind = NodeKind.MACHINE, NodeKind.GPU
         width: dict[str, float] = {source: float("inf")}
         # max-heap via negation
         heap: list[tuple[float, str]] = [(-float("inf"), source)]
@@ -707,14 +681,12 @@ class TopologyGraph:
             if u in done:
                 continue
             done.add(u)
-            if u != source and self._nodes[u].kind is NodeKind.GPU:
+            if u != source and nodes[u].kind is gpu_kind:
                 continue  # GPUs are endpoints, never relays
-            for v, edge in self._adj[u].items():
-                if scope_machine is not None:
-                    node_v = self._nodes[v]
-                    if node_v.machine != scope_machine and not (
-                        node_v.kind is NodeKind.MACHINE and v == scope_machine
-                    ):
+            for v, edge in adj[u].items():
+                if machines is not None:
+                    node = nodes[v]
+                    if (v if node.kind is machine_kind else node.machine) not in machines:
                         continue
                 nw = min(w, edge.spec.bandwidth_gbs)
                 if nw > width.get(v, 0.0):

@@ -47,14 +47,21 @@ class JobProfile:
 
 
 class ProfileDatabase:
-    """Lookup of :class:`JobProfile` by (model, batch class)."""
+    """Lookup of :class:`JobProfile` by (model, batch class).
+
+    The table is keyed by the enums' values, which hash in C; a member
+    hashes in Python on every lookup.
+    """
 
     def __init__(self, profiles: Mapping[tuple[ModelType, BatchClass], JobProfile]) -> None:
-        self._profiles = dict(profiles)
+        self._profiles = {
+            (model._value_, batch_class._value_): profile
+            for (model, batch_class), profile in profiles.items()
+        }
 
     def get(self, model: ModelType, batch_class: BatchClass) -> JobProfile:
         try:
-            return self._profiles[(model, batch_class)]
+            return self._profiles[(model._value_, batch_class._value_)]
         except KeyError:
             raise KeyError(
                 f"no profile for ({model}, {batch_class}); "

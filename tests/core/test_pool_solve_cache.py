@@ -54,6 +54,31 @@ class _Uncached(PlacementEngine):
         return self._solve_pool(job, jobgraph, pool, co_runners)
 
 
+class _Counted(PlacementEngine):
+    """The engine under test, counting pool-solve cache hits on a pool
+    already met in the same proposal or only in an earlier one."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.hits_in_proposal = self.hits_across = 0
+        self._met: set = set()
+
+    def _propose(self, job, co_runners, provenance=None):
+        self._met = set()
+        return super()._propose(job, co_runners, provenance)
+
+    def _solve(self, job, jobgraph, pool, co_runners):
+        key = self._pool_key(job, pool, co_runners)
+        if key is not None:
+            if key in self._pool_solves:
+                if key in self._met:
+                    self.hits_in_proposal += 1
+                else:
+                    self.hits_across += 1
+            self._met.add(key)
+        return super()._solve(job, jobgraph, pool, co_runners)
+
+
 class _NoShape(PlacementEngine):
     """A too-coarse key: machines of different builders collide."""
 
@@ -138,7 +163,7 @@ def oracle_runs():
 
 @pytest.mark.parametrize("name", sorted(TRACES))
 def test_cached_engine_matches_the_solve_everything_oracle(name, oracle_runs):
-    fast, fast_journal, engine = _run(name)
+    fast, fast_journal, engine = _run(name, _Counted)
     slow, slow_journal, _ = oracle_runs[name]
     assert first_record_difference(fast, slow) is None
     assert fast.makespan == slow.makespan
@@ -147,8 +172,7 @@ def test_cached_engine_matches_the_solve_everything_oracle(name, oracle_runs):
     # not vacuous: decisions carry per-pool candidates, and the cache
     # served repeats both inside a proposal and across proposals
     assert any(record.get("candidates") for record in fast_journal)
-    stats = engine.pool_stats
-    assert stats.hits_in_proposal > 0 and stats.hits_across > 0, stats
+    assert engine.hits_in_proposal > 0 and engine.hits_across > 0
 
 
 @pytest.mark.parametrize("coarse", [_NoShape, _NoModel])
@@ -294,14 +318,22 @@ def test_equal_keys_give_relabel_equal_solves(data):
 # ---------------------------------------------------------------------------
 
 class _Scored(PlacementEngine):
-    """The engine under test, logging every score it returns."""
+    """The engine under test, logging every score it returns and
+    counting the scores served without an evaluation (cache hits)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.scores = []
+        self.evaluations = self.score_hits = 0
+
+    def _evaluate(self, job, gpus, co_runners):
+        self.evaluations += 1
+        return super()._evaluate(job, gpus, co_runners)
 
     def score_allocation(self, job, gpus, co_runners=None):
+        evaluations = self.evaluations
         solution = super().score_allocation(job, gpus, co_runners)
+        self.score_hits += self.evaluations == evaluations
         self.scores.append((solution.job_id, solution.gpus, solution.metrics))
         return solution
 
@@ -371,7 +403,7 @@ def test_cached_scores_match_the_score_everything_oracle(name, score_oracle_runs
     assert engine.scores == oracle.scores
     # not vacuous: scores repeated, and on the PM traces evictions
     # recorded their economics (victim utility, penalty, gain)
-    assert engine.pool_stats.score_hits > 0
+    assert engine.score_hits > 0
     if SCORE_TRACES[name][1] == "TOPO-AWARE-PM":
         assert any(record.get("evict") for record in fast_journal)
 
@@ -396,7 +428,7 @@ def _direct(alloc, job, gpus, co):
 def test_a_spanning_allocation_is_scored_directly():
     topo = cluster(3)
     alloc = AllocationState(topo)
-    engine = PlacementEngine(topo, alloc)
+    engine = _Scored(topo, alloc)
     co = {}
     _place(alloc, co, "a", ["m0/gpu1"])
     job = Job("q", ModelType.ALEXNET, 16, 2)
@@ -404,7 +436,7 @@ def test_a_spanning_allocation_is_scored_directly():
     assert engine._score_key(job, ("m0", "m1"), gpus, co) is None
     for _ in range(2):
         assert engine.score_allocation(job, gpus, co) == _direct(alloc, job, gpus, co)
-    assert not engine._pool_solves and engine.pool_stats.score_hits == 0
+    assert not engine._pool_solves and engine.score_hits == 0
 
 
 def test_a_machine_with_a_spanning_co_runner_is_scored_directly():
@@ -430,7 +462,7 @@ def test_an_empty_view_on_an_occupied_machine_never_meets_a_full_view():
     full-view score of the same allocation was cached."""
     topo = cluster(2)
     alloc = AllocationState(topo)
-    engine = PlacementEngine(topo, alloc)
+    engine = _Scored(topo, alloc)
     co = {}
     _place(alloc, co, "a", ["m0/gpu1", "m0/gpu3"], batch=1)
     _place(alloc, co, "b", ["m1/gpu1"], batch=1)
@@ -445,7 +477,7 @@ def test_an_empty_view_on_an_occupied_machine_never_meets_a_full_view():
     # the view without "a" reads on m0 exactly what {} reads, so it
     # replays that entry; the full view still replays its own
     assert engine.score_allocation(job, gpus, co) == full
-    assert engine.pool_stats.score_hits == 2
+    assert engine.score_hits == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -458,7 +490,7 @@ def test_cached_scores_equal_direct_scores_on_any_state(data):
     builder = data.draw(st.sampled_from((power8_minsky, dgx1)))
     topo = cluster(3, builder)
     alloc = AllocationState(topo)
-    engine = PlacementEngine(topo, alloc)
+    engine = _Scored(topo, alloc)
     co = {}
     names = {m: topo.gpus(machine=m) for m in topo.machines()}
     n_local = len(names["m0"])
@@ -504,4 +536,4 @@ def test_cached_scores_equal_direct_scores_on_any_state(data):
             assert engine.score_allocation(job, tuple(gpus), seen) == _direct(
                 alloc, job, tuple(gpus), seen
             )
-    assert engine.pool_stats.score_hits > 0
+    assert engine.score_hits > 0

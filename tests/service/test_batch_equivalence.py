@@ -16,6 +16,7 @@ from repro.schedulers import make_scheduler
 from repro.service import SchedulerService, ServiceServer, replay_trace
 from repro.sim.engine import Simulator
 from repro.topology.builders import cluster
+from repro.workload.job import Job, ModelType
 
 
 @pytest.mark.parametrize("scheduler_name", ["TOPO-AWARE", "FCFS"])
@@ -36,6 +37,28 @@ def test_daemon_replay_matches_one_shot_bit_identically(scheduler_name):
         daemon = service.result()
 
     assert len(daemon.records) == len(one_shot.records)
+    assert first_record_difference(daemon, one_shot) is None
+
+
+def test_an_unplaceable_job_keeps_the_one_shot_record():
+    """A job no machine can hold ends unplaceable in both runs: the
+    daemon withdraws it as the one-shot loop does, without cancelling
+    it."""
+    jobs = scenario1_jobs(20, seed=42)
+    jobs.insert(3, Job(
+        "wide", ModelType.ALEXNET, 4, 8, single_node=True,
+        arrival_time=(jobs[2].arrival_time + jobs[3].arrival_time) / 2,
+    ))
+    one_shot = Simulator(cluster(2), make_scheduler("TOPO-AWARE"), list(jobs)).run()
+    assert [r.job.job_id for r in one_shot.records if r.unplaceable] == ["wide"]
+
+    service = SchedulerService(cluster(2), "TOPO-AWARE")
+    with service, ServiceServer(service) as server:
+        report = replay_trace(jobs, server.url, pause=True, wait=True)
+        assert report.submitted == len(jobs)
+        assert service.drain()
+        daemon = service.result()
+
     assert first_record_difference(daemon, one_shot) is None
 
 

@@ -250,6 +250,26 @@ class TestStuckQueue:
         assert service.job_status("wide")["record"]["unplaceable"] is True
         assert service.queue.depth == 0
 
+    def test_unplaceable_job_is_not_cancelled(self, service):
+        """The job ends one way: FAILED and unplaceable, with no cancel
+        on its record, in the decision journal or in the counters."""
+        service.submit(submit_doc("small"))
+        service.submit(submit_doc("big", num_gpus=8, single_node=True))
+        assert service.drain()
+        assert service.lifecycle.state("big") is JobState.FAILED
+        record = service.job_status("big")["record"]
+        assert record["unplaceable"] is True
+        assert record["cancelled_at"] is None
+        states = [
+            json.loads(line)["state"]
+            for _, kind, line in service.decision_recorder.entries_after(0)
+            if kind == "job" and json.loads(line)["job_id"] == "big"
+        ]
+        assert states == ["QUEUED"]
+        assert service.registry.get("repro_evictions_total").value(
+            scheduler="TOPO-AWARE", reason="cancel"
+        ) == 0
+
 
 class TestRestartRecovery:
     def test_killed_daemon_resumes_its_queue(self, tmp_path):

@@ -120,7 +120,6 @@ class TestLifecycleTable:
         table.create("a", state=JobState.QUEUED)
         assert table.table() == (("a", "QUEUED"), ("b", "SUBMITTED"))
         assert "a" in table and "ghost" not in table
-        assert table.jobs_in({JobState.QUEUED}) == ["a"]
 
 
 # "ghost" is never created, so every hop on it exercises the unknown-id

@@ -1,20 +1,18 @@
 """A fleet build pays for each piece of work once, and builds the same graph.
 
-The machine builders and :func:`cluster` build inside the graph's build
-scope (one cache invalidation per graph), share the factories' link
-specs and merge machines in one pass; a fleet of a named machine model
-gets its shape ids at build time.  The reference here is the
-per-mutation build kept test-only: every ``add_node`` / ``add_edge`` /
-``merge`` clears the caches at once, ``merge`` copies edge by edge as
-:meth:`TopologyGraph.edges` yields them, and every link spec is a fresh
-object.  Both must give the same nodes in the same order, the same
+A mutation defers the graph's cache clear to the next query (one
+invalidation per build), the builders share the factories' link specs
+and :func:`cluster` merges machines in one pass; a fleet of a named
+machine model gets its shape ids at build time.  The reference here is
+the per-mutation build kept test-only: every ``add_node`` /
+``add_edge`` / ``merge`` clears the caches at once, ``merge`` copies
+edge by edge as :meth:`TopologyGraph.edges` yields them, and every link
+spec is a fresh object.  Both must give the same nodes in the same order, the same
 adjacency order at every node (it breaks shortest-path ties), the same
 edges, weights and specs, and the same ``machine_shape`` per machine.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import pytest
 
@@ -33,11 +31,17 @@ from repro.topology.links import LinkSpec, LinkType
 
 
 class ReferenceGraph(TopologyGraph):
-    """The per-mutation build: no deferral, edge-by-edge merge."""
+    """The per-mutation build: an eager clear, edge-by-edge merge."""
 
-    @contextmanager
-    def _building(self):
-        yield
+    def add_node(self, *args, **kwargs):
+        node = super().add_node(*args, **kwargs)
+        self._caches.clear()
+        return node
+
+    def add_edge(self, *args, **kwargs):
+        edge = super().add_edge(*args, **kwargs)
+        self._caches.clear()
+        return edge
 
     def merge(self, other: TopologyGraph) -> None:
         for node in other._nodes.values():
@@ -165,9 +169,8 @@ def test_other_builders_keep_every_machine_lazy(monkeypatch):
         if mid == "m1":
             topo.add_edge("m1/gpu0", "m1/gpu2", 1.0, LinkSpec.nvlink(2))
         elif mid == "m2":
-            with topo._building():
-                topo.add_node("m2/s2", NodeKind.SOCKET, machine="m2")
-                topo.add_edge("m2/s2", "m2", 20.0, LinkSpec.xbus())
+            topo.add_node("m2/s2", NodeKind.SOCKET, machine="m2")
+            topo.add_edge("m2/s2", "m2", 20.0, LinkSpec.xbus())
         return topo
 
     assert cluster(3, lambda mid: power8_minsky(mid))._caches.shape_ids == {}
@@ -236,10 +239,18 @@ def test_one_invalidation_and_every_validation_per_build(monkeypatch):
 
     monkeypatch.setattr(graph_mod._Caches, "clear", counting_clear)
     monkeypatch.setattr(TopologyGraph, "validate", counting_validate)
-    cluster(40)
-    # one clear per machine graph and one for the fleet; each builder
+    topo = cluster(40)
+    # a machine graph is merged away unqueried, so only the fleet
+    # clears, at its first query (entering the shape ids); each builder
     # validates its machine and the fleet is validated once
-    assert counts == {"clear": 41, "validate": 41}
+    assert counts == {"clear": 1, "validate": 41}
+    # a run of mutations on a queried graph clears once, at the next
+    # query
+    for i in range(3):
+        topo.add_node(f"spare{i}", NodeKind.NETWORK)
+    assert counts["clear"] == 1
+    assert len(topo.machines()) == 40
+    assert counts["clear"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -306,29 +317,32 @@ def test_malformed_builders_still_raise(builder, message):
         cluster(2, builder)
 
 
-def test_per_add_checks_inside_the_scope():
+def test_per_add_checks_run_on_every_mutation():
+    """Every check runs while the clear is deferred, and a refused
+    mutation leaves the graph as it was."""
     topo = TopologyGraph()
-    with topo._building():
-        topo.add_node("m0", NodeKind.MACHINE)
-        with pytest.raises(TopologyError, match="requires gpu_index"):
-            topo.add_node("m0/gpu0", NodeKind.GPU, machine="m0")
-        with pytest.raises(TopologyError, match="unknown node"):
-            topo.add_edge("m0", "ghost", 1.0, LinkSpec.pcie())
-        topo.add_node("m0/s0", NodeKind.SOCKET, machine="m0")
-        topo.add_edge("m0/s0", "m0", 20.0, LinkSpec.xbus())
-        with pytest.raises(TopologyError, match="duplicate edge"):
-            topo.add_edge("m0", "m0/s0", 20.0, LinkSpec.xbus())
+    topo.add_node("m0", NodeKind.MACHINE)
+    with pytest.raises(TopologyError, match="requires gpu_index"):
+        topo.add_node("m0/gpu0", NodeKind.GPU, machine="m0")
+    with pytest.raises(TopologyError, match="unknown node"):
+        topo.add_edge("m0", "ghost", 1.0, LinkSpec.pcie())
+    topo.add_node("m0/s0", NodeKind.SOCKET, machine="m0")
+    topo.add_edge("m0/s0", "m0", 20.0, LinkSpec.xbus())
+    with pytest.raises(TopologyError, match="duplicate edge"):
+        topo.add_edge("m0", "m0/s0", 20.0, LinkSpec.xbus())
+    topo.add_node("m0/s1", NodeKind.SOCKET, machine="m0")
+    with pytest.raises(TopologyError, match="must be positive"):
+        topo.add_edge("m0/s1", "m0", 0.0, LinkSpec.xbus())
+    with pytest.raises(TopologyError, match="self-loop"):
+        topo.add_edge("m0/s1", "m0/s1", 1.0, LinkSpec.xbus())
+    with pytest.raises(TopologyError, match="duplicate node"):
         topo.add_node("m0/s1", NodeKind.SOCKET, machine="m0")
-        with pytest.raises(TopologyError, match="must be positive"):
-            topo.add_edge("m0/s1", "m0", 0.0, LinkSpec.xbus())
-        with pytest.raises(TopologyError, match="self-loop"):
-            topo.add_edge("m0/s1", "m0/s1", 1.0, LinkSpec.xbus())
-        with pytest.raises(TopologyError, match="duplicate node"):
-            topo.add_node("m0/s1", NodeKind.SOCKET, machine="m0")
+    assert [n.name for n in topo.nodes()] == ["m0", "m0/s0", "m0/s1"]
+    assert topo.neighbors("m0") == ["m0/s0"]
 
 
 # ----------------------------------------------------------------------
-# no stale cache, inside or after a scope
+# no stale cache, mid-build or after a query
 # ----------------------------------------------------------------------
 def add_gpu(topo: TopologyGraph, index: int) -> str:
     name = f"m0/gpu{index}"
@@ -337,29 +351,27 @@ def add_gpu(topo: TopologyGraph, index: int) -> str:
     return name
 
 
-def test_query_inside_the_scope_is_never_stale():
+def test_query_mid_build_is_never_stale():
     topo = TopologyGraph()
-    with topo._building():
-        topo.add_node("m0", NodeKind.MACHINE)
-        topo.add_node("m0/s0", NodeKind.SOCKET, machine="m0")
-        topo.add_edge("m0/s0", "m0", 20.0, LinkSpec.xbus())
-        add_gpu(topo, 0)
-        add_gpu(topo, 1)
-        assert topo.gpus() == ["m0/gpu0", "m0/gpu1"]
-        assert topo.distance("m0/gpu0", "m0/gpu1") == 2.0
-        assert topo.p2p_island_sizes() == [1, 1]
-        # mutations after the query invalidate at once
-        add_gpu(topo, 2)
-        topo.add_edge("m0/gpu0", "m0/gpu1", 1.0, LinkSpec.nvlink(2))
-        assert topo.gpus() == ["m0/gpu0", "m0/gpu1", "m0/gpu2"]
-        assert topo.distance("m0/gpu0", "m0/gpu1") == 1.0
-        assert topo.p2p_island_sizes() == [2, 1]
-        with topo._building():  # nested: part of the outer scope
-            add_gpu(topo, 3)
-            assert topo.gpus("m0") == [f"m0/gpu{i}" for i in range(4)]
-            add_gpu(topo, 4)
-        assert len(topo.gpus()) == 5
-        add_gpu(topo, 5)
+    topo.add_node("m0", NodeKind.MACHINE)
+    topo.add_node("m0/s0", NodeKind.SOCKET, machine="m0")
+    topo.add_edge("m0/s0", "m0", 20.0, LinkSpec.xbus())
+    add_gpu(topo, 0)
+    add_gpu(topo, 1)
+    assert topo.gpus() == ["m0/gpu0", "m0/gpu1"]
+    assert topo.distance("m0/gpu0", "m0/gpu1") == 2.0
+    assert topo.p2p_island_sizes() == [1, 1]
+    # mutations after a query invalidate what it cached
+    add_gpu(topo, 2)
+    topo.add_edge("m0/gpu0", "m0/gpu1", 1.0, LinkSpec.nvlink(2))
+    assert topo.gpus() == ["m0/gpu0", "m0/gpu1", "m0/gpu2"]
+    assert topo.distance("m0/gpu0", "m0/gpu1") == 1.0
+    assert topo.p2p_island_sizes() == [2, 1]
+    add_gpu(topo, 3)
+    assert topo.gpus("m0") == [f"m0/gpu{i}" for i in range(4)]
+    add_gpu(topo, 4)
+    assert len(topo.gpus()) == 5
+    add_gpu(topo, 5)
     assert len(topo.gpus()) == 6
     assert topo.sockets("m0") == ["m0/s0"]
     topo.validate()
@@ -370,15 +382,29 @@ def test_mutation_after_a_query_is_never_stale():
     gpus = topo.gpus()
     far = topo.distance(gpus[0], gpus[-1])
     assert topo.machines() == ["m0", "m1"]
-    # a later build scope on a queried graph drops what it cached
-    with topo._building():
-        topo.merge(power8_minsky("m2"))
-        topo.add_edge("m2", "net", 100.0, LinkSpec.network())
+    # mutations on a queried graph drop what it cached
+    topo.merge(power8_minsky("m2"))
+    topo.add_edge("m2", "net", 100.0, LinkSpec.network())
     assert topo.machines() == ["m0", "m1", "m2"]
     assert len(topo.gpus()) == 12
     assert topo.distance(gpus[0], "m2/gpu3") == far
-    topo.merge(power8_minsky("m3"))  # outside a scope: invalidates at once
+    topo.merge(power8_minsky("m3"))
     assert topo.machines() == ["m0", "m1", "m2", "m3"]
     topo.add_edge("m3", "net", 100.0, LinkSpec.network())
     assert topo.distance("m3/gpu0", "m0/gpu0") == far
     topo.validate()
+
+
+def test_a_copy_of_an_unqueried_graph_keeps_its_own_caches():
+    """Stale caches hold no reference to their graph: a copy or a
+    pickle of a graph built but never queried clears its own caches
+    and leaves the original's alone."""
+    import copy
+    import pickle
+
+    topo = cluster(2, lambda m: power8_minsky(m))
+    for twin in (copy.deepcopy(topo), pickle.loads(pickle.dumps(topo))):
+        assert twin.distance("m0/gpu0", "m1/gpu3") == 242.0
+        assert twin._caches is not topo._caches
+    assert topo.machines() == ["m0", "m1"]
+    assert type(twin._caches) is graph_mod._Caches

@@ -92,11 +92,11 @@ def uncached(topo, m, u, v):
 
     if u == v:
         return (0.0, (u,), float("inf"), True)
-    path = attempt(lambda: topo._search_path(u, v, m))
+    path = attempt(lambda: topo._search_path(u, v, {m}))
     return (
-        attempt(lambda: topo._dijkstra(u, m)[v]),
+        attempt(lambda: topo._dijkstra(u, {m})[v]),
         path,
-        attempt(lambda: topo._widest_from(u, m)[v]),
+        attempt(lambda: topo._widest_from(u, {m})[v]),
         path == "disconnected" or topo._p2p_along(path),
     )
 
@@ -167,12 +167,12 @@ def test_shape_tables_equal_the_search_on_every_machine(kinds):
 
 def test_a_fleet_of_twins_searches_once_per_shape(monkeypatch):
     topo = cluster(6)
-    searches = []
-    for name in ("_dijkstra", "_widest_from", "_search_path"):
+    searches = []  # (search, the machines it may enter)
+    for name, scope in (("_dijkstra", 1), ("_widest_from", 1), ("_search_path", 2)):
         real = getattr(topo, name)
         monkeypatch.setattr(
-            topo, name, lambda *a, _real=real, _name=name: (
-                searches.append(_name), _real(*a)
+            topo, name, lambda *a, _real=real, _name=name, _at=scope: (
+                searches.append((_name, a[_at])), _real(*a)
             )[1]
         )
     shapes = []
@@ -190,11 +190,13 @@ def test_a_fleet_of_twins_searches_once_per_shape(monkeypatch):
                 topo.p2p_connected(u, v)
         topo.p2p_island_sizes(m)
     topo.p2p_island_sizes()
-    # one machine's worth of searches: 4 sources each for distances and
-    # widths, 12 ordered pairs for paths (each a Dijkstra of its own)
-    assert sorted(searches) == sorted(
+    # one machine's worth of searches, each scoped to that machine: 4
+    # sources each for distances and widths, 12 ordered pairs for paths
+    # (each a Dijkstra of its own)
+    assert sorted(name for name, _ in searches) == sorted(
         ["_dijkstra"] * (4 + 12) + ["_widest_from"] * 4 + ["_search_path"] * 12
     )
+    assert all(machines == {"m0"} for _, machines in searches)
     # cluster() entered every twin's shape id when it built the fleet
     assert shapes == []
 
@@ -330,10 +332,10 @@ def test_a_fleet_simulation_describes_each_shape_once(monkeypatch):
         described.append(self)
         return real_shape(self, machine)
 
-    def dijkstra(self, source, scope_machine=None, prev=None):
-        if scope_machine is None:
+    def dijkstra(self, source, machines=None, prev=None, target=None):
+        if machines is None:
             unscoped.append(source)
-        return real_dijkstra(self, source, scope_machine, prev)
+        return real_dijkstra(self, source, machines, prev, target)
 
     monkeypatch.setattr(TopologyGraph, "machine_shape", machine_shape)
     monkeypatch.setattr(TopologyGraph, "_dijkstra", dijkstra)
