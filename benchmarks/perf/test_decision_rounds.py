@@ -16,6 +16,13 @@ Three gates, at the bounds CI has held since the fast paths landed:
 * **order-of-magnitude ceiling** — each policy's best-of-3 mean round
   stays within 10x of its committed baseline.
 
+One gate counts instead of timing, so it holds on any runner: at Fig.
+11 scale a proposal looks each distinct pool key up once, and
+``PlacementSolution`` and ``CandidatePool`` constructions stay under
+:data:`MAX_BUILDS_PER_POOL` of the pools scanned (both were at least
+one per pool before repeats were skipped, losing hits left unbuilt and
+machine pools reused).
+
 These gates catch a lost fast path or an order-of-magnitude
 regression. Speed claims are perfbench readings (``perfbench/run.py``).
 
@@ -34,7 +41,8 @@ import pytest
 
 from repro.analysis.bench import first_record_difference
 from repro.analysis.scenarios import scenario1_jobs, scenario2_jobs
-from repro.core.placement import PlacementEngine
+from repro.core.constraints import CandidatePool
+from repro.core.placement import PlacementEngine, PlacementSolution
 from repro.obs.provenance import DecisionRecorder
 from repro.schedulers import make_scheduler
 from repro.sim.cluster import ClusterState
@@ -44,6 +52,7 @@ from repro.topology.allocation import AllocationState
 from repro.topology.builders import cluster
 from repro.workload.job import Job, ModelType
 
+from tests.core.counted import CountedEngine, count_calls
 from tests.core.exhaustive import exhaustive_cluster
 
 #: scale -> (topology, workload): Fig. 10's 100 scenario-1 jobs on 5
@@ -71,6 +80,9 @@ BASELINE_ROUND_S = {
 CEILING = 10.0
 MIN_SPEEDUP = 2.0
 RUNS = 3
+#: ceiling on solutions and on candidate pools built per pool scanned
+#: at Fig. 11 scale (0.22 and 0.20 on the 300-job trace)
+MAX_BUILDS_PER_POOL = 0.35
 
 
 def _run(
@@ -151,6 +163,40 @@ def test_prefilter_speedup_floor(write_result):
         f"exhaustive -> {off / fast:.2f}x (floor {MIN_SPEEDUP:.0f}x)",
     )
     assert off >= MIN_SPEEDUP * fast
+
+
+def test_proposals_pay_for_new_pools_only(monkeypatch, write_result):
+    """Counted at Fig. 11 scale: one pool-cache lookup per distinct key
+    per proposal, and few solutions and pools built per pool scanned.
+    Counting wrappers change no decision."""
+    reference = _timed("fig11")["TOPO-AWARE"][0]
+    built = {
+        cls: count_calls(monkeypatch, cls, "__init__")
+        for cls in (PlacementSolution, CandidatePool)
+    }
+    make_topo, make_jobs = SCALES["fig11"]
+    topo = make_topo()
+    state = ClusterState(topo)
+    engine = state.engine = CountedEngine(
+        topo, state.alloc, state.params, state.engine.profiles,
+        state.interference,
+    )
+    result = Simulator(
+        topo, make_scheduler("TOPO-AWARE"), make_jobs(), cluster=state
+    ).run()
+    assert first_record_difference(result, reference) is None
+    scanned = engine.pools_scanned
+    write_result(
+        "perf_fig11_pool_counts",
+        f"pools scanned {scanned}, distinct keys {engine.distinct_keys}, "
+        f"repeats {engine.repeats}, lookups {engine._pool_solves.lookups}; "
+        f"built {len(built[PlacementSolution])} solutions, "
+        f"{len(built[CandidatePool])} pools",
+    )
+    assert engine.repeats > 0
+    assert engine._pool_solves.lookups == engine.distinct_keys
+    for cls, calls in built.items():
+        assert len(calls) <= MAX_BUILDS_PER_POOL * scanned, (cls.__name__, len(calls))
 
 
 def test_memo_hit_path_speedup(write_result):

@@ -119,8 +119,19 @@ def _machine_demand(
     return demand
 
 
-def _free_domains(topo: TopologyGraph, free: list[str]) -> int:
+def _free_domains(topo: TopologyGraph, free: tuple[str, ...]) -> int:
     return len({topo.socket_of(g) for g in free})
+
+
+def _machine_pool(alloc: AllocationState, machine: str) -> CandidatePool:
+    """The single-machine pool of ``machine``'s whole free set, kept in
+    :attr:`AllocationState.pool_memo` for as long as the allocator hands
+    out the same :meth:`AllocationState.offer` tuple it was built on."""
+    free = alloc.offer(machine)
+    pool = alloc.pool_memo.get(machine)
+    if pool is None or pool.gpus is not free:
+        pool = alloc.pool_memo[machine] = CandidatePool((machine,), free)
+    return pool
 
 
 def filter_hosts(
@@ -198,12 +209,12 @@ def filter_hosts(
     eligible.sort(key=lambda item: (item[0], item[1]))
     pools = []
     for _, machine in eligible:
-        free = alloc.free_gpus(machine=machine)
-        if job.anti_collocation and _free_domains(topo, free) < job.num_gpus:
+        pool = _machine_pool(alloc, machine)
+        if job.anti_collocation and _free_domains(topo, pool.gpus) < job.num_gpus:
             if report is not None:
                 report["pruned"]["anti-collocation"] += 1
             continue
-        pools.append(CandidatePool(machines=(machine,), gpus=tuple(free)))
+        pools.append(pool)
     if pools or job.single_node:
         if report is not None:
             report["eligible"] = len(pools)
@@ -223,7 +234,7 @@ def filter_hosts(
         if count == 0:
             continue
         machines.append(machine)
-        gpus.extend(alloc.free_gpus(machine=machine))
+        gpus.extend(alloc.offer(machine))
         if len(gpus) >= target:
             break
     if len(gpus) < job.num_gpus:
@@ -287,12 +298,12 @@ def _filter_hosts_prefiltered(
             if report is not None:
                 report["pruned"]["bus-bandwidth"] += 1
             continue
-        free = alloc.free_gpus(machine=machine)
-        if job.anti_collocation and _free_domains(topo, free) < need:
+        pool = _machine_pool(alloc, machine)
+        if job.anti_collocation and _free_domains(topo, pool.gpus) < need:
             if report is not None:
                 report["pruned"]["anti-collocation"] += 1
             continue
-        pools.append(CandidatePool(machines=(machine,), gpus=tuple(free)))
+        pools.append(pool)
         if len(pools) >= prefilter.top_k:
             break
     skipped = capacity_eligible - probed
@@ -318,7 +329,7 @@ def _filter_hosts_prefiltered(
     target = need * spanning_pool_factor
     for _count, machine in alloc.machines_by_free_desc():
         machines.append(machine)
-        gpus.extend(alloc.free_gpus(machine=machine))
+        gpus.extend(alloc.offer(machine))
         if len(gpus) >= target:
             break
     if len(gpus) < need:

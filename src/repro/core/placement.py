@@ -130,12 +130,13 @@ class PlacementEngine:
     Inside a proposal, every single-machine pool is solved through a
     bounded LRU pool-solve cache keyed on a machine-canonical
     signature (:meth:`_pool_key`): a pool equal up to relabelling to
-    one solved before — on a same-shaped machine in this proposal, or
-    on a machine back in an earlier state — replays that solve on its
-    own GPUs.  :meth:`score_allocation` shares that cache under its own
-    tagged key (:meth:`_score_key`), so re-scoring a running job whose
-    machine is back in a state scored before costs one lookup.  Both
-    are always on and exact, not a switch.
+    one solved in an earlier proposal, on a machine back in an earlier
+    state, replays that solve on its own GPUs, and a pool equal to an
+    earlier one of the same proposal reuses its result without a
+    lookup (:meth:`_solve`).  :meth:`score_allocation` shares that
+    cache under its own tagged key (:meth:`_score_key`), so re-scoring
+    a running job whose machine is back in a state scored before costs
+    one lookup.  Both are always on and exact, not a switch.
     """
 
     def __init__(
@@ -326,24 +327,11 @@ class PlacementEngine:
             if provenance is not None:
                 provenance["reason"] = "no-feasible-pool"
             return None
-        jobgraph = self.job_graph(job)
-        best: PlacementSolution | None = None
         candidates = [] if provenance is not None else None
-        for pool in pools[: self.max_pools]:
-            solution = self._solve(job, jobgraph, pool, co_runners)
-            if candidates is not None:
-                candidates.append({
-                    "machines": list(pool.machines),
-                    "pool_gpus": len(pool.gpus),
-                    "utility": None if solution is None else solution.utility,
-                    "p2p": None if solution is None else solution.p2p,
-                })
-            if solution is None:
-                continue
-            if best is None or solution.utility > best.utility + 1e-12:
-                best = solution
-            if best.utility >= 1.0 - 1e-12:
-                break  # cannot improve on a perfect placement
+        best = self._solve(
+            job, self.job_graph(job), pools[: self.max_pools], co_runners,
+            candidates,
+        )
         if provenance is not None:
             provenance["candidates"] = candidates
             if best is None:
@@ -504,39 +492,87 @@ class PlacementEngine:
         self,
         job: Job,
         jobgraph: JobGraph,
-        pool: CandidatePool,
+        pools: list[CandidatePool],
         co_runners: Mapping[str, tuple[Job, frozenset[str]]],
+        candidates: list | None,
     ) -> PlacementSolution | None:
-        """:meth:`_solve_pool` through the pool-solve cache.
+        """Best solution over ``pools``, scanned in order: a pool wins
+        only when its utility beats the best so far by more than 1e-12,
+        and a perfect placement ends the scan.  ``candidates``, when a
+        list, gets each scanned pool's provenance entry.
 
-        Entries hold the mapping as ``(task, local index)`` pairs plus
-        the metrics and P2P flag, or ``None`` for no solution, in a
-        1-tuple that tells a cached ``None`` from a miss; a hit rebuilds
-        the solution on this pool's machine.  Keys name the whole input
-        (see :meth:`_pool_key`), so entries never go stale.
+        Single-machine pools go through the pool-solve cache under
+        :meth:`_pool_key`.  An entry holds the metrics, the P2P flag,
+        the mapping as ``(task, local index)`` pairs and the sorted
+        local GPU indices, or ``None`` for no solution, in a 1-tuple
+        that tells a cached ``None`` from a miss.  Keys name the whole
+        input of :meth:`_solve_pool`, so entries never go stale.  A
+        proposal pays only for pools that are new or can win
+        (DESIGN.md §9 argues both rules exact):
+
+        - a pool whose key met an earlier pool of this scan is neither
+          looked up nor solved; its candidate entry repeats that pool's
+          utility and P2P flag, since equal keys give bit-equal metrics;
+        - a hit builds its :class:`PlacementSolution`, through the
+          machine's index → name table, only when it is the new best.
         """
-        key = self._pool_key(job, pool, co_runners)
-        if key is None:
-            return self._solve_pool(job, jobgraph, pool, co_runners)
-        entry = self._pool_solves.get(key)
-        if entry is None:
-            solution = self._solve_pool(job, jobgraph, pool, co_runners)
-            value = None
-            if solution is not None:
-                index = self._machine_table(pool.machines[0])[1]
-                value = (
-                    tuple([(t, index[g]) for t, g in solution.task_mapping.items()]),
-                    tuple([index[g] for g in solution.gpus]),
-                    solution.metrics,
-                    solution.p2p,
+        best: PlacementSolution | None = None
+        met: dict[tuple, tuple | None] = {}
+        for pool in pools:
+            key = self._pool_key(job, pool, co_runners)
+            solution = None
+            if key is None:
+                solution = self._solve_pool(job, jobgraph, pool, co_runners)
+                value = None if solution is None else (
+                    solution.metrics, solution.p2p
                 )
-            self._remember(key, (value,))
-            return solution
-        self._pool_solves.move_to_end(key)
-        value = entry[0]
-        if value is None:
-            return None
-        pairs, gpus, metrics, p2p = value
+            elif key in met:
+                value = met[key]
+            else:
+                entry = self._pool_solves.get(key)
+                if entry is None:
+                    solution = self._solve_pool(job, jobgraph, pool, co_runners)
+                    entry = (
+                        None if solution is None else self._canonical(solution),
+                    )
+                    self._remember(key, entry)
+                else:
+                    self._pool_solves.move_to_end(key)
+                value = met[key] = entry[0]
+            if candidates is not None:
+                candidates.append({
+                    "machines": list(pool.machines),
+                    "pool_gpus": len(pool.gpus),
+                    "utility": None if value is None else value[0].utility,
+                    "p2p": None if value is None else value[1],
+                })
+            if value is None:
+                continue
+            if best is None or value[0].utility > best.utility + 1e-12:
+                if solution is None:
+                    solution = self._relabel(job, pool, value)
+                best = solution
+                if best.utility >= 1.0 - 1e-12:
+                    break  # cannot improve on a perfect placement
+        return best
+
+    def _canonical(self, solution: PlacementSolution) -> tuple:
+        """A single-machine solution as a pool-solve cache value:
+        metrics, P2P flag, ``(task, local index)`` pairs and local
+        indices of the sorted GPUs."""
+        index = self._machine_table(solution.pool.machines[0])[1]
+        return (
+            solution.metrics,
+            solution.p2p,
+            tuple([(t, index[g]) for t, g in solution.task_mapping.items()]),
+            tuple([index[g] for g in solution.gpus]),
+        )
+
+    def _relabel(
+        self, job: Job, pool: CandidatePool, value: tuple
+    ) -> PlacementSolution:
+        """The cached solve ``value`` rebuilt on ``pool``'s machine."""
+        metrics, p2p, pairs, gpus = value
         names = self._machine_table(pool.machines[0])[2]
         return PlacementSolution(
             job_id=job.job_id,

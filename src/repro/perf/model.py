@@ -223,12 +223,15 @@ class PerformanceModel:
             raise ValueError(
                 f"{job.job_id}: allocation has {len(gpus)} GPUs, job wants {job.num_gpus}"
             )
-        # on one machine the answer depends on the job's fields and the
-        # GPUs' places in the machine's shape alone
+        # on one machine the answer depends on the job's fields (enums
+        # enter by value, which hashes in C) and the GPUs' places in the
+        # machine's shape alone
         local = self.topo.machine_relative(gpus)
         if local is None:
             return self._breakdown(job, gpus)
-        key = (job.model, job.batch_size, job.comm_pattern, *local)
+        key = (
+            job.model._value_, job.batch_size, job.comm_pattern._value_, *local
+        )
         memo = self._solo
         cached = memo.get(key)
         if cached is None:

@@ -270,8 +270,12 @@ class ClusterState:
         branches on (model-parallel chains/rings cost differently from
         data-parallel all-reduce) — so jobs that differ only in
         ``iterations`` share one entry instead of colliding or missing.
+        Enums enter by value, which hashes in C.
         """
-        key = (job.model, job.batch_size, job.num_gpus, job.comm_pattern)
+        key = (
+            job.model._value_, job.batch_size, job.num_gpus,
+            job.comm_pattern._value_,
+        )
         cached = self._ideal_cache.get(key)
         if cached is None:
             try:

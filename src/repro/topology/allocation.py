@@ -72,6 +72,13 @@ class AllocationState:
         }
         self._jobs_by_machine: dict[str, set[str]] = {m: set() for m in topo.machines()}
         self._down_machines: set[str] = set()
+        #: machine -> its free GPUs, built on first read and dropped by
+        #: every mutation that touches the machine (see :meth:`offer`)
+        self._offers: dict[str, tuple[str, ...]] = {}
+        #: machine -> the candidate pool host filtering built from its
+        #: offer; filled and checked against :meth:`offer` by
+        #: :func:`repro.core.constraints.filter_hosts`
+        self.pool_memo: dict[str, object] = {}
         self._sockets: dict[str, tuple[str, ...]] | None = None
         self.digest = 0
         # maintained aggregates for O(1) capacity queries at fleet scale:
@@ -137,9 +144,9 @@ class AllocationState:
         for g in gpu_set:
             m = self.topo.machine_of(g)
             taken[m] = taken.get(m, 0) + 1
-        for m in taken:
-            self._jobs_by_machine[m].add(job_id)
         for m, n in taken.items():
+            self._jobs_by_machine[m].add(job_id)
+            self._offers.pop(m, None)
             self._apply_free_delta(m, -n)
         self.version += 1
 
@@ -156,9 +163,9 @@ class AllocationState:
             m = self.topo.machine_of(g)
             freed[m] = freed.get(m, 0) + 1
         self.digest = digest
-        for m in freed:
-            self._jobs_by_machine[m].discard(job_id)
         for m, n in freed.items():
+            self._jobs_by_machine[m].discard(job_id)
+            self._offers.pop(m, None)
             self._apply_free_delta(m, n)
         self.version += 1
         return gpus
@@ -193,6 +200,21 @@ class AllocationState:
                 if self.topo.machine_of(g) not in self._down_machines
             ]
         return [g for g in pool if g not in self._gpu_owner]
+
+    def offer(self, machine: str) -> tuple[str, ...]:
+        """:meth:`free_gpus` of ``machine`` as a tuple (``()`` while the
+        machine is down).
+
+        Kept per machine until :meth:`allocate`, :meth:`release`,
+        :meth:`set_machine_down` or :meth:`set_machine_up` touches the
+        machine, so the same tuple object comes back while the machine
+        is unchanged: host filtering reuses the candidate pool it built
+        on an offer for as long as that offer is the one returned here.
+        """
+        offer = self._offers.get(machine)
+        if offer is None:
+            offer = self._offers[machine] = tuple(self.free_gpus(machine=machine))
+        return offer
 
     def free_count(self, machine: str) -> int:
         """Free GPUs on a machine, O(1) (hot path of host filtering).
@@ -277,6 +299,7 @@ class AllocationState:
             self._bucket_discard(machine, count)
             self._total_free -= count
             self._down_machines.add(machine)
+            self._offers.pop(machine, None)
             self.digest ^= hash(("down", machine))
             self.version += 1
         return sorted(self._jobs_by_machine[machine])
@@ -293,6 +316,7 @@ class AllocationState:
             raise AllocationError(f"unknown machine {machine!r}")
         if machine in self._down_machines:
             self._down_machines.discard(machine)
+            self._offers.pop(machine, None)
             self.digest ^= hash(("down", machine))
             count = self._free_count[machine]
             self._bucket_add(machine, count)

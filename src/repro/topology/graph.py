@@ -31,7 +31,7 @@ import heapq
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 from repro.topology.links import LinkSpec, LinkType
 from repro.topology.shapes import absolute, describe, relative
@@ -62,13 +62,14 @@ class NodeKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """A topology vertex.
 
     ``machine`` and ``socket`` record the enclosing components (``None``
     above that level); ``gpu_index`` is the machine-local GPU id used by
-    enforcement (``CUDA_VISIBLE_DEVICES`` ordering).
+    enforcement (``CUDA_VISIBLE_DEVICES`` ordering).  A named tuple, so
+    immutable, hashable and built without a per-field ``__setattr__``
+    (a 1000-machine fleet has 7,001 nodes).
     """
 
     name: str
@@ -78,9 +79,9 @@ class Node:
     gpu_index: int | None = None
 
 
-@dataclass(frozen=True)
-class Edge:
-    """An undirected topology edge between ``u`` and ``v``."""
+class Edge(NamedTuple):
+    """An undirected topology edge between ``u`` and ``v`` (a named
+    tuple, like :class:`Node`)."""
 
     u: str
     v: str

@@ -20,18 +20,19 @@ from typing import Iterable, Mapping
 
 from repro.workload.job import BatchClass, CommPattern, Job
 
-#: Batch-class -> clique edge weight (Section 5.1).
-_BATCH_WEIGHTS: Mapping[BatchClass, float] = {
-    BatchClass.TINY: 4.0,
-    BatchClass.SMALL: 3.0,
-    BatchClass.MEDIUM: 2.0,
-    BatchClass.BIG: 1.0,
+#: Batch-class value -> clique edge weight (Section 5.1).  Keyed by
+#: value: a value hashes in C, a member in Python.
+_BATCH_WEIGHTS: Mapping[int, float] = {
+    BatchClass.TINY._value_: 4.0,
+    BatchClass.SMALL._value_: 3.0,
+    BatchClass.MEDIUM._value_: 2.0,
+    BatchClass.BIG._value_: 1.0,
 }
 
 
 def comm_weight(batch_class: BatchClass) -> float:
     """Communication weight for a batch class (4 = tiny ... 1 = big)."""
-    return _BATCH_WEIGHTS[batch_class]
+    return _BATCH_WEIGHTS[batch_class._value_]
 
 
 class JobGraph:

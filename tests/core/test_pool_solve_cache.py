@@ -5,10 +5,13 @@ keyed on a machine-canonical signature: the job's placement fields,
 the machine's shape id and health, the pool's local GPU indices and
 the co-runners' local GPU masks and attributes in sorted job-id order.
 These tests pin the cache as invisible.  A test-only oracle engine
-that solves every pool directly must produce the same records and the
+that solves and builds every pool directly, with no cache, no skipped
+repeats and no deferred build, must produce the same records and the
 same decision journal (``candidates`` included) on fig11-, pm-,
 heterogeneous- and DGX-2-style traces; coarser keys must not; and
 equal keys on different machines must mean relabel-equal solves.
+Counted tests pin what a proposal pays for: one lookup per distinct
+key, and a solution built only for the first pool and each new best.
 
 ``score_allocation`` shares the cache under its own key (the scored
 job's model and batch size, the machine's shape id and health, the
@@ -28,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.bench import first_record_difference
 from repro.analysis.scenarios import fragmentation_jobs, scenario2_jobs
 from repro.core.constraints import CandidatePool
-from repro.core.placement import PlacementEngine
+from repro.core.placement import PlacementEngine, PlacementSolution
 from repro.obs.provenance import DecisionRecorder
 from repro.schedulers import make_scheduler
 from repro.sim.cluster import ClusterState
@@ -44,39 +47,34 @@ from repro.topology.builders import (
 from repro.workload.generator import GeneratorConfig, WorkloadGenerator
 from repro.workload.job import Job, ModelType
 
+from tests.core.counted import CountedEngine, count_calls
 from tests.schedulers.test_probe_pruning import _contended_trace
 
 
 class _Uncached(PlacementEngine):
-    """The oracle: every pool goes straight to ``_solve_pool``."""
+    """The oracle: every pool goes straight to ``_solve_pool`` and is
+    built in full, and the best is picked from the built solutions as
+    before the pool-solve cache existed (no cache, no repeat skipping,
+    no deferred build)."""
 
-    def _solve(self, job, jobgraph, pool, co_runners):
-        return self._solve_pool(job, jobgraph, pool, co_runners)
-
-
-class _Counted(PlacementEngine):
-    """The engine under test, counting pool-solve cache hits on a pool
-    already met in the same proposal or only in an earlier one."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.hits_in_proposal = self.hits_across = 0
-        self._met: set = set()
-
-    def _propose(self, job, co_runners, provenance=None):
-        self._met = set()
-        return super()._propose(job, co_runners, provenance)
-
-    def _solve(self, job, jobgraph, pool, co_runners):
-        key = self._pool_key(job, pool, co_runners)
-        if key is not None:
-            if key in self._pool_solves:
-                if key in self._met:
-                    self.hits_in_proposal += 1
-                else:
-                    self.hits_across += 1
-            self._met.add(key)
-        return super()._solve(job, jobgraph, pool, co_runners)
+    def _solve(self, job, jobgraph, pools, co_runners, candidates):
+        best = None
+        for pool in pools:
+            solution = self._solve_pool(job, jobgraph, pool, co_runners)
+            if candidates is not None:
+                candidates.append({
+                    "machines": list(pool.machines),
+                    "pool_gpus": len(pool.gpus),
+                    "utility": None if solution is None else solution.utility,
+                    "p2p": None if solution is None else solution.p2p,
+                })
+            if solution is None:
+                continue
+            if best is None or solution.utility > best.utility + 1e-12:
+                best = solution
+            if best.utility >= 1.0 - 1e-12:
+                break
+        return best
 
 
 class _NoShape(PlacementEngine):
@@ -163,16 +161,18 @@ def oracle_runs():
 
 @pytest.mark.parametrize("name", sorted(TRACES))
 def test_cached_engine_matches_the_solve_everything_oracle(name, oracle_runs):
-    fast, fast_journal, engine = _run(name, _Counted)
+    fast, fast_journal, engine = _run(name, CountedEngine)
     slow, slow_journal, _ = oracle_runs[name]
     assert first_record_difference(fast, slow) is None
     assert fast.makespan == slow.makespan
     assert fast.decision_rounds == slow.decision_rounds
     assert fast_journal == slow_journal
-    # not vacuous: decisions carry per-pool candidates, and the cache
-    # served repeats both inside a proposal and across proposals
+    # not vacuous: decisions carry per-pool candidates, proposals met
+    # a pool key twice (the repeat copies its candidate entry), and the
+    # cache served pools solved in earlier proposals
     assert any(record.get("candidates") for record in fast_journal)
-    assert engine.hits_in_proposal > 0 and engine.hits_across > 0
+    assert engine.repeats > 0 and engine._pool_solves.hits > 0
+    assert engine._pool_solves.lookups == engine.distinct_keys
 
 
 @pytest.mark.parametrize("coarse", [_NoShape, _NoModel])
@@ -183,6 +183,61 @@ def test_a_coarser_key_diverges_on_the_mixed_cluster(coarse, oracle_runs):
     except (IndexError, ValueError):
         return  # replayed onto a machine without the cached GPUs
     assert not _same(fast, fast_journal, slow, slow_journal)
+
+
+def test_identical_machines_cost_one_lookup_and_one_build(monkeypatch):
+    """A proposal over k identical empty machines looks their one key up
+    once and builds one solution; the other machines repeat its
+    candidate entry.  A later proposal hits and still builds once."""
+    k = 6
+    topo = cluster(k)
+    engine = CountedEngine(topo, AllocationState(topo), memo_size=0)
+    built = count_calls(monkeypatch, PlacementSolution, "__init__")
+    solved = count_calls(monkeypatch, PlacementEngine, "_solve_pool")
+    for n in (1, 2):
+        provenance = {}
+        # one GPU of an empty Minsky scores below 1 (Eq. 5), so the
+        # scan visits every machine
+        solution = engine.propose(
+            Job(f"j{n}", ModelType.ALEXNET, 16, 1), provenance=provenance
+        )
+        assert solution.utility < 1.0 and solution.pool.machines == ("m0",)
+        assert engine.pools_scanned == n * k and engine.repeats == n * (k - 1)
+        assert engine._pool_solves.lookups == n
+        assert engine._pool_solves.hits == n - 1
+        assert len(built) == n and len(solved) == 1
+        first, *rest = provenance["candidates"]
+        assert [c["machines"] for c in provenance["candidates"]] == [
+            [m] for m in topo.machines()
+        ]
+        assert all(
+            (c["utility"], c["p2p"], c["pool_gpus"])
+            == (first["utility"], first["p2p"], first["pool_gpus"])
+            for c in rest
+        )
+
+
+def test_a_hit_builds_a_solution_only_as_the_new_best(monkeypatch):
+    """On a warm cache, the scan builds one solution per new best: the
+    losing hit on an empty machine and its repeats build nothing."""
+    topo = cluster(6)
+    alloc = AllocationState(topo)
+    alloc.allocate("a", ["m1/gpu0"])
+    alloc.allocate("b", ["m3/gpu0", "m3/gpu2"])
+    engine = CountedEngine(topo, alloc, memo_size=0)
+    engine.propose(Job("warm", ModelType.ALEXNET, 16, 3))
+    built = count_calls(monkeypatch, PlacementSolution, "__init__")
+    provenance = {}
+    solution = engine.propose(
+        Job("q", ModelType.ALEXNET, 16, 3), provenance=provenance
+    )
+    utilities = [c["utility"] for c in provenance["candidates"]]
+    # m1 (three free) beats the four empty machines, which share a key
+    assert solution.pool.machines == ("m1",)
+    assert utilities[0] > utilities[1] == utilities[-1]
+    # the warm-up made the first two lookups, both misses
+    assert engine._pool_solves.lookups == 4 and engine._pool_solves.hits == 2
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
